@@ -143,7 +143,9 @@ class FunctionalCell:
                 raise TopologyError(
                     f"cell {self.name!r} did not produce port {port.name!r}"
                 )
-            arr = np.atleast_1d(np.asarray(result[port.name], dtype=np.float64))
+            arr = np.asarray(result[port.name], dtype=np.float64)
+            if arr.ndim == 0:  # np.atleast_1d without its per-call dispatch
+                arr = arr.reshape(1)
             if arr.size != port.n_values:
                 raise TopologyError(
                     f"cell {self.name!r} port {port.name!r} produced "

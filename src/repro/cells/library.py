@@ -278,7 +278,7 @@ def make_svm_cell(
     )
 
     def compute(inputs: Sequence[np.ndarray]) -> Dict[str, np.ndarray]:
-        raw = np.array([float(np.atleast_1d(v)[0]) for v in inputs])
+        raw = np.concatenate(inputs)
         normalised = np.clip((raw - mins) / ranges, 0.0, 1.0)
         score = float(np.atleast_1d(classifier.decision_function(normalised))[0])
         return {"out": np.array([score])}
@@ -317,7 +317,7 @@ def make_fusion_cell(
     intercept = fusion.intercept
 
     def compute(inputs: Sequence[np.ndarray]) -> Dict[str, np.ndarray]:
-        scores = np.array([float(np.atleast_1d(v)[0]) for v in inputs])
+        scores = np.concatenate(inputs)
         return {"out": np.array([float(scores @ weights + intercept)])}
 
     return FunctionalCell(

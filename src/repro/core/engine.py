@@ -5,14 +5,21 @@ deployed system would: in-sensor cells execute on (a software model of) the
 sensor, every port value crossing the cut is marshalled over the link, and
 in-aggregator cells execute on the aggregator.  Functionally the partition
 must be invisible — the engine's predictions are verified against the
-monolithic :meth:`~repro.cells.topology.CellTopology.classify` in the test
+monolithic :meth:`~repro.cells.topology.CellTopology.execute` in the test
 suite — while the traffic accounting reports exactly what crossed the air.
+
+Which ports cross the cut depends only on the topology and the partition,
+so the engine compiles both into a static plan when it is constructed: a
+flat list of ``(execute, input slots, output slots)`` steps in topological
+order, plus the uplink/downlink port lists and value counts.  Marshalling
+hands a value across unchanged, so one slot per port serves both ends and
+classifying a segment is a single loop over the plan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -20,6 +27,14 @@ from repro.cells.cell import SOURCE_CELL, PortRef
 from repro.cells.topology import CellTopology
 from repro.core.partition import Partition
 from repro.errors import ConfigurationError
+
+#: One compiled cell: its ``execute``, the slots it reads in input order,
+#: and ``(port name, slot)`` for each output it writes.
+_Step = Tuple[
+    Callable[[Sequence[np.ndarray]], Dict[str, np.ndarray]],
+    Tuple[int, ...],
+    Tuple[Tuple[str, int], ...],
+]
 
 
 @dataclass(frozen=True)
@@ -57,12 +72,22 @@ def argmax_decode(score: float) -> int:
 class CrossEndEngine:
     """Executes a topology under a given partition.
 
+    The partition and the port accounting are snapshotted at construction
+    (see the module docstring); build a new engine to change either.
+
     Args:
         topology: The functional-cell dataflow graph.
         partition: Cell-to-end assignment (validated on construction).
         decode: Maps the result port's scalar to the class decision;
             defaults to :func:`sign_decode` (binary), use
             :func:`argmax_decode` for multi-class topologies.
+
+    Attributes:
+        uplink_ports: Ports sent sensor -> aggregator, in first-use order.
+        downlink_ports: ``(port, consumer)`` pairs received by in-sensor
+            cells, in first-use order.
+        uplink_values: Total scalar values sent up per segment.
+        downlink_values: Total scalar values sent down per segment.
     """
 
     def __init__(
@@ -74,77 +99,88 @@ class CrossEndEngine:
         self.topology = topology
         self.partition = partition.validate(topology)
         self.decode = decode
+        in_sensor = self.partition.in_sensor
+
+        def on_sensor(ref: PortRef) -> bool:
+            return ref.cell == SOURCE_CELL or ref.cell in in_sensor
+
+        slots: Dict[PortRef, int] = {PortRef(SOURCE_CELL, "out"): 0}
+        plan: List[_Step] = []
+        uplinked: List[PortRef] = []
+        sent_up: Set[PortRef] = set()
+        downlinked: List[Tuple[PortRef, str]] = []
+        for name in topology.cell_names:  # topological order
+            cell = topology.cell(name)
+            here = name in in_sensor
+            # Uplink transfers happen once per port (the "grouped" rule:
+            # one broadcast serves every back-end consumer), while downlink
+            # receives are paid per in-sensor consumer — mirroring the
+            # Tx/Rx edge construction of the s-t graph, so the accounting
+            # matches the evaluator exactly.
+            for ref in cell.inputs:
+                if here and not on_sensor(ref):
+                    downlinked.append((ref, name))
+                elif not here and on_sensor(ref) and ref not in sent_up:
+                    sent_up.add(ref)
+                    uplinked.append(ref)
+            outputs = []
+            for port in cell.outputs:
+                outputs.append((port.name, len(slots)))
+                slots[PortRef(name, port.name)] = len(slots)
+            plan.append(
+                (cell.execute, tuple(slots[ref] for ref in cell.inputs), tuple(outputs))
+            )
+        # The classification result must reach the aggregator.
+        result_ref = topology.result
+        if on_sensor(result_ref) and result_ref not in sent_up:
+            uplinked.append(result_ref)
+
+        self._plan: Tuple[_Step, ...] = tuple(plan)
+        self._n_slots = len(slots)
+        self._result_slot = slots[result_ref]
+        self.uplink_ports: Tuple[PortRef, ...] = tuple(uplinked)
+        self.downlink_ports: Tuple[Tuple[PortRef, str], ...] = tuple(downlinked)
+        self.uplink_values = sum(topology.port_of(ref).n_values for ref in uplinked)
+        self.downlink_values = sum(
+            topology.port_of(ref).n_values for ref, _ in downlinked
+        )
+
+    def _length_error(self) -> ConfigurationError:
+        return ConfigurationError(
+            f"segment must be 1-D of length {self.topology.segment_length}"
+        )
+
+    def _score(self, segment: np.ndarray) -> float:
+        """Run the plan on one validated float64 segment."""
+        values: List[Any] = [None] * self._n_slots
+        values[0] = segment
+        for execute, in_slots, out_slots in self._plan:
+            outputs = execute([values[i] for i in in_slots])
+            for port, slot in out_slots:
+                values[slot] = outputs[port]
+        return float(values[self._result_slot][0])
 
     def classify(self, segment: np.ndarray) -> CrossEndResult:
         """Classify one raw segment through the partitioned pipeline."""
         arr = np.asarray(segment, dtype=np.float64)
         if arr.ndim != 1 or len(arr) != self.topology.segment_length:
-            raise ConfigurationError(
-                f"segment must be 1-D of length {self.topology.segment_length}"
-            )
-        in_sensor = self.partition.in_sensor
-        # Per-end value stores; the source segment exists only on the sensor.
-        sensor_values: Dict[PortRef, np.ndarray] = {PortRef(SOURCE_CELL, "out"): arr}
-        aggregator_values: Dict[PortRef, np.ndarray] = {}
-        uplinked: List[PortRef] = []
-        downlinked: List[Tuple[PortRef, str]] = []
-
-        def fetch(ref: PortRef, consumer: str, consumer_in_sensor: bool) -> np.ndarray:
-            """Resolve an input value at the consumer's end, marshalling if needed.
-
-            Uplink transfers happen once per port (the "grouped" rule: one
-            broadcast serves every back-end consumer), while downlink
-            receives are paid per in-sensor consumer — mirroring the Tx/Rx
-            edge construction of the s-t graph, so the engine's traffic
-            accounting matches the evaluator exactly.
-            """
-            producer_in_sensor = ref.cell == SOURCE_CELL or ref.cell in in_sensor
-            if consumer_in_sensor:
-                if producer_in_sensor:
-                    return sensor_values[ref]
-                downlinked.append((ref, consumer))
-                value = aggregator_values[ref]
-                sensor_values[ref] = value
-                return value
-            if producer_in_sensor and ref not in aggregator_values:
-                aggregator_values[ref] = sensor_values[ref]
-                uplinked.append(ref)
-            return aggregator_values[ref]
-
-        for name in self.topology.cell_names:  # topological order
-            cell = self.topology.cell(name)
-            here = name in in_sensor
-            inputs = [fetch(ref, name, here) for ref in cell.inputs]
-            outputs = cell.execute(inputs)
-            store = sensor_values if here else aggregator_values
-            for port_name, value in outputs.items():
-                store[PortRef(name, port_name)] = value
-
-        # The classification result must reach the aggregator.
-        result_ref = self.topology.result
-        if result_ref not in aggregator_values:
-            aggregator_values[result_ref] = sensor_values[result_ref]
-            uplinked.append(result_ref)
-
-        score = float(np.atleast_1d(aggregator_values[result_ref])[0])
-        up_values = sum(
-            self.topology.port_of(ref).n_values for ref in uplinked
-        )
-        down_values = sum(
-            self.topology.port_of(ref).n_values for ref, _ in downlinked
-        )
+            raise self._length_error()
+        score = self._score(arr)
         return CrossEndResult(
             prediction=self.decode(score),
             score=score,
-            uplink_ports=tuple(uplinked),
-            downlink_ports=tuple(downlinked),
-            uplink_values=up_values,
-            downlink_values=down_values,
+            uplink_ports=self.uplink_ports,
+            downlink_ports=self.downlink_ports,
+            uplink_values=self.uplink_values,
+            downlink_values=self.downlink_values,
         )
 
     def classify_batch(self, segments: np.ndarray) -> np.ndarray:
-        """Predictions for a (n_segments, segment_length) batch."""
+        """Integer predictions for a ``(n_segments, segment_length)`` batch;
+        an empty batch gives an empty ``(0,)`` array."""
         mat = np.asarray(segments, dtype=np.float64)
         if mat.ndim != 2:
             raise ConfigurationError("segments must be a 2-D batch")
-        return np.asarray([self.classify(row).prediction for row in mat])
+        if mat.shape[1] != self.topology.segment_length:
+            raise self._length_error()
+        return np.array([self.decode(self._score(row)) for row in mat], dtype=int)

@@ -50,6 +50,12 @@ def _as_segment(segment: Sequence[float]) -> np.ndarray:
     return arr
 
 
+def _mean(arr: np.ndarray) -> np.float64:
+    """``np.mean`` of a 1-D float64 array, bit for bit, without its
+    per-call dispatch: the same ``add.reduce`` divided by the count."""
+    return np.add.reduce(arr) / arr.size
+
+
 def maximum(segment: Sequence[float]) -> float:
     """Maximal sample value of the segment."""
     return float(np.max(_as_segment(segment)))
@@ -62,14 +68,14 @@ def minimum(segment: Sequence[float]) -> float:
 
 def mean(segment: Sequence[float]) -> float:
     """Arithmetic mean of the segment."""
-    return float(np.mean(_as_segment(segment)))
+    return float(_mean(_as_segment(segment)))
 
 
 def variance(segment: Sequence[float]) -> float:
     """Population variance ``E[x^2] - E[x]^2`` (single-pass hardware form)."""
     arr = _as_segment(segment)
-    mu = arr.mean()
-    return float(np.mean(arr * arr) - mu * mu)
+    mu = _mean(arr)
+    return float(_mean(arr * arr) - mu * mu)
 
 
 def standard_deviation(segment: Sequence[float]) -> float:
@@ -97,7 +103,7 @@ def _propagate_signs(signs: np.ndarray) -> np.ndarray:
     positions = np.arange(arr.shape[1])[None, :]
     last_nonzero = np.where(arr != 0, positions, 0)
     np.maximum.accumulate(last_nonzero, axis=1, out=last_nonzero)
-    filled = np.take_along_axis(arr, last_nonzero, axis=1)
+    filled = arr[np.arange(arr.shape[0])[:, None], last_nonzero]
     filled[filled == 0] = 1.0
     return filled if signs.ndim == 2 else filled[0]
 
@@ -117,30 +123,28 @@ def crossing_count(segment: Sequence[float], level: float = 0.0) -> float:
 def zero_crossings(segment: Sequence[float]) -> float:
     """Czero as the paper uses it: crossings of the segment mean."""
     arr = _as_segment(segment)
-    return crossing_count(arr, level=float(arr.mean()))
+    return crossing_count(arr, level=float(_mean(arr)))
 
 
 def skewness(segment: Sequence[float]) -> float:
     """Population skewness ``m3 / m2^{3/2}`` (0 for constant segments)."""
     arr = _as_segment(segment)
-    mu = arr.mean()
-    centered = arr - mu
-    m2 = float(np.mean(centered**2))
+    centered = arr - _mean(arr)
+    m2 = float(_mean(centered**2))
     if m2 <= 1e-12:
         return 0.0
-    m3 = float(np.mean(centered**3))
+    m3 = float(_mean(centered**3))
     return m3 / (m2**1.5)
 
 
 def kurtosis(segment: Sequence[float]) -> float:
     """Population kurtosis ``m4 / m2^2`` (non-excess; 0 for constants)."""
     arr = _as_segment(segment)
-    mu = arr.mean()
-    centered = arr - mu
-    m2 = float(np.mean(centered**2))
+    centered = arr - _mean(arr)
+    m2 = float(_mean(centered**2))
     if m2 <= 1e-12:
         return 0.0
-    m4 = float(np.mean(centered**4))
+    m4 = float(_mean(centered**4))
     return m4 / (m2**2)
 
 

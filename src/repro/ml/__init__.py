@@ -20,7 +20,7 @@ from repro.ml.baselines import AdaBoostSVMClassifier, BaggingSVMClassifier
 from repro.ml.calibration import PlattScaler, brier_score
 from repro.ml.fusion import WeightedVotingFusion
 from repro.ml.inference import EnsembleBatchScorer
-from repro.ml.kernels import Kernel, LinearKernel, RBFKernel
+from repro.ml.kernels import Kernel, LinearKernel, RBFKernel, SupportRows
 from repro.ml.metrics import accuracy, confusion_matrix
 from repro.ml.multiclass import OneVsRestSubspaceClassifier
 from repro.ml.subspace import (
@@ -50,6 +50,7 @@ __all__ = [
     "RepeatedProtocolResult",
     "SVMClassifier",
     "SubspaceMember",
+    "SupportRows",
     "WeightedVotingFusion",
     "PlattScaler",
     "TuningResult",

@@ -30,29 +30,97 @@ subset)]`` yields a C-ordered one.  Every kernel entry point therefore
 normalises its operands to C order before reducing, so the same row
 contents always produce the same bits regardless of how the caller
 sliced them out.
+
+Single queries
+--------------
+
+Scoring one sample against a fixed set of rows (an SVM's support vectors)
+is a one-row ``rhs``.  :func:`_cross_dot` then takes one broadcast product
+over the C-contiguous transposed rows and one axis-0 ``add.reduce``, which
+NumPy accumulates row by row — the same fixed feature order as the rank-1
+loop, so the column is bitwise equal to the matching column of a
+multi-row Gram.  :class:`SupportRows` holds the transposed rows and their
+squared norms so a classifier derives them once, not per query.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 
 
-def _cross_dot(lhs_m: np.ndarray, rhs_m: np.ndarray) -> np.ndarray:
+def _cross_dot(
+    lhs_m: np.ndarray, rhs_m: np.ndarray, lhs_t: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Slice-stable ``lhs_m @ rhs_m.T`` over 2-D float64 inputs.
 
     Accumulates one rank-1 term per feature column, so entry ``(i, j)`` is
     the fixed-order sum ``sum_f lhs_m[i, f] * rhs_m[j, f]`` — a function of
     the two rows only, independent of the matrix shapes.
+
+    A one-row ``rhs_m`` against two or more ``lhs_m`` rows is one product
+    over ``lhs_t`` (the C-contiguous transpose of ``lhs_m``, derived here
+    unless supplied) and one axis-0 reduction.  Reducing a non-inner axis
+    adds the feature rows in order, exactly as the loop does.  The final
+    ``+ 0.0`` pins the loop's ``+0.0`` start on NumPy versions whose
+    reduction starts from the first row instead (an all ``-0.0`` sum then
+    reads ``+0.0``).  A single ``lhs_m`` row keeps the loop, because NumPy
+    sums a contiguous 1-D reduction pairwise.
     """
+    if rhs_m.shape[0] == 1 and lhs_m.shape[0] > 1:
+        if lhs_t is None:
+            lhs_t = np.ascontiguousarray(lhs_m.T)
+        return (np.add.reduce(lhs_t * rhs_m[0, :, None], axis=0) + 0.0)[:, None]
     out = np.zeros((lhs_m.shape[0], rhs_m.shape[0]))
     for f in range(lhs_m.shape[1]):
         out += lhs_m[:, f, None] * rhs_m[None, :, f]
     return out
+
+
+def _as_rows(x: np.ndarray) -> np.ndarray:
+    """A float64 sample or row matrix as a C-ordered 2-D array."""
+    return np.ascontiguousarray(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+
+
+def _check_dims(lhs_m: np.ndarray, rhs_m: np.ndarray) -> None:
+    if lhs_m.shape[1] != rhs_m.shape[1]:
+        raise ConfigurationError(
+            f"dimension mismatch: {lhs_m.shape[1]} vs {rhs_m.shape[1]}"
+        )
+
+
+class SupportRows(NamedTuple):
+    """A fixed left-hand row matrix with its per-query operands derived.
+
+    Built once per trained classifier by :meth:`of`;
+    :meth:`Kernel.gram_rows` then scores queries against it without
+    re-deriving anything from the rows.  The rows are kept once, as their
+    transpose: :attr:`rows` is a view of :attr:`rows_t`.
+
+    Attributes:
+        rows_t: ``(d, n)`` C-contiguous transpose of the rows.
+        sq_norms: ``(n,)`` squared row norms, bitwise as
+            :class:`RBFKernel` computes them.
+    """
+
+    rows_t: np.ndarray
+    sq_norms: np.ndarray
+
+    @classmethod
+    def of(cls, rows: np.ndarray) -> "SupportRows":
+        """Derive the operands of a ``(n, d)`` row matrix (or one row)."""
+        m = _as_rows(rows)
+        return cls(np.ascontiguousarray(m.T), (m**2).sum(axis=1))
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The ``(n, d)`` rows (an F-ordered view; the Gram paths that
+        read them are elementwise, so layout does not change their bits)."""
+        return self.rows_t.T
 
 
 class Kernel(ABC):
@@ -74,6 +142,15 @@ class Kernel(ABC):
     @abstractmethod
     def name(self) -> str:
         """Short kernel name for reports ("linear", "rbf")."""
+
+    def gram_rows(self, support: SupportRows, rhs: np.ndarray) -> np.ndarray:
+        """``(n, m)`` Gram of prepared rows against ``rhs`` (one sample or
+        rows), bitwise equal to ``self(support.rows, rhs)`` made 2-D.
+
+        Kernels that use the prepared operands override this; the default
+        falls back to :meth:`__call__`.
+        """
+        return np.atleast_2d(self(support.rows, rhs))
 
     # -- shared-precompute Gram protocol (training fast path) ---------------
 
@@ -114,16 +191,17 @@ class LinearKernel(Kernel):
         return "linear"
 
     def __call__(self, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        lhs_m = np.ascontiguousarray(np.atleast_2d(np.asarray(lhs, dtype=np.float64)))
-        rhs_m = np.ascontiguousarray(np.atleast_2d(np.asarray(rhs, dtype=np.float64)))
-        if lhs_m.shape[1] != rhs_m.shape[1]:
-            raise ConfigurationError(
-                f"dimension mismatch: {lhs_m.shape[1]} vs {rhs_m.shape[1]}"
-            )
+        lhs_m, rhs_m = _as_rows(lhs), _as_rows(rhs)
+        _check_dims(lhs_m, rhs_m)
         gram = _cross_dot(lhs_m, rhs_m)
         if np.asarray(lhs).ndim == 1 and np.asarray(rhs).ndim == 1:
             return gram[0, 0]
         return gram
+
+    def gram_rows(self, support: SupportRows, rhs: np.ndarray) -> np.ndarray:
+        rhs_m = _as_rows(rhs)
+        _check_dims(support.rows, rhs_m)
+        return _cross_dot(support.rows, rhs_m, support.rows_t)
 
     def operation_counts(self, dimension: int) -> Dict[str, int]:
         if dimension <= 0:
@@ -148,12 +226,8 @@ class RBFKernel(Kernel):
         return "rbf"
 
     def __call__(self, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        lhs_m = np.ascontiguousarray(np.atleast_2d(np.asarray(lhs, dtype=np.float64)))
-        rhs_m = np.ascontiguousarray(np.atleast_2d(np.asarray(rhs, dtype=np.float64)))
-        if lhs_m.shape[1] != rhs_m.shape[1]:
-            raise ConfigurationError(
-                f"dimension mismatch: {lhs_m.shape[1]} vs {rhs_m.shape[1]}"
-            )
+        lhs_m, rhs_m = _as_rows(lhs), _as_rows(rhs)
+        _check_dims(lhs_m, rhs_m)
         gram = self._assemble(
             (lhs_m**2).sum(axis=1),
             (rhs_m**2).sum(axis=1),
@@ -162,6 +236,15 @@ class RBFKernel(Kernel):
         if np.asarray(lhs).ndim == 1 and np.asarray(rhs).ndim == 1:
             return gram[0, 0]
         return gram
+
+    def gram_rows(self, support: SupportRows, rhs: np.ndarray) -> np.ndarray:
+        rhs_m = _as_rows(rhs)
+        _check_dims(support.rows, rhs_m)
+        return self._assemble(
+            support.sq_norms,
+            (rhs_m**2).sum(axis=1),
+            _cross_dot(support.rows, rhs_m, support.rows_t),
+        )
 
     def _assemble(
         self, lhs_sq: np.ndarray, rhs_sq: np.ndarray, cross: np.ndarray

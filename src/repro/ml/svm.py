@@ -32,7 +32,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.errors import ConfigurationError, TrainingError
-from repro.ml.kernels import Kernel, RBFKernel
+from repro.ml.kernels import Kernel, RBFKernel, SupportRows
 
 #: Half-width of the ambiguity band around ``+-tol`` inside which the fast
 #: SMO falls back to the exact per-index dot product to settle a KKT
@@ -85,6 +85,8 @@ class SVMClassifier:
         self._bias: float = 0.0
         self._dimension: int = 0
         self._support_index: Optional[np.ndarray] = None  # rows of X retained
+        # Derived from the support vectors after fit or load; never pickled.
+        self._support: Optional[SupportRows] = None
 
     # -- training -----------------------------------------------------------
 
@@ -119,6 +121,26 @@ class SVMClassifier:
             self._bias = bias
             self._support_index = np.flatnonzero(mask)
         self._dimension = X.shape[1]
+        self._derive_support()
+
+    def _derive_support(self) -> None:
+        """Build the single-query operands; the support vectors are then
+        held once, as a view of their transpose."""
+        self._support = SupportRows.of(self._support_vectors)
+        self._support_vectors = self._support.rows
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_support"]
+        if self._support_vectors is not None:
+            state["_support_vectors"] = np.ascontiguousarray(self._support_vectors)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self._support = None
+        self.__dict__.update(state)
+        if self._support_vectors is not None:
+            self._derive_support()
 
     def fit_reference(
         self, features: np.ndarray, labels: np.ndarray
@@ -447,8 +469,8 @@ class SVMClassifier:
             raise ConfigurationError(
                 f"feature dimension {X.shape[1]} != trained {self._dimension}"
             )
-        gram = self.kernel(self._support_vectors, X)
-        scores = self._dual_coef @ np.atleast_2d(gram) + self._bias
+        gram = self.kernel.gram_rows(self._support, X)
+        scores = self._dual_coef @ gram + self._bias
         return scores if np.asarray(features).ndim == 2 else scores[0]
 
     def predict(self, features: np.ndarray) -> np.ndarray:

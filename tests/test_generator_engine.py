@@ -9,7 +9,8 @@ The central correctness claims:
 3. the generated partition is never worse than either single-end engine,
    and meets the Eq. 4 delay limit;
 4. the cross-end engine's predictions equal the monolithic pipeline's for
-   *any* partition (functional transparency).
+   *any* partition (functional transparency), and its per-segment port
+   accounting equals the evaluator's cut accounting (conservation).
 """
 
 import numpy as np
@@ -20,10 +21,10 @@ from hypothesis import strategies as st
 from repro.core.engine import CrossEndEngine
 from repro.core.generator import AutomaticXProGenerator
 from repro.core.partition import Partition
-from repro.errors import InfeasibleConstraintError
+from repro.errors import ConfigurationError, InfeasibleConstraintError
 from repro.graph.cuts import aggregator_cut, sensor_cut, trivial_cut
 from repro.graph.stgraph import build_st_graph
-from repro.sim.evaluate import evaluate_partition
+from repro.sim.evaluate import _crossing_ports, evaluate_partition
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +39,11 @@ def generator(tiny_topology_module, energy_lib_90_module, link_module, cpu_modul
 @pytest.fixture(scope="module")
 def tiny_topology_module(request):
     return request.getfixturevalue("tiny_topology")
+
+
+@pytest.fixture(scope="module")
+def tiny_dataset_module(request):
+    return request.getfixturevalue("tiny_dataset")
 
 
 @pytest.fixture(scope="module")
@@ -235,13 +241,92 @@ class TestCrossEndEngine:
         segs = rng.normal(size=(4, tiny_topology_module.segment_length))
         preds = engine.classify_batch(segs)
         assert preds.shape == (4,)
+        assert preds.dtype.kind == "i"
+        assert preds.tolist() == [engine.classify(s).prediction for s in segs]
 
     def test_invalid_segment_rejected(self, tiny_topology_module):
         engine = CrossEndEngine(tiny_topology_module, Partition.of([]))
-        from repro.errors import ConfigurationError
-
         with pytest.raises(ConfigurationError):
             engine.classify(np.zeros(7))
+
+    def test_empty_batch_gives_empty_int_array(self, tiny_topology_module):
+        engine = CrossEndEngine(tiny_topology_module, Partition.of([]))
+        preds = engine.classify_batch(
+            np.empty((0, tiny_topology_module.segment_length))
+        )
+        assert preds.shape == (0,)
+        assert preds.dtype.kind == "i"
+
+    @pytest.mark.parametrize("rows", [0, 3])
+    def test_batch_wrong_row_length_rejected_like_classify(
+        self, tiny_topology_module, rows
+    ):
+        engine = CrossEndEngine(tiny_topology_module, Partition.of([]))
+        with pytest.raises(ConfigurationError) as single:
+            engine.classify(np.zeros(7))
+        with pytest.raises(ConfigurationError) as batch:
+            engine.classify_batch(np.zeros((rows, 7)))
+        assert str(batch.value) == str(single.value)
+
+    def test_port_accounting_fixed_at_construction(self, tiny_topology_module, rng):
+        engine = CrossEndEngine(
+            tiny_topology_module, Partition.of(sorted(tiny_topology_module.cells)[1::2])
+        )
+        for _ in range(3):
+            out = engine.classify(rng.normal(size=tiny_topology_module.segment_length))
+            assert out.uplink_ports == engine.uplink_ports
+            assert out.downlink_ports == engine.downlink_ports
+            assert out.uplink_values == engine.uplink_values
+            assert out.downlink_values == engine.downlink_values
+
+
+@pytest.fixture(scope="module")
+def case_topology_module(energy_lib_90_module):
+    """A small trained topology of a second case (EMG, 132-sample segments)."""
+    from repro.core.pipeline import train_analytic_engine
+    from repro.signals.datasets import load_case
+    from tests.conftest import TINY_TRAINING
+
+    dataset = load_case("M1", n_segments=60)
+    engine = train_analytic_engine(dataset, TINY_TRAINING)
+    return engine.build_topology(energy_lib_90_module), dataset.segments[:8]
+
+
+class TestEngineGroundTruth:
+    """The engine against the monolithic oracle and the evaluator.
+
+    ``CellTopology.execute`` is the functional oracle: the engine's score
+    must be its result value bit for bit.  ``_crossing_ports`` is the cut
+    accounting the energy model charges: the ports the engine reports as
+    crossing, and the values it counts, must be exactly those.
+    """
+
+    @given(seed=st.integers(0, 2**31 - 1), which=st.sampled_from(["tiny", "case"]))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_oracle_and_evaluator(
+        self, tiny_topology_module, tiny_dataset_module, case_topology_module, seed, which
+    ):
+        if which == "tiny":
+            topo, segments = tiny_topology_module, tiny_dataset_module.segments[:8]
+        else:
+            topo, segments = case_topology_module
+        rng = np.random.default_rng(seed)
+        share = rng.uniform(0.0, 1.0)
+        in_sensor = frozenset(n for n in sorted(topo.cells) if rng.random() < share)
+        engine = CrossEndEngine(topo, Partition(in_sensor=in_sensor))
+
+        seg = segments[rng.integers(len(segments))]
+        out = engine.classify(seg)
+        oracle = topo.execute(seg)[topo.result][0]
+        assert np.float64(out.score).tobytes() == np.float64(oracle).tobytes()
+
+        uplink, downlink = _crossing_ports(topo, in_sensor)
+        assert set(out.uplink_ports) == set(uplink)
+        assert set(out.downlink_ports) == set(downlink)
+        assert out.uplink_values == sum(topo.port_of(r).n_values for r in uplink)
+        assert out.downlink_values == sum(
+            topo.port_of(r).n_values for r, _ in downlink
+        )
 
 
 _topology_cache = {}
