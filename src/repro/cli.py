@@ -26,7 +26,7 @@ import sys
 from typing import List, Optional
 
 from repro.core.pipeline import TrainingConfig
-from repro.errors import ConfigurationError, XProError
+from repro.errors import XProError
 from repro.eval.context import DEFAULT_EVAL_SEGMENTS, ExperimentContext
 from repro.eval import experiments
 from repro.eval.tables import format_table
@@ -120,13 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=11,
         help="campaign seed (default: %(default)s)",
     )
-    res.add_argument(
-        "--scalar-wire", action="store_true",
-        help=(
-            "force the scalar event-by-event campaign runner instead of "
-            "the vectorized fast path (bit-identical, only slower)"
-        ),
-    )
     _add_scale_args(res)
 
     integ = sub.add_parser(
@@ -150,13 +143,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--corruption-rate", type=float, default=0.05,
         help="per-frame bit-flip probability (default: %(default)s)",
     )
-    integ.add_argument(
-        "--scalar-wire", action="store_true",
-        help=(
-            "force the scalar event-by-event campaign runner instead of "
-            "the vectorized fast path (bit-identical, only slower)"
-        ),
-    )
     _add_scale_args(integ)
 
     perf = sub.add_parser(
@@ -170,18 +156,6 @@ def _build_parser() -> argparse.ArgumentParser:
     perf.add_argument(
         "--fast", action="store_true",
         help="CI smoke scale: single repeat, smaller fleet and stream pool",
-    )
-    perf.add_argument(
-        "--no-fleet", action="store_true",
-        help="skip the (slower) parallel-fleet comparison",
-    )
-    perf.add_argument(
-        "--no-streaming", action="store_true",
-        help="skip the (scalar-twin-bound) multi-stream ingestion comparison",
-    )
-    perf.add_argument(
-        "--no-training", action="store_true",
-        help="skip the (reference-SMO-bound, slowest) subspace training comparison",
     )
     perf.add_argument(
         "--stage", action="append", metavar="NAME", default=None,
@@ -253,13 +227,6 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--threshold", type=float, default=None,
         help="allowed fractional worsening per axis for the gate (default: 0.15)",
-    )
-    chaos.add_argument(
-        "--scalar-wire", action="store_true",
-        help=(
-            "force the scalar event-by-event campaign runner instead of "
-            "the vectorized fast path (bit-identical, only slower)"
-        ),
     )
     chaos.add_argument(
         "--checkpoint", metavar="FILE", default=None,
@@ -335,13 +302,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sup.add_argument(
         "--json", metavar="FILE", default=None,
         help="write the machine-readable summary (BENCH_supervision schema)",
-    )
-    sup.add_argument(
-        "--scalar-wire", action="store_true",
-        help=(
-            "force the scalar event-by-event campaign runner instead of "
-            "the vectorized fast path (bit-identical, only slower)"
-        ),
     )
     _add_scale_args(sup)
 
@@ -446,7 +406,6 @@ def _cmd_resilience(args: argparse.Namespace) -> str:
         resilience_rows(
             ctx, symbol, args.node, args.wireless,
             n_events=args.events, seed=args.seed,
-            fast=False if args.scalar_wire else None,
         ),
         title=(
             f"Resilience under the seeded fault campaign ({symbol} at "
@@ -473,7 +432,6 @@ def _cmd_integrity(args: argparse.Namespace) -> str:
             ctx, symbol, args.node, args.wireless,
             n_events=args.events, seed=args.seed,
             corruption_rate=args.corruption_rate,
-            fast=False if args.scalar_wire else None,
         ),
         title=(
             f"Wire integrity under bit-flip injection ({symbol} at "
@@ -529,7 +487,6 @@ def _cmd_chaos(args: argparse.Namespace) -> str:
         population=population,
         generations=generations,
         bundle_dir=args.bundle_dir,
-        fast=False if args.scalar_wire else None,
         checkpoint_path=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
         resume=args.resume,
@@ -603,7 +560,6 @@ def _cmd_supervision(args: argparse.Namespace) -> str:
         devices=devices,
         rounds=args.rounds,
         round_events=round_events,
-        fast=False if args.scalar_wire else None,
     )
     fleet = summary["fleet"]
     resume = summary["resume"]
@@ -651,27 +607,9 @@ def _cmd_perf(args: argparse.Namespace) -> str:
         write_perf_report,
     )
 
-    if args.no_fleet and args.stage and "fleet" in args.stage:
-        raise ConfigurationError(
-            "--no-fleet conflicts with --stage fleet: the fleet stage is "
-            "both requested and excluded"
-        )
-    if args.no_streaming and args.stage and "streaming" in args.stage:
-        raise ConfigurationError(
-            "--no-streaming conflicts with --stage streaming: the streaming "
-            "stage is both requested and excluded"
-        )
-    if args.no_training and args.stage and "training" in args.stage:
-        raise ConfigurationError(
-            "--no-training conflicts with --stage training: the training "
-            "stage is both requested and excluded"
-        )
     report = collect_perf_report(
         fast=args.fast,
         repeats=args.repeats,
-        include_fleet=not args.no_fleet,
-        include_streaming=not args.no_streaming,
-        include_training=not args.no_training,
         stages=args.stage,
     )
     lines = [

@@ -817,9 +817,6 @@ def bench_training(
 def collect_perf_report(
     fast: bool = False,
     repeats: int = 3,
-    include_fleet: bool = True,
-    include_streaming: bool = True,
-    include_training: bool = True,
     stages: Sequence[str] | None = None,
 ) -> Dict[str, Any]:
     """Run every benchmark and assemble the machine-readable report.
@@ -832,12 +829,6 @@ def collect_perf_report(
         fast: CI smoke scale — single repeat, a smaller fleet and a
             smaller stream population.
         repeats: Best-of repeats per timed path (forced to 1 in fast mode).
-        include_fleet: Whether to run the (slower, machine-dependent)
-            fleet sweep comparison.
-        include_streaming: Whether to run the (scalar-twin-bound)
-            multi-stream ingestion comparison.
-        include_training: Whether to run the (reference-SMO-bound, by far
-            the slowest full-mode stage) subspace training comparison.
         stages: Optional subset of :data:`ALL_STAGES` to run (``None``
             runs them all).  Subset reports time faster but only carry
             the selected tracked metrics, so they serve smoke checks —
@@ -870,7 +861,7 @@ def collect_perf_report(
         cases.append(bench_generator(n_limits=6, repeats=repeats))
     if wanted("wire"):
         cases.append(bench_wire(n_payloads=512, repeats=repeats))
-    if include_fleet and wanted("fleet"):
+    if wanted("fleet"):
         cases.append(
             bench_fleet(
                 n_networks=256 if fast else 1250,
@@ -879,7 +870,7 @@ def collect_perf_report(
                 repeats=1,
             )
         )
-    if include_streaming and wanted("streaming"):
+    if wanted("streaming"):
         cases.append(
             bench_streaming(
                 n_streams=256 if fast else 1024,
@@ -892,7 +883,7 @@ def collect_perf_report(
                 repeats=3,
             )
         )
-    if include_training and wanted("training"):
+    if wanted("training"):
         cases.append(
             bench_training(
                 n_segments=200,

@@ -305,26 +305,8 @@ class RandomSubspaceClassifier:
                 )
                 for d in range(self.n_draws)
             ]
-        elif parallel is None:
-            pre = self.kernel_factory().gram_precompute(X)
-            results = [
-                fit_subspace_draw(
-                    X,
-                    y,
-                    subsets[d],
-                    self.kernel_factory(),
-                    self.C,
-                    seeds[d][0],
-                    seeds[d][1],
-                    self.cv_folds,
-                    fit_idx,
-                    val_idx,
-                    pre,
-                )
-                for d in range(self.n_draws)
-            ]
         else:
-            from repro.sim.parallel import subspace_draws
+            from repro.sim.parallel import SERIAL, subspace_draws
 
             results = subspace_draws(
                 X,
@@ -336,7 +318,7 @@ class RandomSubspaceClassifier:
                 cv_folds=self.cv_folds,
                 fit_idx=fit_idx,
                 val_idx=val_idx,
-                config=parallel,
+                config=parallel or SERIAL,
             )
 
         candidates = [member for member in results if member is not None]

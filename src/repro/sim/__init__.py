@@ -92,6 +92,7 @@ from repro.sim.parallel import (
     fleet_soa_rounds,
     parallel_map,
     run_campaigns,
+    shard_map,
     stream_soa_windows,
     sweep,
 )
@@ -194,6 +195,7 @@ __all__ = [
     "parallel_map",
     "render_timeline",
     "run_campaigns",
+    "shard_map",
     "simulate_discharge",
     "simulate_fleet_scalar",
     "simulate_fleet_soa",

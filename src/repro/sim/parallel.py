@@ -7,10 +7,12 @@ scenario, one partition evaluation per design-space point.  Each task is
 self-contained and carries its own seed, so the sweep is embarrassingly
 parallel — this module fans it across worker processes.  Population-scale
 fleets go through :func:`fleet_soa_rounds`, which shards the network axis
-of a struct-of-arrays :class:`~repro.sim.fleetsoa.FleetSpec` and ships the
-shared read-only columns once per worker; live stream populations go
-through :func:`stream_soa_windows`, which shards the stream axis of a
-:class:`~repro.stream.engine.StreamSpec` the same way.
+of a struct-of-arrays :class:`~repro.sim.fleetsoa.FleetSpec` with
+:func:`shard_map` and ships the shared read-only columns once per worker;
+live stream populations go through :func:`stream_soa_windows`, which
+shards the stream axis of a :class:`~repro.stream.engine.StreamSpec` the
+same way.  Any fan-out passes its read-only invariants as
+``parallel_map(..., shared=...)``.
 
 Determinism contract
 --------------------
@@ -116,12 +118,29 @@ def derive_seeds(master_seed: int, n_tasks: int) -> List[int]:
     ]
 
 
+#: Worker-side slot holding the running fan-out's ``shared`` state as a
+#: 0- or 1-tuple.  Only :func:`_install_shared`, the pool initializer,
+#: writes it, so it is only ever set inside pool workers: the serial
+#: backend and the worker-death retry hand ``shared`` to the task directly
+#: and the parent process never holds fan-out state.
+_WORKER_SHARED: Tuple[Any, ...] = ()
+
+
+#: Default of ``parallel_map(shared=)``: tasks take the item alone.
+_UNSHARED: Any = object()
+
+
+def _install_shared(bound: Tuple[Any, ...]) -> None:
+    """Pool initializer: install this fan-out's shared state in the worker."""
+    global _WORKER_SHARED
+    _WORKER_SHARED = bound
+
+
 def parallel_map(
-    func: Callable[[Any], Any],
+    func: Callable[..., Any],
     items: Sequence[Any],
     config: Optional[ParallelConfig] = None,
-    initializer: Optional[Callable[..., None]] = None,
-    initargs: Tuple[Any, ...] = (),
+    shared: Any = _UNSHARED,
 ) -> List[Any]:
     """Apply ``func`` to every item, preserving item order in the result.
 
@@ -133,12 +152,11 @@ def parallel_map(
             backend.
         config: Execution configuration; defaults to the process backend
             with one worker per CPU.
-        initializer: Optional module-level callable run once per worker
-            before any task (and once in-process under the serial
-            backend).  Use it to install per-run shared state so heavy
-            invariants cross the process boundary once per worker rather
-            than once per task.
-        initargs: Arguments for ``initializer`` (picklable).
+        shared: Optional read-only state common to every task.  When
+            given (even as ``None``), tasks run as ``func(shared, item)``
+            and the process backend ships ``shared`` once per worker
+            rather than once per task — use it for heavy invariants such
+            as a fleet spec, a sample matrix or a Gram precompute.
 
     Worker-death recovery: a worker process that dies mid-task (OOM
     kill, segfault, ``os._exit``) no longer poisons the whole fan-out
@@ -151,16 +169,16 @@ def parallel_map(
     unchanged.
 
     Returns:
-        ``[func(item) for item in items]`` — same values, any backend.
+        ``[func(item) for item in items]`` (or ``func(shared, item)``) —
+        same values, any backend.
     """
     config = config or ParallelConfig()
     items = list(items)
+    bound: Tuple[Any, ...] = () if shared is _UNSHARED else (shared,)
     if not items:
         return []
     if config.backend == "serial":
-        if initializer is not None:
-            initializer(*initargs)
-        return [func(item) for item in items]
+        return [func(*bound, item) for item in items]
     workers = min(config.resolved_workers(), len(items))
     chunks = [
         items[i : i + config.chunksize]
@@ -169,7 +187,7 @@ def parallel_map(
     chunk_results: List[Optional[List[Any]]] = [None] * len(chunks)
     broken: List[int] = []
     with ProcessPoolExecutor(
-        max_workers=workers, initializer=initializer, initargs=initargs
+        max_workers=workers, initializer=_install_shared, initargs=(bound,)
     ) as pool:
         futures = [
             pool.submit(_run_item_chunk, (func, chunk)) for chunk in chunks
@@ -179,30 +197,64 @@ def parallel_map(
                 chunk_results[ci] = future.result()
             except BrokenProcessPool:
                 broken.append(ci)
-    if broken:
-        if initializer is not None:
-            initializer(*initargs)
-        for ci in broken:
-            base = ci * config.chunksize
-            retried: List[Any] = []
-            for offset, item in enumerate(chunks[ci]):
-                try:
-                    retried.append(func(item))
-                except Exception as exc:
-                    raise SimulationError(
-                        f"task {base + offset} failed in a worker process "
-                        f"and again on the serial retry: {exc}"
-                    ) from exc
-            chunk_results[ci] = retried
+    for ci in broken:
+        base = ci * config.chunksize
+        retried: List[Any] = []
+        for offset, item in enumerate(chunks[ci]):
+            try:
+                retried.append(func(*bound, item))
+            except Exception as exc:
+                raise SimulationError(
+                    f"task {base + offset} failed in a worker process "
+                    f"and again on the serial retry: {exc}"
+                ) from exc
+        chunk_results[ci] = retried
     return [value for chunk in chunk_results for value in chunk]
 
 
-def _run_item_chunk(
-    payload: Tuple[Callable[[Any], Any], List[Any]]
-) -> List[Any]:
+def _run_item_chunk(payload: Tuple[Callable[..., Any], List[Any]]) -> List[Any]:
     """Worker: evaluate one contiguous chunk of task items in order."""
     func, chunk = payload
-    return [func(item) for item in chunk]
+    return [func(*_WORKER_SHARED, item) for item in chunk]
+
+
+def shard_map(
+    worker: Callable[[Any, Tuple[int, int]], Any],
+    n_items: int,
+    shared: Any,
+    config: Optional[ParallelConfig] = None,
+    shards: Optional[int] = None,
+) -> Tuple[List[Any], List[Tuple[int, int]]]:
+    """Run ``worker(shared, (lo, hi))`` over contiguous ranges of ``[0, n_items)``.
+
+    The item axis is split into ``min(shards or workers, n_items)``
+    contiguous ranges (at least one, so an empty axis is one empty
+    shard) and fanned through :func:`parallel_map` with ``shared``
+    shipped once per worker.  A single shard runs in-process with no
+    pool, whatever the backend.
+
+    Args:
+        worker: Module-level callable taking ``(shared, (lo, hi))``.
+        n_items: Length of the item axis to shard.
+        shared: Read-only state every shard reads (picklable).
+        config: Execution configuration.
+        shards: Shard count override (default: resolved worker count).
+
+    Returns:
+        ``(parts, bounds)``: one worker result per range and the
+        ``(lo, hi)`` ranges themselves, both in range order.
+    """
+    if shards is not None and shards < 1:
+        raise ConfigurationError("shards must be >= 1 when given")
+    config = config or ParallelConfig()
+    n_shards = max(1, min(shards or config.resolved_workers(), n_items))
+    bounds = [
+        ((s * n_items) // n_shards, ((s + 1) * n_items) // n_shards)
+        for s in range(n_shards)
+    ]
+    if n_shards == 1:
+        config = SERIAL
+    return parallel_map(worker, bounds, config, shared=shared), bounds
 
 
 # -- fleet drivers (module-level workers so the process backend can pickle) --
@@ -250,28 +302,13 @@ def fleet_simulations(
     return parallel_map(_bsn_simulate, [(bsn, n_events) for bsn in bsns], config)
 
 
-#: Per-process shared SoA fleet state installed by :func:`_init_fleet_shared`:
-#: the read-only spec columns, round count and policy cross the process
-#: boundary once per worker instead of once per shard.
-_FLEET_SHARED: Dict[str, Any] = {}
-
-
-def _init_fleet_shared(spec: Any, n_rounds: int, policy: Any) -> None:
-    """Worker initializer: install the fleet's shared read-only arrays."""
-    global _FLEET_SHARED
-    _FLEET_SHARED = {"spec": spec, "n_rounds": n_rounds, "policy": policy}
-
-
-def _fleet_soa_shard(bounds: Tuple[int, int]) -> Any:
+def _fleet_soa_shard(shared: Tuple[Any, int, Any], bounds: Tuple[int, int]) -> Any:
     """Worker: simulate one contiguous network range of the shared fleet."""
     from repro.sim.fleetsoa import simulate_fleet_soa
 
-    lo, hi = bounds
-    shared = _FLEET_SHARED
+    spec, n_rounds, policy = shared
     return simulate_fleet_soa(
-        shared["spec"].slice_networks(lo, hi),
-        shared["n_rounds"],
-        policy=shared["policy"],
+        spec.slice_networks(*bounds), n_rounds, policy=policy
     )
 
 
@@ -285,8 +322,8 @@ def fleet_soa_rounds(
     """Process-parallel struct-of-arrays fleet simulation.
 
     Shards the network axis of a :class:`~repro.sim.fleetsoa.FleetSpec`
-    into contiguous ranges (one per worker by default), hands the shared
-    read-only spec columns to each worker once via the pool initializer,
+    into contiguous ranges (one per worker by default) with
+    :func:`shard_map`, which ships the read-only spec to each worker once,
     simulates every range with :func:`~repro.sim.fleetsoa.
     simulate_fleet_soa` and stitches the shards back into fleet order.
 
@@ -306,70 +343,28 @@ def fleet_soa_rounds(
     Returns:
         One stitched :class:`~repro.sim.fleetsoa.FleetResult`.
     """
-    from repro.sim.fleetsoa import concat_fleet_results, simulate_fleet_soa
+    from repro.sim.fleetsoa import concat_fleet_results
 
     if n_rounds < 1:
         raise ConfigurationError("n_rounds must be >= 1")
-    if shards is not None and shards < 1:
-        raise ConfigurationError("shards must be >= 1 when given")
-    config = config or ParallelConfig()
-    n_networks = spec.n_networks
-    if n_networks == 0:
-        return simulate_fleet_soa(spec, n_rounds, policy=policy)
-    n_shards = min(shards or config.resolved_workers(), n_networks)
-    bounds = [
-        (
-            (s * n_networks) // n_shards,
-            ((s + 1) * n_networks) // n_shards,
-        )
-        for s in range(n_shards)
-    ]
-    try:
-        parts = parallel_map(
-            _fleet_soa_shard,
-            bounds,
-            config,
-            initializer=_init_fleet_shared,
-            initargs=(spec, n_rounds, policy),
-        )
-    finally:
-        _init_fleet_shared(None, 0, None)  # don't leak serial-backend state
+    parts, _ = shard_map(
+        _fleet_soa_shard, spec.n_networks, (spec, n_rounds, policy), config, shards
+    )
     return concat_fleet_results(parts)
 
 
-#: Per-process shared stream-pool state installed by
-#: :func:`_init_stream_shared`: the read-only spec columns, backend,
-#: sample matrix and tick cadence cross the process boundary once per
-#: worker instead of once per shard.
-_STREAM_SHARED: Dict[str, Any] = {}
-
-
-def _init_stream_shared(
-    spec: Any, backend: Any, samples: Any, tick_samples: int, policy: Any
-) -> None:
-    """Worker initializer: install the pool's shared read-only state."""
-    global _STREAM_SHARED
-    _STREAM_SHARED = {
-        "spec": spec,
-        "backend": backend,
-        "samples": samples,
-        "tick_samples": tick_samples,
-        "policy": policy,
-    }
-
-
-def _stream_soa_shard(bounds: Tuple[int, int]) -> Any:
+def _stream_soa_shard(shared: Tuple[Any, ...], bounds: Tuple[int, int]) -> Any:
     """Worker: run one contiguous stream range of the shared pool."""
     from repro.stream.engine import run_stream_pool
 
+    spec, backend, samples, tick_samples, policy = shared
     lo, hi = bounds
-    shared = _STREAM_SHARED
     return run_stream_pool(
-        shared["spec"].slice_streams(lo, hi),
-        shared["backend"],
-        shared["samples"][lo:hi],
-        shared["tick_samples"],
-        policy=shared["policy"],
+        spec.slice_streams(lo, hi),
+        backend,
+        samples[lo:hi],
+        tick_samples,
+        policy=policy,
     )
 
 
@@ -385,9 +380,9 @@ def stream_soa_windows(
     """Process-parallel struct-of-arrays multi-stream window scoring.
 
     Shards the stream axis of a :class:`~repro.stream.engine.StreamSpec`
-    into contiguous ranges (one per worker by default), ships the shared
-    read-only spec columns, backend and sample matrix to each worker once
-    via the pool initializer, runs every range with
+    into contiguous ranges (one per worker by default) with
+    :func:`shard_map`, which ships the read-only spec, backend and sample
+    matrix to each worker once, runs every range with
     :func:`~repro.stream.engine.run_stream_pool` and stitches the shards
     back into canonical stream order.
 
@@ -411,75 +406,32 @@ def stream_soa_windows(
     Returns:
         One stitched :class:`~repro.stream.engine.StreamRunResult`.
     """
-    import numpy as _np
-
-    from repro.stream.engine import concat_stream_results, run_stream_pool
+    from repro.stream.engine import concat_stream_results
 
     if tick_samples < 1:
         raise ConfigurationError("tick_samples must be >= 1")
-    if shards is not None and shards < 1:
-        raise ConfigurationError("shards must be >= 1 when given")
-    config = config or ParallelConfig()
-    x = _np.asarray(samples, dtype=_np.float64)
+    x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != spec.n_streams:
         raise ConfigurationError(
             f"samples must be ({spec.n_streams}, T), got {x.shape}"
         )
-    n_streams = spec.n_streams
-    n_shards = min(shards or config.resolved_workers(), n_streams)
-    if n_shards <= 1:
-        return run_stream_pool(spec, backend, x, tick_samples, policy=policy)
-    bounds = [
-        (
-            (s * n_streams) // n_shards,
-            ((s + 1) * n_streams) // n_shards,
-        )
-        for s in range(n_shards)
-    ]
-    try:
-        parts = parallel_map(
-            _stream_soa_shard,
-            bounds,
-            config,
-            initializer=_init_stream_shared,
-            initargs=(spec, backend, x, tick_samples, policy),
-        )
-    finally:
-        _init_stream_shared(None, None, None, 1, None)
+    parts, bounds = shard_map(
+        _stream_soa_shard,
+        spec.n_streams,
+        (spec, backend, x, tick_samples, policy),
+        config,
+        shards,
+    )
     return concat_stream_results(parts, [lo for lo, _ in bounds])
 
 
-#: Per-process shared subspace-training state installed by
-#: :func:`_init_subspace_shared`: the feature matrix, labels, kernel and
-#: split indices cross the process boundary once per worker instead of
-#: once per draw.
-_SUBSPACE_SHARED: Dict[str, Any] = {}
-
-
-def _init_subspace_shared(payload: Dict[str, Any]) -> None:
-    """Worker initializer: install the training run's shared state."""
-    global _SUBSPACE_SHARED
-    _SUBSPACE_SHARED = payload
-
-
-def _subspace_draw_task(task: Tuple[Any, int, int]) -> Any:
+def _subspace_draw_task(shared: Dict[str, Any], task: Tuple[Any, int, int]) -> Any:
     """Worker: train and score one subspace draw on the shared state."""
     from repro.ml.subspace import fit_subspace_draw
 
     subset, member_seed, fold_seed = task
-    shared = _SUBSPACE_SHARED
     return fit_subspace_draw(
-        shared["X"],
-        shared["y"],
-        subset,
-        shared["kernel"],
-        shared["C"],
-        member_seed,
-        fold_seed,
-        shared["cv_folds"],
-        shared["fit_idx"],
-        shared["val_idx"],
-        shared["pre"],
+        subset=subset, member_seed=member_seed, fold_seed=fold_seed, **shared
     )
 
 
@@ -498,8 +450,8 @@ def subspace_draws(
     """Process-parallel training of the random-subspace draws.
 
     Ships ``(X, y, kernel, split indices)`` and the kernel's shared
-    per-column Gram precompute to each worker once via the pool
-    initializer, then fans one
+    per-column Gram precompute to each worker once (``shared=`` of
+    :func:`parallel_map`), then fans one
     :func:`~repro.ml.subspace.fit_subspace_draw` task per draw.  Every
     draw carries its own ``(member_seed, fold_seed)`` pair and never
     touches shared RNG state, so the member list is **bit-identical** to
@@ -524,7 +476,7 @@ def subspace_draws(
     """
     if len(subsets) != len(seeds):
         raise ConfigurationError("subsets and seeds must pair up one per draw")
-    payload = {
+    shared = {
         "X": X,
         "y": y,
         "kernel": kernel,
@@ -534,19 +486,8 @@ def subspace_draws(
         "val_idx": val_idx,
         "pre": kernel.gram_precompute(X),
     }
-    tasks = [
-        (subsets[d], seeds[d][0], seeds[d][1]) for d in range(len(subsets))
-    ]
-    try:
-        return parallel_map(
-            _subspace_draw_task,
-            tasks,
-            config,
-            initializer=_init_subspace_shared,
-            initargs=(payload,),
-        )
-    finally:
-        _init_subspace_shared({})  # don't leak serial-backend state
+    tasks = [(subset, ms, fs) for subset, (ms, fs) in zip(subsets, seeds)]
+    return parallel_map(_subspace_draw_task, tasks, config, shared=shared)
 
 
 @dataclass(frozen=True)
@@ -592,25 +533,13 @@ def run_campaigns(
     return parallel_map(_run_campaign, tasks, config)
 
 
-#: Per-process shared sweep state installed by :func:`_init_sweep_shared`.
-#: Workers receive it once (pool initializer) instead of per task.
-_SWEEP_SHARED: Dict[str, Any] = {}
-
-
-def _init_sweep_shared(shared: Dict[str, Any]) -> None:
-    """Worker initializer: install the sweep's shared keyword arguments."""
-    global _SWEEP_SHARED
-    _SWEEP_SHARED = shared
-
-
 def _call_with_params(
-    task: Tuple[Callable[..., Any], Tuple[Tuple[str, Any], ...]]
+    shared: Tuple[Callable[..., Any], Dict[str, Any]],
+    params: Tuple[Tuple[str, Any], ...],
 ) -> Any:
     """Worker: evaluate one design-space point."""
-    func, params = task
-    kwargs = dict(_SWEEP_SHARED)
-    kwargs.update(params)
-    return func(**kwargs)
+    func, kwargs = shared
+    return func(**kwargs, **dict(params))
 
 
 def sweep(
@@ -633,8 +562,9 @@ def sweep(
             mapping fixes the product order (first key varies slowest).
         config: Execution configuration.
         shared: Extra keyword arguments passed to *every* point, shipped
-            once per worker (pool initializer) instead of once per task.
-            Use it for heavyweight sweep-invariant state — e.g. an
+            once per worker (``shared=`` of :func:`parallel_map`) instead
+            of once per task.  Use it for heavyweight sweep-invariant
+            state — e.g. an
             :class:`~repro.graph.stgraph.STGraphTemplate` or a
             :class:`~repro.sim.evaluate.PartitionEvaluationCache` when the
             topology does not vary across the grid.  Names must not
@@ -646,7 +576,8 @@ def sweep(
             :class:`~repro.sim.supervise.SweepCheckpointer`; the grid is
             evaluated in batches of ``checkpoint.every`` points and the
             completed ``index -> value`` map is snapshot after each batch
-            (crash-safe atomic writes).
+            (crash-safe atomic writes).  Without one, every point runs
+            in a single batch.
         resume: Skip the points recorded in ``checkpoint``'s last
             snapshot and evaluate only the remainder.  Every point is an
             independent seeded task, so the stitched result is
@@ -669,35 +600,20 @@ def sweep(
     combos = [
         tuple(zip(names, values)) for values in product(*(grid[n] for n in names))
     ]
-    if checkpoint is None:
-        try:
-            results = parallel_map(
-                _call_with_params,
-                [(func, c) for c in combos],
-                config,
-                initializer=_init_sweep_shared,
-                initargs=(dict(shared or {}),),
-            )
-        finally:
-            _init_sweep_shared({})  # don't leak serial-backend state
-        return [(dict(c), r) for c, r in zip(combos, results)]
     done: Dict[int, Any] = (
         checkpoint.load(func=func, grid=grid, shared=shared) if resume else {}
     )
     pending = [i for i in range(len(combos)) if i not in done]
-    try:
-        for lo in range(0, len(pending), checkpoint.every):
-            batch = pending[lo : lo + checkpoint.every]
-            values = parallel_map(
-                _call_with_params,
-                [(func, combos[i]) for i in batch],
-                config,
-                initializer=_init_sweep_shared,
-                initargs=(dict(shared or {}),),
-            )
-            for i, value in zip(batch, values):
-                done[i] = value
+    every = checkpoint.every if checkpoint is not None else max(1, len(pending))
+    for lo in range(0, len(pending), every):
+        batch = pending[lo : lo + every]
+        values = parallel_map(
+            _call_with_params,
+            [combos[i] for i in batch],
+            config,
+            shared=(func, dict(shared or {})),
+        )
+        done.update(zip(batch, values))
+        if checkpoint is not None:
             checkpoint.save(func=func, grid=grid, shared=shared, done=done)
-    finally:
-        _init_sweep_shared({})  # don't leak serial-backend state across sweeps
     return [(dict(combos[i]), done[i]) for i in range(len(combos))]

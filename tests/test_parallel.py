@@ -12,6 +12,7 @@ from repro.graph.cuts import sensor_cut
 from repro.graph.stgraph import build_st_graph_template
 from repro.hw.arq import ARQConfig
 from repro.hw.wireless import WirelessLink
+from repro.sim import parallel as par
 from repro.sim.channel import GilbertElliottParams
 from repro.sim.evaluate import evaluate_partition
 from repro.sim.faults import BurstLoss, FaultCampaign, LinkOutage, PayloadCorruption
@@ -26,6 +27,7 @@ from repro.sim.parallel import (
     fleet_soa_rounds,
     parallel_map,
     run_campaigns,
+    shard_map,
     sweep,
 )
 from repro.sim.simulator import CrossEndSimulator
@@ -186,6 +188,63 @@ class TestWorkerDeathRecovery:
     def test_serial_backend_is_untouched_by_recovery_path(self):
         with pytest.raises(ValueError, match="bad item 5"):
             parallel_map(_raise_value_error, [5], SERIAL)
+
+
+def _scaled(factor, x):
+    return factor * x
+
+
+def _scaled_or_raise(factor, x):
+    if x == 3:
+        raise ValueError(f"bad item {x}")
+    return factor * x
+
+
+def _die_in_worker_scaled(factor, x):
+    """Worker: kill the pool process; scale by ``shared`` on the retry."""
+    if _in_worker():
+        os._exit(1)
+    return factor * x
+
+
+def _shard_pid(shared, bounds):
+    return os.getpid()
+
+
+def _shard_bounds(shared, bounds):
+    return bounds
+
+
+class TestSharedState:
+    """``shared=`` reaches every task and never lands in the parent."""
+
+    @pytest.mark.parametrize("config", [SERIAL, PROCESS], ids=["serial", "process"])
+    def test_parent_slot_stays_empty(self, config):
+        assert parallel_map(_scaled, [1, 2, 3], config, shared=10) == [10, 20, 30]
+        assert par._WORKER_SHARED == ()
+        with pytest.raises(ValueError, match="bad item 3"):
+            parallel_map(_scaled_or_raise, [1, 2, 3], config, shared=10)
+        assert par._WORKER_SHARED == ()
+
+    def test_serial_retry_receives_shared(self):
+        out = parallel_map(_die_in_worker_scaled, [1, 2, 3], PROCESS, shared=7)
+        assert out == [7, 14, 21]
+        assert par._WORKER_SHARED == ()
+
+    def test_shard_bounds_are_contiguous_and_cover(self):
+        for n in range(1, 10):
+            for shards in range(1, n + 4):
+                parts, bounds = shard_map(_shard_bounds, n, None, SERIAL, shards)
+                assert parts == bounds
+                assert len(bounds) == min(shards, n)
+                assert bounds[0][0] == 0 and bounds[-1][1] == n
+                assert all(lo < hi for lo, hi in bounds)
+                assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+
+    def test_single_shard_starts_no_pool(self):
+        parts, bounds = shard_map(_shard_pid, 5, None, PROCESS, shards=1)
+        assert parts == [os.getpid()]
+        assert bounds == [(0, 5)]
 
 
 class TestFleet:
