@@ -10,6 +10,7 @@ aggregator.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
 
 import numpy as np
@@ -58,6 +59,7 @@ class CellTopology:
         self.result = result
         self._validate()
         self._order = self._topological_order()
+        self._build_port_maps()
 
     # -- validation / structure ----------------------------------------------
 
@@ -94,6 +96,29 @@ class CellTopology:
             raise TopologyError(f"cell topology contains a cycle through {cyclic}")
         return order
 
+    def _build_port_maps(self) -> None:
+        """Derive the port maps once; the topology is immutable afterwards."""
+        # Per port: every read in topological order (a cell reading a port
+        # twice appears twice).
+        readers: Dict[PortRef, List[str]] = {}
+        for name in self._order:
+            for inp in self._cells[name].inputs:
+                readers.setdefault(inp, []).append(name)
+        pairs = [(PortRef(SOURCE_CELL, "out"), self.source_port)] + [
+            (PortRef(name, p.name), p)
+            for name in self._order
+            for p in self._cells[name].outputs
+        ]
+        # Consumed ports reuse the cells' input refs: topologies are many
+        # and long-lived, and the refs are most of the maps' footprint.
+        canonical = {ref: ref for ref in readers}
+        self._producer_ports = tuple(
+            (canonical.get(ref, ref), port) for ref, port in pairs
+        )
+        self._consumers_by_port = {
+            ref: tuple(readers.get(ref, ())) for ref, _ in self._producer_ports
+        }
+
     # -- queries ---------------------------------------------------------------
 
     @property
@@ -120,31 +145,21 @@ class CellTopology:
             return self.source_port
         return self.cell(ref.cell).port(ref.port)
 
-    def producer_ports(self) -> List[Tuple[PortRef, OutputPort]]:
+    def producer_ports(self) -> Tuple[Tuple[PortRef, OutputPort], ...]:
         """All (ref, port) pairs in the graph, source first."""
-        pairs: List[Tuple[PortRef, OutputPort]] = [
-            (PortRef(SOURCE_CELL, "out"), self.source_port)
-        ]
-        for name in self._order:
-            cell = self._cells[name]
-            pairs.extend((PortRef(name, p.name), p) for p in cell.outputs)
-        return pairs
+        return self._producer_ports
 
     def consumers(self, ref: PortRef) -> List[str]:
-        """Names of cells that read the given producer port."""
-        return [
-            cell.name
-            for cell in self._cells.values()
-            if any(inp == ref for inp in cell.inputs)
-        ]
+        """Names of cells that read the given producer port (insertion order)."""
+        readers = self._consumers_by_port.get(ref, ())
+        return [name for name in self._cells if name in readers]
 
-    def consumers_by_port(self) -> Dict[PortRef, List[str]]:
-        """Map every produced port to the list of its consumer cells."""
-        out: Dict[PortRef, List[str]] = {ref: [] for ref, _ in self.producer_ports()}
-        for name in self._order:
-            for inp in self._cells[name].inputs:
-                out.setdefault(inp, []).append(name)
-        return out
+    def consumers_by_port(self) -> Mapping[PortRef, Tuple[str, ...]]:
+        """Read-only map of every produced port to its consumer cells.
+
+        Consumers are in topological order, once per read.
+        """
+        return MappingProxyType(self._consumers_by_port)
 
     def predecessors(self, name: str) -> Set[str]:
         """Direct predecessor cell names of a cell (excluding the source)."""

@@ -209,11 +209,12 @@ class AutomaticXProGenerator:
             )
             weights[f"cell:{name}"] = lam * self.energy_lib.seconds(cost.cycles)
             weights[f"back:{name}"] = lam * self.cpu.compute_time(cell.op_counts)
+        consumers_map = self.topology.consumers_by_port()
         for ref, port in self.topology.producer_ports():
             transfer = self.link.transfer_delay(port.n_values, port.bits_per_value)
             weights[f"tx:{ref.cell}.{ref.port}"] = lam * transfer
-            for consumer in self.topology.consumers(ref):
-                if ref.cell != SOURCE_CELL:
+            if ref.cell != SOURCE_CELL:
+                for consumer in consumers_map[ref]:
                     weights[f"rx:{ref.cell}.{ref.port}:{consumer}"] = lam * transfer
         return weights
 

@@ -32,6 +32,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
+from operator import lt
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigurationError
@@ -203,7 +205,7 @@ class FlowNetwork:
                     f"expected {self.n_forward_edges} forward capacities, "
                     f"got {len(caps)}"
                 )
-            if any(c < 0 for c in caps):
+            if any(map(lt, caps, repeat(0))):
                 raise ConfigurationError("negative capacity in clone")
             full = [0.0] * len(self._etarget)
             full[0::2] = caps
@@ -216,7 +218,7 @@ class FlowNetwork:
                     f"expected {len(self._etarget)} arc capacities, "
                     f"got {len(full)}"
                 )
-            if any(c < 0 for c in full):
+            if any(map(lt, full, repeat(0))):
                 raise ConfigurationError("negative capacity in clone")
             clone._ecap = full
         return clone
@@ -232,14 +234,16 @@ class FlowNetwork:
         """
         if node not in self._index:
             raise ConfigurationError(f"node {node!r} not present in the network")
-        idx = self._index[node]
-        target, cap = self._etarget, self._ecap
+        # The node's own arcs, in ascending id order: forward arc ``e``
+        # leaves it, residual arc ``e`` is the twin of a forward arc that
+        # enters it.  Same terms, same order as a scan over every arc.
+        cap = self._ecap
         total = 0.0
-        for e in range(0, len(target), 2):
-            if target[e ^ 1] == idx:
+        for e in self._heads[self._index[node]]:
+            if e & 1:
+                total -= cap[e]
+            else:
                 total += cap[e ^ 1]
-            elif target[e] == idx:
-                total -= cap[e ^ 1]
         return total
 
     # -- Dinic ----------------------------------------------------------------
@@ -263,41 +267,54 @@ class FlowNetwork:
         s, t = self._terminals(source, sink)
         n = len(self._nodes)
         start, order = self._ensure_csr()
-        target, cap = self._etarget, self._ecap
+        first_arc = start[:n]
+        unreached = [-1] * n
+        heads, target, cap = self._heads, self._etarget, self._ecap
         levels = [-1] * n
         iters = [0] * n
         total = 0.0
         paths = 0
         rounds = 0
-        queue: deque = deque()
 
         while True:
-            # BFS: level graph over arcs with residual capacity.
-            for i in range(n):
-                levels[i] = -1
+            # BFS: level graph over arcs with residual capacity, one
+            # frontier at a time, stopping once the sink's level is
+            # complete.  ``seen`` keeps the discovery order.
+            levels[:] = unreached
             levels[s] = 0
             rounds += 1
-            queue.clear()
-            queue.append(s)
-            while queue:
-                u = queue.popleft()
-                nxt = levels[u] + 1
-                for i in range(start[u], start[u + 1]):
-                    e = order[i]
-                    v = target[e]
-                    if cap[e] > _EPS and levels[v] < 0:
-                        levels[v] = nxt
-                        queue.append(v)
+            seen = [s]
+            frontier = [s]
+            depth = 0
+            while frontier and levels[t] < 0:
+                depth += 1
+                nxt: List[int] = []
+                for u in frontier:
+                    for e in heads[u]:
+                        if cap[e] > _EPS:
+                            v = target[e]
+                            if levels[v] < 0:
+                                levels[v] = depth
+                                nxt.append(v)
+                frontier = nxt
+                seen += nxt
             if levels[t] < 0:
                 break
+            # Nothing beyond the sink's level was labelled, so every other
+            # node on it is a dead end: unlabel them and the DFS never
+            # steps onto one.
+            for v in frontier:
+                levels[v] = -1
+            levels[t] = depth
 
             # Blocking flow: iterative DFS with per-node arc iterators.
             # Mirrors the recursive formulation arc-for-arc: advancing
-            # keeps the iterator on the taken arc (a pushed path restarts
-            # from the source through the same arcs), a dead end advances
-            # the parent's iterator past the arc that led there.
-            for i in range(n):
-                iters[i] = start[i]
+            # keeps the iterator on the taken arc, a dead end advances the
+            # parent's iterator past the arc that led there.  After an
+            # augment the path retreats to the tail of its first saturated
+            # arc — restarting from the source would re-walk the unsaturated
+            # prefix through the same iterators and stop at the same place.
+            iters[:] = first_arc
             path: List[int] = []
             u = s
             while True:
@@ -306,37 +323,38 @@ class FlowNetwork:
                     for e in path:
                         if cap[e] < flow:
                             flow = cap[e]
-                    for e in path:
+                    back = -1
+                    for k, e in enumerate(path):
                         cap[e] -= flow
                         cap[e ^ 1] += flow
+                        # ``not >`` also catches inf - inf on all-INFINITY paths.
+                        if back < 0 and not cap[e] > _EPS:
+                            back = k
                     total += flow
                     paths += 1
-                    path.clear()
-                    u = s
+                    u = target[path[back] ^ 1]
+                    del path[back:]
                     continue
                 lvl = levels[u] + 1
-                it = iters[u]
                 stop = start[u + 1]
-                advanced = False
-                while it < stop:
+                for it in range(iters[u], stop):
                     e = order[it]
                     if cap[e] > _EPS and levels[target[e]] == lvl:
                         iters[u] = it
                         path.append(e)
                         u = target[e]
-                        advanced = True
                         break
-                    it += 1
-                if advanced:
-                    continue
-                iters[u] = it
-                if u == s:
-                    break
-                e = path.pop()
-                u = target[e ^ 1]
-                iters[u] += 1
+                else:
+                    iters[u] = stop
+                    if u == s:
+                        break
+                    e = path.pop()
+                    u = target[e ^ 1]
+                    iters[u] += 1
 
-        reachable = self._residual_reachable(s)
+        # The last BFS ran to completion without reaching the sink: its
+        # discovery order is exactly that of ``_residual_reachable``.
+        reachable = set(seen)
         return MaxFlowResult(
             max_flow=total,
             source_side=frozenset(self._nodes[i] for i in reachable),

@@ -313,13 +313,10 @@ class STGraphTemplate:
             # Capacities are non-decreasing in lambda, so the flow stays
             # feasible; the clamp only guards pathological float drift.
             _, residual = state
+            flows = [c if f > c else f for c, f in zip(caps, residual[1::2])]
             full = [0.0] * (2 * len(caps))
-            for k, c in enumerate(caps):
-                f = residual[2 * k + 1]
-                if f > c:
-                    f = c
-                full[2 * k] = c - f
-                full[2 * k + 1] = f
+            full[0::2] = [c - f for c, f in zip(caps, flows)]
+            full[1::2] = flows
             net = self.network.clone_with_capacities(residual_capacities=full)
             base_flow = net.net_flow_from(FRONT)
         result = net.max_flow(FRONT, BACK)

@@ -19,6 +19,7 @@ from repro.core.generator import AutomaticXProGenerator
 from repro.core.pipeline import TrainingConfig
 from repro.eval.context import ExperimentContext
 from repro.graph.cuts import aggregator_cut, sensor_cut
+from repro.graph.maxflow import FlowNetwork
 from repro.graph.stgraph import build_st_graph, build_st_graph_template
 from repro.hw.aggregator import AggregatorCPU
 from repro.hw.energy import EnergyLibrary
@@ -136,6 +137,63 @@ def test_lambda_ladder_on_50_cell_synthetic_topology():
     topology = _random_topology(rng, 49)  # + the sink cell = 50
     assert len(topology.cells) == 50
     _assert_ladder_matches(topology, EnergyLibrary("90nm"), WirelessLink("model3"))
+
+
+def _ladder_work(monkeypatch, topology, lib, link):
+    """Solver work along the ladder: a warm solve, then a cold reference
+    solve, per price.
+
+    Returns the per-solve ``(augmenting_paths, bfs_rounds)`` list and the
+    final ``TemplateSolveStats`` as ``(cold_solves, warm_solves,
+    cold_augmenting_paths, warm_augmenting_paths)``.
+    """
+    solves = []
+    max_flow = FlowNetwork.max_flow
+
+    def recording(net, source, sink):
+        result = max_flow(net, source, sink)
+        solves.append((result.augmenting_paths, result.bfs_rounds))
+        return result
+
+    monkeypatch.setattr(FlowNetwork, "max_flow", recording)
+    gen = AutomaticXProGenerator(topology, lib, link, CPU)
+    template = build_st_graph_template(topology, lib, link, gen._delay_weights(1.0))
+    for lam in _lambda_ladder(gen):
+        template.solve_lagrangian(lam)
+        template.solve_lagrangian(lam, warm=False)
+    stats = template.stats
+    return solves, (
+        stats.cold_solves,
+        stats.warm_solves,
+        stats.cold_augmenting_paths,
+        stats.warm_augmenting_paths,
+    )
+
+
+def test_golden_solver_work_on_50_cell_synthetic_topology(monkeypatch):
+    """Dinic pushes the same augmenting paths in the same phases as the
+    straightforward restart-from-the-source loop these literals were
+    recorded from — same work, not only the same cuts."""
+    rng = np.random.default_rng(421)
+    topology = _random_topology(rng, 49)
+    solves, stats = _ladder_work(
+        monkeypatch, topology, EnergyLibrary("90nm"), WirelessLink("model3")
+    )
+    assert solves == [
+        (18, 4), (18, 4), (56, 3), (67, 5), (56, 3), (66, 5), (56, 3),
+        (65, 5), (56, 3), (62, 5), (56, 3), (60, 4), (56, 3), (59, 4),
+        (56, 3), (57, 4), (56, 3), (56, 3),
+    ]
+    assert stats == (10, 8, 528, 448)
+
+
+def test_golden_solver_work_on_paper_case(paper_context, monkeypatch):
+    """The same golden check on paper case C1 with model3 wireless."""
+    solves, stats = _ladder_work(
+        monkeypatch, *_hardware(paper_context, "C1", "model3")
+    )
+    assert solves == [(29, 9), (29, 9)] + [(50, 10)] * 16
+    assert stats == (10, 8, 458, 400)
 
 
 def test_template_counters_show_warm_work_shrank(paper_context):

@@ -157,17 +157,21 @@ def _random_network(raw_edges, infinite_mask):
     return net, edges
 
 
+#: ``_random_network`` arguments: up to 14 edges, any of them INFINITY.
+_RANDOM_NETWORKS = (
+    st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(1, 20)),
+        min_size=1,
+        max_size=14,
+    ),
+    st.integers(0, 2**14 - 1),
+)
+
+
 class TestCrossSolver:
     """Satellite: Dinic (CSR) vs push-relabel must agree on every graph."""
 
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(1, 20)),
-            min_size=1,
-            max_size=14,
-        ),
-        st.integers(0, 2**14 - 1),
-    )
+    @given(*_RANDOM_NETWORKS)
     @settings(max_examples=120, deadline=None)
     def test_dinic_agrees_with_push_relabel(self, raw_edges, infinite_mask):
         dinic_net, edges = _random_network(raw_edges, infinite_mask)
@@ -185,6 +189,40 @@ class TestCrossSolver:
         for result in (dinic, pr):
             cut_capacity = sum(c for _, _, c in result.cut_edges)
             assert cut_capacity == pytest.approx(dinic.max_flow, abs=1e-9)
+
+    @given(*_RANDOM_NETWORKS)
+    @settings(max_examples=120, deadline=None)
+    def test_cut_is_residual_reachability_of_consumed_network(
+        self, raw_edges, infinite_mask
+    ):
+        """Dinic reads its cut off its last BFS; that must be exactly the
+        residual reachability of the network it leaves behind."""
+        net, edges = _random_network(raw_edges, infinite_mask)
+        if not edges:
+            return
+        dinic = net.max_flow(0, 5)
+        reachable = net._residual_reachable(net._index[0])
+        assert dinic.source_side == frozenset(net._nodes[i] for i in reachable)
+        # repr: an all-INFINITY path leaves a NaN capacity (inf - inf).
+        assert repr(dinic.cut_edges) == repr(net._cut_edges(reachable))
+        pr = _random_network(raw_edges, infinite_mask)[0].max_flow_push_relabel(0, 5)
+        if dinic.max_flow == INFINITY:
+            assert pr.max_flow > sum(c for _, _, c in edges if c != INFINITY)
+        else:
+            assert pr.max_flow == pytest.approx(dinic.max_flow, rel=1e-12, abs=1e-12)
+
+    def test_tied_bottlenecks_retreat_to_the_first(self):
+        """s->a and a->b saturate at once; the search must resume before
+        the first of them, so no zero-flow path s->a->c->t is counted."""
+        net = FlowNetwork()
+        net.add_edge("s", "a", 3.0)
+        net.add_edge("a", "b", 3.0)
+        net.add_edge("b", "t", 5.0)
+        net.add_edge("a", "c", 5.0)
+        net.add_edge("c", "t", 5.0)
+        result = net.max_flow("s", "t")
+        assert result.max_flow == 3.0
+        assert (result.augmenting_paths, result.bfs_rounds) == (1, 2)
 
     def test_parallel_edges_accumulate(self):
         net = FlowNetwork()
@@ -254,6 +292,14 @@ class TestCapacityClones:
             proto.clone_with_capacities([1.0])  # wrong length
         with pytest.raises(ConfigurationError):
             proto.clone_with_capacities([-1.0, 1.0, 1.0, 1.0])
+
+    def test_net_flow_is_conserved(self):
+        net = self._diamond()
+        net.add_edge("a", "b", 1.0)
+        assert net.max_flow("s", "t").max_flow == 10.0
+        assert net.net_flow_from("s") == 10.0
+        assert net.net_flow_from("a") == net.net_flow_from("b") == 0.0
+        assert net.net_flow_from("t") == -10.0
 
     def test_residual_restart_reports_incremental_flow(self):
         proto = self._diamond()
