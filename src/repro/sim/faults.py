@@ -24,14 +24,17 @@ model, the degradation policy and the last-known-good cache before each
 run, so two runs of the same campaign produce identical
 :class:`ResilienceReport` objects.
 
-Campaigns built purely from the fault models above also have a *fast
-path* (``run(..., fast=...)``): loss outcomes and retry decisions are
-pre-sampled in blocks (one :meth:`~repro.sim.channel.GilbertElliottChannel.
+Both runners (``run(..., fast=...)``) drive one event loop; they differ
+only in where fault outcomes, stage jitter and payloads come from.  The
+scalar runner asks every fault model per event and per attempt, so it
+runs any :class:`FaultModel`.  Campaigns built purely from the fault
+models above also have a *fast* runner: loss outcomes are pre-sampled in
+blocks (one :meth:`~repro.sim.channel.GilbertElliottChannel.
 outcome_block` / ``Generator.random`` block per stochastic fault, served
 through a cursor in exactly the scalar consumption order), jitter factors
 and payload words are drawn as matrices, and byte-level payloads run
 through the batch frame codec of :mod:`repro.hw.framing`.  The report is
-bit-identical to the scalar path under the same seed; only the
+bit-identical to the scalar runner under the same seed; only the
 post-run internal RNG positions of the fault models differ (harmless,
 because every ``run()`` starts with :meth:`FaultCampaign.reset`).
 
@@ -49,7 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -64,7 +67,6 @@ from repro.hw.framing import (
     encode_frames,
     encode_values,
     fragment_payload,
-    pack_byte_rows,
 )
 from repro.sim.channel import GilbertElliottChannel, GilbertElliottParams
 from repro.sim.evaluate import PartitionMetrics
@@ -246,71 +248,6 @@ class PayloadCorruption(FaultModel):
         for pos in positions:
             mutated[int(pos) // 8] ^= 1 << (int(pos) % 8)
         return bytes(mutated)
-
-    def corrupt_frames(
-        self,
-        event_index: int,
-        attempt: int,
-        frames: Union[np.ndarray, Sequence[bytes]],
-        lengths: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batch twin of :meth:`corrupt_frame` over many frames at once.
-
-        The private RNG is consumed in exactly the scalar per-frame order
-        (one trigger uniform per non-empty frame, then the flip-count and
-        position draws of triggered frames), so row ``i`` of the result is
-        byte-identical to ``corrupt_frame(event_index, attempt, i,
-        frames[i])``; the flips themselves are applied in one vectorized
-        ``bitwise_xor`` scatter instead of a per-bit Python loop.
-
-        Args:
-            frames: Padded ``(n, max_len)`` uint8 matrix (with per-frame
-                ``lengths``; rows assumed full-width when omitted) or a
-                sequence of byte strings.
-
-        Returns:
-            ``(matrix, lengths, corrupted)``: the mutated copy of the
-            padded frame matrix, per-frame lengths, and the per-frame
-            corruption mask (True where any bit was flipped).
-        """
-        if isinstance(frames, np.ndarray):
-            if frames.ndim != 2:
-                raise ConfigurationError(
-                    f"frames must be a 2-D byte matrix, got shape {frames.shape}"
-                )
-            matrix = np.array(frames, dtype=np.uint8, copy=True)
-            if lengths is None:
-                lens = np.full(len(matrix), matrix.shape[1], dtype=np.int64)
-            else:
-                lens = np.asarray(lengths, dtype=np.int64)
-        else:
-            matrix, lens = pack_byte_rows(list(frames))
-        corrupted = np.zeros(len(matrix), dtype=bool)
-        if self.mode != "bitflip":
-            return matrix, lens, corrupted
-        rng = self._require_rng()
-        rows: List[np.ndarray] = []
-        cols: List[np.ndarray] = []
-        flips: List[np.ndarray] = []
-        for i in range(len(matrix)):
-            n_bits = int(lens[i]) * 8
-            if n_bits == 0:
-                continue
-            if rng.random() >= self.rate:
-                continue
-            n_flips = min(int(rng.integers(1, self.max_bit_flips + 1)), n_bits)
-            positions = rng.choice(n_bits, size=n_flips, replace=False)
-            corrupted[i] = True
-            rows.append(np.full(n_flips, i, dtype=np.int64))
-            cols.append(positions // 8)
-            flips.append((1 << (positions % 8)).astype(np.uint8))
-        if rows:
-            np.bitwise_xor.at(
-                matrix,
-                (np.concatenate(rows), np.concatenate(cols)),
-                np.concatenate(flips),
-            )
-        return matrix, lens, corrupted
 
 
 @dataclass
@@ -784,28 +721,15 @@ class FaultCampaign:
             )
         if resume and checkpoint is None:
             raise ConfigurationError("resume=True requires a checkpoint")
-        resume_state = None
-        if resume:
-            resume_state = checkpoint.load(
-                campaign=self,
-                runner="fast" if use_fast else "scalar",
-                simulator=simulator,
-                n_events=n_events,
-                arq=arq,
-                policy=policy,
-                fallback_metrics=fallback_metrics,
-                cache=cache,
-                integrity=integrity,
-                breaker=breaker,
-            )
-        runner = self._run_fast if use_fast else self._run_scalar
-        return runner(
-            simulator, n_events, arq, policy, fallback_metrics, cache,
-            integrity, breaker, checkpoint, resume_state
+        return self._run(
+            "fast" if use_fast else "scalar", simulator, n_events, arq,
+            policy, fallback_metrics, cache, integrity, breaker, checkpoint,
+            resume,
         )
 
-    def _run_scalar(
+    def _run(
         self,
+        runner: str,
         simulator: CrossEndSimulator,
         n_events: int,
         arq: ARQConfig,
@@ -813,50 +737,67 @@ class FaultCampaign:
         fallback_metrics: Optional[PartitionMetrics],
         cache: Optional[LastKnownGoodCache],
         integrity: Optional[IntegrityConfig],
-        breaker: Optional[object] = None,
-        checkpoint: Optional[object] = None,
-        resume_state: Optional[object] = None,
+        breaker: Optional[object],
+        checkpoint: Optional[object],
+        resume: bool,
     ) -> ResilienceReport:
-        """Reference event-by-event runner (see :meth:`run`)."""
-        if resume_state is None:
-            # A resume skips the resets: checkpoint.load() already re-armed
-            # the campaign and restored fault/policy/cache/breaker state.
+        """The event loop of both runners (see :meth:`run`).
+
+        ``runner`` only picks where fault outcomes, stage jitter and
+        payloads come from (:class:`_LiveFaults` or :class:`_BlockFaults`);
+        the clocks, energy and retry accounting, breaker gate, policy,
+        cache, integrity counters and checkpoints are shared.
+        """
+        config = dict(
+            campaign=self,
+            runner=runner,
+            simulator=simulator,
+            n_events=n_events,
+            arq=arq,
+            policy=policy,
+            fallback_metrics=fallback_metrics,
+            cache=cache,
+            integrity=integrity,
+            breaker=breaker,
+        )
+        resume_state = None
+        if resume:
+            # checkpoint.load() re-arms the campaign and restores the
+            # fault/policy/cache/breaker state itself.
+            resume_state = checkpoint.load(**config)
+        else:
             self.reset()
-            if policy is not None:
-                policy.reset()
-            if cache is not None:
-                cache.reset()
-            if breaker is not None:
-                breaker.reset()
+            for part in (policy, cache, breaker):
+                if part is not None:
+                    part.reset()
+        source = _SOURCES[runner](
+            self, simulator, n_events, integrity,
+            None if resume_state is None else resume_state.extra,
+        )
+        brownout, event, lost, stall = (
+            source.brownout, source.event, source.lost, source.stall
+        )
+        corruptors = source.corruptors
 
         period = simulator.period_s
-        jitter_rng = (
-            np.random.default_rng(simulator.seed)
-            if simulator.jitter_sigma > 0
-            else None
+        framing = None if integrity is None else integrity.framing
+        n_frames = _frames_per_payload(integrity)
+        max_tries = None if arq.max_retries is None else arq.max_retries + 1
+        backoffs = (
+            None
+            if max_tries is None
+            else [0.0] + [arq.backoff_s(r) for r in range(1, max_tries)]
+        )
+        # A probe shares the campaign ARQ's backoffs with a smaller budget.
+        probe_tries = (
+            None if breaker is None else breaker.probe_arq(arq).max_retries + 1
         )
 
         front_free = link_free = back_free = 0.0
         records: List[DecisionRecord] = []
         sensor_j = aggregator_j = retry_j = 0.0
-        retransmissions = 0
-        fallback_events = 0
-        misses = 0
-
-        # Byte-level data-plane state (integrity runs only).  The payload
-        # generator is seeded from the campaign seed, independently of the
-        # fault models' RNG stream, so the same decisions cross the wire in
-        # every replay.
-        payload_rng = np.random.default_rng([self.seed, 0xF7A3])
-        seq_base = 0
-        wire = {
-            "frames_sent": 0,
-            "frames_corrupted": 0,
-            "corruptions_detected": 0,
-            "corrupted_deliveries": 0,
-            "integrity_discards": 0,
-        }
-
+        retransmissions = fallback_events = misses = 0
+        wire = dict.fromkeys(_WIRE_COUNTERS, 0)
         start = 0
         if resume_state is not None:
             start = resume_state.cursor
@@ -865,12 +806,6 @@ class FaultCampaign:
             retransmissions, fallback_events, misses = resume_state.counters
             records = list(resume_state.records)
             wire.update(resume_state.wire)
-            payload_rng = _restore_rng(resume_state.extra["payload_rng"])
-            if jitter_rng is not None:
-                jitter_rng = _restore_rng(resume_state.extra["jitter_rng"])
-            seq_base = int(resume_state.extra["seq_base"])
-
-        probe_arq = None if breaker is None else breaker.probe_arq(arq)
 
         for k in range(start, n_events):
             release = k * period
@@ -883,7 +818,7 @@ class FaultCampaign:
                 else simulator.metrics
             )
 
-            if self.sensor_brownout(k):
+            if brownout(k):
                 # The sensor is dark: nothing acquired, nothing computed,
                 # nothing transmitted.  Only the cache can answer.
                 served = cache.serve() if cache is not None else None
@@ -897,520 +832,62 @@ class FaultCampaign:
                         DecisionRecord(k, DROPPED, 0, math.nan, in_fallback, 0)
                     )
             else:
-                t_front, t_link, t_back = _jittered(
-                    active, simulator.jitter_sigma, jitter_rng
-                )
-
-                front_start = max(release, front_free)
-                front_end = front_start + t_front
+                t_front, t_link, t_back, frames, chunks, payload = event(active)
+                front_end = max(release, front_free) + t_front
                 front_free = front_end
                 sensor_j += active.sensor_compute_j
 
-                if integrity is None:
-                    sent_payload = None
-                    received = [None]
-                    discarded = [False]
-                    attempt_fn = lambda attempt: self.try_lost(k, attempt)  # noqa: E731
-                else:
-                    values = quantize_array(
-                        payload_rng.uniform(
-                            -1000.0, 1000.0, integrity.values_per_payload
-                        )
-                    )
-                    sent_payload = encode_values(values)
-                    frames = fragment_payload(
-                        sent_payload, seq_base, integrity.framing
-                    )
-                    seq_base = (seq_base + len(frames)) % SEQ_MODULUS
-                    received = [None]
-                    discarded = [False]
-                    attempt_fn = self._make_wire_attempt(
-                        k, frames, integrity, wire, received, discarded
-                    )
-
+                tries = 0
+                delivered = False
+                link_end = front_end
                 decision = "allow" if breaker is None else breaker.decide(k)
-                if decision == "block":
-                    # Open breaker: the radio stays off.  The decision
-                    # layer sees the same drop signal an exhausted ARQ
-                    # would give, minus the retries' energy and latency.
-                    if policy is not None:
-                        policy.observe(False)
-                    served = cache.serve() if cache is not None else None
-                    if served is not None:
-                        latency = front_end - release
-                        records.append(
-                            DecisionRecord(k, DEGRADED, 0, latency,
-                                           in_fallback, served.staleness)
-                        )
-                    else:
-                        latency = math.nan
-                        records.append(
-                            DecisionRecord(k, DROPPED, 0, math.nan,
-                                           in_fallback, 0)
-                        )
-                else:
-                    event_arq = probe_arq if decision == "probe" else arq
-                    outcome = event_arq.simulate(attempt_fn, t_link)
-                    if breaker is not None:
-                        breaker.record(k, outcome.delivered)
-                    link_start = max(front_end, link_free)
-                    link_end = link_start + outcome.delay_s
-                    link_free = link_end
-
-                    per_try_radio = active.sensor_tx_j + active.sensor_rx_j
-                    sensor_j += outcome.tries * per_try_radio
-                    aggregator_j += outcome.tries * active.aggregator_radio_j
-                    retransmissions += outcome.tries - 1
-                    retry_j += (outcome.tries - 1) * (
-                        per_try_radio + active.aggregator_radio_j
-                    )
-
-                    app_delivered = outcome.delivered
-                    if app_delivered and discarded[0]:
-                        # Detect-only CRC: the link delivered, the
-                        # receiver's integrity check rejected the payload
-                        # at the app layer.
-                        wire["integrity_discards"] += 1
-                        app_delivered = False
-
-                    if app_delivered:
-                        corrupted = (
-                            integrity is not None and received[0] != sent_payload
-                        )
-                        if corrupted:
-                            wire["corrupted_deliveries"] += 1
-                        if policy is not None:
-                            policy.observe(True)
-                        if cache is not None:
-                            cache.update(k)
-                        back_start = max(link_end, back_free)
-                        finish = back_start + t_back + self.stall_s(k)
-                        back_free = finish
-                        aggregator_j += active.aggregator_cpu_j
-                        latency = finish - release
-                        records.append(
-                            DecisionRecord(k, DELIVERED, outcome.tries,
-                                           latency, in_fallback, 0, corrupted)
-                        )
-                    else:
-                        if policy is not None:
-                            policy.observe(False)
-                        served = cache.serve() if cache is not None else None
-                        if served is not None:
-                            latency = link_end - release
-                            records.append(
-                                DecisionRecord(k, DEGRADED, outcome.tries,
-                                               latency, in_fallback,
-                                               served.staleness)
-                            )
-                        else:
-                            latency = math.nan
-                            records.append(
-                                DecisionRecord(k, DROPPED, outcome.tries,
-                                               math.nan, in_fallback, 0)
-                            )
-
-                if not math.isnan(latency):
-                    if latency > period:
-                        misses += 1
-                    if latency > 1000 * period:
-                        raise SimulationError(
-                            f"event backlog diverges under faults at event "
-                            f"{k}: latency {latency:.4f}s >> period "
-                            f"{period:.4f}s"
-                        )
-
-            if checkpoint is not None and checkpoint.due(k + 1):
-                checkpoint.save(
-                    campaign=self,
-                    runner="scalar",
-                    simulator=simulator,
-                    n_events=n_events,
-                    arq=arq,
-                    policy=policy,
-                    fallback_metrics=fallback_metrics,
-                    cache=cache,
-                    integrity=integrity,
-                    breaker=breaker,
-                    cursor=k + 1,
-                    clocks=(front_free, link_free, back_free),
-                    energies=(sensor_j, aggregator_j, retry_j),
-                    counters=(retransmissions, fallback_events, misses),
-                    records=records,
-                    wire=wire,
-                    extra={
-                        "payload_rng": payload_rng.bit_generator.state,
-                        "jitter_rng": (
-                            None
-                            if jitter_rng is None
-                            else jitter_rng.bit_generator.state
-                        ),
-                        "seq_base": seq_base,
-                    },
-                )
-
-        return ResilienceReport(
-            records=records,
-            sensor_energy_j=sensor_j,
-            aggregator_energy_j=aggregator_j,
-            retry_energy_j=retry_j,
-            retransmissions=retransmissions,
-            fallback_events=fallback_events,
-            deadline_misses=misses,
-            frames_sent=wire["frames_sent"],
-            frames_corrupted=wire["frames_corrupted"],
-            corruptions_detected=wire["corruptions_detected"],
-            corrupted_deliveries=wire["corrupted_deliveries"],
-            integrity_discards=wire["integrity_discards"],
-        )
-
-    def _make_wire_attempt(
-        self,
-        event_index: int,
-        frames: List[bytes],
-        integrity: IntegrityConfig,
-        wire: Dict[str, int],
-        received: List[Optional[bytes]],
-        discarded: List[bool],
-    ) -> Callable[[int], bool]:
-        """Build the per-attempt callback of one byte-level transmission.
-
-        Each attempt first consults the loss faults (the frames never
-        arrive), then pushes every frame's real bytes through the
-        ``corrupt_frame`` hooks and the receiver's frame decoder.  A
-        detected corruption either triggers a retransmission (counts as a
-        lost attempt) or marks the payload discarded, depending on
-        ``integrity.retransmit_on_corrupt``.
-        """
-
-        def attempt_fn(attempt: int) -> bool:
-            wire["frames_sent"] += len(frames)
-            if self.try_lost(event_index, attempt):
-                return True
-            parts: List[bytes] = []
-            detected = 0
-            mutated = 0
-            for i, raw in enumerate(frames):
-                on_air = self.corrupt_frame(event_index, attempt, i, raw)
-                if on_air != raw:
-                    mutated += 1
-                try:
-                    parts.append(
-                        decode_frame(on_air, integrity.framing).payload
-                    )
-                except IntegrityError:
-                    detected += 1
-            wire["frames_corrupted"] += mutated
-            wire["corruptions_detected"] += detected
-            if detected:
-                if integrity.retransmit_on_corrupt:
-                    return True
-                discarded[0] = True
-                received[0] = None
-                return False
-            discarded[0] = False
-            received[0] = b"".join(parts)
-            return False
-
-        return attempt_fn
-
-    def _run_fast(
-        self,
-        simulator: CrossEndSimulator,
-        n_events: int,
-        arq: ARQConfig,
-        policy: Optional[GracefulDegradationPolicy],
-        fallback_metrics: Optional[PartitionMetrics],
-        cache: Optional[LastKnownGoodCache],
-        integrity: Optional[IntegrityConfig],
-        breaker: Optional[object] = None,
-        checkpoint: Optional[object] = None,
-        resume_state: Optional[object] = None,
-    ) -> ResilienceReport:
-        """Vectorized runner; bit-identical to :meth:`_run_scalar`.
-
-        Loss outcomes are pre-drawn in blocks (one stream per stochastic
-        fault, OR-composed, served by a cursor that advances exactly one
-        slot per transmission attempt — the scalar consumption order),
-        jitter factors and payload words are drawn as matrices, and
-        byte-level payloads go through the batch frame codec.  Only the
-        bit-flip corruption draws stay per-frame: their stream interleaves
-        fixed- and variable-length draws, so block sampling cannot match
-        the scalar order; the fast path instead skips the frame decode of
-        every untouched frame (an encode/decode round trip it already
-        knows succeeds).
-
-        On resume, everything deterministic (masks, jitter factors,
-        payload matrices) is recomputed from the seeds; only the
-        *consumed-ahead* composed loss outcomes — pre-drawn before the
-        snapshot from RNGs that have since advanced — travel through the
-        checkpoint as an explicit remainder buffer.
-        """
-        if resume_state is None:
-            # A resume skips the resets: checkpoint.load() already re-armed
-            # the campaign and restored fault/policy/cache/breaker state.
-            self.reset()
-            if policy is not None:
-                policy.reset()
-            if cache is not None:
-                cache.reset()
-            if breaker is not None:
-                breaker.reset()
-
-        period = simulator.period_s
-        sigma = simulator.jitter_sigma
-        idx = np.arange(n_events)
-
-        brownout = np.zeros(n_events, dtype=bool)
-        outage = np.zeros(n_events, dtype=bool)
-        stall = np.zeros(n_events, dtype=np.float64)
-        loss_draws: List[Callable[[int], np.ndarray]] = []
-        corruptors: List[PayloadCorruption] = []
-        for fault in self.faults:
-            window = None
-            if isinstance(fault, (SensorBrownout, LinkOutage, AggregatorStall)):
-                window = (fault.start_event <= idx) & (
-                    idx < fault.start_event + fault.n_events
-                )
-            if isinstance(fault, SensorBrownout):
-                brownout |= window
-            elif isinstance(fault, LinkOutage):
-                outage |= window
-            elif isinstance(fault, AggregatorStall):
-                stall += np.where(window, fault.extra_delay_s, 0.0)
-            elif isinstance(fault, BurstLoss):
-                channel = fault._channel
-                assert channel is not None  # armed by reset() above
-                loss_draws.append(channel.outcome_block)
-            elif isinstance(fault, PayloadCorruption):
-                if fault.mode == "erasure":
-                    loss_draws.append(
-                        lambda n, rng=fault._require_rng(), rate=fault.rate: (
-                            rng.random(n) < rate
-                        )
-                    )
-                else:
-                    corruptors.append(fault)
-        loss = _LossStream(loss_draws)
-
-        n_active = int(n_events - brownout.sum())
-        factors = None
-        if sigma > 0:
-            jitter_rng = np.random.default_rng(simulator.seed)
-            factors = np.exp(
-                jitter_rng.normal(-sigma**2 / 2.0, sigma, size=(n_active, 3))
-            )
-
-        # Byte-level data plane: payload words and frames for the whole
-        # run in one batch.  Without bit-flip corruptors the frame bytes
-        # can never differ from what was sent, so only the frame *count*
-        # is observable and the codec work is skipped entirely.
-        payload_rng = np.random.default_rng([self.seed, 0xF7A3])
-        n_frames_per_event = 0
-        sent_payloads: List[bytes] = []
-        chunk_bytes: List[bytes] = []
-        frame_bytes: List[bytes] = []
-        if integrity is not None:
-            framing = integrity.framing
-            payload_len = integrity.values_per_payload * (Q16_16.total_bits // 8)
-            n_frames_per_event = -(-payload_len // framing.max_payload_bytes)
-            if corruptors and n_active:
-                values = quantize_array(
-                    payload_rng.uniform(
-                        -1000.0, 1000.0,
-                        (n_active, integrity.values_per_payload),
-                    )
-                )
-                blob = encode_values(values)
-                sent_payloads = [
-                    blob[a * payload_len : (a + 1) * payload_len]
-                    for a in range(n_active)
-                ]
-                for payload in sent_payloads:
-                    chunk_bytes.extend(
-                        payload[i : i + framing.max_payload_bytes]
-                        for i in range(0, payload_len, framing.max_payload_bytes)
-                    )
-                total_frames = n_active * n_frames_per_event
-                frame_matrix, frame_lens = encode_frames(
-                    chunk_bytes,
-                    np.arange(total_frames) % SEQ_MODULUS,
-                    framing,
-                    last=(np.arange(total_frames) % n_frames_per_event)
-                    == n_frames_per_event - 1,
-                )
-                frame_bytes = [
-                    frame_matrix[r, : int(frame_lens[r])].tobytes()
-                    for r in range(total_frames)
-                ]
-
-        bounded_tries = None if arq.max_retries is None else arq.max_retries + 1
-        backoffs = (
-            None
-            if arq.max_retries is None
-            else [0.0] + [arq.backoff_s(r) for r in range(1, arq.max_retries + 1)]
-        )
-
-        front_free = link_free = back_free = 0.0
-        records: List[DecisionRecord] = []
-        sensor_j = aggregator_j = retry_j = 0.0
-        retransmissions = 0
-        fallback_events = 0
-        misses = 0
-        wire = {
-            "frames_sent": 0,
-            "frames_corrupted": 0,
-            "corruptions_detected": 0,
-            "corrupted_deliveries": 0,
-            "integrity_discards": 0,
-        }
-
-        att = 0  # global attempt cursor into the loss streams
-        a = 0  # active (non-browned-out) event counter
-        start = 0
-        if resume_state is not None:
-            start = resume_state.cursor
-            front_free, link_free, back_free = resume_state.clocks
-            sensor_j, aggregator_j, retry_j = resume_state.energies
-            retransmissions, fallback_events, misses = resume_state.counters
-            records = list(resume_state.records)
-            wire.update(resume_state.wire)
-            a = int(resume_state.extra["a"])
-            loss.buf = np.asarray(
-                resume_state.extra["loss_remainder"], dtype=bool
-            )
-        probe_tries = (
-            None
-            if breaker is None
-            else min(breaker.config.probe_retries + 1, bounded_tries)
-        )
-        for k in range(start, n_events):
-            release = k * period
-            in_fallback = policy is not None and policy.in_fallback
-            if in_fallback:
-                fallback_events += 1
-            active = (
-                fallback_metrics
-                if (in_fallback and fallback_metrics is not None)
-                else simulator.metrics
-            )
-
-            if brownout[k]:
-                served = cache.serve() if cache is not None else None
-                if served is not None:
-                    records.append(
-                        DecisionRecord(k, DEGRADED, 0, 0.0, in_fallback,
-                                       served.staleness)
-                    )
-                else:
-                    records.append(
-                        DecisionRecord(k, DROPPED, 0, math.nan, in_fallback, 0)
-                    )
-            else:
-                if factors is not None:
-                    row = factors[a]
-                    t_front = active.delay_front_s * row[0]
-                    t_link = active.delay_link_s * row[1]
-                    t_back = active.delay_back_s * row[2]
-                else:
-                    t_front = active.delay_front_s
-                    t_link = active.delay_link_s
-                    t_back = active.delay_back_s
-
-                front_start = max(release, front_free)
-                front_end = front_start + t_front
-                front_free = front_end
-                sensor_j += active.sensor_compute_j
-
-                if integrity is not None and corruptors:
-                    base_row = a * n_frames_per_event
-                    ev_frames = frame_bytes[
-                        base_row : base_row + n_frames_per_event
-                    ]
-                    ev_chunks = chunk_bytes[
-                        base_row : base_row + n_frames_per_event
-                    ]
-                    sent_payload = sent_payloads[a]
-                else:
-                    ev_frames = ev_chunks = []
-                    sent_payload = None
-
-                decision = "allow" if breaker is None else breaker.decide(k)
-                if decision == "block":
-                    # Open breaker: no attempts, no loss-slot consumption
-                    # (the scalar runner never calls try_lost either).
-                    if policy is not None:
-                        policy.observe(False)
-                    served = cache.serve() if cache is not None else None
-                    if served is not None:
-                        latency = front_end - release
-                        records.append(
-                            DecisionRecord(k, DEGRADED, 0, latency,
-                                           in_fallback, served.staleness)
-                        )
-                    else:
-                        latency = math.nan
-                        records.append(
-                            DecisionRecord(k, DROPPED, 0, math.nan,
-                                           in_fallback, 0)
-                        )
-                else:
-                    event_cap = (
-                        probe_tries if decision == "probe" else bounded_tries
-                    )
-                    event_out = bool(outage[k])
-                    if event_cap is not None:
-                        loss.ensure(att + event_cap)
-                    tries = 0
+                # An open breaker ("block") keeps the radio off: the
+                # decision layer sees the same drop signal an exhausted
+                # ARQ would give, minus the retries' energy and latency.
+                if decision != "block":
+                    cap = probe_tries if decision == "probe" else max_tries
                     delay = 0.0
-                    delivered = False
                     discarded = False
                     received: Optional[bytes] = None
                     while True:
                         tries += 1
                         delay = delay + t_link
-                        if integrity is not None:
-                            wire["frames_sent"] += n_frames_per_event
-                        if att >= loss.buf.size:
-                            loss.ensure(att + 1)
-                        lost = event_out or bool(loss.buf[att])
-                        att += 1
-                        if not lost and ev_frames:
+                        failed = lost(k, tries)
+                        if not failed and frames:
+                            # An untouched frame's round trip is known to
+                            # succeed, so only mutated frames are decoded.
                             mutated = detected = 0
                             parts: List[bytes] = []
-                            for j, raw in enumerate(ev_frames):
+                            for j, raw in enumerate(frames):
                                 on_air = raw
                                 for corruptor in corruptors:
                                     on_air = corruptor.corrupt_frame(
                                         k, tries, j, on_air
                                     )
                                 if on_air == raw:
-                                    parts.append(ev_chunks[j])
+                                    parts.append(chunks[j])
                                     continue
                                 mutated += 1
                                 try:
                                     parts.append(
-                                        decode_frame(
-                                            on_air, integrity.framing
-                                        ).payload
+                                        decode_frame(on_air, framing).payload
                                     )
                                 except IntegrityError:
                                     detected += 1
                             wire["frames_corrupted"] += mutated
                             wire["corruptions_detected"] += detected
-                            if detected:
-                                if integrity.retransmit_on_corrupt:
-                                    lost = True
-                                else:
-                                    discarded = True
-                                    received = None
-                            else:
+                            if not detected:
                                 discarded = False
                                 received = b"".join(parts)
-                        if not lost:
+                            elif integrity.retransmit_on_corrupt:
+                                failed = True
+                            else:
+                                discarded = True
+                                received = None
+                        if not failed:
                             delivered = True
                             break
-                        if event_cap is not None and tries >= event_cap:
+                        if cap is not None and tries >= cap:
                             break
                         if tries >= DEFAULT_MAX_SIMULATED_TRIES:
                             raise SimulationError(
@@ -1425,8 +902,9 @@ class FaultCampaign:
 
                     if breaker is not None:
                         breaker.record(k, delivered)
-                    link_start = max(front_end, link_free)
-                    link_end = link_start + delay
+                    # Every attempt puts the event's whole frame set on air.
+                    wire["frames_sent"] += tries * n_frames
+                    link_end = max(front_end, link_free) + delay
                     link_free = link_end
 
                     per_try_radio = active.sensor_tx_j + active.sensor_rx_j
@@ -1436,45 +914,45 @@ class FaultCampaign:
                     retry_j += (tries - 1) * (
                         per_try_radio + active.aggregator_radio_j
                     )
-
-                    app_delivered = delivered
-                    if app_delivered and discarded:
+                    if delivered and discarded:
+                        # Detect-only CRC: the link delivered, the
+                        # receiver's integrity check rejected the payload
+                        # at the app layer.
                         wire["integrity_discards"] += 1
-                        app_delivered = False
+                        delivered = False
 
-                    if app_delivered:
-                        corrupted = bool(ev_frames) and received != sent_payload
-                        if corrupted:
-                            wire["corrupted_deliveries"] += 1
-                        if policy is not None:
-                            policy.observe(True)
-                        if cache is not None:
-                            cache.update(k)
-                        back_start = max(link_end, back_free)
-                        finish = back_start + t_back + stall[k]
-                        back_free = finish
-                        aggregator_j += active.aggregator_cpu_j
-                        latency = finish - release
+                if delivered:
+                    corrupted = bool(frames) and received != payload
+                    if corrupted:
+                        wire["corrupted_deliveries"] += 1
+                    if policy is not None:
+                        policy.observe(True)
+                    if cache is not None:
+                        cache.update(k)
+                    finish = max(link_end, back_free) + t_back + stall(k)
+                    back_free = finish
+                    aggregator_j += active.aggregator_cpu_j
+                    latency = finish - release
+                    records.append(
+                        DecisionRecord(k, DELIVERED, tries, latency,
+                                       in_fallback, 0, corrupted)
+                    )
+                else:
+                    if policy is not None:
+                        policy.observe(False)
+                    served = cache.serve() if cache is not None else None
+                    if served is not None:
+                        latency = link_end - release
                         records.append(
-                            DecisionRecord(k, DELIVERED, tries, latency,
-                                           in_fallback, 0, corrupted)
+                            DecisionRecord(k, DEGRADED, tries, latency,
+                                           in_fallback, served.staleness)
                         )
                     else:
-                        if policy is not None:
-                            policy.observe(False)
-                        served = cache.serve() if cache is not None else None
-                        if served is not None:
-                            latency = link_end - release
-                            records.append(
-                                DecisionRecord(k, DEGRADED, tries, latency,
-                                               in_fallback, served.staleness)
-                            )
-                        else:
-                            latency = math.nan
-                            records.append(
-                                DecisionRecord(k, DROPPED, tries, math.nan,
-                                               in_fallback, 0)
-                            )
+                        latency = math.nan
+                        records.append(
+                            DecisionRecord(k, DROPPED, tries, math.nan,
+                                           in_fallback, 0)
+                        )
 
                 if not math.isnan(latency):
                     if latency > period:
@@ -1485,30 +963,17 @@ class FaultCampaign:
                             f"{k}: latency {latency:.4f}s >> period "
                             f"{period:.4f}s"
                         )
-                a += 1
 
             if checkpoint is not None and checkpoint.due(k + 1):
                 checkpoint.save(
-                    campaign=self,
-                    runner="fast",
-                    simulator=simulator,
-                    n_events=n_events,
-                    arq=arq,
-                    policy=policy,
-                    fallback_metrics=fallback_metrics,
-                    cache=cache,
-                    integrity=integrity,
-                    breaker=breaker,
+                    **config,
                     cursor=k + 1,
                     clocks=(front_free, link_free, back_free),
                     energies=(sensor_j, aggregator_j, retry_j),
                     counters=(retransmissions, fallback_events, misses),
                     records=records,
                     wire=wire,
-                    extra={
-                        "a": a,
-                        "loss_remainder": loss.buf[att:].astype(int).tolist(),
-                    },
+                    extra=source.state(),
                 )
 
         return ResilienceReport(
@@ -1519,11 +984,7 @@ class FaultCampaign:
             retransmissions=retransmissions,
             fallback_events=fallback_events,
             deadline_misses=misses,
-            frames_sent=wire["frames_sent"],
-            frames_corrupted=wire["frames_corrupted"],
-            corruptions_detected=wire["corruptions_detected"],
-            corrupted_deliveries=wire["corrupted_deliveries"],
-            integrity_discards=wire["integrity_discards"],
+            **wire,
         )
 
 
@@ -1536,32 +997,262 @@ _FAST_PATH_TYPES = (
     AggregatorStall,
 )
 
+#: Byte-level counters of a run, in :class:`ResilienceReport` field order.
+_WIRE_COUNTERS = (
+    "frames_sent",
+    "frames_corrupted",
+    "corruptions_detected",
+    "corrupted_deliveries",
+    "integrity_discards",
+)
 
-class _LossStream:
-    """OR-composed per-attempt loss outcomes, pre-drawn in blocks.
+#: Salt of the payload-word stream, which is seeded from the campaign
+#: seed independently of the fault models' RNG stream, so the same
+#: decisions cross the wire in every replay.
+_PAYLOAD_SALT = 0xF7A3
 
-    Each stochastic fault contributes one draw callable; every slot of
-    the composed buffer consumes exactly one outcome from each, which is
-    the scalar campaign's consumption order (:meth:`FaultCampaign.
-    try_lost` consults every fault per attempt, no short-circuit).
+
+def _frames_per_payload(integrity: Optional[IntegrityConfig]) -> int:
+    """Frames one event payload fragments into (0 without a data plane)."""
+    if integrity is None:
+        return 0
+    payload_len = integrity.values_per_payload * (Q16_16.total_bits // 8)
+    return -(-payload_len // integrity.framing.max_payload_bytes)
+
+
+class _LiveFaults:
+    """Reference fault source: every fault model answers, event by event.
+
+    Loss, brownout, stall and corruption are the campaign's composed
+    per-event queries, so this is the only source that runs arbitrary
+    :class:`FaultModel` subclasses.  Stage jitter and payload words are
+    drawn per event; the checkpoint ``extra`` carries both generators and
+    the frame sequence number.
     """
 
-    __slots__ = ("_draws", "buf")
+    def __init__(
+        self,
+        campaign: FaultCampaign,
+        simulator: CrossEndSimulator,
+        n_events: int,
+        integrity: Optional[IntegrityConfig],
+        extra: Optional[Dict[str, object]],
+    ) -> None:
+        self.brownout = campaign.sensor_brownout
+        self.lost = campaign.try_lost
+        self.stall = campaign.stall_s
+        self.corruptors = campaign.faults
+        self._integrity = integrity
+        self._sigma = simulator.jitter_sigma
+        self._payload_rng = np.random.default_rng([campaign.seed, _PAYLOAD_SALT])
+        self._jitter_rng = (
+            np.random.default_rng(simulator.seed) if self._sigma > 0 else None
+        )
+        self._seq_base = 0
+        if extra is not None:
+            self._payload_rng = _restore_rng(extra["payload_rng"])
+            if self._jitter_rng is not None:
+                self._jitter_rng = _restore_rng(extra["jitter_rng"])
+            self._seq_base = int(extra["seq_base"])
+
+    def event(self, metrics: PartitionMetrics):
+        """Stage times, frames, chunks and payload of one live event."""
+        times = (metrics.delay_front_s, metrics.delay_link_s, metrics.delay_back_s)
+        if self._jitter_rng is not None:
+            # Unit-mean lognormal jitter: exp(N(-sigma^2/2, sigma)).
+            sigma = self._sigma
+            factors = np.exp(
+                self._jitter_rng.normal(-sigma**2 / 2.0, sigma, size=3)
+            )
+            times = tuple(b * f for b, f in zip(times, factors))
+        integrity = self._integrity
+        if integrity is None:
+            return (*times, (), (), None)
+        payload = encode_values(
+            quantize_array(
+                self._payload_rng.uniform(
+                    -1000.0, 1000.0, integrity.values_per_payload
+                )
+            )
+        )
+        frames = fragment_payload(payload, self._seq_base, integrity.framing)
+        self._seq_base = (self._seq_base + len(frames)) % SEQ_MODULUS
+        step = integrity.framing.max_payload_bytes
+        chunks = [payload[i : i + step] for i in range(0, len(payload), step)]
+        return (*times, frames, chunks, payload)
+
+    def state(self) -> Dict[str, object]:
+        """Checkpoint ``extra``: the payload/jitter RNGs and frame seq."""
+        return {
+            "payload_rng": self._payload_rng.bit_generator.state,
+            "jitter_rng": (
+                None
+                if self._jitter_rng is None
+                else self._jitter_rng.bit_generator.state
+            ),
+            "seq_base": self._seq_base,
+        }
+
+
+class _BlockFaults:
+    """Pre-sampled fault source, exact only for :data:`_FAST_PATH_TYPES`.
+
+    Window faults become per-event lists.  Every stochastic loss fault
+    contributes one block draw (:meth:`~repro.sim.channel.
+    GilbertElliottChannel.outcome_block`, ``Generator.random``); the
+    OR-composed outcomes are served by a cursor that advances one slot
+    per transmission attempt, which is the consumption order of
+    :meth:`FaultCampaign.try_lost` (every fault, no short-circuit).
+    Jitter factors and payload words are drawn as matrices and the
+    frames batch-encoded.  Only bit-flip corruption stays per frame: its
+    stream interleaves fixed- and variable-length draws, so block
+    sampling cannot match the per-frame order.
+
+    On resume, everything deterministic (windows, jitter, payloads) is
+    recomputed from the seeds; only the composed outcomes drawn ahead of
+    the snapshot, from RNGs that have since advanced, travel through the
+    checkpoint ``extra`` as ``loss_remainder`` (with the active-event
+    cursor ``a``).
+    """
 
     _GROW = 4096
 
-    def __init__(self, draws: Sequence[Callable[[int], np.ndarray]]) -> None:
-        self._draws = list(draws)
-        self.buf = np.zeros(0, dtype=bool)
+    def __init__(
+        self,
+        campaign: FaultCampaign,
+        simulator: CrossEndSimulator,
+        n_events: int,
+        integrity: Optional[IntegrityConfig],
+        extra: Optional[Dict[str, object]],
+    ) -> None:
+        idx = np.arange(n_events)
+        brownout = np.zeros(n_events, dtype=bool)
+        outage = np.zeros(n_events, dtype=bool)
+        stall = np.zeros(n_events, dtype=np.float64)
+        self._draws: List[Callable[[int], np.ndarray]] = []
+        self.corruptors: List[PayloadCorruption] = []
+        for fault in campaign.faults:
+            window = None
+            if isinstance(fault, (SensorBrownout, LinkOutage, AggregatorStall)):
+                window = (fault.start_event <= idx) & (
+                    idx < fault.start_event + fault.n_events
+                )
+            if isinstance(fault, SensorBrownout):
+                brownout |= window
+            elif isinstance(fault, LinkOutage):
+                outage |= window
+            elif isinstance(fault, AggregatorStall):
+                stall += np.where(window, fault.extra_delay_s, 0.0)
+            elif isinstance(fault, BurstLoss):
+                channel = fault._channel
+                assert channel is not None  # armed by the campaign reset
+                self._draws.append(channel.outcome_block)
+            elif isinstance(fault, PayloadCorruption):
+                if fault.mode == "erasure":
+                    self._draws.append(
+                        lambda n, rng=fault._require_rng(), rate=fault.rate: (
+                            rng.random(n) < rate
+                        )
+                    )
+                else:
+                    self.corruptors.append(fault)
+        self.brownout = brownout.tolist().__getitem__
+        self.stall = stall.tolist().__getitem__
+        self._outage = outage.tolist()
+        self._loss: List[bool] = []
+        self._att = 0  # attempt cursor into the composed loss outcomes
+        self._a = 0  # active (non-browned-out) event counter
+        if extra is not None:
+            self._a = int(extra["a"])
+            self._loss = [bool(v) for v in extra["loss_remainder"]]
 
-    def ensure(self, upto: int) -> None:
-        """Extend the buffer to at least ``upto`` composed outcomes."""
-        while self.buf.size < upto:
-            grow = max(upto - self.buf.size, self._GROW)
-            chunk = np.zeros(grow, dtype=bool)
+        n_active = int(n_events - brownout.sum())
+        sigma = simulator.jitter_sigma
+        self._factors = None
+        if sigma > 0:
+            jitter_rng = np.random.default_rng(simulator.seed)
+            self._factors = np.exp(
+                jitter_rng.normal(-sigma**2 / 2.0, sigma, size=(n_active, 3))
+            ).tolist()
+
+        # Byte-level data plane: payload words and frames for the whole
+        # run in one batch.  Without bit-flip corruptors the frame bytes
+        # can never differ from what was sent, so only the frame *count*
+        # is observable and the codec work is skipped entirely.
+        self._n_frames = _frames_per_payload(integrity)
+        self._payloads: List[bytes] = []
+        self._chunks: List[bytes] = []
+        self._frames: List[bytes] = []
+        if integrity is None or not self.corruptors or not n_active:
+            return
+        step = integrity.framing.max_payload_bytes
+        payload_len = integrity.values_per_payload * (Q16_16.total_bits // 8)
+        payload_rng = np.random.default_rng([campaign.seed, _PAYLOAD_SALT])
+        blob = encode_values(
+            quantize_array(
+                payload_rng.uniform(
+                    -1000.0, 1000.0, (n_active, integrity.values_per_payload)
+                )
+            )
+        )
+        self._payloads = [
+            blob[a * payload_len : (a + 1) * payload_len] for a in range(n_active)
+        ]
+        for payload in self._payloads:
+            self._chunks.extend(
+                payload[i : i + step] for i in range(0, payload_len, step)
+            )
+        total = n_active * self._n_frames
+        matrix, lengths = encode_frames(
+            self._chunks,
+            np.arange(total) % SEQ_MODULUS,
+            integrity.framing,
+            last=(np.arange(total) % self._n_frames) == self._n_frames - 1,
+        )
+        self._frames = [
+            matrix[r, : int(lengths[r])].tobytes() for r in range(total)
+        ]
+
+    def lost(self, event_index: int, attempt: int) -> bool:
+        """Serve the next composed loss outcome (an outage loses anyway)."""
+        att = self._att
+        self._att = att + 1
+        loss = self._loss
+        if att >= len(loss):
+            chunk = np.zeros(self._GROW, dtype=bool)
             for draw in self._draws:
-                chunk |= draw(grow)
-            self.buf = np.concatenate([self.buf, chunk])
+                chunk |= draw(self._GROW)
+            loss.extend(chunk.tolist())
+        return self._outage[event_index] or loss[att]
+
+    def event(self, metrics: PartitionMetrics):
+        """Stage times, frames, chunks and payload of the next active event."""
+        a = self._a
+        self._a = a + 1
+        t_front = metrics.delay_front_s
+        t_link = metrics.delay_link_s
+        t_back = metrics.delay_back_s
+        if self._factors is not None:
+            f_front, f_link, f_back = self._factors[a]
+            t_front = t_front * f_front
+            t_link = t_link * f_link
+            t_back = t_back * f_back
+        if not self._payloads:
+            return t_front, t_link, t_back, (), (), None
+        rows = slice(a * self._n_frames, (a + 1) * self._n_frames)
+        return (
+            t_front, t_link, t_back,
+            self._frames[rows], self._chunks[rows], self._payloads[a],
+        )
+
+    def state(self) -> Dict[str, object]:
+        """Checkpoint ``extra``: active cursor and loss outcomes drawn ahead."""
+        remainder = [int(v) for v in self._loss[self._att :]]
+        return {"a": self._a, "loss_remainder": remainder}
+
+
+#: Fault source per runner name (the name checkpoints and replays record).
+_SOURCES = {"scalar": _LiveFaults, "fast": _BlockFaults}
 
 
 def _restore_rng(state: Dict[str, object]) -> np.random.Generator:
@@ -1569,16 +1260,3 @@ def _restore_rng(state: Dict[str, object]) -> np.random.Generator:
     generator = np.random.default_rng(0)
     generator.bit_generator.state = dict(state)
     return generator
-
-
-def _jittered(
-    metrics: PartitionMetrics,
-    sigma: float,
-    rng: Optional[np.random.Generator],
-):
-    """Stage service times of ``metrics``, with unit-mean lognormal jitter."""
-    base = (metrics.delay_front_s, metrics.delay_link_s, metrics.delay_back_s)
-    if rng is None:
-        return base
-    factors = np.exp(rng.normal(-sigma**2 / 2.0, sigma, size=3))
-    return tuple(b * f for b, f in zip(base, factors))

@@ -39,7 +39,10 @@ from repro.sim.faults import (
     BurstLoss,
     DecisionRecord,
     FaultCampaign,
+    IntegrityConfig,
     LinkOutage,
+    PayloadCorruption,
+    SensorBrownout,
     reports_identical,
 )
 from repro.sim.parallel import ParallelConfig, sweep
@@ -364,6 +367,56 @@ class TestCampaignResume:
         resumed = run(CampaignCheckpointer(path, every=77), resume=True)
         assert reports_identical(reference, resumed)
         assert report_digest(reference) == report_digest(resumed)
+
+    @pytest.mark.parametrize("fast", [True, False], ids=["fast", "scalar"])
+    def test_interrupt_resume_integrity_jitter(self, tmp_path, fast):
+        """Resume restores the payload, jitter and loss-stream positions."""
+        path = tmp_path / "campaign.json"
+        jittered = CrossEndSimulator(
+            synthetic_metrics(), period_s=0.25, jitter_sigma=0.3, seed=3
+        )
+
+        def run(checkpoint=None, resume=False):
+            campaign = FaultCampaign(
+                [
+                    BurstLoss(GilbertElliottParams(0.02, 0.10, 0.01, 0.6)),
+                    PayloadCorruption(0.08, mode="bitflip"),
+                    SensorBrownout(start_event=40, n_events=5),
+                ],
+                seed=9,
+            )
+            return campaign.run(
+                jittered,
+                200,
+                arq=ARQ,
+                cache=LastKnownGoodCache(),
+                integrity=IntegrityConfig(values_per_payload=8),
+                fast=fast,
+                checkpoint=checkpoint,
+                resume=resume,
+            )
+
+        reference = run()
+        with pytest.raises(_AbortAfterSave):
+            run(_InterruptingCampaignCheckpointer(path, every=70))
+        resumed = run(CampaignCheckpointer(path, every=70), resume=True)
+        assert report_digest(reference) == report_digest(resumed)
+
+    @pytest.mark.parametrize(
+        "fast,keys",
+        [
+            (True, {"a", "loss_remainder"}),
+            (False, {"payload_rng", "jitter_rng", "seq_base"}),
+        ],
+        ids=["fast", "scalar"],
+    )
+    def test_checkpoint_extra_keys_per_runner(self, tmp_path, fast, keys):
+        path = tmp_path / "campaign.json"
+        flapping().run(
+            simulator(), 100, arq=ARQ, fast=fast,
+            checkpoint=CampaignCheckpointer(path, every=50),
+        )
+        assert set(json.loads(path.read_text())["state"]["extra"]) == keys
 
     def test_resume_needs_a_checkpointer(self):
         with pytest.raises(ConfigurationError, match="resume"):

@@ -6,14 +6,17 @@ references bit-for-bit — byte-identical frames, identical CRCs,
 identical error messages, and campaign reports that replay exactly.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.degrade import GracefulDegradationPolicy, LastKnownGoodCache
 from repro.dsp.fixedpoint import FixedPointFormat, Q16_16
 from repro.errors import ConfigurationError, IntegrityError, SimulationError
-from repro.hw.arq import ARQConfig
+from repro.hw.arq import UNBOUNDED_ARQ, ARQConfig
 from repro.hw.framing import (
     FramingConfig,
     batch_crc16_ccitt,
@@ -33,6 +36,7 @@ from repro.hw.framing import (
 )
 from repro.hw.wireless import WirelessLink
 from repro.sim.channel import GilbertElliottChannel, GilbertElliottParams
+from repro.sim.chaos import report_digest
 from repro.sim.evaluate import PartitionMetrics
 from repro.sim.faults import (
     AggregatorStall,
@@ -46,6 +50,7 @@ from repro.sim.faults import (
     reports_identical,
 )
 from repro.sim.simulator import CrossEndSimulator
+from repro.sim.supervise import BreakerConfig, LinkCircuitBreaker
 
 CFG = FramingConfig()
 NO_CRC = FramingConfig(crc=False)
@@ -260,48 +265,6 @@ class TestBatchFrameCodec:
             )
 
 
-class TestCorruptFramesBatch:
-    def _twins(self, seed):
-        scalar = PayloadCorruption(0.5, mode="bitflip", max_bit_flips=6)
-        batch = PayloadCorruption(0.5, mode="bitflip", max_bit_flips=6)
-        scalar.reset(np.random.default_rng(seed))
-        batch.reset(np.random.default_rng(seed))
-        return scalar, batch
-
-    @given(st.integers(0, 1000))
-    @settings(max_examples=30)
-    def test_matches_scalar_per_frame(self, seed):
-        scalar, batch = self._twins(seed)
-        frames = [b"", b"a", b"hello world", bytes(range(40)), b"", b"zz"]
-        matrix, lengths, corrupted = batch.corrupt_frames(0, 1, frames)
-        out = unpack_byte_rows(matrix, lengths)
-        for i, frame in enumerate(frames):
-            ref = scalar.corrupt_frame(0, 1, i, frame)
-            assert out[i] == ref
-            assert bool(corrupted[i]) == (ref != frame)
-
-    def test_matrix_input_and_erasure_noop(self):
-        scalar, batch = self._twins(77)
-        frames = [bytes(range(30)), b"abcdef"]
-        matrix, lengths = pack_byte_rows(frames)
-        mut, lens, corrupted = batch.corrupt_frames(3, 2, matrix, lengths)
-        out = unpack_byte_rows(mut, lens)
-        assert out == [scalar.corrupt_frame(3, 2, i, f)
-                       for i, f in enumerate(frames)]
-        erasure = PayloadCorruption(1.0, mode="erasure")
-        erasure.reset(np.random.default_rng(0))
-        mut2, _, corrupted2 = erasure.corrupt_frames(0, 1, frames)
-        assert unpack_byte_rows(mut2, lens) == frames
-        assert not corrupted2.any()
-
-    def test_input_matrix_not_mutated(self):
-        _, batch = self._twins(5)
-        matrix, lengths = pack_byte_rows([bytes(range(64))])
-        before = matrix.copy()
-        batch.corrupt_frames(0, 1, matrix, lengths)
-        assert np.array_equal(matrix, before)
-
-
 class TestOutcomeBlock:
     @pytest.mark.parametrize(
         "params",
@@ -442,6 +405,301 @@ class TestCampaignFastPath:
         other = resilience_mix(200, seed=6)
         c = other.run(self.simulator(), 200, arq=self.arq)
         assert not reports_identical(a, c)
+
+
+#: ``report_digest`` of each jitter-free golden campaign.  Both runners
+#: must reproduce every literal: a change to the shared event loop moves
+#: both runners together, which the fast-vs-scalar tests above cannot see.
+#: Jitter stays out because ``np.exp`` may differ between SIMD builds.
+GOLDEN_DIGESTS = {
+    "resilience_mix": (
+        "659384287ea255bfcd7737282474a332"
+        "3fa430d45ec22b62f009c246a0c50c79"
+    ),
+    "integrity_plain": (
+        "7a1e59c6938a2bf281dcd48905d54f86"
+        "4ca48069caafb1d968b6442ac20142a1"
+    ),
+    "integrity_detect": (
+        "49cc6092133e91f1b14df89e41de65d0"
+        "f7fc21891e4f4dbb58a1f29902c45cb1"
+    ),
+    "integrity_retransmit": (
+        "b0dc4833da7ee9b597823e8265655331"
+        "690d2a22833073de7d7c15f39d8f5b41"
+    ),
+    "supervised_mix": (
+        "023eea77d6f20bc164482e4e93fea74f"
+        "bbd56c8dc4ae245ea8e8878ce44dd92b"
+    ),
+}
+
+#: Message of the unbounded-ARQ retry storm in ``resilience_mix(400)``.
+GOLDEN_DIVERGENCE = (
+    "unbounded ARQ exceeded 10000 tries on one payload: the channel never "
+    "recovered (retry storm); use a bounded ARQConfig to keep per-payload "
+    "delay finite"
+)
+
+GOLDEN_ARQ = ARQConfig(max_retries=3, timeout_s=2e-3, backoff_factor=2.0)
+
+#: ``(crc, retransmit_on_corrupt)`` of the three integrity wire formats.
+WIRE_FORMATS = {
+    "integrity_plain": (False, False),
+    "integrity_detect": (True, False),
+    "integrity_retransmit": (True, True),
+}
+
+BUILTIN_TYPES = (
+    BurstLoss, PayloadCorruption, LinkOutage, SensorBrownout, AggregatorStall,
+)
+
+
+class _Burst(BurstLoss):
+    pass
+
+
+class _Corruption(PayloadCorruption):
+    pass
+
+
+class _Outage(LinkOutage):
+    pass
+
+
+class _Brownout(SensorBrownout):
+    pass
+
+
+class _Stall(AggregatorStall):
+    pass
+
+
+#: Trivial subclasses of the built-in faults: same behaviour, but outside
+#: the fast path's supported set, so campaigns of them run on the
+#: reference fault source.
+SUBCLASS_TYPES = (_Burst, _Corruption, _Outage, _Brownout, _Stall)
+
+
+def golden_simulator(sigma=0.0):
+    return CrossEndSimulator(
+        synthetic_metrics(), period_s=0.25, jitter_sigma=sigma, seed=3
+    )
+
+
+def integrity_campaign():
+    return FaultCampaign(
+        [
+            BurstLoss(GilbertElliottParams(0.01, 0.20, 0.005, 0.5)),
+            PayloadCorruption(0.08, mode="bitflip"),
+        ],
+        seed=13,
+    )
+
+
+def run_integrity(name, fast, sigma=0.0):
+    crc, retransmit = WIRE_FORMATS[name]
+    integrity = IntegrityConfig(
+        framing=FramingConfig(crc=crc),
+        retransmit_on_corrupt=retransmit,
+        values_per_payload=8,
+    )
+    return integrity_campaign().run(
+        golden_simulator(sigma), 300, arq=GOLDEN_ARQ, integrity=integrity,
+        fast=fast,
+    )
+
+
+def supervised_mix(types=BUILTIN_TYPES, seed=17):
+    """Every fault type at once: loss, erasure, bitflip, windows."""
+    burst, corruption, outage, brownout, stall = types
+    return FaultCampaign(
+        [
+            burst(GilbertElliottParams(0.02, 0.10, 0.01, 0.6)),
+            corruption(0.05, mode="bitflip"),
+            corruption(0.02),
+            outage(start_event=60, n_events=40),
+            brownout(start_event=150, n_events=6),
+            stall(start_event=220, n_events=10, extra_delay_s=2e-3),
+        ],
+        seed=seed,
+    )
+
+
+def run_supervised(campaign, fast, sigma=0.0):
+    """Integrity (CRC + retransmit), breaker, policy and cache together."""
+    return campaign.run(
+        golden_simulator(sigma),
+        300,
+        arq=GOLDEN_ARQ,
+        policy=GracefulDegradationPolicy(
+            outage_threshold=3, recovery_hysteresis=8
+        ),
+        fallback_metrics=replace(
+            synthetic_metrics(), sensor_tx_j=2e-7, aggregator_radio_j=2e-7
+        ),
+        cache=LastKnownGoodCache(max_staleness=16),
+        integrity=IntegrityConfig(values_per_payload=8),
+        breaker=LinkCircuitBreaker(
+            BreakerConfig(
+                failure_threshold=3, probe_backoff_events=4, probe_retries=1
+            )
+        ),
+        fast=fast,
+    )
+
+
+RUNNERS = pytest.mark.parametrize("fast", [True, False], ids=["fast", "scalar"])
+
+
+class TestCampaignGolden:
+    @RUNNERS
+    def test_resilience_mix(self, fast):
+        report = resilience_mix(400).run(
+            golden_simulator(), 400, arq=GOLDEN_ARQ, fast=fast
+        )
+        assert report_digest(report) == GOLDEN_DIGESTS["resilience_mix"]
+
+    @RUNNERS
+    @pytest.mark.parametrize("name", sorted(WIRE_FORMATS))
+    def test_integrity_wire_formats(self, fast, name):
+        report = run_integrity(name, fast)
+        assert report_digest(report) == GOLDEN_DIGESTS[name]
+
+    @RUNNERS
+    def test_supervised_mix(self, fast):
+        report = run_supervised(supervised_mix(), fast)
+        assert report_digest(report) == GOLDEN_DIGESTS["supervised_mix"]
+        # The mix exercises every branch of the shared loop.
+        assert report.fallback_events > 0
+        assert report.n_degraded > 0 and report.n_dropped > 0
+        assert report.corruptions_detected > 0
+        assert any(r.tries == 0 and r.latency_s > 0 for r in report.records)
+
+    @RUNNERS
+    def test_unbounded_divergence_message(self, fast):
+        with pytest.raises(SimulationError) as exc:
+            resilience_mix(400).run(golden_simulator(), 400, arq=None, fast=fast)
+        assert str(exc.value) == GOLDEN_DIVERGENCE
+
+
+class TestCampaignJitter:
+    """Lognormal stage jitter on: both fault sources draw it identically."""
+
+    def test_resilience_mix_identical(self):
+        jittered = golden_simulator(0.3)
+        slow = resilience_mix(400).run(jittered, 400, arq=GOLDEN_ARQ, fast=False)
+        fast = resilience_mix(400).run(jittered, 400, arq=GOLDEN_ARQ, fast=True)
+        assert reports_identical(slow, fast)
+        # The jitter really is on: the report differs from the jitter-free one.
+        assert report_digest(fast) != GOLDEN_DIGESTS["resilience_mix"]
+
+    @pytest.mark.parametrize("name", sorted(WIRE_FORMATS))
+    def test_integrity_wire_formats_identical(self, name):
+        slow = run_integrity(name, False, sigma=0.3)
+        fast = run_integrity(name, True, sigma=0.3)
+        assert reports_identical(slow, fast)
+
+
+class TestSubclassOracle:
+    """Subclassed built-ins run on the reference source and must agree."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
+    def test_reproduces_builtin_fast_path(self, sigma):
+        oracle = supervised_mix(SUBCLASS_TYPES)
+        assert not oracle.supports_fast()
+        reference = run_supervised(oracle, None, sigma)
+        fast = run_supervised(supervised_mix(), True, sigma)
+        assert reports_identical(reference, fast)
+
+
+class PatternLoss(FaultModel):
+    """Deterministic per-attempt loss: a pure function of (event, attempt)."""
+
+    def try_lost(self, event_index, attempt):
+        if 5 <= event_index % 17 < 9:
+            return True
+        return (event_index * 7 + attempt * 3) % 5 < 2
+
+
+class TestRetryLoopMatchesARQ:
+    """The campaign's inlined retry loop is pinned to ``ARQConfig.simulate``.
+
+    ``PatternLoss`` is a custom fault, so these runs take the reference
+    fault source; both sources share the retry loop under test.  The
+    period is long enough that no stage ever queues.
+    """
+
+    T_LINK = synthetic_metrics().delay_link_s
+
+    def expected(self, arq, n_events, breaker=None):
+        """Per-event ``ARQOutcome`` (None when blocked) from the reference."""
+        pattern = PatternLoss()
+        probe_arq = None if breaker is None else breaker.probe_arq(arq)
+        outcomes = []
+        for k in range(n_events):
+            decision = "allow" if breaker is None else breaker.decide(k)
+            if decision == "block":
+                outcomes.append(None)
+                continue
+            policy_arq = probe_arq if decision == "probe" else arq
+            outcome = policy_arq.simulate(
+                lambda attempt: pattern.try_lost(k, attempt), self.T_LINK
+            )
+            if breaker is not None:
+                breaker.record(k, outcome.delivered)
+            outcomes.append(outcome)
+        return outcomes
+
+    def check(self, report, outcomes):
+        metrics = synthetic_metrics()
+        assert report.n_events == len(outcomes)
+        for record, outcome in zip(report.records, outcomes):
+            if outcome is None:
+                assert record.tries == 0
+                continue
+            assert record.tries == outcome.tries
+            assert (record.status == "delivered") == outcome.delivered
+            link = record.latency_s - metrics.delay_front_s
+            if outcome.delivered:
+                link -= metrics.delay_back_s
+            assert link == pytest.approx(outcome.delay_s, rel=1e-12)
+
+    @pytest.mark.parametrize("max_retries", [0, 3])
+    def test_bounded(self, max_retries):
+        arq = ARQConfig(max_retries=max_retries, timeout_s=2e-3)
+        report = FaultCampaign([PatternLoss()]).run(
+            CrossEndSimulator(synthetic_metrics(), period_s=1.0),
+            120, arq=arq, cache=LastKnownGoodCache(),
+        )
+        self.check(report, self.expected(arq, 120))
+
+    def test_breaker_probe_budget(self):
+        arq = ARQConfig(max_retries=3, timeout_s=2e-3)
+        config = BreakerConfig(
+            failure_threshold=1, probe_backoff_events=2, probe_retries=1
+        )
+        report = FaultCampaign([PatternLoss()]).run(
+            CrossEndSimulator(synthetic_metrics(), period_s=1.0),
+            120, arq=arq, cache=LastKnownGoodCache(),
+            breaker=LinkCircuitBreaker(config),
+        )
+        outcomes = self.expected(arq, 120, LinkCircuitBreaker(config))
+        assert None in outcomes
+        assert any(o is not None and o.tries == 2 and not o.delivered
+                   for o in outcomes)
+        self.check(report, outcomes)
+
+    @RUNNERS
+    def test_unbounded_retry_storm(self, fast):
+        with pytest.raises(SimulationError) as reference:
+            UNBOUNDED_ARQ.simulate(lambda attempt: True, self.T_LINK)
+        with pytest.raises(SimulationError) as campaign:
+            FaultCampaign([LinkOutage(start_event=5, n_events=1)]).run(
+                CrossEndSimulator(synthetic_metrics(), period_s=1.0),
+                20, arq=None, fast=fast,
+            )
+        assert str(campaign.value) == str(reference.value)
 
 
 class TestPayloadBitsBatch:
