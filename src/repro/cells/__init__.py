@@ -15,7 +15,7 @@ power-gated when idle.  This package models them:
   (Fig. 4).
 """
 
-from repro.cells.cell import FunctionalCell, OutputPort, PortRef, SOURCE_CELL
+from repro.cells.cell import CellFamily, FunctionalCell, OutputPort, PortRef, SOURCE_CELL
 from repro.cells.library import (
     FIG4_MODULES,
     characterize_all_modules,
@@ -31,6 +31,7 @@ from repro.cells.validate import LintFinding, lint_topology
 from repro.cells.topology import CellTopology
 
 __all__ = [
+    "CellFamily",
     "CellTopology",
     "LintFinding",
     "lint_topology",

@@ -20,7 +20,7 @@ at 16 bits, and the final classification result as a single 8-bit value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -85,6 +85,39 @@ class OutputPort:
 
 ComputeFn = Callable[[Sequence[np.ndarray]], Dict[str, np.ndarray]]
 
+#: A fused step over a group of sibling cells: maps the arrays of the refs
+#: it reads to one output array per ``(cell, port)`` of the group, in order.
+GroupFn = Callable[[Sequence[np.ndarray]], Sequence[np.ndarray]]
+
+
+@dataclass(frozen=True, slots=True)
+class CellFamily:
+    """How a library cell runs together with its same-end siblings.
+
+    The paper's functional cells of one module run side by side and share
+    work (design rule 3: Std reuses Var).  A cell that records its family
+    lets an executor run a whole group of siblings as one step (see
+    :class:`~repro.core.engine.CrossEndEngine`); the cell's own
+    ``compute`` is the same group kernel over a group of one.
+
+    Attributes:
+        key: Cells of one family (one ``build``) with equal keys may run as
+            one step on one end.  ``None`` means the cell joins the step of
+            the cell producing its single input, when that cell is of the
+            same family and on the same end (Std joining its Var), and runs
+            alone otherwise.
+        constants: This cell's constants, as ``build`` reads them.
+        build: The family's group kernel: for an ordered group of its
+            cells, returns the refs the fused step reads and the
+            :data:`GroupFn` computing every group output from them.
+    """
+
+    key: Optional[Hashable]
+    constants: Any
+    build: Callable[
+        [Sequence["FunctionalCell"]], Tuple[Tuple[PortRef, ...], GroupFn]
+    ]
+
 
 @dataclass(frozen=True)
 class FunctionalCell:
@@ -103,6 +136,9 @@ class FunctionalCell:
         compute: Executable semantics: takes input arrays (same order as
             ``inputs``) and returns ``{port_name: array}``.
         parallel_width: Replication width if ``mode`` is PARALLEL.
+        family: The cell's :class:`CellFamily`, set by the
+            :mod:`repro.cells.library` constructors; cells without one
+            (hand-made cells) always run alone through :meth:`execute`.
     """
 
     name: str
@@ -113,6 +149,7 @@ class FunctionalCell:
     outputs: Tuple[OutputPort, ...]
     compute: ComputeFn = field(compare=False, repr=False)
     parallel_width: int | None = None
+    family: Optional[CellFamily] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.name or self.name == SOURCE_CELL:

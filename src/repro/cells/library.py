@@ -30,7 +30,8 @@ implementation would fuse a constant affine into the kernel datapath.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+import math
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,16 +39,18 @@ from repro.cells.cell import (
     FEATURE_BITS,
     RESULT_BITS,
     VALUE_BITS,
+    CellFamily,
     FunctionalCell,
+    GroupFn,
     OutputPort,
     PortRef,
 )
 from repro.dsp import features as feat
 from repro.dsp.wavelet import WaveletFilter, dwt_single_level
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TopologyError
 from repro.hw.energy import ALUMode, EnergyLibrary
 from repro.ml.fusion import WeightedVotingFusion
-from repro.ml.svm import SVMClassifier
+from repro.ml.svm import SVMClassifier, StackedScorer
 
 
 def _merge_counts(*counts: Mapping[str, int]) -> Dict[str, int]:
@@ -98,6 +101,34 @@ def _uniform_modes(counts: Mapping[str, int]) -> Dict[ALUMode, Mapping[str, int]
 # -- statistical feature cells --------------------------------------------------
 
 
+def _std_of(variance: float) -> float:
+    """Std from its Var cell's value (cell-level reuse, Fig. 5)."""
+    return math.sqrt(max(variance, 0.0))
+
+
+def _feature_step(
+    cells: Sequence[FunctionalCell],
+) -> Tuple[Tuple[PortRef, ...], GroupFn]:
+    """Fused step of the feature cells over one band: one band-kernel pass,
+    and each Std (keyless, so it joined the group of the cell it reads,
+    its Var) from that cell's value, as its own ``compute`` takes it."""
+    position = {PortRef(cell.name, "out"): i for i, cell in enumerate(cells)}
+    reads = [position[c.inputs[0]] if c.family.key is None else None for c in cells]
+    kernel = feat.band_kernel(
+        tuple(c.family.constants for c, r in zip(cells, reads) if r is None)
+    )
+    band = next(c.inputs[0] for c, r in zip(cells, reads) if r is None)
+    stds = [(i, r) for i, r in enumerate(reads) if r is not None]
+
+    def run(inputs: Sequence[np.ndarray]) -> List[np.ndarray]:
+        values = kernel(inputs[0])
+        for i, r in stds:  # in group order, so values[r] is already final
+            values.insert(i, _std_of(values[r]))
+        return [np.array([value]) for value in values]
+
+    return (band,), run
+
+
 def make_feature_cell(
     feature_name: str,
     segment_ref: PortRef,
@@ -110,6 +141,12 @@ def make_feature_cell(
     For ``"std"`` the returned cell expects the *Var cell's output* as its
     input (cell-level reuse, Fig. 5) — pass the Var cell's port as
     ``segment_ref`` and the original segment length for the op model.
+
+    The cell's family groups it with the other feature cells of its band;
+    its ``compute`` runs :func:`repro.dsp.features.band_kernel` over
+    itself alone.  Std has no key: it joins the group of the cell it reads
+    when that is on its end, and takes the square root of that cell's
+    value either way.
     """
     if feature_name not in feat.FEATURE_NAMES:
         raise ConfigurationError(f"unknown feature {feature_name!r}")
@@ -120,24 +157,17 @@ def make_feature_cell(
     cell_name = name or f"{feature_name}@{segment_ref.cell}.{segment_ref.port}"
 
     if feature_name == "std":
+        key = None
 
         def compute(inputs: Sequence[np.ndarray]) -> Dict[str, np.ndarray]:
-            variance = float(np.atleast_1d(inputs[0])[0])
-            return {"out": np.array([np.sqrt(max(variance, 0.0))])}
+            return {"out": np.array([_std_of(float(np.atleast_1d(inputs[0])[0]))])}
 
     else:
-        func = {
-            "max": feat.maximum,
-            "min": feat.minimum,
-            "mean": feat.mean,
-            "var": feat.variance,
-            "czero": feat.zero_crossings,
-            "skew": feat.skewness,
-            "kurt": feat.kurtosis,
-        }[feature_name]
+        key = segment_ref
+        kernel = feat.band_kernel((feature_name,))
 
         def compute(inputs: Sequence[np.ndarray]) -> Dict[str, np.ndarray]:
-            return {"out": np.array([func(inputs[0])])}
+            return {"out": np.array(kernel(inputs[0]))}
 
     return FunctionalCell(
         name=cell_name,
@@ -148,6 +178,7 @@ def make_feature_cell(
         outputs=(OutputPort("out", 1, FEATURE_BITS),),
         compute=compute,
         parallel_width=min(64, segment_length),
+        family=CellFamily(key, feature_name, _feature_step),
     )
 
 
@@ -240,6 +271,41 @@ def svm_cell_op_counts(classifier: SVMClassifier) -> Dict[str, int]:
     return _merge_counts(classifier.operation_counts(), norm_ops)
 
 
+class _Member(NamedTuple):
+    """An SVM member cell's constants: the classifier and the per-input
+    normalisation affine folded into the cell."""
+
+    classifier: SVMClassifier
+    mins: np.ndarray
+    ranges: np.ndarray
+
+
+def _svm_kernel(members: Sequence[_Member]) -> GroupFn:
+    """Scores of SVM members from their concatenated inputs (member by
+    member, each in its classifier's feature order): one normalisation of
+    the ``(k, d)`` queries and one :class:`~repro.ml.svm.StackedScorer`
+    pass."""
+    mins = np.stack([m.mins for m in members])
+    ranges = np.stack([m.ranges for m in members])
+    scorer = StackedScorer([m.classifier for m in members])
+    shape = mins.shape
+
+    def run(inputs: Sequence[np.ndarray]) -> List[np.ndarray]:
+        raw = np.concatenate(inputs)
+        if raw.size != mins.size:
+            raise TopologyError("SVM member inputs must be one value each")
+        queries = np.clip((raw.reshape(shape) - mins) / ranges, 0.0, 1.0)
+        return [np.array([score]) for score in scorer.scores(queries)]
+
+    return run
+
+
+def _svm_step(cells: Sequence[FunctionalCell]) -> Tuple[Tuple[PortRef, ...], GroupFn]:
+    """Fused step of SVM member cells (see :func:`_svm_kernel`)."""
+    refs = tuple(ref for cell in cells for ref in cell.inputs)
+    return refs, _svm_kernel([cell.family.constants for cell in cells])
+
+
 def make_svm_cell(
     member_index: int,
     classifier: SVMClassifier,
@@ -250,6 +316,10 @@ def make_svm_cell(
     name: Optional[str] = None,
 ) -> FunctionalCell:
     """Build one SVM member cell over its subspace's feature ports.
+
+    The cell's family groups it with the other members of its kernel and
+    dimension; its ``compute`` runs the same stacked scorer over itself
+    alone.
 
     Args:
         member_index: Position of this member in the ensemble.
@@ -276,12 +346,14 @@ def make_svm_cell(
     mode, chosen = choose_alu_mode(
         _uniform_modes(counts), energy_lib, parallel_width=min(64, classifier.dimension)
     )
+    member = _Member(classifier, mins, ranges)
+    kernel: Optional[GroupFn] = None
 
     def compute(inputs: Sequence[np.ndarray]) -> Dict[str, np.ndarray]:
-        raw = np.concatenate(inputs)
-        normalised = np.clip((raw - mins) / ranges, 0.0, 1.0)
-        score = float(np.atleast_1d(classifier.decision_function(normalised))[0])
-        return {"out": np.array([score])}
+        nonlocal kernel
+        if kernel is None:  # built on first use: most topologies never run it
+            kernel = _svm_kernel([member])
+        return {"out": kernel(inputs)[0]}
 
     return FunctionalCell(
         name=name or f"svm_m{member_index}",
@@ -292,6 +364,11 @@ def make_svm_cell(
         outputs=(OutputPort("out", 1, FEATURE_BITS),),
         compute=compute,
         parallel_width=min(64, classifier.dimension),
+        family=CellFamily(
+            ("svm", classifier.kernel.signature, classifier.dimension),
+            member,
+            _svm_step,
+        ),
     )
 
 

@@ -10,16 +10,25 @@ suite — while the traffic accounting reports exactly what crossed the air.
 
 Which ports cross the cut depends only on the topology and the partition,
 so the engine compiles both into a static plan when it is constructed: a
-flat list of ``(execute, input slots, output slots)`` steps in topological
+flat list of ``(run, input slots, output slots)`` steps in topological
 order, plus the uplink/downlink port lists and value counts.  Marshalling
 hands a value across unchanged, so one slot per port serves both ends and
 classifying a segment is a single loop over the plan.
+
+Sibling cells of one module family on one end run as one step, the way
+the paper's cells of one module run side by side on the sensor: the
+feature cells of one band share their mean, centred band and second
+moment, and the SVM members of one kernel score against one stacked
+support block (see :class:`~repro.cells.cell.CellFamily`).  The groups are
+contracted and topologically sorted again; a group whose contraction
+would close a cycle runs unfused.  Port accounting stays per cell.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -28,13 +37,86 @@ from repro.cells.topology import CellTopology
 from repro.core.partition import Partition
 from repro.errors import ConfigurationError
 
-#: One compiled cell: its ``execute``, the slots it reads in input order,
-#: and ``(port name, slot)`` for each output it writes.
+#: One compiled step: its function, the slots it reads in input order, and
+#: ``(output key, slot)`` for each output it writes.  A lone cell's step is
+#: its ``execute`` keyed by port name; a fused group's step returns a list
+#: keyed by position.
 _Step = Tuple[
-    Callable[[Sequence[np.ndarray]], Dict[str, np.ndarray]],
+    Callable[[Sequence[np.ndarray]], Any],
     Tuple[int, ...],
-    Tuple[Tuple[str, int], ...],
+    Tuple[Tuple[Any, int], ...],
 ]
+
+
+def _groups(topology: CellTopology, in_sensor: frozenset) -> List[List[str]]:
+    """Cells grouped for fusion, each group in topological order and the
+    groups in the order of their first cells.
+
+    Cells of one family (one ``build``) with equal keys on one end share a
+    group; a keyless family cell joins its producer's group when that is
+    of its family and on its end.  Every other cell is alone.
+    """
+    keys: Dict[str, Hashable] = {}
+    groups: Dict[Hashable, List[str]] = {}
+    for name in topology.cell_names:
+        cell = topology.cell(name)
+        family = cell.family
+        key: Hashable = name
+        if family is not None:
+            here = name in in_sensor
+            if family.key is not None:
+                key = (here, family.build, family.key)
+            elif len(cell.inputs) == 1:
+                joined = keys.get(cell.inputs[0].cell)
+                if isinstance(joined, tuple) and joined[:2] == (here, family.build):
+                    key = joined
+        keys[name] = key
+        groups.setdefault(key, []).append(name)
+    return list(groups.values())
+
+
+def _contract(topology: CellTopology, groups: List[List[str]]) -> List[List[str]]:
+    """The groups in a topological order of the contracted graph.
+
+    Ties go to the group whose first cell comes first.  A cycle runs
+    through at least one group of two or more cells (the cell graph itself
+    is acyclic); the first such group on it is split into lone cells and
+    the sort is repeated.
+    """
+    position = {name: i for i, name in enumerate(topology.cell_names)}
+    while True:
+        groups.sort(key=lambda names: position[names[0]])
+        group_of = {name: g for g, names in enumerate(groups) for name in names}
+        succ: List[Set[int]] = [set() for _ in groups]
+        preds: List[Set[int]] = [set() for _ in groups]
+        for g, names in enumerate(groups):
+            for name in names:
+                for ref in topology.cell(name).inputs:
+                    p = group_of.get(ref.cell, g)  # the source maps to g
+                    if p != g:
+                        succ[p].add(g)
+                        preds[g].add(p)
+        indegree = [len(p) for p in preds]
+        ready = [g for g, deg in enumerate(indegree) if deg == 0]
+        order: List[int] = []
+        while ready:
+            g = heapq.heappop(ready)
+            order.append(g)
+            for s in succ[g]:
+                indegree[s] -= 1
+                if indegree[s] == 0:
+                    heapq.heappush(ready, s)
+        if len(order) == len(groups):
+            return [groups[g] for g in order]
+        # Every unplaced group has an unplaced predecessor: walk back
+        # through them until a group repeats, which closes a cycle.
+        placed = set(order)
+        walk: List[int] = [next(g for g in range(len(groups)) if g not in placed)]
+        while walk.count(walk[-1]) < 2:
+            walk.append(min(p for p in preds[walk[-1]] if p not in placed))
+        cycle = walk[walk.index(walk[-1]) : -1]
+        split = next(g for g in sorted(cycle) if len(groups[g]) > 1)
+        groups[split : split + 1] = [[name] for name in groups[split]]
 
 
 @dataclass(frozen=True)
@@ -105,7 +187,6 @@ class CrossEndEngine:
             return ref.cell == SOURCE_CELL or ref.cell in in_sensor
 
         slots: Dict[PortRef, int] = {PortRef(SOURCE_CELL, "out"): 0}
-        plan: List[_Step] = []
         uplinked: List[PortRef] = []
         sent_up: Set[PortRef] = set()
         downlinked: List[Tuple[PortRef, str]] = []
@@ -123,17 +204,32 @@ class CrossEndEngine:
                 elif not here and on_sensor(ref) and ref not in sent_up:
                     sent_up.add(ref)
                     uplinked.append(ref)
-            outputs = []
             for port in cell.outputs:
-                outputs.append((port.name, len(slots)))
                 slots[PortRef(name, port.name)] = len(slots)
-            plan.append(
-                (cell.execute, tuple(slots[ref] for ref in cell.inputs), tuple(outputs))
-            )
         # The classification result must reach the aggregator.
         result_ref = topology.result
         if on_sensor(result_ref) and result_ref not in sent_up:
             uplinked.append(result_ref)
+
+        plan: List[_Step] = []
+        for names in _contract(topology, _groups(topology, in_sensor)):
+            cells = [topology.cell(name) for name in names]
+            if len(cells) == 1:
+                cell = cells[0]
+                run: Callable[[Sequence[np.ndarray]], Any] = cell.execute
+                refs = cell.inputs
+                keys: List[Any] = [port.name for port in cell.outputs]
+            else:
+                refs, run = cells[0].family.build(cells)
+                keys = list(range(sum(len(cell.outputs) for cell in cells)))
+            out_refs = [PortRef(c.name, port.name) for c in cells for port in c.outputs]
+            plan.append(
+                (
+                    run,
+                    tuple(slots[ref] for ref in refs),
+                    tuple((key, slots[ref]) for key, ref in zip(keys, out_refs)),
+                )
+            )
 
         self._plan: Tuple[_Step, ...] = tuple(plan)
         self._n_slots = len(slots)
@@ -154,10 +250,10 @@ class CrossEndEngine:
         """Run the plan on one validated float64 segment."""
         values: List[Any] = [None] * self._n_slots
         values[0] = segment
-        for execute, in_slots, out_slots in self._plan:
-            outputs = execute([values[i] for i in in_slots])
-            for port, slot in out_slots:
-                values[slot] = outputs[port]
+        for run, in_slots, out_slots in self._plan:
+            outputs = run([values[i] for i in in_slots])
+            for key, slot in out_slots:
+                values[slot] = outputs[key]
         return float(values[self._result_slot][0])
 
     def classify(self, segment: np.ndarray) -> CrossEndResult:

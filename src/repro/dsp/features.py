@@ -20,6 +20,8 @@ conventions, which is what a single-pass hardware datapath computes:
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
@@ -146,6 +148,68 @@ def kurtosis(segment: Sequence[float]) -> float:
         return 0.0
     m4 = float(_mean(centered**4))
     return m4 / (m2**2)
+
+
+@functools.lru_cache(maxsize=256)
+def band_kernel(names: Tuple[str, ...]) -> Callable[[np.ndarray], List[float]]:
+    """One pass computing the named features of one band, in ``names`` order.
+
+    The fused counterpart of the per-feature functions above, for sibling
+    feature cells that read the same band: ``_mean``, the centred band and
+    ``m2`` are computed once and shared, and ``std`` is the square root of
+    the ``var`` computed here (the Fig. 5 reuse).  Every value is bitwise
+    the one the matching function above returns, which the test suite
+    checks; those functions stay the reference.
+
+    A kernel is a pure function of ``names``, so one kernel per tuple is
+    kept and shared by every cell and fused step that asks for it.
+
+    Args:
+        names: Features to compute (each of :data:`FEATURE_NAMES`).
+
+    Returns:
+        A function from a non-empty 1-D band to its feature values.
+    """
+    unknown = [n for n in names if n not in _FEATURE_FUNCS]
+    if unknown:
+        raise ConfigurationError(f"unknown features: {unknown}")
+    need = frozenset(names)
+    moments = bool(need - {"max", "min"})
+    second = bool(need & {"var", "std"})
+    centred = bool(need & {"czero", "skew", "kurt"})
+    shape = bool(need & {"skew", "kurt"})
+
+    def run(band: np.ndarray) -> List[float]:
+        arr = _as_segment(band)
+        v: Dict[str, float] = {}
+        if "max" in need:
+            v["max"] = float(arr.max())
+        if "min" in need:
+            v["min"] = float(arr.min())
+        if moments:
+            mu = _mean(arr)
+            v["mean"] = float(mu)
+            if second:
+                var = float(_mean(arr * arr) - mu * mu)
+                v["var"] = var
+                v["std"] = math.sqrt(max(var, 0.0))
+            if centred:
+                centered = arr - mu
+                if "czero" in need:
+                    signs = _propagate_signs(np.sign(centered))
+                    v["czero"] = float(np.count_nonzero(signs[1:] != signs[:-1]))
+                if shape:
+                    m2 = float(_mean(centered**2))
+                    if m2 <= 1e-12:
+                        v["skew"] = v["kurt"] = 0.0
+                    else:
+                        if "skew" in need:
+                            v["skew"] = float(_mean(centered**3)) / (m2**1.5)
+                        if "kurt" in need:
+                            v["kurt"] = float(_mean(centered**4)) / (m2**2)
+        return [v[n] for n in names]
+
+    return run
 
 
 #: name -> batch implementation

@@ -29,7 +29,7 @@ from repro.ml.subspace import (
     build_subspace_classifier,
     fit_subspace_draw,
 )
-from repro.ml.svm import SVMClassifier
+from repro.ml.svm import StackedScorer, SVMClassifier, share_support
 from repro.ml.tuning import TuningResult, grid_search
 from repro.ml.validation import (
     RepeatedProtocolResult,
@@ -49,6 +49,7 @@ __all__ = [
     "RandomSubspaceClassifier",
     "RepeatedProtocolResult",
     "SVMClassifier",
+    "StackedScorer",
     "SubspaceMember",
     "SupportRows",
     "WeightedVotingFusion",
@@ -62,5 +63,6 @@ __all__ = [
     "confusion_matrix",
     "kfold_indices",
     "repeated_protocol",
+    "share_support",
     "train_test_split",
 ]

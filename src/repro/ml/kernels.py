@@ -35,22 +35,48 @@ Single queries
 --------------
 
 Scoring one sample against a fixed set of rows (an SVM's support vectors)
-is a one-row ``rhs``.  :func:`_cross_dot` then takes one broadcast product
-over the C-contiguous transposed rows and one axis-0 ``add.reduce``, which
-NumPy accumulates row by row — the same fixed feature order as the rank-1
-loop, so the column is bitwise equal to the matching column of a
-multi-row Gram.  :class:`SupportRows` holds the transposed rows and their
-squared norms so a classifier derives them once, not per query.
+is a one-row ``rhs``.  :func:`_column_dot` then takes one broadcast product
+over the transposed rows and one axis-0 ``add.reduce``, which NumPy
+accumulates row by row — the same fixed feature order as the rank-1 loop,
+so the column is bitwise equal to the matching column of a multi-row
+Gram.  :class:`SupportRows` holds the transposed rows and their squared
+norms so a classifier derives them once, not per query.
+
+The order is per column, so it survives stacking: with several
+classifiers' rows side by side in one block (:meth:`SupportRows.stack`)
+and every column paired with its own classifier's query, one product and
+one reduction give each classifier's column bit for bit
+(:class:`repro.ml.svm.StackedScorer`).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, NamedTuple, Optional
+from typing import Dict, Hashable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+
+
+def _column_dot(lhs_t: np.ndarray, rhs_t: np.ndarray) -> np.ndarray:
+    """Per-column ``sum_f lhs_t[f, j] * rhs_t[f, j]`` of ``(d, n)`` operands
+    (``rhs_t`` may broadcast), summed over ``f`` in order from ``+0.0``.
+
+    With two or more columns this is one product and one axis-0 reduction:
+    reducing a non-inner axis adds the feature rows in order.  The final
+    ``+ 0.0`` pins the ``+0.0`` start on NumPy versions whose reduction
+    starts from the first row instead (an all ``-0.0`` sum then reads
+    ``+0.0``).  A single column keeps a loop, because NumPy sums a
+    contiguous 1-D reduction pairwise.  Either way column ``j`` is bitwise
+    the rank-1 loop of :func:`_cross_dot` for that pair of rows.
+    """
+    if lhs_t.shape[1] > 1:
+        return np.add.reduce(lhs_t * rhs_t, axis=0) + 0.0
+    out = np.zeros(lhs_t.shape[1])
+    for f in range(lhs_t.shape[0]):
+        out += lhs_t[f] * rhs_t[f]
+    return out
 
 
 def _cross_dot(
@@ -62,19 +88,14 @@ def _cross_dot(
     the fixed-order sum ``sum_f lhs_m[i, f] * rhs_m[j, f]`` — a function of
     the two rows only, independent of the matrix shapes.
 
-    A one-row ``rhs_m`` against two or more ``lhs_m`` rows is one product
-    over ``lhs_t`` (the C-contiguous transpose of ``lhs_m``, derived here
-    unless supplied) and one axis-0 reduction.  Reducing a non-inner axis
-    adds the feature rows in order, exactly as the loop does.  The final
-    ``+ 0.0`` pins the loop's ``+0.0`` start on NumPy versions whose
-    reduction starts from the first row instead (an all ``-0.0`` sum then
-    reads ``+0.0``).  A single ``lhs_m`` row keeps the loop, because NumPy
-    sums a contiguous 1-D reduction pairwise.
+    A one-row ``rhs_m`` goes through :func:`_column_dot` over ``lhs_t``
+    (the C-contiguous transpose of ``lhs_m``, derived here unless
+    supplied), which keeps the same per-entry order.
     """
-    if rhs_m.shape[0] == 1 and lhs_m.shape[0] > 1:
+    if rhs_m.shape[0] == 1:
         if lhs_t is None:
             lhs_t = np.ascontiguousarray(lhs_m.T)
-        return (np.add.reduce(lhs_t * rhs_m[0, :, None], axis=0) + 0.0)[:, None]
+        return _column_dot(lhs_t, rhs_m.T)[:, None]
     out = np.zeros((lhs_m.shape[0], rhs_m.shape[0]))
     for f in range(lhs_m.shape[1]):
         out += lhs_m[:, f, None] * rhs_m[None, :, f]
@@ -101,20 +122,61 @@ class SupportRows(NamedTuple):
     re-deriving anything from the rows.  The rows are kept once, as their
     transpose: :attr:`rows` is a view of :attr:`rows_t`.
 
+    Several classifiers can hold their rows side by side in one block
+    (:meth:`stack`); each then holds a :meth:`columns` view of it, which
+    records the block and where its run starts.
+
     Attributes:
-        rows_t: ``(d, n)`` C-contiguous transpose of the rows.
+        rows_t: ``(d, n)`` transpose of the rows, C-contiguous or a column
+            run of a C-contiguous block.
         sq_norms: ``(n,)`` squared row norms, bitwise as
             :class:`RBFKernel` computes them.
+        block: The block these columns are a view of, if any.
+        start: First column of this run within :attr:`block`.
     """
 
     rows_t: np.ndarray
     sq_norms: np.ndarray
+    block: Optional["SupportRows"] = None
+    start: int = 0
 
     @classmethod
     def of(cls, rows: np.ndarray) -> "SupportRows":
         """Derive the operands of a ``(n, d)`` row matrix (or one row)."""
         m = _as_rows(rows)
         return cls(np.ascontiguousarray(m.T), (m**2).sum(axis=1))
+
+    @classmethod
+    def stack(cls, parts: Sequence["SupportRows"]) -> "SupportRows":
+        """The parts side by side, as one ``(d, sum n)`` operand.
+
+        Parts that are consecutive runs of one block give a view of that
+        block; otherwise the parts are copied into a new C-contiguous
+        block.  Squared norms are concatenated, never recomputed, so they
+        keep their bits.
+        """
+        if len(parts) == 1:
+            return parts[0]
+        block, end = parts[0].block, parts[0].start
+        for part in parts:
+            if block is None or part.block is not block or part.start != end:
+                break
+            end += part.n
+        else:
+            return block.columns(parts[0].start, end)
+        return cls(
+            np.concatenate([p.rows_t for p in parts], axis=1),
+            np.concatenate([p.sq_norms for p in parts]),
+        )
+
+    def columns(self, lo: int, hi: int) -> "SupportRows":
+        """Rows ``lo:hi`` of this block, as views that remember the block."""
+        return SupportRows(self.rows_t[:, lo:hi], self.sq_norms[lo:hi], self, lo)
+
+    @property
+    def n(self) -> int:
+        """Number of rows."""
+        return self.rows_t.shape[1]
 
     @property
     def rows(self) -> np.ndarray:
@@ -142,6 +204,18 @@ class Kernel(ABC):
     @abstractmethod
     def name(self) -> str:
         """Short kernel name for reports ("linear", "rbf")."""
+
+    @property
+    def signature(self) -> Hashable:
+        """Kernels with equal signatures compute the same function."""
+        return (self.name,)
+
+    @abstractmethod
+    def from_cross(
+        self, lhs_sq: np.ndarray, rhs_sq: np.ndarray, cross: np.ndarray
+    ) -> np.ndarray:
+        """Kernel values from squared row norms and cross products,
+        elementwise (the operands broadcast)."""
 
     def gram_rows(self, support: SupportRows, rhs: np.ndarray) -> np.ndarray:
         """``(n, m)`` Gram of prepared rows against ``rhs`` (one sample or
@@ -203,6 +277,11 @@ class LinearKernel(Kernel):
         _check_dims(support.rows, rhs_m)
         return _cross_dot(support.rows, rhs_m, support.rows_t)
 
+    def from_cross(
+        self, lhs_sq: np.ndarray, rhs_sq: np.ndarray, cross: np.ndarray
+    ) -> np.ndarray:
+        return cross
+
     def operation_counts(self, dimension: int) -> Dict[str, int]:
         if dimension <= 0:
             raise ConfigurationError("dimension must be positive")
@@ -224,6 +303,10 @@ class RBFKernel(Kernel):
     @property
     def name(self) -> str:
         return "rbf"
+
+    @property
+    def signature(self) -> Hashable:
+        return ("rbf", self.gamma)
 
     def __call__(self, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         lhs_m, rhs_m = _as_rows(lhs), _as_rows(rhs)
@@ -249,7 +332,12 @@ class RBFKernel(Kernel):
     def _assemble(
         self, lhs_sq: np.ndarray, rhs_sq: np.ndarray, cross: np.ndarray
     ) -> np.ndarray:
-        sq = lhs_sq[:, None] + rhs_sq[None, :] - 2.0 * cross
+        return self.from_cross(lhs_sq[:, None], rhs_sq[None, :], cross)
+
+    def from_cross(
+        self, lhs_sq: np.ndarray, rhs_sq: np.ndarray, cross: np.ndarray
+    ) -> np.ndarray:
+        sq = lhs_sq + rhs_sq - 2.0 * cross
         return np.exp(-self.gamma * np.maximum(sq, 0.0))
 
     def gram_precompute(self, features: np.ndarray) -> np.ndarray:

@@ -32,6 +32,7 @@ with serial == parallel bit-identity.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -41,7 +42,7 @@ from repro.errors import ConfigurationError, TrainingError
 from repro.ml.fusion import WeightedVotingFusion
 from repro.ml.kernels import Kernel, LinearKernel, RBFKernel
 from repro.ml.metrics import accuracy
-from repro.ml.svm import SVMClassifier
+from repro.ml.svm import SVMClassifier, share_support
 from repro.ml.validation import kfold_indices, stratified_train_test_split
 
 #: Supported seed-derivation modes (see :class:`RandomSubspaceClassifier`).
@@ -225,7 +226,7 @@ class RandomSubspaceClassifier:
             raise ConfigurationError(
                 f"unknown seed_mode {seed_mode!r}; available: {SEED_MODES}"
             )
-        self.kernel_factory = kernel_factory or (lambda: RBFKernel(gamma=0.5))
+        self.kernel_factory = kernel_factory or functools.partial(RBFKernel, gamma=0.5)
         self.C = float(C)
         self.seed = int(seed)
         self.cv_folds = cv_folds
@@ -327,6 +328,7 @@ class RandomSubspaceClassifier:
         candidates.sort(key=lambda m: m.validation_accuracy, reverse=True)
         n_keep = max(1, int(round(len(candidates) * self.keep_fraction)))
         self.members = candidates[:n_keep]
+        share_support([m.classifier for m in self.members])
 
         base_scores = np.column_stack([m.scores(X) for m in self.members])
         self.fusion = WeightedVotingFusion().fit(base_scores, y)
@@ -376,6 +378,13 @@ class RandomSubspaceClassifier:
         except TrainingError:
             return None
         return SubspaceMember(subset, final, float(np.mean(fold_accuracies)))
+
+    def __setstate__(self, state: dict) -> None:
+        # Members pickle their support rows apart; hold them in one block
+        # again, as fit() left them.
+        self.__dict__.update(state)
+        if self.members:
+            share_support([m.classifier for m in self.members])
 
     # -- inference ----------------------------------------------------------
 

@@ -27,12 +27,12 @@ Two training entry points exist, bitwise-identical in outcome:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError, TrainingError
-from repro.ml.kernels import Kernel, RBFKernel, SupportRows
+from repro.ml.kernels import Kernel, RBFKernel, SupportRows, _column_dot
 
 #: Half-width of the ambiguity band around ``+-tol`` inside which the fast
 #: SMO falls back to the exact per-index dot product to settle a KKT
@@ -501,3 +501,103 @@ class SVMClassifier:
     def _require_fitted(self) -> None:
         if not self.is_fitted:
             raise ConfigurationError("SVM used before fit()")
+
+
+def share_support(classifiers: Sequence[SVMClassifier]) -> SupportRows:
+    """Hold the classifiers' support rows side by side in one block.
+
+    Each classifier's operands become a column view of the block, which is
+    then their only storage.  Idempotent: classifiers that already are
+    consecutive runs of one block keep it, so the block is built once.
+
+    Returns:
+        The classifiers' rows as one operand (see :meth:`SupportRows.stack`).
+    """
+    for svm in classifiers:
+        svm._require_fitted()
+    supports = [svm._support for svm in classifiers]
+    stacked = SupportRows.stack(supports)
+    if stacked.block is None:
+        lo = 0
+        for svm, support in zip(classifiers, supports):
+            svm._support = stacked.columns(lo, lo + support.n)
+            svm._support_vectors = svm._support.rows
+            lo += support.n
+    return stacked
+
+
+class StackedScorer:
+    """Decision scores of several SVMs, one query each, in one pass.
+
+    Every column of the stacked support rows is paired with its own
+    classifier's query, so one product, one axis-0 reduction and one
+    kernel evaluation serve all classifiers while each column's arithmetic
+    stays that of the one-row path; each score is then the classifier's
+    own ``dual_coef @ column + bias``.  Scores are therefore bitwise each
+    classifier's :meth:`SVMClassifier.decision_function` of its query.
+
+    The classifiers are stacked in block order, so members that share a
+    block (:func:`share_support`) read it in place whatever order they are
+    given in; only a set that is not one consecutive run is copied.
+
+    Args:
+        classifiers: Fitted SVMs sharing one kernel signature and input
+            dimension.
+    """
+
+    def __init__(self, classifiers: Sequence[SVMClassifier]) -> None:
+        if not classifiers:
+            raise ConfigurationError("need at least one classifier to stack")
+        for svm in classifiers:
+            svm._require_fitted()
+        first = classifiers[0]
+        if any(
+            svm.kernel.signature != first.kernel.signature
+            or svm.dimension != first.dimension
+            for svm in classifiers
+        ):
+            raise ConfigurationError(
+                "stacked classifiers must share one kernel and dimension"
+            )
+        self.kernel = first.kernel
+        self.dimension = first.dimension
+        # Order the runs of each block by their start, blocks by first use.
+        blocks: Dict[int, int] = {}
+
+        def position(i: int):
+            support = classifiers[i]._support
+            block = support if support.block is None else support.block
+            return blocks.setdefault(id(block), i), support.start
+
+        order = sorted(range(len(classifiers)), key=position)
+        stacked = [classifiers[i] for i in order]
+        self._order = None if order == sorted(order) else np.array(order)
+        self._slot = np.argsort(order).tolist()
+        self.support = SupportRows.stack([svm._support for svm in stacked])
+        self._counts = np.array([svm.n_support_vectors for svm in stacked])
+        bounds = np.concatenate([[0], np.cumsum(self._counts)]).tolist()
+        self._terms = [
+            (svm.dual_coef, svm.bias, bounds[j], bounds[j + 1])
+            for j, svm in enumerate(stacked)
+        ]
+
+    def scores(self, queries: np.ndarray) -> List[float]:
+        """One score per classifier; row ``i`` of the C-ordered ``(k, d)``
+        float64 ``queries`` is classifier ``i``'s query."""
+        if queries.shape != (len(self._terms), self.dimension):
+            raise ConfigurationError(
+                f"queries must be ({len(self._terms)}, {self.dimension}), "
+                f"got {queries.shape}"
+            )
+        if self._order is not None:
+            queries = queries[self._order]
+        counts = self._counts
+        cross = _column_dot(self.support.rows_t, np.repeat(queries.T, counts, axis=1))
+        gram = self.kernel.from_cross(
+            self.support.sq_norms, np.repeat((queries**2).sum(axis=1), counts), cross
+        )
+        scores = [
+            float((coef @ gram[lo:hi, None] + bias)[0])
+            for coef, bias, lo, hi in self._terms
+        ]
+        return scores if self._order is None else [scores[j] for j in self._slot]
