@@ -546,10 +546,14 @@ def bench_fleet(
     ``equivalent`` asserts the full :class:`~repro.sim.fleetsoa.
     FleetResult` columns — counters, energies, latencies, availability
     (NaN sentinels included) and final channel states — are bit-identical
-    via :func:`~repro.sim.fleetsoa.fleet_results_identical`.  Both
-    timings run on one core, so the ratio is machine-portable and gated
-    (``fleet.speedup`` in :data:`TRACKED_METRICS`).
+    via :func:`~repro.sim.fleetsoa.fleet_results_identical`, unsupervised
+    on the timed fleet and supervised (health states and quarantine
+    counts included) on a harsh-channel fleet of at most 32 networks
+    where devices cycle through quarantine.  Both timings are
+    unsupervised and run on one core, so the ratio is machine-portable
+    and gated (``fleet.speedup`` in :data:`TRACKED_METRICS`).
     """
+    from repro.sim.channel import GilbertElliottParams
     from repro.sim.fleetsoa import (
         FleetConfig,
         FleetSpec,
@@ -557,6 +561,7 @@ def bench_fleet(
         simulate_fleet_scalar,
         simulate_fleet_soa,
     )
+    from repro.sim.supervise import HealthPolicy
 
     if n_networks < 1 or devices_per_network < 1 or n_rounds < 1:
         raise ConfigurationError(
@@ -570,9 +575,26 @@ def bench_fleet(
         protocol="mixed",
         config=FleetConfig(events_per_round=4, max_retries=2, seed=seed),
     )
+    harsh = FleetSpec.homogeneous(
+        min(n_networks, 32),
+        devices_per_network,
+        _bench_metrics(),
+        period_s=0.25,
+        protocol="mixed",
+        config=FleetConfig(
+            events_per_round=4,
+            max_retries=1,
+            channel=GilbertElliottParams(0.30, 0.08, 0.05, 0.95),
+            seed=seed,
+        ),
+    )
+    policy = HealthPolicy(degraded_availability=0.95, quarantine_availability=0.60)
     equivalent = fleet_results_identical(
         simulate_fleet_scalar(spec, n_rounds),
         simulate_fleet_soa(spec, n_rounds),
+    ) and fleet_results_identical(
+        simulate_fleet_scalar(harsh, 12, policy=policy),
+        simulate_fleet_soa(harsh, 12, policy=policy),
     )
     scalar = _best_wall_s(lambda: simulate_fleet_scalar(spec, n_rounds), repeats)
     batch = _best_wall_s(lambda: simulate_fleet_soa(spec, n_rounds), repeats)

@@ -18,7 +18,8 @@
   (strategist -> drivers -> judge -> orchestrator) with Pareto-worst
   tracking and bit-exact JSON replay bundles.
 - :mod:`repro.sim.supervise` -- the fleet-supervision tier: per-device
-  health state machines with quarantine/recovery, deterministic link
+  health state machines with quarantine/recovery (and the same machine
+  as integer columns for the struct-of-arrays fleet), deterministic link
   circuit breakers, and crash-safe digest-pinned checkpoint/resume for
   campaigns, sweeps and chaos searches.
 """
@@ -107,6 +108,7 @@ from repro.sim.supervise import (
     ChaosResumeState,
     DeviceHealth,
     FleetSupervisor,
+    HealthColumns,
     HealthPolicy,
     LinkCircuitBreaker,
     SweepCheckpointer,
@@ -153,6 +155,7 @@ __all__ = [
     "GilbertElliottChannel",
     "GilbertElliottParams",
     "HEALTH_STATES",
+    "HealthColumns",
     "HealthPolicy",
     "IntegrityConfig",
     "LinkCircuitBreaker",

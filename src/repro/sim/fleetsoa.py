@@ -24,8 +24,10 @@ quarantined or dead device — which makes per-round draw counts fixed and
 therefore block-drawable.
 
 Scheduling: a device transmits in a round iff it is *alive* (positive
-battery charge at round start) and, when supervised, *schedulable*
-(:class:`~repro.sim.supervise.FleetSupervisor` — not quarantined).  Under
+battery charge at round start) and, when supervised, *schedulable* (not
+quarantined: :class:`~repro.sim.supervise.HealthColumns` in the SoA
+engine, a :class:`~repro.sim.supervise.FleetSupervisor` of per-device
+:class:`~repro.sim.supervise.DeviceHealth` oracles in the twin).  Under
 TDMA the scheduled devices of a network serialise: a device's slot wait
 is the summed link delay of the scheduled devices holding earlier slots
 this round, with the slot assignment rotating one position per round.
@@ -74,6 +76,7 @@ from repro.sim.channel import (
 from repro.sim.evaluate import PartitionMetrics
 from repro.sim.multinode import PROTOCOLS, MultiNodeBSN
 from repro.sim.parallel import derive_seeds
+from repro.sim.supervise import FleetSupervisor, HealthColumns
 
 #: Integer protocol codes stored in the per-network ``protocols`` column.
 PROTOCOL_IDS = {"tdma": 0, "mimo": 1}
@@ -491,11 +494,9 @@ def _check_rounds(n_rounds: int) -> None:
 
 
 def _make_supervisor(spec: FleetSpec, policy: Optional[Any]) -> Optional[Any]:
-    """A per-run :class:`FleetSupervisor`, or None when unsupervised."""
+    """The twin's per-run :class:`FleetSupervisor`, or None when unsupervised."""
     if policy is None or spec.n_devices == 0:
         return None
-    from repro.sim.supervise import FleetSupervisor
-
     return FleetSupervisor(spec.device_names(), policy)
 
 
@@ -516,11 +517,10 @@ def simulate_fleet_soa(
         spec: The fleet layout.
         n_rounds: Supervision rounds to simulate.
         policy: Optional :class:`~repro.sim.supervise.HealthPolicy`; when
-            given, a per-run :class:`~repro.sim.supervise.FleetSupervisor`
-            reads each round's availability columns
-            (:meth:`~repro.sim.supervise.FleetSupervisor.
-            observe_availability_round`) and quarantined devices drop out
-            of scheduling while their channels keep evolving.
+            given, a per-run :class:`~repro.sim.supervise.HealthColumns`
+            machine reads each round's schedule and delivery columns and
+            quarantined devices drop out of scheduling while their
+            channels keep evolving.
 
     Returns:
         A :class:`FleetResult`, bit-identical to
@@ -565,8 +565,7 @@ def simulate_fleet_soa(
     energy = np.zeros(n_dev)
     availability = np.full((n_rounds, n_dev), np.nan)
 
-    supervisor = _make_supervisor(spec, policy)
-    names = spec.device_names() if supervisor is not None else []
+    health = HealthColumns(n_dev, policy) if policy is not None and n_dev else None
 
     draws = np.empty((n_dev, S, 2))
     bounds = [
@@ -574,10 +573,7 @@ def simulate_fleet_soa(
     ]
     for r in range(n_rounds):
         alive = charge > 0.0
-        if supervisor is not None:
-            sched = alive & supervisor.schedulable_mask(names)
-        else:
-            sched = alive
+        sched = alive & health.schedulable if health is not None else alive
         for (lo, hi), rng in zip(bounds, rngs):
             rng.random(out=draws[lo:hi])
         # TDMA slot wait: exclusive running sum of scheduled link delays
@@ -614,8 +610,6 @@ def simulate_fleet_soa(
         else:
             loss = np.zeros((0, S), dtype=bool)
         delivered_round = np.zeros(n_dev, dtype=np.int64)
-        dropped_round = np.zeros(n_dev, dtype=np.int64)
-        energy_round = np.zeros(n_dev)
         for w in range(E):
             window = loss[:, w * attempts_per_event : (w + 1) * attempts_per_event]
             succ = ~window
@@ -639,29 +633,11 @@ def simulate_fleet_soa(
             latency_events += deliver
             pending = np.where(sched, ~any_succ, pending)
             delivered_round += deliver
-            dropped_round += drop
-            energy_round += e
         availability[r, sched] = delivered_round[sched] / float(E)
-        if supervisor is not None:
-            supervisor.observe_availability_round(
-                names,
-                sched,
-                events=E,
-                delivered=delivered_round,
-                dropped=dropped_round,
-                sensor_j=energy_round,
-            )
+        if health is not None:
+            health.observe_round(sched, E, delivered_round)
         slot = (slot + 1) % spec.net_size_of
 
-    health: Optional[List[str]] = None
-    quarantines: Optional[np.ndarray] = None
-    if supervisor is not None:
-        states = supervisor.states()
-        health = [states[name] for name in names]
-        quarantines = np.asarray(
-            [supervisor.device(name).quarantines for name in names],
-            dtype=np.int64,
-        )
     return FleetResult(
         n_rounds=n_rounds,
         availability=availability,
@@ -677,8 +653,8 @@ def simulate_fleet_soa(
         slot=slot,
         pending=pending,
         chain_bad=chain_bad,
-        health=health,
-        quarantines=quarantines,
+        health=health.states() if health is not None else None,
+        quarantines=health.quarantines if health is not None else None,
     )
 
 

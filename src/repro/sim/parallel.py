@@ -39,6 +39,7 @@ environments where process pools are unavailable.
 
 from __future__ import annotations
 
+import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -61,6 +62,8 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.sim.faults import FaultCampaign, ResilienceReport
 from repro.sim.multinode import BSNReport, MultiNodeBSN
 from repro.sim.simulator import CrossEndSimulator
+
+logger = logging.getLogger(__name__)
 
 #: Supported execution backends.
 BACKENDS = ("serial", "process")
@@ -163,7 +166,9 @@ def parallel_map(
     with an opaque ``BrokenProcessPool``.  Because every task is
     self-contained and carries its own derived seed, the chunks lost with
     the dead worker are simply re-executed serially in-process — with
-    bit-identical results.  A task that then fails *again* raises a
+    bit-identical results.  Each retried chunk logs a warning on this
+    module's logger with ``chunk``, ``tasks`` and ``workers`` extras.
+    A task that then fails *again* raises a
     :class:`~repro.errors.SimulationError` naming its index.  Ordinary
     exceptions raised by ``func`` inside a healthy worker propagate
     unchanged.
@@ -199,6 +204,12 @@ def parallel_map(
                 broken.append(ci)
     for ci in broken:
         base = ci * config.chunksize
+        logger.warning(
+            "worker process died; retrying chunk %d (%d tasks) serially",
+            ci,
+            len(chunks[ci]),
+            extra={"chunk": ci, "tasks": len(chunks[ci]), "workers": workers},
+        )
         retried: List[Any] = []
         for offset, item in enumerate(chunks[ci]):
             try:

@@ -9,6 +9,9 @@ the per-event machinery of :mod:`repro.sim.faults`:
   the device from TDMA/MIMO scheduling (:meth:`FleetSupervisor.
   filter_nodes`), and drop/degraded/battery figures are accounted per
   state so operators can see what each state costs;
+  :class:`HealthColumns` steps the same machine for a whole fleet as
+  integer columns with mask transitions (the fleet engine's path, with
+  :class:`DeviceHealth` as its oracle);
 - a **link circuit breaker** (:class:`LinkCircuitBreaker`): after
   ``failure_threshold`` consecutive exhausted-retry drops the breaker
   opens and the sensor stops burning radio energy on a dead link,
@@ -1146,10 +1149,10 @@ class DeviceHealth:
     ) -> str:
         """Fold one scheduled round in from raw counts; returns the state.
 
-        The column-oriented entry point used by the struct-of-arrays
-        fleet engine (:mod:`repro.sim.fleetsoa`): no per-round report
-        object has to exist, the round's numbers are enough.  Semantics
-        are exactly :meth:`observe`'s.
+        The entry point of the fleet engine's scalar twin
+        (:func:`~repro.sim.fleetsoa.simulate_fleet_scalar`): no per-round
+        report object has to exist, the round's numbers are enough.
+        Semantics are exactly :meth:`observe`'s.
         """
         if self._state == QUARANTINED:
             raise ConfigurationError(
@@ -1289,9 +1292,10 @@ class FleetSupervisor:
     def schedulable_mask(self, names: Sequence[str]) -> np.ndarray:
         """Boolean schedulability column for a device-name ordering.
 
-        The struct-of-arrays fleet engine (:mod:`repro.sim.fleetsoa`)
-        asks once per round with its fleet-order name column; the mask is
-        ANDed with the battery-alive column to form the round's schedule.
+        The fleet engine's scalar twin (:func:`~repro.sim.fleetsoa.
+        simulate_fleet_scalar`) asks once per round with its fleet-order
+        name column; the mask is ANDed with the battery-alive column to
+        form the round's schedule.
         """
         return np.fromiter(
             (self.device(name).schedulable for name in names),
@@ -1308,7 +1312,7 @@ class FleetSupervisor:
         dropped: np.ndarray,
         sensor_j: np.ndarray,
     ) -> None:
-        """Fold one SoA fleet round in from its per-device columns.
+        """Fold one fleet round in from its per-device columns.
 
         The column counterpart of :meth:`observe_round`: ``scheduled`` is
         the round's schedule mask and the remaining columns are that
@@ -1381,6 +1385,96 @@ class FleetSupervisor:
             dev.load_state(devices[name])
 
 
+#: ``int8`` codes of :class:`HealthColumns` ``state``: indices into
+#: :data:`HEALTH_STATES`.
+_HEALTHY, _DEGRADED, _QUARANTINED, _RECOVERING = range(len(HEALTH_STATES))
+
+
+class HealthColumns:
+    """The health state machine of a whole fleet as integer columns.
+
+    The struct-of-arrays fleet engine (:mod:`repro.sim.fleetsoa`) steps
+    every device's :class:`DeviceHealth` machine at once: ``state`` holds
+    an ``int8`` code into :data:`HEALTH_STATES`, and ``bad_streak``,
+    ``ok_streak``, ``rest`` and ``quarantines`` hold the counters of the
+    same names, one entry per device in fleet order.  Each round's
+    transitions are boolean masks computed exactly as
+    :meth:`DeviceHealth.observe_counts` and :meth:`DeviceHealth.tick`
+    decide them, so after every round each column entry equals the state
+    a per-device :class:`DeviceHealth` fed the same rounds would hold.
+    :class:`DeviceHealth` stays the oracle; the columns keep no per-state
+    accounting and no checkpoint snapshot.
+    """
+
+    def __init__(self, n_devices: int, policy: Optional[HealthPolicy] = None) -> None:
+        self.policy = policy or HealthPolicy()
+        self.state = np.full(n_devices, _HEALTHY, dtype=np.int8)
+        self.bad_streak = np.zeros(n_devices, dtype=np.int64)
+        self.ok_streak = np.zeros(n_devices, dtype=np.int64)
+        self.rest = np.zeros(n_devices, dtype=np.int64)
+        self.quarantines = np.zeros(n_devices, dtype=np.int64)
+
+    @property
+    def schedulable(self) -> np.ndarray:
+        """Boolean column: devices not quarantined."""
+        return self.state != _QUARANTINED
+
+    def observe_round(
+        self, scheduled: np.ndarray, events: int, delivered: np.ndarray
+    ) -> None:
+        """Fold one fleet round in from its schedule and delivery columns.
+
+        Scheduled devices are observed at availability ``delivered /
+        events``; every device quarantined at the start of the round
+        rests one round instead (:meth:`FleetSupervisor.
+        observe_availability_round`'s semantics).  Raises
+        :class:`~repro.errors.ConfigurationError` when a quarantined
+        device is scheduled.
+        """
+        policy = self.policy
+        state = self.state
+        resting = state == _QUARANTINED
+        if (scheduled & resting).any():
+            raise ConfigurationError(
+                "quarantined devices were scheduled; they only rest"
+            )
+        availability = delivered / float(events)
+        poor = availability < policy.degraded_availability
+        recovering = scheduled & (state == _RECOVERING)
+        active = scheduled & ~recovering
+        # Recovering: an ok round extends probation, a poor one ends it.
+        probation = recovering & ~poor
+        self.ok_streak += probation
+        healed = (active & ~poor) | (
+            probation & (self.ok_streak >= policy.probation_rounds)
+        )
+        # Healthy/degraded: a poor round lengthens the bad streak.
+        slipping = active & poor
+        self.bad_streak += slipping
+        quarantine = (recovering & poor) | (
+            slipping
+            & (
+                (availability < policy.quarantine_availability)
+                | (self.bad_streak >= policy.quarantine_rounds)
+            )
+        )
+        np.putmask(state, healed, _HEALTHY)
+        np.putmask(state, slipping & ~quarantine, _DEGRADED)
+        np.putmask(state, quarantine, _QUARANTINED)
+        np.putmask(self.rest, quarantine, policy.recovery_rounds)
+        np.putmask(self.bad_streak, healed | quarantine, 0)
+        self.quarantines += quarantine
+        # Devices that started the round quarantined rest one round.
+        self.rest -= resting
+        woken = resting & (self.rest <= 0)
+        np.putmask(state, woken, _RECOVERING)
+        np.putmask(self.ok_streak, quarantine | woken, 0)
+
+    def states(self) -> List[str]:
+        """Per-device health state names, fleet order."""
+        return [HEALTH_STATES[code] for code in self.state.tolist()]
+
+
 __all__ = [
     "CHECKPOINT_SCHEMA",
     "HEALTH_STATES",
@@ -1395,6 +1489,7 @@ __all__ = [
     "ChaosResumeState",
     "DeviceHealth",
     "FleetSupervisor",
+    "HealthColumns",
     "HealthPolicy",
     "LinkCircuitBreaker",
     "SweepCheckpointer",

@@ -7,6 +7,8 @@ counter, every float, NaN sentinels included — on any fleet shape,
 protocol mix, channel harshness and supervision policy.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from repro.sim.fleetsoa import (
     simulate_fleet_soa,
 )
 from repro.sim.multinode import BSNNode, MultiNodeBSN
+from repro.sim.parallel import SERIAL, fleet_soa_rounds
 from repro.sim.supervise import HealthPolicy
 
 
@@ -332,6 +335,80 @@ class TestRngOrderPins:
         assert not fleet_results_identical(
             simulate_fleet_soa(pinned_spec, 4), simulate_fleet_soa(other, 4)
         )
+
+
+class TestSupervisedPins:
+    """Hard-coded supervised outcomes of seeded runs.
+
+    Captured from the object supervisor (one ``DeviceHealth`` per
+    device) before the fleet engine moved to ``HealthColumns``; they pin
+    the supervised SoA path to that output, where ``TestRngOrderPins``
+    covers only unsupervised runs.
+    """
+
+    @staticmethod
+    def digest(result):
+        h = hashlib.sha256()
+        h.update(",".join(result.health).encode())
+        h.update(np.ascontiguousarray(result.quarantines, dtype=np.int64).tobytes())
+        h.update(np.ascontiguousarray(result.availability, dtype=np.float64).tobytes())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize(
+        "simulate",
+        [
+            lambda spec: simulate_fleet_soa(spec, 10, policy=HealthPolicy()),
+            lambda spec: fleet_soa_rounds(
+                spec, 10, HealthPolicy(), SERIAL, shards=3
+            ),
+        ],
+        ids=["soa", "sharded"],
+    )
+    def test_mixed_500x8_fleet_digest(self, simulate):
+        spec = FleetSpec.homogeneous(
+            500,
+            8,
+            synthetic_metrics(),
+            protocol="mixed",
+            config=FleetConfig(events_per_round=4, max_retries=2, seed=17),
+        )
+        res = simulate(spec)
+        assert int(res.quarantines.sum()) == 1622
+        assert int(np.isnan(res.availability).sum()) == 2789
+        assert self.digest(res) == (
+            "85b3948f88e562295cebff20c004f5ac9914c5e901ca8ee39284a094f54f65c7"
+        )
+
+    @pytest.mark.parametrize("simulate", [simulate_fleet_soa, simulate_fleet_scalar])
+    def test_harsh_5x4_fleet(self, simulate):
+        """The fleet of ``test_supervised_fleet_with_quarantines``."""
+        policy = HealthPolicy(
+            degraded_availability=0.95,
+            quarantine_availability=0.60,
+            quarantine_rounds=2,
+            recovery_rounds=2,
+            probation_rounds=2,
+        )
+        cfg = FleetConfig(
+            events_per_round=4,
+            max_retries=1,
+            channel=GilbertElliottParams(0.30, 0.08, 0.05, 0.95),
+            seed=29,
+        )
+        spec = FleetSpec.homogeneous(
+            5, 4, synthetic_metrics(), protocol="mixed", config=cfg
+        )
+        res = simulate(spec, 12, policy=policy)
+        q, r = "quarantined", "recovering"
+        assert res.health == [r] * 9 + [q] * 3 + [r] * 4 + [q, q, r, q]
+        assert res.quarantines.tolist() == [4] * 20
+        # Unscheduled devices per round, and the scheduled availability sum.
+        assert np.isnan(res.availability).sum(axis=1).tolist() == [
+            0, 17, 19, 3, 17, 19, 4, 16, 19, 5, 15, 19,
+        ]
+        assert np.nansum(res.availability, axis=1).tolist() == [
+            5.75, 2.0, 0.5, 4.75, 1.0, 0.0, 4.0, 1.25, 0.25, 5.75, 1.75, 0.25,
+        ]
 
 
 class TestSliceConcat:

@@ -162,28 +162,49 @@ def _raise_value_error(x):
     raise ValueError(f"bad item {x}")
 
 
+def _retry_records(caplog):
+    """The serial-retry warnings ``parallel_map`` logged."""
+    return [
+        r
+        for r in caplog.records
+        if r.name == "repro.sim.parallel" and r.levelname == "WARNING"
+    ]
+
+
 class TestWorkerDeathRecovery:
     """Satellite: a dying worker process must not take the fan-out down."""
 
-    def test_dead_worker_retries_serially_and_succeeds(self):
+    def test_dead_worker_retries_serially_and_succeeds(self, caplog):
         items = [1, 2, 3, 4, 5]
-        assert parallel_map(_die_in_worker, items, PROCESS) == [
-            10, 20, 30, 40, 50,
-        ]
+        with caplog.at_level("WARNING", logger="repro.sim.parallel"):
+            assert parallel_map(_die_in_worker, items, PROCESS) == [
+                10, 20, 30, 40, 50,
+            ]
+        # Every task kills its worker, so every chunk is retried, and
+        # each retry is logged with its chunk, task count and pool size.
+        records = _retry_records(caplog)
+        assert sorted(r.chunk for r in records) == list(range(len(items)))
+        assert all(r.tasks == 1 for r in records)
+        assert all(r.workers == PROCESS.max_workers for r in records)
 
-    def test_double_failure_names_the_task_index(self):
-        with pytest.raises(
-            SimulationError,
-            match=r"task 0 failed in a worker process and again on the "
-            r"serial retry",
-        ):
-            parallel_map(_die_everywhere, [7], PROCESS)
+    def test_double_failure_names_the_task_index(self, caplog):
+        with caplog.at_level("WARNING", logger="repro.sim.parallel"):
+            with pytest.raises(
+                SimulationError,
+                match=r"task 0 failed in a worker process and again on the "
+                r"serial retry",
+            ):
+                parallel_map(_die_everywhere, [7], PROCESS)
+        [record] = _retry_records(caplog)
+        assert (record.chunk, record.tasks, record.workers) == (0, 1, 1)
 
-    def test_ordinary_worker_exception_propagates_unchanged(self):
+    def test_ordinary_worker_exception_propagates_unchanged(self, caplog):
         """A healthy worker raising is the caller's bug, not pool damage:
         the original exception type must surface, not SimulationError."""
-        with pytest.raises(ValueError, match="bad item 3"):
-            parallel_map(_raise_value_error, [3], PROCESS)
+        with caplog.at_level("WARNING", logger="repro.sim.parallel"):
+            with pytest.raises(ValueError, match="bad item 3"):
+                parallel_map(_raise_value_error, [3], PROCESS)
+        assert _retry_records(caplog) == []
 
     def test_serial_backend_is_untouched_by_recovery_path(self):
         with pytest.raises(ValueError, match="bad item 5"):
@@ -226,10 +247,14 @@ class TestSharedState:
             parallel_map(_scaled_or_raise, [1, 2, 3], config, shared=10)
         assert par._WORKER_SHARED == ()
 
-    def test_serial_retry_receives_shared(self):
-        out = parallel_map(_die_in_worker_scaled, [1, 2, 3], PROCESS, shared=7)
+    def test_serial_retry_receives_shared(self, caplog):
+        with caplog.at_level("WARNING", logger="repro.sim.parallel"):
+            out = parallel_map(
+                _die_in_worker_scaled, [1, 2, 3], PROCESS, shared=7
+            )
         assert out == [7, 14, 21]
         assert par._WORKER_SHARED == ()
+        assert len(_retry_records(caplog)) == 3
 
     def test_shard_bounds_are_contiguous_and_cover(self):
         for n in range(1, 10):

@@ -20,7 +20,10 @@ import textwrap
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.degrade import GracefulDegradationPolicy, LastKnownGoodCache
 from repro.errors import CheckpointError, ConfigurationError
@@ -58,6 +61,7 @@ from repro.sim.supervise import (
     ChaosCheckpointer,
     DeviceHealth,
     FleetSupervisor,
+    HealthColumns,
     HealthPolicy,
     LinkCircuitBreaker,
     SweepCheckpointer,
@@ -694,6 +698,85 @@ class TestFleetSupervisor:
         assert clone.state_dict() == snap
         with pytest.raises(CheckpointError, match="misses"):
             FleetSupervisor(["a", "b", "c"]).load_state(snap)
+
+
+@st.composite
+def _health_rounds(draw):
+    """A policy, an event count and rounds of (delivered, up) columns.
+
+    Thresholds include the edges (``quarantine_rounds=1``, ``degraded ==
+    quarantine``, 0 and 1); ``up`` is an arbitrary per-round
+    battery-alive column, so devices drop out (and back in) while
+    healthy, quarantined or recovering.
+    """
+    quarantine = draw(st.sampled_from([0.0, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0))
+    degraded = draw(st.just(quarantine) | st.just(1.0) | st.floats(quarantine, 1.0))
+    policy = HealthPolicy(
+        degraded_availability=degraded,
+        quarantine_availability=quarantine,
+        quarantine_rounds=draw(st.integers(1, 4)),
+        recovery_rounds=draw(st.integers(1, 4)),
+        probation_rounds=draw(st.integers(1, 4)),
+    )
+    n = draw(st.integers(1, 6))
+    events = draw(st.integers(1, 5))
+    column = st.lists(st.integers(0, events), min_size=n, max_size=n)
+    up = st.lists(st.booleans(), min_size=n, max_size=n)
+    rounds = draw(st.lists(st.tuples(column, up), min_size=1, max_size=14))
+    return policy, events, rounds
+
+
+class TestHealthColumns:
+    """The column machine against one :class:`DeviceHealth` per device."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_health_rounds())
+    def test_columns_match_device_health_every_round(self, case):
+        policy, events, rounds = case
+        n = len(rounds[0][0])
+        columns = HealthColumns(n, policy)
+        devices = [DeviceHealth(f"d{i}", policy) for i in range(n)]
+        for delivered, up in rounds:
+            sched = np.asarray(up) & columns.schedulable
+            assert sched.tolist() == [
+                u and d.schedulable for u, d in zip(up, devices)
+            ]
+            resting = [d for d in devices if d.state == QUARANTINED]
+            for i in np.flatnonzero(sched):
+                devices[i].observe_counts(
+                    events=events,
+                    delivered=delivered[i],
+                    degraded=0,
+                    dropped=events - delivered[i],
+                    sensor_j=0.0,
+                    availability=delivered[i] / float(events),
+                )
+            for dev in resting:
+                dev.tick()
+            columns.observe_round(sched, events, np.asarray(delivered))
+            assert columns.states() == [d.state for d in devices]
+            snaps = [d.state_dict() for d in devices]
+            for key in ("bad_streak", "ok_streak", "rest", "quarantines"):
+                assert getattr(columns, key).tolist() == [s[key] for s in snaps]
+
+    def test_all_quarantined_round_only_rests(self):
+        policy = HealthPolicy(quarantine_rounds=1, recovery_rounds=2)
+        columns = HealthColumns(3, policy)
+        columns.observe_round(np.ones(3, dtype=bool), 4, np.zeros(3))
+        assert columns.states() == [QUARANTINED] * 3
+        assert not columns.schedulable.any()
+        columns.observe_round(columns.schedulable, 4, np.zeros(3))
+        assert columns.states() == [QUARANTINED] * 3
+        columns.observe_round(columns.schedulable, 4, np.zeros(3))
+        assert columns.states() == [RECOVERING] * 3
+        assert columns.quarantines.tolist() == [1, 1, 1]
+
+    def test_scheduling_a_quarantined_device_is_rejected(self):
+        columns = HealthColumns(2)
+        columns.observe_round(np.ones(2, dtype=bool), 4, np.array([0, 4]))
+        assert columns.states() == [QUARANTINED, HEALTHY]
+        with pytest.raises(ConfigurationError, match="quarantined"):
+            columns.observe_round(np.ones(2, dtype=bool), 4, np.array([4, 4]))
 
 
 class TestWastedRadio:
