@@ -159,10 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     perf.add_argument(
         "--stage", action="append", metavar="NAME", default=None,
-        help=(
-            "run only this stage (repeatable; e.g. --stage generator); "
-            "default runs all stages"
-        ),
+        help="run only this stage (repeatable); default runs all stages",
     )
     perf.add_argument(
         "--json", metavar="FILE", default=None,
@@ -600,6 +597,7 @@ def _cmd_supervision(args: argparse.Namespace) -> str:
 def _cmd_perf(args: argparse.Namespace) -> str:
     from repro.eval.perf import (
         DEFAULT_THRESHOLD,
+        check_equivalence,
         check_regression,
         collect_perf_report,
         load_perf_report,
@@ -622,6 +620,7 @@ def _cmd_perf(args: argparse.Namespace) -> str:
     if args.json:
         target = write_perf_report(report, args.json)
         lines.append(f"perf report written to {target}")
+    check_equivalence(report)
     if args.baseline:
         baseline = load_perf_report(args.baseline)
         threshold = args.threshold if args.threshold is not None else DEFAULT_THRESHOLD

@@ -1,61 +1,54 @@
 """Scalar-vs-batch performance harness and the perf-regression gate.
 
-Times the classification hot path both ways — the per-event scalar
-reference and the vectorised batch path — for each stage of the pipeline:
+Each row of :data:`STAGES` times one layer of the pipeline two ways — the
+scalar reference and the fast path — on the same inputs:
 
 - **extraction**: :meth:`FeatureLayout.extract_matrix` (per-row Python
-  loop) vs :func:`repro.dsp.batch.batch_extract_matrix`;
+  loop) vs :func:`repro.dsp.batch.batch_extract_matrix`, 256 segments;
 - **dwt**: per-row :func:`~repro.dsp.wavelet.dwt_multilevel` vs the
-  batched pyramid :func:`~repro.dsp.wavelet.dwt_multilevel_batch`;
+  batched pyramid :func:`~repro.dsp.wavelet.dwt_multilevel_batch`, 512
+  rows of db2 (the general filter-bank path, not the Haar shortcut);
 - **inference**: per-event ensemble prediction (one tiny Gram matrix per
   member per event) vs :class:`~repro.ml.inference.EnsembleBatchScorer`
-  (one Gram matrix per member per batch);
+  (one Gram matrix per member per batch), 256 events;
 - **end_to_end**: :meth:`TrainedAnalyticEngine.predict_segment` in a loop
-  vs :meth:`TrainedAnalyticEngine.predict_batch` — raw segments to
-  decisions;
-- **generator**: a delay-limit ladder of constrained
-  :meth:`AutomaticXProGenerator.generate` calls — the legacy per-solve
-  cold path (graph rebuilt, Dinic from scratch, no memo) vs the warm
-  fast path (shared s-t graph template, residual warm-starts,
-  partition-evaluation memo);
-- **wire**: the wire data plane — per-value Q16.16 packing, per-byte
-  CRC-16 and per-frame encode/decode (:mod:`repro.hw.framing` scalar
-  reference) vs the batch codec (``encode_values``/``encode_frames``/
-  ``decode_frames``/``decode_values``); its equivalence flag also
-  asserts a seeded scalar-vs-fast :class:`~repro.sim.faults.
-  FaultCampaign` byte-level run replays bit-identically;
-- **fleet**: population-scale fleet rounds — the per-object scalar twin
-  (:func:`~repro.sim.fleetsoa.simulate_fleet_scalar`, real
-  :class:`~repro.sim.channel.GilbertElliottChannel` objects stepped one
-  slot at a time) vs the struct-of-arrays engine
-  (:func:`~repro.sim.fleetsoa.simulate_fleet_soa`, one ndarray per state
-  field across 10^4 devices, block channel draws); its equivalence flag
-  asserts the two paths are **bit-identical** (NaN-aware, same RNG draw
-  order) via :func:`~repro.sim.fleetsoa.fleet_results_identical`;
-- **streaming**: live multi-stream ingestion — the per-stream scalar twin
-  (:func:`~repro.stream.twin.run_twin`, Python ring buffers, per-sample
-  appends, one :class:`~repro.dsp.streaming.StreamingMoments` /
-  :class:`~repro.dsp.streaming.CrossingCounter` pass per window) vs the
-  struct-of-arrays pool (:func:`~repro.stream.engine.run_stream_pool`,
-  one ring block across ≥1000 concurrent streams, one batched scoring
-  call per tick); its equivalence flag asserts **bit-identical**
-  per-window scores, decisions and backpressure counters via
-  :func:`~repro.stream.engine.stream_results_identical`, and the case
-  carries per-window p50/p99 tick latency extras;
-- **training**: the §4.4 subspace training protocol (``n_draws`` random
-  subspaces × 10-fold CV each, final refits, member selection, fusion)
-  — the pinned reference twin (fresh Gram per fold,
-  :meth:`~repro.ml.svm.SVMClassifier.fit_reference`'s per-index KKT
-  scan) vs the fast path (one fold-sliced Gram per draw through
-  :meth:`~repro.ml.kernels.Kernel.subspace_gram`, the cached-error
-  screened SMO of :meth:`~repro.ml.svm.SVMClassifier.fit`); its
-  equivalence flag asserts **decision-identical ensembles** — same
-  retained subsets, bitwise-equal dual coefficients and biases, same
-  ``used_feature_indices`` and identical predictions — on the timed
-  pair and (full mode) across all six Table-1 cases.
+  vs :meth:`TrainedAnalyticEngine.predict_batch`, raw segments to
+  decisions; shares the inference row's trained engine;
+- **generator**: a ladder of 6 delay limits spanning the band between the
+  best single-end delay and the unconstrained min-cut delay, each forcing
+  the full Lagrangian bisection — a cold ``warm_start=False,
+  cache_size=0`` generator per limit (graph rebuilt, Dinic from scratch,
+  no memo) vs one warm generator for the whole ladder; identical
+  partitions and bit-identical metrics at every limit;
+- **wire**: 512 payload round trips (Q16.16 packing, CRC-protected
+  fragmentation, decode, value recovery) through the scalar
+  :mod:`repro.hw.framing` reference vs the batch codec; byte-identical
+  frames, equal values, and a seeded byte-level
+  :class:`~repro.sim.faults.FaultCampaign` replaying bit-identically
+  through its fast runner;
+- **fleet**: 4 rounds of a mixed TDMA/MIMO fleet (1250 x 8 devices, 256 x 8
+  in fast mode) through the per-object scalar twin
+  :func:`~repro.sim.fleetsoa.simulate_fleet_scalar` vs the
+  struct-of-arrays :func:`~repro.sim.fleetsoa.simulate_fleet_soa`;
+  bit-identical :class:`~repro.sim.fleetsoa.FleetResult` columns, also
+  supervised on a harsh-channel fleet where devices cycle through
+  quarantine (timings are unsupervised);
+- **streaming**: emitted windows over 1024 live streams (256 in fast mode)
+  on a 64/96/128-sample window and 16/24/32 hop grid through the scalar
+  twin :func:`~repro.stream.twin.run_twin` vs the struct-of-arrays
+  :func:`~repro.stream.engine.run_stream_pool`; bit-identical per-window
+  scores, decisions and backpressure counters; extras carry p50/p99
+  per-window tick latency from an instrumented pool run;
+- **training**: the §4.4 subspace protocol on 200 C1 segments (100 draws x
+  10-fold CV, 6 draws in fast mode) through the pinned reference
+  (``fit(fast=False)``) vs the fold-sliced fast path; decision-identical
+  ensembles on the timed pair and, in full mode, on all six Table-1
+  cases at reduced scale.
 
-Every benchmark first asserts the two paths agree (decision-identical or
-within float precision), so a timing run is also an equivalence check.
+:func:`_measure` runs every row the same way: it checks the two paths
+agree on one untimed pair, then times each path best-of-N, so a timing
+run is also an equivalence check.  Adding a stage means adding one row;
+:data:`ALL_STAGES` and :data:`TRACKED_METRICS` follow from the table.
 
 The report is serialised to ``benchmarks/results/BENCH_perf.json``
 (schema documented in ``docs/PERFORMANCE.md``).  CI regenerates the
@@ -70,8 +63,9 @@ import json
 import platform
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Sequence
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -85,34 +79,6 @@ from repro.signals.datasets import load_case
 #: Report schema identifier (bump on breaking layout changes).
 SCHEMA = "xpro-bench-perf/1"
 
-#: Metrics the CI regression gate compares against the committed baseline.
-#: Only speedup *ratios* are tracked: absolute segments/s depends on the
-#: machine, while the scalar/batch ratio is a property of the code.
-TRACKED_METRICS = (
-    "extraction.speedup",
-    "dwt.speedup",
-    "inference.speedup",
-    "end_to_end.speedup",
-    "generator.speedup",
-    "wire.speedup",
-    "fleet.speedup",
-    "streaming.speedup",
-    "training.speedup",
-)
-
-#: Stage names accepted by :func:`collect_perf_report`'s ``stages`` filter.
-ALL_STAGES = (
-    "extraction",
-    "dwt",
-    "inference",
-    "end_to_end",
-    "generator",
-    "wire",
-    "fleet",
-    "streaming",
-    "training",
-)
-
 #: Allowed fractional regression on a tracked metric before the gate fails.
 DEFAULT_THRESHOLD = 0.25
 
@@ -123,12 +89,15 @@ DEFAULT_THRESHOLD = 0.25
 #: tracked ratio to ~1x — still fail by an order of magnitude.
 GATE_MARGIN = 0.6
 
-#: Training scale used by the inference/end-to-end benches: small enough to
-#: train in seconds, big enough to retain several members and realistic
-#: support-vector counts.
+#: Training scale used by the inference/end-to-end/generator rows: small
+#: enough to train in seconds, big enough to retain several members and
+#: realistic support-vector counts.
 _BENCH_TRAINING = TrainingConfig(
     subspace_dim=6, n_draws=8, keep_fraction=0.25, seed=7
 )
+
+#: Seed of every row's random inputs (the training row uses its own).
+_SEED = 2025
 
 
 @dataclass(frozen=True)
@@ -136,7 +105,7 @@ class PerfCase:
     """One scalar-vs-batch timing comparison.
 
     Attributes:
-        name: Stage name (``"extraction"``, ``"dwt"``, ...).
+        name: Stage name (the :class:`Stage` row's).
         n_items: Work items (segments/events) processed per timed pass.
         scalar_wall_s: Best wall time of the scalar reference path.
         batch_wall_s: Best wall time of the vectorised batch path.
@@ -184,6 +153,45 @@ class PerfCase:
         }
 
 
+class Work(NamedTuple):
+    """What a stage builder hands :func:`_measure`.
+
+    Attributes:
+        n_items: Work items processed per call of either path.
+        reference: The scalar reference path.
+        fast: The fast path over the same inputs.
+        equivalent: ``equivalent(reference_output, fast_output)``.
+        extras: Stage-specific metrics for :attr:`PerfCase.extras`.
+    """
+
+    n_items: int
+    reference: Callable[[], Any]
+    fast: Callable[[], Any]
+    equivalent: Callable[[Any, Any], bool]
+    extras: Dict[str, float] = {}
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One row of :data:`STAGES`.
+
+    Attributes:
+        name: Stage name; its speedup is tracked as ``"<name>.speedup"``.
+        build: ``build(fast)`` prepares the inputs and returns the
+            :class:`Work`; ``fast`` is the CI smoke scale.
+        repeats: Fixed best-of count, or ``None`` for the caller's
+            (which is 1 in fast mode).
+        timed_pair: Time each path exactly once and check those outputs
+            instead of running an untimed pair first — for paths too slow
+            to run twice.
+    """
+
+    name: str
+    build: Callable[[bool], Work]
+    repeats: Optional[int] = None
+    timed_pair: bool = False
+
+
 def _best_wall_s(fn: Callable[[], Any], repeats: int) -> float:
     """Best-of-``repeats`` wall time of ``fn`` (minimum filters scheduler
     noise, the standard timeit practice)."""
@@ -195,127 +203,90 @@ def _best_wall_s(fn: Callable[[], Any], repeats: int) -> float:
     return best
 
 
-def bench_extraction(
-    n_segments: int = 256,
-    segment_length: int = 128,
-    repeats: int = 3,
-    seed: int = 2025,
-) -> PerfCase:
-    """Time full feature extraction: per-row reference vs batch path."""
-    if n_segments < 1:
-        raise ConfigurationError("n_segments must be positive")
-    layout = FeatureLayout(segment_length=segment_length)
-    X = np.random.default_rng(seed).normal(size=(n_segments, segment_length))
-    equivalent = bool(
-        np.allclose(batch_extract_matrix(X, layout), layout.extract_matrix(X),
-                    atol=1e-9)
+def _timed(fn: Callable[[], Any]) -> tuple[float, Any]:
+    """Wall time of one call of ``fn`` and its output."""
+    t0 = time.perf_counter()
+    out = fn()
+    return time.perf_counter() - t0, out
+
+
+def _arrays_equal(ref: Any, out: Any) -> bool:
+    return bool(np.array_equal(ref, out))
+
+
+def _random_rows(n_rows: int) -> np.ndarray:
+    return np.random.default_rng(_SEED).normal(size=(n_rows, 128))
+
+
+def _extraction(fast: bool) -> Work:
+    layout = FeatureLayout(segment_length=128)
+    X = _random_rows(256)
+    return Work(
+        256,
+        lambda: layout.extract_matrix(X),
+        lambda: batch_extract_matrix(X, layout),
+        lambda ref, out: bool(np.allclose(out, ref, atol=1e-9)),
     )
-    scalar = _best_wall_s(lambda: layout.extract_matrix(X), repeats)
-    batch = _best_wall_s(lambda: batch_extract_matrix(X, layout), repeats)
-    return PerfCase("extraction", n_segments, scalar, batch, equivalent)
 
 
-def bench_dwt(
-    n_segments: int = 512,
-    segment_length: int = 128,
-    levels: int = 5,
-    wavelet: str = "db2",
-    repeats: int = 3,
-    seed: int = 2025,
-) -> PerfCase:
-    """Time the multi-level DWT pyramid: per-row reference vs batched.
-
-    Defaults to db2 so the general filter-bank path (not the Haar
-    pair-arithmetic shortcut) is what the gate watches.
-    """
-    X = np.random.default_rng(seed).normal(size=(n_segments, segment_length))
-    ref = [dwt_multilevel(row, levels, wavelet) for row in X]
-    fast = dwt_multilevel_batch(X, levels, wavelet)
-    equivalent = all(
-        np.allclose(fast[band][i], ref[i][band], atol=1e-9)
-        for i in range(n_segments)
-        for band in range(len(fast))
+def _dwt(fast: bool) -> Work:
+    X = _random_rows(512)
+    return Work(
+        512,
+        lambda: [dwt_multilevel(row, 5, "db2") for row in X],
+        lambda: dwt_multilevel_batch(X, 5, "db2"),
+        lambda ref, out: all(
+            np.allclose(out[band][i], ref[i][band], atol=1e-9)
+            for i in range(len(ref))
+            for band in range(len(out))
+        ),
     )
-    scalar = _best_wall_s(
-        lambda: [dwt_multilevel(row, levels, wavelet) for row in X], repeats
-    )
-    batch = _best_wall_s(lambda: dwt_multilevel_batch(X, levels, wavelet), repeats)
-    return PerfCase("dwt", n_segments, scalar, batch, equivalent)
 
 
+@lru_cache(maxsize=None)
 def _bench_engine(n_segments: int):
-    """A small trained engine plus its dataset, shared by the inference and
-    end-to-end benches."""
+    """A small trained engine plus its dataset, trained once per size and
+    report (:func:`collect_perf_report` clears the cache)."""
     dataset = load_case("C1", n_segments=max(60, n_segments))
-    engine = train_analytic_engine(dataset, _BENCH_TRAINING)
-    return engine, dataset
+    return train_analytic_engine(dataset, _BENCH_TRAINING), dataset
 
 
-def bench_inference(
-    n_events: int = 256, repeats: int = 3, seed: int = 2025
-) -> PerfCase:
-    """Time ensemble inference on normalised features: per-event vs batch."""
+def _bench_events(n_events: int):
+    """The shared engine and ``n_events`` of its segments, drawn with
+    replacement."""
+    engine, dataset = _bench_engine(n_events)
+    rows = np.random.default_rng(_SEED).integers(
+        0, len(dataset.segments), size=n_events
+    )
+    return engine, dataset.segments[rows]
+
+
+def _inference(fast: bool) -> Work:
     from repro.ml.inference import EnsembleBatchScorer
 
-    engine, dataset = _bench_engine(n_events)
-    rows = np.random.default_rng(seed).integers(
-        0, len(dataset.segments), size=n_events
-    )
-    X = engine.normalizer.transform(
-        batch_extract_matrix(dataset.segments[rows], engine.layout)
-    )
+    engine, segments = _bench_events(256)
+    X = engine.normalizer.transform(batch_extract_matrix(segments, engine.layout))
     ensemble = engine.ensemble
     scorer = EnsembleBatchScorer(ensemble)
-    per_event = np.array([int(ensemble.predict(x[None, :])[0]) for x in X])
-    equivalent = bool(np.array_equal(per_event, scorer.predict(X)))
-    scalar = _best_wall_s(
-        lambda: [int(ensemble.predict(x[None, :])[0]) for x in X], repeats
+    return Work(
+        256,
+        lambda: [int(ensemble.predict(x[None, :])[0]) for x in X],
+        lambda: scorer.predict(X),
+        _arrays_equal,
     )
-    batch = _best_wall_s(lambda: scorer.predict(X), repeats)
-    return PerfCase("inference", n_events, scalar, batch, equivalent)
 
 
-def bench_end_to_end(
-    n_events: int = 256, repeats: int = 3, seed: int = 2025
-) -> PerfCase:
-    """Time raw segments to decisions: predict_segment loop vs predict_batch."""
-    engine, dataset = _bench_engine(n_events)
-    rows = np.random.default_rng(seed).integers(
-        0, len(dataset.segments), size=n_events
+def _end_to_end(fast: bool) -> Work:
+    engine, segments = _bench_events(256)
+    return Work(
+        256,
+        lambda: [engine.predict_segment(row) for row in segments],
+        lambda: engine.predict_batch(segments),
+        _arrays_equal,
     )
-    segments = dataset.segments[rows]
-    per_event = np.array([engine.predict_segment(row) for row in segments])
-    equivalent = bool(np.array_equal(per_event, engine.predict_batch(segments)))
-    scalar = _best_wall_s(
-        lambda: [engine.predict_segment(row) for row in segments], repeats
-    )
-    batch = _best_wall_s(lambda: engine.predict_batch(segments), repeats)
-    return PerfCase("end_to_end", n_events, scalar, batch, equivalent)
 
 
-def bench_generator(
-    n_limits: int = 6, repeats: int = 3
-) -> PerfCase:
-    """Time a delay-limit ladder of constrained ``generate()`` calls.
-
-    The workload mirrors the design-space sweeps (pareto, codesign,
-    sensitivity) that call the Automatic XPro Generator once per point
-    with a fixed hardware context: ``n_limits`` delay limits spanning the
-    feasible band between the best single-end delay and the unconstrained
-    min-cut delay, each limit tight enough to force the full Lagrangian
-    bisection.
-
-    - *scalar path*: a fresh ``warm_start=False, cache_size=0`` generator
-      per limit — every lambda probe rebuilds the s-t graph, solves Dinic
-      from a cold start and re-prices every cut through the energy/delay
-      model (the pre-fast-path behaviour);
-    - *batch path*: one warm generator for the whole ladder — a single
-      s-t graph template re-priced per lambda, residual-flow warm starts,
-      and the partition-evaluation memo shared across limits.
-
-    Equivalence asserts both paths return identical partitions and
-    bit-identical metrics at every limit.
-    """
+def _generator(fast: bool) -> Work:
     from repro.core.generator import AutomaticXProGenerator
     from repro.graph.cuts import aggregator_cut, sensor_cut
     from repro.hw.aggregator import AggregatorCPU
@@ -323,8 +294,7 @@ def bench_generator(
     from repro.hw.wireless import WirelessLink
     from repro.sim.evaluate import metrics_identical
 
-    if n_limits < 1:
-        raise ConfigurationError("n_limits must be positive")
+    n_limits = 6
     engine, _ = _bench_engine(120)
     lib = EnergyLibrary("90nm")
     topology = engine.build_topology(lib)
@@ -361,19 +331,19 @@ def bench_generator(
         gen = AutomaticXProGenerator(topology, lib, link, cpu)
         return [gen.generate(delay_limit_s=limit) for limit in limits]
 
-    cold_results = run_cold()
-    warm_results = run_warm()
-    equivalent = all(
-        c.partition == w.partition and metrics_identical(c.metrics, w.metrics)
-        for c, w in zip(cold_results, warm_results)
+    return Work(
+        n_limits,
+        run_cold,
+        run_warm,
+        lambda cold, warm: all(
+            c.partition == w.partition and metrics_identical(c.metrics, w.metrics)
+            for c, w in zip(cold, warm)
+        ),
     )
-    scalar = _best_wall_s(run_cold, repeats)
-    batch = _best_wall_s(run_warm, repeats)
-    return PerfCase("generator", n_limits, scalar, batch, equivalent)
 
 
 def _bench_metrics():
-    """Fixed cross-end operating point shared by the wire/fleet benches."""
+    """Fixed cross-end operating point shared by the wire/fleet rows."""
     from repro.sim.evaluate import PartitionMetrics
 
     return PartitionMetrics(
@@ -391,33 +361,7 @@ def _bench_metrics():
     )
 
 
-def bench_wire(
-    n_payloads: int = 512,
-    values_per_payload: int = 24,
-    repeats: int = 3,
-    seed: int = 2025,
-) -> PerfCase:
-    """Time the wire data plane: scalar vs batch framing/CRC/codec.
-
-    One item is a full payload round trip — Q16.16 serialisation,
-    fragmentation into CRC-protected frames, receiver-side decode and
-    value recovery:
-
-    - *scalar path*: :func:`~repro.hw.framing.encode_values_scalar`,
-      per-frame :func:`~repro.hw.framing.fragment_payload` /
-      :func:`~repro.hw.framing.decode_frame` (per-byte CRC loops), then
-      :func:`~repro.hw.framing.decode_values_scalar` — the pre-batch
-      reference implementations;
-    - *batch path*: the vectorised codec over all payloads at once
-      (:func:`~repro.hw.framing.encode_values`,
-      :func:`~repro.hw.framing.encode_frames`,
-      :func:`~repro.hw.framing.decode_frames`,
-      :func:`~repro.hw.framing.decode_values`).
-
-    ``equivalent`` asserts byte-identical frames, exactly equal decoded
-    values, *and* that a seeded byte-level :class:`~repro.sim.faults.
-    FaultCampaign` replays bit-identically through its fast path.
-    """
+def _wire(fast: bool) -> Work:
     from repro.hw.arq import ARQConfig
     from repro.hw.framing import (
         SEQ_MODULUS,
@@ -441,12 +385,9 @@ def bench_wire(
     )
     from repro.sim.simulator import CrossEndSimulator
 
-    if n_payloads < 1 or values_per_payload < 1:
-        raise ConfigurationError(
-            "n_payloads and values_per_payload must be positive"
-        )
+    n_payloads, values_per_payload = 512, 24
     config = FramingConfig(max_payload_bytes=64, crc=True)
-    values = np.random.default_rng(seed).uniform(
+    values = np.random.default_rng(_SEED).uniform(
         -1000.0, 1000.0, (n_payloads, values_per_payload)
     )
     payload_len = values_per_payload * 4  # Q16.16 words
@@ -483,76 +424,41 @@ def bench_wire(
         decoded = decode_values(b"".join(batch.payloads))  # type: ignore[arg-type]
         return matrix, lengths, decoded.reshape(n_payloads, values_per_payload)
 
-    scalar_decoded = run_scalar()
-    matrix, lengths, batch_decoded = run_batch()
-    seq = 0
-    frames_ok = True
-    for i, row in enumerate(values):
-        frames = fragment_payload(encode_values_scalar(row), seq, config)
-        seq = (seq + len(frames)) % SEQ_MODULUS
-        for j, frame in enumerate(frames):
-            r = i * n_chunks + j
-            if matrix[r, : int(lengths[r])].tobytes() != frame:
-                frames_ok = False
-    values_ok = all(
-        np.array_equal(scalar_decoded[i], batch_decoded[i])
-        for i in range(n_payloads)
-    )
+    def equivalent(scalar_decoded, batch_out) -> bool:
+        matrix, lengths, batch_decoded = batch_out
+        seq = 0
+        frames_ok = True
+        for i, row in enumerate(values):
+            frames = fragment_payload(encode_values_scalar(row), seq, config)
+            seq = (seq + len(frames)) % SEQ_MODULUS
+            for j, frame in enumerate(frames):
+                r = i * n_chunks + j
+                if matrix[r, : int(lengths[r])].tobytes() != frame:
+                    frames_ok = False
+        values_ok = all(
+            np.array_equal(scalar_decoded[i], batch_decoded[i])
+            for i in range(n_payloads)
+        )
+        campaign = FaultCampaign(
+            [
+                BurstLoss(GilbertElliottParams(0.01, 0.20, 0.005, 0.5)),
+                PayloadCorruption(0.05, mode="bitflip"),
+            ],
+            seed=_SEED,
+        )
+        simulator = CrossEndSimulator(_bench_metrics(), period_s=0.25, seed=_SEED)
+        integrity = IntegrityConfig(framing=config, values_per_payload=8)
+        arq = ARQConfig(max_retries=3, timeout_s=2e-3)
+        campaign_ok = reports_identical(
+            campaign.run(simulator, 200, arq=arq, integrity=integrity, fast=False),
+            campaign.run(simulator, 200, arq=arq, integrity=integrity, fast=True),
+        )
+        return frames_ok and values_ok and campaign_ok
 
-    campaign = FaultCampaign(
-        [
-            BurstLoss(GilbertElliottParams(0.01, 0.20, 0.005, 0.5)),
-            PayloadCorruption(0.05, mode="bitflip"),
-        ],
-        seed=seed,
-    )
-    simulator = CrossEndSimulator(_bench_metrics(), period_s=0.25, seed=seed)
-    integrity = IntegrityConfig(framing=config, values_per_payload=8)
-    arq = ARQConfig(max_retries=3, timeout_s=2e-3)
-    campaign_ok = reports_identical(
-        campaign.run(simulator, 200, arq=arq, integrity=integrity, fast=False),
-        campaign.run(simulator, 200, arq=arq, integrity=integrity, fast=True),
-    )
-
-    equivalent = frames_ok and values_ok and campaign_ok
-    scalar = _best_wall_s(run_scalar, repeats)
-    batch = _best_wall_s(run_batch, repeats)
-    return PerfCase("wire", n_payloads, scalar, batch, equivalent)
+    return Work(n_payloads, run_scalar, run_batch, equivalent)
 
 
-def bench_fleet(
-    n_networks: int = 1250,
-    devices_per_network: int = 8,
-    n_rounds: int = 4,
-    repeats: int = 1,
-    seed: int = 2025,
-) -> PerfCase:
-    """Time population-scale fleet rounds: scalar twin vs SoA engine.
-
-    One item is one simulated device (``n_items = n_networks *
-    devices_per_network`` — 10^4 at the full-mode defaults).  Both paths
-    simulate the identical fleet — mixed TDMA/MIMO networks, bursty
-    Gilbert-Elliott links, bounded stop-and-wait retries — under the
-    per-network RNG draw-order contract of :mod:`repro.sim.fleetsoa`:
-
-    - *scalar path*: :func:`~repro.sim.fleetsoa.simulate_fleet_scalar` —
-      one Python event loop per device, real
-      :class:`~repro.sim.channel.GilbertElliottChannel` objects stepped
-      one attempt slot at a time (the pre-SoA fleet shape);
-    - *batch path*: :func:`~repro.sim.fleetsoa.simulate_fleet_soa` — one
-      ndarray per state field across the whole fleet, block channel
-      draws through :func:`~repro.sim.channel.ge_outcome_block`.
-
-    ``equivalent`` asserts the full :class:`~repro.sim.fleetsoa.
-    FleetResult` columns — counters, energies, latencies, availability
-    (NaN sentinels included) and final channel states — are bit-identical
-    via :func:`~repro.sim.fleetsoa.fleet_results_identical`, unsupervised
-    on the timed fleet and supervised (health states and quarantine
-    counts included) on a harsh-channel fleet of at most 32 networks
-    where devices cycle through quarantine.  Both timings are
-    unsupervised and run on one core, so the ratio is machine-portable
-    and gated (``fleet.speedup`` in :data:`TRACKED_METRICS`).
-    """
+def _fleet(fast: bool) -> Work:
     from repro.sim.channel import GilbertElliottParams
     from repro.sim.fleetsoa import (
         FleetConfig,
@@ -563,17 +469,14 @@ def bench_fleet(
     )
     from repro.sim.supervise import HealthPolicy
 
-    if n_networks < 1 or devices_per_network < 1 or n_rounds < 1:
-        raise ConfigurationError(
-            "n_networks, devices_per_network and n_rounds must be positive"
-        )
+    n_networks, devices_per_network, n_rounds = (256 if fast else 1250), 8, 4
     spec = FleetSpec.homogeneous(
         n_networks,
         devices_per_network,
         _bench_metrics(),
         period_s=0.25,
         protocol="mixed",
-        config=FleetConfig(events_per_round=4, max_retries=2, seed=seed),
+        config=FleetConfig(events_per_round=4, max_retries=2, seed=_SEED),
     )
     harsh = FleetSpec.homogeneous(
         min(n_networks, 32),
@@ -585,58 +488,23 @@ def bench_fleet(
             events_per_round=4,
             max_retries=1,
             channel=GilbertElliottParams(0.30, 0.08, 0.05, 0.95),
-            seed=seed,
+            seed=_SEED,
         ),
     )
     policy = HealthPolicy(degraded_availability=0.95, quarantine_availability=0.60)
-    equivalent = fleet_results_identical(
-        simulate_fleet_scalar(spec, n_rounds),
-        simulate_fleet_soa(spec, n_rounds),
-    ) and fleet_results_identical(
-        simulate_fleet_scalar(harsh, 12, policy=policy),
-        simulate_fleet_soa(harsh, 12, policy=policy),
+    return Work(
+        spec.n_devices,
+        lambda: simulate_fleet_scalar(spec, n_rounds),
+        lambda: simulate_fleet_soa(spec, n_rounds),
+        lambda ref, out: fleet_results_identical(ref, out)
+        and fleet_results_identical(
+            simulate_fleet_scalar(harsh, 12, policy=policy),
+            simulate_fleet_soa(harsh, 12, policy=policy),
+        ),
     )
-    scalar = _best_wall_s(lambda: simulate_fleet_scalar(spec, n_rounds), repeats)
-    batch = _best_wall_s(lambda: simulate_fleet_soa(spec, n_rounds), repeats)
-    return PerfCase("fleet", spec.n_devices, scalar, batch, equivalent)
 
 
-def bench_streaming(
-    n_streams: int = 1024,
-    n_ticks: int = 8,
-    tick_samples: int = 32,
-    repeats: int = 1,
-    seed: int = 2025,
-) -> PerfCase:
-    """Time live multi-stream window scoring: scalar twin vs SoA pool.
-
-    One item is one emitted (scored) sliding window.  Both paths ingest
-    the identical ``(n_streams, n_ticks * tick_samples)`` sample matrix
-    on the identical tick cadence, over a heterogeneous window/hop grid
-    (windows cycling 64/96/128 samples, hops 16/24/32 — overlapping
-    windows at three rates, the AdaSense-style per-stream knobs):
-
-    - *scalar path*: :func:`~repro.stream.twin.run_twin` — one Python
-      ring buffer per stream, per-sample appends, one
-      :class:`~repro.dsp.streaming.StreamingMoments` /
-      :class:`~repro.dsp.streaming.CrossingCounter` pass per window (the
-      pre-SoA streaming shape);
-    - *batch path*: :func:`~repro.stream.engine.run_stream_pool` — one
-      ring-buffer ndarray block across all streams, one batched scoring
-      call per tick for all due windows at once.
-
-    ``equivalent`` asserts the full :class:`~repro.stream.engine.
-    StreamRunResult` — per-window scores, decisions, window sequencing
-    and every backpressure/rejection counter — is **bit-identical**
-    (NaN-aware) via :func:`~repro.stream.engine.
-    stream_results_identical`.  The case's extras carry p50/p99
-    per-window latency in milliseconds from an instrumented SoA run:
-    every window emitted by a tick is charged that tick's wall time
-    (ingest + gather + batched scoring), the serving-latency view of the
-    same work.  Both timings run on one core, so the ratio is
-    machine-portable and gated (``streaming.speedup`` in
-    :data:`TRACKED_METRICS`).
-    """
+def _streaming(fast: bool) -> Work:
     from repro.stream import (
         MomentsBackend,
         StreamPool,
@@ -646,10 +514,7 @@ def bench_streaming(
         stream_results_identical,
     )
 
-    if n_streams < 1 or n_ticks < 1 or tick_samples < 1:
-        raise ConfigurationError(
-            "n_streams, n_ticks and tick_samples must be positive"
-        )
+    n_streams, n_ticks, tick_samples = (256 if fast else 1024), 8, 32
     idx = np.arange(n_streams)
     spec = StreamSpec(
         windows=np.asarray([64, 96, 128], dtype=np.int64)[idx % 3],
@@ -659,12 +524,9 @@ def bench_streaming(
         capacity=256,
     )
     backend = MomentsBackend()
-    rng = np.random.default_rng(seed)
-    samples = rng.normal(0.0, 1.0, (n_streams, n_ticks * tick_samples))
-
-    twin_result = run_twin(spec, backend, samples, tick_samples)
-    soa_result = run_stream_pool(spec, backend, samples, tick_samples)
-    equivalent = stream_results_identical(twin_result, soa_result)
+    samples = np.random.default_rng(_SEED).normal(
+        0.0, 1.0, (n_streams, n_ticks * tick_samples)
+    )
 
     # Instrumented SoA pass: per-tick wall time, charged to every window
     # that tick emitted — the per-window serving latency.
@@ -676,20 +538,16 @@ def bench_streaming(
         emitted = len(pool.tick())
         latencies.extend([time.perf_counter() - t_start] * emitted)
     lat_ms = np.asarray(latencies) * 1e3
-    extras = {
-        "n_streams": float(n_streams),
-        "p50_window_latency_ms": float(np.percentile(lat_ms, 50)),
-        "p99_window_latency_ms": float(np.percentile(lat_ms, 99)),
-    }
-
-    scalar = _best_wall_s(
-        lambda: run_twin(spec, backend, samples, tick_samples), repeats
-    )
-    batch = _best_wall_s(
-        lambda: run_stream_pool(spec, backend, samples, tick_samples), repeats
-    )
-    return PerfCase(
-        "streaming", soa_result.n_windows, scalar, batch, equivalent, extras
+    return Work(
+        len(latencies),
+        lambda: run_twin(spec, backend, samples, tick_samples),
+        lambda: run_stream_pool(spec, backend, samples, tick_samples),
+        stream_results_identical,
+        {
+            "n_streams": float(n_streams),
+            "p50_window_latency_ms": float(np.percentile(lat_ms, 50)),
+            "p99_window_latency_ms": float(np.percentile(lat_ms, 99)),
+        },
     )
 
 
@@ -719,121 +577,100 @@ def _ensembles_identical(ref, fast, X: np.ndarray) -> bool:
     return bool(np.array_equal(ref.predict(X), fast.predict(X)))
 
 
-def _training_case_data(symbol: str, n_segments: int):
-    """Normalised feature matrix + labels for one Table-1 case."""
+def _training_case(symbol: str, n_segments: int, **params: Any):
+    """Normalised features and labels of one Table-1 case, plus a factory
+    of identically seeded subspace classifiers over them."""
     from repro.dsp.normalize import MinMaxNormalizer
+    from repro.ml.subspace import RandomSubspaceClassifier
 
     dataset = load_case(symbol, n_segments=n_segments)
     layout = FeatureLayout(segment_length=dataset.segment_length)
     features = batch_extract_matrix(dataset.segments, layout)
-    return (
-        MinMaxNormalizer().fit(features).transform(features),
-        np.asarray(dataset.labels),
-    )
-
-
-def bench_training(
-    n_segments: int = 200,
-    n_draws: int = 100,
-    cv_folds: int = 10,
-    repeats: int = 1,
-    check_all_cases: bool = True,
-    seed: int = 42,
-) -> PerfCase:
-    """Time the §4.4 subspace training protocol: reference vs fast path.
-
-    One item is one subspace draw (each costing ``cv_folds`` fold fits
-    plus the final refit).  Both paths run the identical protocol on the
-    identical C1 feature matrix with the identical master seed:
-
-    - *scalar path*: ``fit(fast=False)`` — a fresh Gram matrix per fold
-      per draw, each SVM trained by the pinned
-      :meth:`~repro.ml.svm.SVMClassifier.fit_reference` per-index loop;
-    - *batch path*: ``fit()`` — one full-row Gram per draw
-      (:meth:`~repro.ml.kernels.Kernel.subspace_gram`, RBF squared-column
-      precompute shared across draws) sliced with ``np.ix_`` across all
-      folds, the refit and the validation scoring, each SVM trained by
-      the cached-error screened SMO.
-
-    ``equivalent`` asserts decision-identical ensembles (see
-    :func:`_ensembles_identical`) on the timed pair and — when
-    ``check_all_cases`` is set — on every Table-1 case at a reduced
-    scale, so a timing run is also a six-case twin check.  Extras carry
-    the protocol shape (``n_rows``, ``n_draws``, ``cv_folds``,
-    ``cases_checked``).
-
-    Args:
-        n_segments: Segments of the C1 dataset to train on.
-        n_draws: Random subspace draws (paper scale: 100).
-        cv_folds: CV folds per draw (paper: 10).
-        repeats: Best-of repeats per timed path (the reference path costs
-            minutes at paper scale, so the default times each path once).
-        check_all_cases: Also assert ref-vs-fast identity on all six
-            Table-1 cases at reduced scale (full-report mode).
-        seed: Master ensemble seed.
-    """
-    from repro.ml.subspace import RandomSubspaceClassifier
-
-    if n_segments < 40:
-        raise ConfigurationError("n_segments must be >= 40")
-    if n_draws < 1:
-        raise ConfigurationError("n_draws must be >= 1")
-    X, y = _training_case_data("C1", n_segments)
+    X = MinMaxNormalizer().fit(features).transform(features)
 
     def make() -> RandomSubspaceClassifier:
         return RandomSubspaceClassifier(
-            n_features=X.shape[1],
-            subspace_dim=12,
-            n_draws=n_draws,
-            keep_fraction=0.10,
-            C=1.0,
-            seed=seed,
-            cv_folds=cv_folds,
+            n_features=X.shape[1], subspace_dim=12, C=1.0, seed=42, **params
         )
 
-    # The timed fits double as the equivalence pair: the reference path
-    # costs minutes at paper scale, so it is not fit a second time.
-    fitted: Dict[str, Any] = {}
-    scalar = _best_wall_s(
-        lambda: fitted.__setitem__("ref", make().fit(X, y, fast=False)), repeats
+    return X, np.asarray(dataset.labels), make
+
+
+def _small_case_identical(symbol: str) -> bool:
+    X, y, make = _training_case(
+        symbol, 96, n_draws=4, keep_fraction=0.5, cv_folds=3
     )
-    batch = _best_wall_s(
-        lambda: fitted.__setitem__("fast", make().fit(X, y)), repeats
+    return _ensembles_identical(make().fit(X, y, fast=False), make().fit(X, y), X)
+
+
+def _training(fast: bool) -> Work:
+    from repro.signals.datasets import CASE_ORDER
+
+    # Paper scale (100 draws x 10-fold CV) costs the reference path
+    # minutes; fast mode trims the draw count, keeping the per-draw work —
+    # and therefore the ratio — intact.
+    n_draws = 6 if fast else 100
+    X, y, make = _training_case(
+        "C1", 200, n_draws=n_draws, keep_fraction=0.10, cv_folds=10
     )
-    equivalent = _ensembles_identical(fitted["ref"], fitted["fast"], X)
+    cases = () if fast else CASE_ORDER
+    return Work(
+        n_draws,
+        lambda: make().fit(X, y, fast=False),
+        lambda: make().fit(X, y),
+        lambda ref, out: _ensembles_identical(ref, out, X)
+        and all(_small_case_identical(symbol) for symbol in cases),
+        {
+            "n_rows": float(len(X)),
+            "n_draws": float(n_draws),
+            "cv_folds": 10.0,
+            "cases_checked": float(1 + len(cases)),
+        },
+    )
 
-    cases_checked = 1
-    if check_all_cases:
-        from repro.signals.datasets import CASE_ORDER
 
-        for symbol in CASE_ORDER:
-            Xc, yc = _training_case_data(symbol, 96)
+#: The stage table: every stage the harness runs, in report order.  Work
+#: sizes are identical in fast and full mode except where a builder scales
+#: on ``fast``; repeats are 1 in fast mode except where a row fixes them.
+STAGES = (
+    Stage("extraction", _extraction),
+    Stage("dwt", _dwt),
+    Stage("inference", _inference),
+    Stage("end_to_end", _end_to_end),
+    Stage("generator", _generator),
+    Stage("wire", _wire),
+    Stage("fleet", _fleet, repeats=1),
+    # Best-of-3 even in fast mode: the twin-vs-SoA ratio at one repeat is
+    # noisy enough (~4-13x observed) to graze the >= 8x acceptance floor
+    # and the CI gate cutoff on a busy machine, and the stage times in ~1 s.
+    Stage("streaming", _streaming, repeats=3),
+    Stage("training", _training, timed_pair=True),
+)
 
-            def make_small() -> RandomSubspaceClassifier:
-                return RandomSubspaceClassifier(
-                    n_features=Xc.shape[1],
-                    subspace_dim=12,
-                    n_draws=4,
-                    keep_fraction=0.5,
-                    C=1.0,
-                    seed=seed,
-                    cv_folds=3,
-                )
+#: Stage names accepted by :func:`collect_perf_report`'s ``stages`` filter.
+ALL_STAGES = tuple(stage.name for stage in STAGES)
 
-            equivalent = equivalent and _ensembles_identical(
-                make_small().fit(Xc, yc, fast=False),
-                make_small().fit(Xc, yc),
-                Xc,
-            )
-            cases_checked += 1
+#: Metrics the CI regression gate compares against the committed baseline.
+#: Only speedup *ratios* are tracked: absolute segments/s depends on the
+#: machine, while the scalar/batch ratio is a property of the code.
+TRACKED_METRICS = tuple(f"{name}.speedup" for name in ALL_STAGES)
 
-    extras = {
-        "n_rows": float(len(X)),
-        "n_draws": float(n_draws),
-        "cv_folds": float(cv_folds),
-        "cases_checked": float(cases_checked),
-    }
-    return PerfCase("training", n_draws, scalar, batch, equivalent, extras)
+
+def _measure(stage: Stage, fast: bool, repeats: int) -> PerfCase:
+    """Build one row's work, check its two paths agree, time each path."""
+    work = stage.build(fast)
+    if stage.timed_pair:
+        scalar, ref_out = _timed(work.reference)
+        batch, fast_out = _timed(work.fast)
+        equivalent = work.equivalent(ref_out, fast_out)
+    else:
+        equivalent = work.equivalent(work.reference(), work.fast())
+        n = stage.repeats or repeats
+        scalar = _best_wall_s(work.reference, n)
+        batch = _best_wall_s(work.fast, n)
+    return PerfCase(
+        stage.name, work.n_items, scalar, batch, bool(equivalent), dict(work.extras)
+    )
 
 
 def collect_perf_report(
@@ -841,15 +678,15 @@ def collect_perf_report(
     repeats: int = 3,
     stages: Sequence[str] | None = None,
 ) -> Dict[str, Any]:
-    """Run every benchmark and assemble the machine-readable report.
+    """Run the :data:`STAGES` rows and assemble the machine-readable report.
 
     Work sizes are deliberately identical in fast and full mode — only the
-    repeat count (and the fleet size) changes — so a fast-mode fresh report
-    is directly comparable to the committed full-mode baseline.
+    repeat count, the fleet size, the stream population and the training
+    draw count change — so a fast-mode fresh report is directly
+    comparable to the committed full-mode baseline.
 
     Args:
-        fast: CI smoke scale — single repeat, a smaller fleet and a
-            smaller stream population.
+        fast: CI smoke scale (see :data:`STAGES`).
         repeats: Best-of repeats per timed path (forced to 1 in fast mode).
         stages: Optional subset of :data:`ALL_STAGES` to run (``None``
             runs them all).  Subset reports time faster but only carry
@@ -859,65 +696,22 @@ def collect_perf_report(
     Returns:
         JSON-ready report dictionary (see ``docs/PERFORMANCE.md``).
     """
+    names = [stage.name for stage in STAGES]
     if stages is not None:
-        unknown = set(stages) - set(ALL_STAGES)
+        unknown = set(stages) - set(names)
         if unknown:
             raise ConfigurationError(
-                f"unknown perf stages {sorted(unknown)}; available: {ALL_STAGES}"
+                f"unknown perf stages {sorted(unknown)}; available: {tuple(names)}"
             )
-
-    def wanted(name: str) -> bool:
-        return stages is None or name in stages
-
     repeats = 1 if fast else repeats
-    cases: List[PerfCase] = []
-    if wanted("extraction"):
-        cases.append(bench_extraction(n_segments=256, repeats=repeats))
-    if wanted("dwt"):
-        cases.append(bench_dwt(n_segments=512, repeats=repeats))
-    if wanted("inference"):
-        cases.append(bench_inference(n_events=256, repeats=repeats))
-    if wanted("end_to_end"):
-        cases.append(bench_end_to_end(n_events=256, repeats=repeats))
-    if wanted("generator"):
-        cases.append(bench_generator(n_limits=6, repeats=repeats))
-    if wanted("wire"):
-        cases.append(bench_wire(n_payloads=512, repeats=repeats))
-    if wanted("fleet"):
-        cases.append(
-            bench_fleet(
-                n_networks=256 if fast else 1250,
-                devices_per_network=8,
-                n_rounds=4,
-                repeats=1,
-            )
-        )
-    if wanted("streaming"):
-        cases.append(
-            bench_streaming(
-                n_streams=256 if fast else 1024,
-                n_ticks=8,
-                tick_samples=32,
-                # Best-of-3 even in fast mode: the twin-vs-SoA ratio at
-                # one repeat is noisy enough (~4-13x observed) to graze
-                # the >= 8x acceptance floor and the CI gate cutoff on a
-                # busy machine, and the whole stage times in ~1 s.
-                repeats=3,
-            )
-        )
-    if wanted("training"):
-        cases.append(
-            bench_training(
-                n_segments=200,
-                # Paper scale (100 draws x 10-fold CV) costs the reference
-                # path minutes; fast mode trims the draw count, keeping
-                # the per-draw work — and therefore the ratio — intact.
-                n_draws=6 if fast else 100,
-                cv_folds=10,
-                repeats=1,
-                check_all_cases=not fast,
-            )
-        )
+    try:
+        cases = [
+            _measure(stage, fast, repeats)
+            for stage in STAGES
+            if stages is None or stage.name in stages
+        ]
+    finally:
+        _bench_engine.cache_clear()  # engines live for one report only
 
     metrics: Dict[str, float] = {}
     for case in cases:
@@ -926,7 +720,7 @@ def collect_perf_report(
         metrics[f"{case.name}.batch_per_s"] = case.batch_per_s
         for key, value in case.extras.items():
             metrics[f"{case.name}.{key}"] = value
-    tracked = [name for name in TRACKED_METRICS if name in metrics]
+    tracked = [f"{case.name}.speedup" for case in cases]
     return {
         "schema": SCHEMA,
         "fast_mode": bool(fast),
@@ -961,6 +755,15 @@ def load_perf_report(path: str | Path) -> Dict[str, Any]:
     return data
 
 
+def _disagreeing(report: Dict[str, Any]) -> List[str]:
+    """Names of the cases whose two paths disagreed."""
+    return [
+        name
+        for name, case in report.get("cases", {}).items()
+        if not case.get("equivalent", True)
+    ]
+
+
 def compare_reports(
     fresh: Dict[str, Any],
     baseline: Dict[str, Any],
@@ -970,7 +773,10 @@ def compare_reports(
 
     A tracked metric regresses when it falls below the baseline's gate
     value (its measurement times :data:`GATE_MARGIN`) minus the threshold:
-    ``gate * (1 - threshold)``.  Improvements never fail the gate.
+    ``gate * (1 - threshold)``.  Improvements never fail the gate.  A
+    baseline that does not track every metric of :data:`TRACKED_METRICS`
+    is stale (it predates a stage) and fails too, as does any fresh case
+    whose two paths disagreed.
 
     Args:
         fresh: Report measured by the current build.
@@ -982,10 +788,16 @@ def compare_reports(
     """
     if not 0.0 < threshold < 1.0:
         raise ConfigurationError("threshold must be in (0, 1)")
-    failures: List[str] = []
+    base_tracked = baseline.get("tracked", [])
+    failures = [
+        f"{name}: not in the baseline — regenerate it with "
+        "scripts/update_perf_baseline.py"
+        for name in TRACKED_METRICS
+        if name not in base_tracked
+    ]
     fresh_metrics = fresh.get("metrics", {})
     gate_values = baseline.get("gate", {})
-    for name in baseline.get("tracked", []):
+    for name in base_tracked:
         base_value = gate_values.get(name, baseline["metrics"][name])
         fresh_value = fresh_metrics.get(name)
         if fresh_value is None:
@@ -997,11 +809,10 @@ def compare_reports(
                 f"{name}: {fresh_value:.2f} < {floor:.2f} "
                 f"(baseline {base_value:.2f}, -{threshold:.0%} allowed)"
             )
-    for case_name, case in fresh.get("cases", {}).items():
-        if not case.get("equivalent", True):
-            failures.append(
-                f"{case_name}: scalar and batch paths disagreed on this run"
-            )
+    failures.extend(
+        f"{name}: scalar and batch paths disagreed on this run"
+        for name in _disagreeing(fresh)
+    )
     return failures
 
 
@@ -1015,6 +826,16 @@ def check_regression(
     if failures:
         raise PerfRegressionError(
             "perf regression gate failed:\n  " + "\n  ".join(failures)
+        )
+
+
+def check_equivalence(report: Dict[str, Any]) -> None:
+    """Raise :class:`PerfRegressionError` naming every stage whose two paths
+    disagreed."""
+    names = _disagreeing(report)
+    if names:
+        raise PerfRegressionError(
+            f"scalar and batch paths disagreed in: {', '.join(names)}"
         )
 
 

@@ -8,8 +8,8 @@
   segments through sensor, link and aggregator resources, used to validate
   the static model and to detect real-time overruns.
 - :mod:`repro.sim.parallel` -- fleet-scale parallel fan-out of independent
-  simulations (BSN reports, fault campaigns, design-space sweeps) across
-  worker processes, bit-identical to serial execution.
+  tasks (subspace draws, design-space sweeps, fleet and stream shards)
+  across worker processes, bit-identical to serial execution.
 - :mod:`repro.sim.faults` -- composable fault models (outages, burst loss,
   corruption, brownouts, stalls) and seeded fault-injection campaigns with
   bounded-retry ARQ, graceful degradation and an optional byte-level data
@@ -85,14 +85,10 @@ from repro.sim.fleetsoa import (
 from repro.sim.lifetime import battery_lifetime_hours, event_period_s
 from repro.sim.multinode import BSNNode, BSNReport, MultiNodeBSN
 from repro.sim.parallel import (
-    CampaignTask,
     ParallelConfig,
     derive_seeds,
-    fleet_reports,
-    fleet_simulations,
     fleet_soa_rounds,
     parallel_map,
-    run_campaigns,
     shard_map,
     stream_soa_windows,
     sweep,
@@ -128,7 +124,6 @@ __all__ = [
     "CHECKPOINT_SCHEMA",
     "CampaignCheckpointer",
     "CampaignResumeState",
-    "CampaignTask",
     "ChaosBounds",
     "ChaosCheckpointer",
     "ChaosDriver",
@@ -190,14 +185,11 @@ __all__ = [
     "derive_seeds",
     "ge_outcome_block",
     "evaluate_partition",
-    "fleet_reports",
     "fleet_results_identical",
-    "fleet_simulations",
     "fleet_soa_rounds",
     "metrics_identical",
     "parallel_map",
     "render_timeline",
-    "run_campaigns",
     "shard_map",
     "simulate_discharge",
     "simulate_fleet_scalar",

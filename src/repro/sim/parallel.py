@@ -1,9 +1,9 @@
 """Fleet-scale parallel simulation driver.
 
-The evaluation layers run large numbers of *independent* simulations: one
-:class:`~repro.sim.multinode.MultiNodeBSN` report per body-sensor-network
-configuration, one seeded :class:`~repro.sim.faults.FaultCampaign` per
-scenario, one partition evaluation per design-space point.  Each task is
+The evaluation layers run large numbers of *independent* tasks: one
+subspace draw per ensemble member (:func:`subspace_draws`), one partition
+evaluation per design-space point (:func:`sweep`), one seeded simulation
+per scenario (:func:`parallel_map` directly).  Each task is
 self-contained and carries its own seed, so the sweep is embarrassingly
 parallel — this module fans it across worker processes.  Population-scale
 fleets go through :func:`fleet_soa_rounds`, which shards the network axis
@@ -59,9 +59,6 @@ from typing import (
 import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.sim.faults import FaultCampaign, ResilienceReport
-from repro.sim.multinode import BSNReport, MultiNodeBSN
-from repro.sim.simulator import CrossEndSimulator
 
 logger = logging.getLogger(__name__)
 
@@ -268,51 +265,6 @@ def shard_map(
     return parallel_map(worker, bounds, config, shared=shared), bounds
 
 
-# -- fleet drivers (module-level workers so the process backend can pickle) --
-
-
-def _bsn_report(bsn: MultiNodeBSN) -> BSNReport:
-    """Worker: closed-form system report of one BSN configuration."""
-    return bsn.report()
-
-
-def _bsn_simulate(task: Tuple[MultiNodeBSN, int]) -> Dict[str, float]:
-    """Worker: event-driven medium simulation of one BSN configuration."""
-    bsn, n_events = task
-    return bsn.simulate(n_events)
-
-
-def fleet_reports(
-    bsns: Sequence[MultiNodeBSN], config: Optional[ParallelConfig] = None
-) -> List[BSNReport]:
-    """Closed-form :class:`BSNReport` of every BSN in the fleet.
-
-    The reports are pure functions of each BSN's configuration, so the
-    parallel fan-out is trivially bit-identical to the serial one.
-    """
-    return parallel_map(_bsn_report, bsns, config)
-
-
-def fleet_simulations(
-    bsns: Sequence[MultiNodeBSN],
-    n_events: int,
-    config: Optional[ParallelConfig] = None,
-) -> List[Dict[str, float]]:
-    """Event-driven medium simulation of every BSN in the fleet.
-
-    Args:
-        bsns: The fleet; each network is simulated independently.
-        n_events: Events per node streamed through each simulation.
-        config: Execution configuration.
-
-    Returns:
-        Per-BSN mean-latency dictionaries, in fleet order.
-    """
-    if n_events <= 0:
-        raise ConfigurationError("n_events must be positive")
-    return parallel_map(_bsn_simulate, [(bsn, n_events) for bsn in bsns], config)
-
-
 def _fleet_soa_shard(shared: Tuple[Any, int, Any], bounds: Tuple[int, int]) -> Any:
     """Worker: simulate one contiguous network range of the shared fleet."""
     from repro.sim.fleetsoa import simulate_fleet_soa
@@ -499,49 +451,6 @@ def subspace_draws(
     }
     tasks = [(subset, ms, fs) for subset, (ms, fs) in zip(subsets, seeds)]
     return parallel_map(_subspace_draw_task, tasks, config, shared=shared)
-
-
-@dataclass(frozen=True)
-class CampaignTask:
-    """One seeded fault-injection campaign to run against one simulator.
-
-    The campaign re-arms every fault model from its own seed inside
-    :meth:`~repro.sim.faults.FaultCampaign.run`, so the task produces the
-    same :class:`~repro.sim.faults.ResilienceReport` wherever it executes.
-
-    Attributes:
-        label: Task name carried through to the result ordering.
-        campaign: The seeded fault campaign.
-        simulator: Supplies partition metrics and the event period.
-        n_events: Events streamed through the campaign.
-        run_kwargs: Extra keyword arguments forwarded to
-            :meth:`FaultCampaign.run` (ARQ config, degradation policy,
-            integrity config, ...).  Must be picklable.
-    """
-
-    label: str
-    campaign: FaultCampaign
-    simulator: CrossEndSimulator
-    n_events: int
-    run_kwargs: Tuple[Tuple[str, Any], ...] = ()
-
-    def run(self) -> ResilienceReport:
-        """Execute the campaign exactly as the serial path would."""
-        return self.campaign.run(
-            self.simulator, self.n_events, **dict(self.run_kwargs)
-        )
-
-
-def _run_campaign(task: CampaignTask) -> ResilienceReport:
-    """Worker: one fault campaign, reset-from-seed semantics."""
-    return task.run()
-
-
-def run_campaigns(
-    tasks: Sequence[CampaignTask], config: Optional[ParallelConfig] = None
-) -> List[ResilienceReport]:
-    """Run every fault campaign, in task order, on the configured backend."""
-    return parallel_map(_run_campaign, tasks, config)
 
 
 def _call_with_params(

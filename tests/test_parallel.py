@@ -19,14 +19,10 @@ from repro.sim.faults import BurstLoss, FaultCampaign, LinkOutage, PayloadCorrup
 from repro.sim.multinode import BSNNode, MultiNodeBSN
 from repro.sim.parallel import (
     SERIAL,
-    CampaignTask,
     ParallelConfig,
     derive_seeds,
-    fleet_reports,
-    fleet_simulations,
     fleet_soa_rounds,
     parallel_map,
-    run_campaigns,
     shard_map,
     sweep,
 )
@@ -77,6 +73,20 @@ def _reports_equal(a, b):
 
 def _square(x):
     return x * x
+
+
+def _bsn_report(bsn):
+    return bsn.report()
+
+
+def _bsn_simulate(task):
+    bsn, n_events = task
+    return bsn.simulate(n_events)
+
+
+def _run_campaign(task):
+    campaign, simulator, n_events, arq = task
+    return campaign.run(simulator, n_events, arq=arq)
 
 
 def _affine(a, b):
@@ -274,21 +284,22 @@ class TestSharedState:
 
 class TestFleet:
     def test_reports_identical_serial_vs_process(self, fleet):
-        serial = fleet_reports(fleet, SERIAL)
-        parallel = fleet_reports(fleet, PROCESS)
+        serial = parallel_map(_bsn_report, fleet, SERIAL)
+        parallel = parallel_map(_bsn_report, fleet, PROCESS)
         assert serial == parallel
         # Mixed protocols genuinely covered: MIMO removes TDMA contention.
         assert serial[1].worst_event_delay_s <= serial[0].worst_event_delay_s
 
     def test_simulations_identical_serial_vs_process(self, fleet):
-        serial = fleet_simulations(fleet, 20, SERIAL)
-        parallel = fleet_simulations(fleet, 20, PROCESS)
+        tasks = [(bsn, 20) for bsn in fleet]
+        serial = parallel_map(_bsn_simulate, tasks, SERIAL)
+        parallel = parallel_map(_bsn_simulate, tasks, PROCESS)
         assert serial == parallel
         assert len(serial) == len(fleet)
 
     def test_event_count_validated(self, fleet):
         with pytest.raises(ConfigurationError):
-            fleet_simulations(fleet, 0, SERIAL)
+            parallel_map(_bsn_simulate, [(bsn, 0) for bsn in fleet], SERIAL)
 
 
 class TestFleetSoaRounds:
@@ -452,7 +463,7 @@ class TestCampaigns:
         primary, _ = metrics_pair
         simulator = CrossEndSimulator(primary, period_s=0.25, seed=3)
         tasks = []
-        for label, seed in zip(["a", "b", "c"], derive_seeds(99, 3)):
+        for seed in derive_seeds(99, 3):
             campaign = FaultCampaign(
                 [
                     BurstLoss(GilbertElliottParams(0.02, 0.10, 0.01, 0.6)),
@@ -461,25 +472,17 @@ class TestCampaigns:
                 ],
                 seed=seed,
             )
-            tasks.append(
-                CampaignTask(
-                    label,
-                    campaign,
-                    simulator,
-                    n_events=200,
-                    run_kwargs=(("arq", ARQConfig(max_retries=3)),),
-                )
-            )
+            tasks.append((campaign, simulator, 200, ARQConfig(max_retries=3)))
         return tasks
 
     def test_reports_identical_serial_vs_process(self, metrics_pair):
-        serial = run_campaigns(self._tasks(metrics_pair), SERIAL)
-        parallel = run_campaigns(self._tasks(metrics_pair), PROCESS)
+        serial = parallel_map(_run_campaign, self._tasks(metrics_pair), SERIAL)
+        parallel = parallel_map(_run_campaign, self._tasks(metrics_pair), PROCESS)
         assert _reports_equal(serial, parallel)
 
     def test_rerun_is_reproducible(self, metrics_pair):
-        first = run_campaigns(self._tasks(metrics_pair), PROCESS)
-        second = run_campaigns(self._tasks(metrics_pair), PROCESS)
+        first = parallel_map(_run_campaign, self._tasks(metrics_pair), PROCESS)
+        second = parallel_map(_run_campaign, self._tasks(metrics_pair), PROCESS)
         assert _reports_equal(first, second)
 
 
