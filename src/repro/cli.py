@@ -624,7 +624,7 @@ def _cmd_perf(args: argparse.Namespace) -> str:
     if args.baseline:
         baseline = load_perf_report(args.baseline)
         threshold = args.threshold if args.threshold is not None else DEFAULT_THRESHOLD
-        check_regression(report, baseline, threshold)
+        check_regression(report, baseline, threshold, args.stage)
         lines.append(f"regression gate OK vs {args.baseline}")
     return "\n".join(lines)
 

@@ -13,11 +13,15 @@ partitioner operates on.  Key rules (Section 2.2/3.1):
   inserted automatically when Std is used, and shared if Var is also used
   directly;
 - min-max normalisation is folded into the SVM member cells.
+
+The one-vs-rest builder (:mod:`repro.core.multiclass`) runs the same
+feature front and member loop, then adds its per-class fusion and argmax
+cells (§5.7: multi-class only extends the topology).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Any, Dict, List, Set, Tuple
 
 from repro.cells.cell import SOURCE_CELL, FunctionalCell, PortRef
 from repro.cells.library import (
@@ -52,20 +56,49 @@ def build_topology(
         A validated :class:`~repro.cells.topology.CellTopology` whose
         monolithic execution reproduces ``ensemble.predict`` exactly.
     """
-    if not ensemble.is_fitted:
-        raise ConfigurationError("ensemble must be fitted before building cells")
+    cells, feature_ports = _feature_front(layout, ensemble, normalizer, energy_lib)
+    member_refs = _add_member_cells(
+        cells, ensemble, feature_ports, normalizer, energy_lib, "svm_m"
+    )
+    fusion_cell = make_fusion_cell(ensemble.fusion, member_refs, energy_lib)
+    cells.append(fusion_cell)
+    return CellTopology(
+        segment_length=layout.segment_length,
+        cells=cells,
+        result=PortRef(fusion_cell.name, "out"),
+    )
+
+
+def _feature_front(
+    layout: FeatureLayout,
+    classifier: Any,
+    normalizer: MinMaxNormalizer,
+    energy_lib: EnergyLibrary,
+) -> Tuple[List[FunctionalCell], Dict[int, PortRef]]:
+    """The DWT chain and feature cells feeding a fitted classifier.
+
+    ``classifier`` is anything with ``is_fitted``, ``n_features`` and
+    ``used_feature_indices()`` (a binary ensemble or a one-vs-rest stack).
+
+    Returns:
+        The cells in topological order, and the producing port of every
+        used flat feature index.
+    """
+    if not classifier.is_fitted:
+        raise ConfigurationError("classifier must be fitted before building cells")
     if not normalizer.is_fitted:
         raise ConfigurationError("normalizer must be fitted before building cells")
-    if ensemble.n_features != layout.n_features:
+    if classifier.n_features != layout.n_features:
         raise ConfigurationError(
-            f"ensemble dimension {ensemble.n_features} != layout {layout.n_features}"
+            f"classifier dimension {classifier.n_features} != layout "
+            f"{layout.n_features}"
         )
 
-    used = ensemble.used_feature_indices()
-    used_by_domain: Dict[int, List[str]] = {}
+    used = classifier.used_feature_indices()
+    used_by_domain: Dict[int, Set[str]] = {}
     for index in used:
         domain, fname = layout.feature_of(index)
-        used_by_domain.setdefault(domain, []).append(fname)
+        used_by_domain.setdefault(domain, set()).add(fname)
 
     cells: List[FunctionalCell] = []
 
@@ -73,8 +106,8 @@ def build_topology(
     deepest = max(
         (layout.dwt_level_of_domain(d) for d in used_by_domain), default=0
     )
-    dwt_ports: Dict[int, PortRef] = {}  # domain -> producing port
     prev_ref = PortRef(SOURCE_CELL, "out")
+    domain_ports: Dict[int, PortRef] = {0: prev_ref}  # domain -> producing port
     length = layout.dwt_aligned_length
     for level in range(1, deepest + 1):
         cell = make_dwt_cell(
@@ -87,88 +120,61 @@ def build_topology(
         )
         cells.append(cell)
         if level < layout.dwt_levels:
-            dwt_ports[level] = PortRef(cell.name, "detail")
-        else:
-            dwt_ports[layout.dwt_levels] = PortRef(cell.name, "approx")
-            dwt_ports[layout.dwt_levels + 1] = PortRef(cell.name, "detail")
+            domain_ports[level] = PortRef(cell.name, "detail")
+        else:  # the last level yields A_L (domain L) and D_L (domain L + 1)
+            domain_ports[level] = PortRef(cell.name, "approx")
+            domain_ports[level + 1] = PortRef(cell.name, "detail")
         prev_ref = PortRef(cell.name, "approx")
         length //= 2
-
-    def segment_port(domain: int) -> PortRef:
-        if domain == 0:
-            return PortRef(SOURCE_CELL, "out")
-        if domain < layout.dwt_levels:
-            return dwt_ports[domain]
-        # A_L is stored under key dwt_levels, D_L under dwt_levels + 1.
-        key = layout.dwt_levels if domain == layout.dwt_levels else layout.dwt_levels + 1
-        return dwt_ports[key]
 
     # -- feature cells (with Var->Std reuse) -----------------------------------
     domain_lengths = layout.domain_lengths()
     feature_ports: Dict[int, PortRef] = {}
     per_domain = len(layout.feature_names)
-
-    def flat_index(domain: int, fname: str) -> int:
-        return domain * per_domain + layout.feature_names.index(fname)
-
     for domain in sorted(used_by_domain):
-        names = set(used_by_domain[domain])
-        seg_ref = segment_port(domain)
-        seg_len = domain_lengths[domain]
-        domain_cells: Dict[str, FunctionalCell] = {}
-        needs_var = "var" in names or "std" in names
-        if needs_var:
-            var_cell = make_feature_cell(
-                "var", seg_ref, seg_len, energy_lib, name=f"var@seg{domain}"
+        names = used_by_domain[domain]
+        if "std" in names:
+            names.add("var")  # Std reads its Var cell
+        seg_ref = domain_ports[domain]
+        for fname in sorted(names, key=lambda n: (n != "var", n)):  # Var first
+            cell = make_feature_cell(
+                fname,
+                PortRef(f"var@seg{domain}", "out") if fname == "std" else seg_ref,
+                domain_lengths[domain],
+                energy_lib,
+                name=f"{fname}@seg{domain}",
             )
-            cells.append(var_cell)
-            domain_cells["var"] = var_cell
-        for fname in sorted(names):
-            if fname == "var":
-                continue  # already built (possibly for std's sake)
-            if fname == "std":
-                cell = make_feature_cell(
-                    "std",
-                    PortRef(domain_cells["var"].name, "out"),
-                    seg_len,
-                    energy_lib,
-                    name=f"std@seg{domain}",
-                )
-            else:
-                cell = make_feature_cell(
-                    fname, seg_ref, seg_len, energy_lib, name=f"{fname}@seg{domain}"
-                )
             cells.append(cell)
-            domain_cells[fname] = cell
-        for fname, cell in domain_cells.items():
-            idx = flat_index(domain, fname)
+            idx = domain * per_domain + layout.feature_names.index(fname)
             if idx in used:
                 feature_ports[idx] = PortRef(cell.name, "out")
+    return cells, feature_ports
 
-    # -- SVM member cells --------------------------------------------------------
+
+def _add_member_cells(
+    cells: List[FunctionalCell],
+    ensemble: RandomSubspaceClassifier,
+    feature_ports: Dict[int, PortRef],
+    normalizer: MinMaxNormalizer,
+    energy_lib: EnergyLibrary,
+    prefix: str,
+) -> List[PortRef]:
+    """Append one SVM cell per ensemble member, named ``<prefix><i>``, with
+    min-max normalisation folded in; returns their score ports."""
     mins = normalizer.mins
     ranges = normalizer.ranges
     member_refs: List[PortRef] = []
     for i, member in enumerate(ensemble.members):
-        refs = [feature_ports[idx] for idx in member.feature_indices]
         sub = list(member.feature_indices)
         cell = make_svm_cell(
             i,
             member.classifier,
-            refs,
+            [feature_ports[idx] for idx in sub],
             mins[sub],
             ranges[sub],
             energy_lib,
+            name=f"{prefix}{i}",
         )
         cells.append(cell)
         member_refs.append(PortRef(cell.name, "out"))
-
-    # -- fusion --------------------------------------------------------------------
-    fusion_cell = make_fusion_cell(ensemble.fusion, member_refs, energy_lib)
-    cells.append(fusion_cell)
-
-    return CellTopology(
-        segment_length=layout.segment_length,
-        cells=cells,
-        result=PortRef(fusion_cell.name, "out"),
-    )
+    return member_refs

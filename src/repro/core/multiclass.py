@@ -15,23 +15,12 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.cells.cell import (
-    RESULT_BITS,
-    SOURCE_CELL,
-    FunctionalCell,
-    OutputPort,
-    PortRef,
-)
-from repro.cells.library import (
-    choose_alu_mode,
-    make_dwt_cell,
-    make_feature_cell,
-    make_svm_cell,
-)
+from repro.cells.cell import RESULT_BITS, FunctionalCell, OutputPort, PortRef
+from repro.cells.library import choose_alu_mode
 from repro.cells.topology import CellTopology
+from repro.core.builder import _add_member_cells, _feature_front
 from repro.core.layout import FeatureLayout
 from repro.dsp.normalize import MinMaxNormalizer
-from repro.errors import ConfigurationError
 from repro.hw.energy import ALUMode, EnergyLibrary
 from repro.ml.fusion import WeightedVotingFusion
 from repro.ml.multiclass import OneVsRestSubspaceClassifier
@@ -101,117 +90,18 @@ def build_multiclass_topology(
 ) -> CellTopology:
     """Construct the cell topology for a trained one-vs-rest classifier.
 
-    Mirrors :func:`repro.core.builder.build_topology` with the per-class
-    extension: feature cells are shared across classes (the union of every
-    member's subspace), member cells are named ``svm_c<k>_m<i>``, and the
-    result is the ``argmax`` cell's class-index output.
+    The front of :func:`repro.core.builder.build_topology` over the union
+    of every class's subspaces (feature cells are shared across classes),
+    then per class its member cells ``svm_c<k>_m<i>`` and score-fusion cell
+    ``fusion_c<k>``; the result is the ``argmax`` cell's class-index
+    output.
     """
-    if not classifier.is_fitted:
-        raise ConfigurationError("classifier must be fitted before building cells")
-    if not normalizer.is_fitted:
-        raise ConfigurationError("normalizer must be fitted before building cells")
-    if classifier.n_features != layout.n_features:
-        raise ConfigurationError(
-            f"classifier dimension {classifier.n_features} != layout "
-            f"{layout.n_features}"
-        )
-
-    used = classifier.used_feature_indices()
-    used_by_domain: Dict[int, set] = {}
-    for index in used:
-        domain, fname = layout.feature_of(index)
-        used_by_domain.setdefault(domain, set()).add(fname)
-
-    cells: List[FunctionalCell] = []
-
-    # Shared DWT chain.
-    deepest = max((layout.dwt_level_of_domain(d) for d in used_by_domain), default=0)
-    dwt_ports: Dict[int, PortRef] = {}
-    prev_ref = PortRef(SOURCE_CELL, "out")
-    length = layout.dwt_aligned_length
-    for level in range(1, deepest + 1):
-        cell = make_dwt_cell(
-            level,
-            prev_ref,
-            length,
-            energy_lib,
-            wavelet=layout.wavelet,
-            align_to=layout.dwt_aligned_length if level == 1 else None,
-        )
-        cells.append(cell)
-        if level < layout.dwt_levels:
-            dwt_ports[level] = PortRef(cell.name, "detail")
-        else:
-            dwt_ports[layout.dwt_levels] = PortRef(cell.name, "approx")
-            dwt_ports[layout.dwt_levels + 1] = PortRef(cell.name, "detail")
-        prev_ref = PortRef(cell.name, "approx")
-        length //= 2
-
-    def segment_port(domain: int) -> PortRef:
-        if domain == 0:
-            return PortRef(SOURCE_CELL, "out")
-        if domain < layout.dwt_levels:
-            return dwt_ports[domain]
-        key = layout.dwt_levels if domain == layout.dwt_levels else layout.dwt_levels + 1
-        return dwt_ports[key]
-
-    # Shared feature cells (with Var->Std reuse).
-    domain_lengths = layout.domain_lengths()
-    per_domain = len(layout.feature_names)
-    feature_ports: Dict[int, PortRef] = {}
-    for domain in sorted(used_by_domain):
-        names = used_by_domain[domain]
-        seg_ref = segment_port(domain)
-        seg_len = domain_lengths[domain]
-        domain_cells: Dict[str, FunctionalCell] = {}
-        if "var" in names or "std" in names:
-            var_cell = make_feature_cell(
-                "var", seg_ref, seg_len, energy_lib, name=f"var@seg{domain}"
-            )
-            cells.append(var_cell)
-            domain_cells["var"] = var_cell
-        for fname in sorted(names):
-            if fname == "var":
-                continue
-            if fname == "std":
-                cell = make_feature_cell(
-                    "std",
-                    PortRef(domain_cells["var"].name, "out"),
-                    seg_len,
-                    energy_lib,
-                    name=f"std@seg{domain}",
-                )
-            else:
-                cell = make_feature_cell(
-                    fname, seg_ref, seg_len, energy_lib, name=f"{fname}@seg{domain}"
-                )
-            cells.append(cell)
-            domain_cells[fname] = cell
-        for fname, cell in domain_cells.items():
-            idx = domain * per_domain + layout.feature_names.index(fname)
-            if idx in used:
-                feature_ports[idx] = PortRef(cell.name, "out")
-
-    # Per-class member + fusion cells.
-    mins = normalizer.mins
-    ranges = normalizer.ranges
+    cells, feature_ports = _feature_front(layout, classifier, normalizer, energy_lib)
     class_refs: List[PortRef] = []
     for k, ensemble in enumerate(classifier.per_class):
-        member_refs: List[PortRef] = []
-        for i, member in enumerate(ensemble.members):
-            refs = [feature_ports[idx] for idx in member.feature_indices]
-            sub = list(member.feature_indices)
-            cell = make_svm_cell(
-                i,
-                member.classifier,
-                refs,
-                mins[sub],
-                ranges[sub],
-                energy_lib,
-                name=f"svm_c{k}_m{i}",
-            )
-            cells.append(cell)
-            member_refs.append(PortRef(cell.name, "out"))
+        member_refs = _add_member_cells(
+            cells, ensemble, feature_ports, normalizer, energy_lib, f"svm_c{k}_m"
+        )
         fusion_cell = _make_class_fusion_cell(
             k, ensemble.fusion, member_refs, energy_lib
         )

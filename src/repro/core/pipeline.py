@@ -116,15 +116,13 @@ class TrainedAnalyticEngine:
         Decision-identical to calling :meth:`predict_segment` per row, but
         the whole front end is vectorised: batched feature extraction,
         one normaliser transform, and one Gram-matrix call per base
-        classifier (see :class:`repro.ml.inference.EnsembleBatchScorer`)
-        instead of per-event kernel evaluations.
+        classifier instead of per-event kernel evaluations.
         """
         from repro.dsp.batch import batch_extract_matrix
-        from repro.ml.inference import EnsembleBatchScorer
 
         raw = batch_extract_matrix(segments, self.layout)
         normalised = self.normalizer.transform(raw)
-        return EnsembleBatchScorer(self.ensemble).predict(normalised)
+        return self.ensemble.predict(normalised)
 
 
 def _train_once(

@@ -14,7 +14,6 @@ computes on a signal segment before it reaches the classifier:
 
 from repro.dsp.features import (
     FEATURE_NAMES,
-    FeatureExtractor,
     batch_feature_matrix,
     crossing_count,
     feature_vector,
@@ -41,7 +40,6 @@ __all__ = [
     "CrossingCounter",
     "FEATURE_NAMES",
     "StreamingMoments",
-    "FeatureExtractor",
     "FixedPoint",
     "FixedPointFormat",
     "MinMaxNormalizer",

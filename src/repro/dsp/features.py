@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -348,72 +347,3 @@ def operation_counts(name: str, segment_length: int) -> Mapping[str, int]:
         )
     return dict(counts[name])
 
-
-@dataclass
-class FeatureExtractor:
-    """Batch feature extraction over time-domain + DWT sub-band segments.
-
-    This is the software reference for the full feature front of the generic
-    classification: given the list of domain segments (time segment first,
-    then DWT sub-bands, as produced by the pipeline builder), it emits one
-    concatenated feature vector whose layout matches the functional-cell
-    topology ordering.
-
-    Attributes:
-        feature_names: Which of the eight features to extract per segment.
-    """
-
-    feature_names: Sequence[str] = FEATURE_NAMES
-
-    def __post_init__(self) -> None:
-        unknown = [n for n in self.feature_names if n not in _FEATURE_FUNCS]
-        if unknown:
-            raise ConfigurationError(f"unknown features: {unknown}")
-
-    def extract(self, domain_segments: Sequence[Sequence[float]]) -> np.ndarray:
-        """Concatenated feature vector across all domain segments."""
-        if not domain_segments:
-            raise ConfigurationError("need at least one domain segment")
-        parts = [feature_vector(seg, self.feature_names) for seg in domain_segments]
-        return np.concatenate(parts)
-
-    def extract_batch(
-        self, domain_segments: Sequence[Sequence[Sequence[float]]] | np.ndarray
-    ) -> np.ndarray:
-        """Batched :meth:`extract`: one feature matrix for many events.
-
-        Args:
-            domain_segments: Either a single ``(n_events, n_samples)`` array
-                (one domain segment per event) or a sequence of such
-                batches, one per domain, all with the same number of rows —
-                the batched counterpart of the per-event domain-segment
-                list :meth:`extract` consumes.
-
-        Returns:
-            ``(n_events, n_domains * len(feature_names))`` matrix whose row
-            ``i`` equals ``extract([batch[i] for batch in domain_segments])``.
-        """
-        if isinstance(domain_segments, np.ndarray) and domain_segments.ndim == 2:
-            domain_segments = [domain_segments]
-        if len(domain_segments) == 0:
-            raise ConfigurationError("need at least one domain segment batch")
-        batches = [np.asarray(b, dtype=np.float64) for b in domain_segments]
-        n_events = {b.shape[0] for b in batches if b.ndim == 2}
-        if any(b.ndim != 2 for b in batches) or len(n_events) != 1:
-            raise ConfigurationError(
-                "domain batches must all be 2-D with the same row count"
-            )
-        parts = [batch_feature_matrix(b, self.feature_names) for b in batches]
-        return np.concatenate(parts, axis=1)
-
-    def labels(self, n_segments: int) -> List[str]:
-        """Human-readable labels ``<feature>@seg<k>`` matching :meth:`extract`."""
-        return [
-            f"{name}@seg{k}"
-            for k in range(n_segments)
-            for name in self.feature_names
-        ]
-
-    def dimension(self, n_segments: int) -> int:
-        """Length of the vector :meth:`extract` returns for N segments."""
-        return n_segments * len(self.feature_names)

@@ -311,7 +311,6 @@ def chaos_from_context(
     population: int = 8,
     generations: int = 4,
     bundle_dir: Optional[str | Path] = None,
-    fast: Optional[bool] = None,
     checkpoint_path: Optional[str | Path] = None,
     checkpoint_every: int = 8,
     resume: bool = False,
@@ -324,7 +323,7 @@ def chaos_from_context(
     """
     run_config = chaos_run_config(context, symbol, node, wireless, sim_seed=seed)
     search = ChaosSearchConfig(
-        population=population, generations=generations, seed=seed, fast=fast
+        population=population, generations=generations, seed=seed
     )
     checkpoint = None
     if checkpoint_path is not None:

@@ -9,8 +9,9 @@ scalar reference and the fast path — on the same inputs:
   batched pyramid :func:`~repro.dsp.wavelet.dwt_multilevel_batch`, 512
   rows of db2 (the general filter-bank path, not the Haar shortcut);
 - **inference**: per-event ensemble prediction (one tiny Gram matrix per
-  member per event) vs :class:`~repro.ml.inference.EnsembleBatchScorer`
-  (one Gram matrix per member per batch), 256 events;
+  member per event) vs one
+  :meth:`~repro.ml.subspace.RandomSubspaceClassifier.predict` call on the
+  whole batch (one Gram matrix per member per batch), 256 events;
 - **end_to_end**: :meth:`TrainedAnalyticEngine.predict_segment` in a loop
   vs :meth:`TrainedAnalyticEngine.predict_batch`, raw segments to
   decisions; shares the inference row's trained engine;
@@ -262,16 +263,13 @@ def _bench_events(n_events: int):
 
 
 def _inference(fast: bool) -> Work:
-    from repro.ml.inference import EnsembleBatchScorer
-
     engine, segments = _bench_events(256)
     X = engine.normalizer.transform(batch_extract_matrix(segments, engine.layout))
     ensemble = engine.ensemble
-    scorer = EnsembleBatchScorer(ensemble)
     return Work(
         256,
         lambda: [int(ensemble.predict(x[None, :])[0]) for x in X],
-        lambda: scorer.predict(X),
+        lambda: ensemble.predict(X),
         _arrays_equal,
     )
 
@@ -768,6 +766,7 @@ def compare_reports(
     fresh: Dict[str, Any],
     baseline: Dict[str, Any],
     threshold: float = DEFAULT_THRESHOLD,
+    stages: Optional[Sequence[str]] = None,
 ) -> List[str]:
     """The regression gate: fresh tracked metrics vs the committed baseline.
 
@@ -782,22 +781,32 @@ def compare_reports(
         fresh: Report measured by the current build.
         baseline: The committed baseline report.
         threshold: Allowed fractional regression (default 25%).
+        stages: The stages the fresh report was run for (``None``: all of
+            them).  Only their metrics are required and compared, so a
+            subset run is gated against a full baseline.
 
     Returns:
         Human-readable failure descriptions; empty when the gate is green.
     """
     if not 0.0 < threshold < 1.0:
         raise ConfigurationError("threshold must be in (0, 1)")
+    wanted = (
+        TRACKED_METRICS
+        if stages is None
+        else tuple(f"{name}.speedup" for name in stages)
+    )
     base_tracked = baseline.get("tracked", [])
     failures = [
         f"{name}: not in the baseline — regenerate it with "
         "scripts/update_perf_baseline.py"
-        for name in TRACKED_METRICS
+        for name in wanted
         if name not in base_tracked
     ]
     fresh_metrics = fresh.get("metrics", {})
     gate_values = baseline.get("gate", {})
     for name in base_tracked:
+        if stages is not None and name not in wanted:
+            continue
         base_value = gate_values.get(name, baseline["metrics"][name])
         fresh_value = fresh_metrics.get(name)
         if fresh_value is None:
@@ -820,9 +829,10 @@ def check_regression(
     fresh: Dict[str, Any],
     baseline: Dict[str, Any],
     threshold: float = DEFAULT_THRESHOLD,
+    stages: Optional[Sequence[str]] = None,
 ) -> None:
     """Raise :class:`PerfRegressionError` when :func:`compare_reports` fails."""
-    failures = compare_reports(fresh, baseline, threshold)
+    failures = compare_reports(fresh, baseline, threshold, stages)
     if failures:
         raise PerfRegressionError(
             "perf regression gate failed:\n  " + "\n  ".join(failures)

@@ -142,16 +142,8 @@ def resilience_reports(
     n_events: int = 2000,
     seed: int = 11,
     arq: Optional[ARQConfig] = None,
-    fast: Optional[bool] = None,
 ) -> Dict[str, Optional[ResilienceReport]]:
     """Run the standard campaign under the three scenarios.
-
-    Args:
-        fast: Forwarded to :meth:`~repro.sim.faults.FaultCampaign.run`:
-            None (default) auto-selects the vectorized fast path when
-            every fault supports it, False forces the scalar reference
-            runner, True demands the fast path.  Either value yields the
-            same bit-identical reports.
 
     Returns:
         Scenario label -> :class:`~repro.sim.faults.ResilienceReport`,
@@ -177,14 +169,10 @@ def resilience_reports(
 
     reports: Dict[str, Optional[ResilienceReport]] = {}
     try:
-        reports[SCENARIOS[0]] = campaign.run(
-            simulator, n_events, arq=None, fast=fast
-        )
+        reports[SCENARIOS[0]] = campaign.run(simulator, n_events, arq=None)
     except SimulationError:
         reports[SCENARIOS[0]] = None
-    reports[SCENARIOS[1]] = campaign.run(
-        simulator, n_events, arq=arq, fast=fast
-    )
+    reports[SCENARIOS[1]] = campaign.run(simulator, n_events, arq=arq)
     reports[SCENARIOS[2]] = campaign.run(
         simulator,
         n_events,
@@ -192,7 +180,6 @@ def resilience_reports(
         policy=GracefulDegradationPolicy(outage_threshold=3, recovery_hysteresis=8),
         fallback_metrics=fallback,
         cache=LastKnownGoodCache(),
-        fast=fast,
     )
     return reports
 
@@ -204,12 +191,10 @@ def resilience_rows(
     wireless: str = "model2",
     n_events: int = 2000,
     seed: int = 11,
-    fast: Optional[bool] = None,
 ) -> List[Dict[str, object]]:
     """The scenario comparison as result rows (one per scenario)."""
     reports = resilience_reports(
-        context, symbol, node, wireless, n_events=n_events, seed=seed,
-        fast=fast,
+        context, symbol, node, wireless, n_events=n_events, seed=seed
     )
     return [_scenario_row(label, reports[label]) for label in SCENARIOS]
 
@@ -268,16 +253,12 @@ def integrity_reports(
     seed: int = 11,
     arq: Optional[ARQConfig] = None,
     corruption_rate: float = 0.05,
-    fast: Optional[bool] = None,
 ) -> Dict[str, ResilienceReport]:
     """Run the corruption campaign under the three wire formats.
 
     Every scenario re-evaluates the partition with its own framed
     :class:`~repro.hw.wireless.WirelessLink`, so the reported energies and
-    delays include the scenario's header/CRC overhead.  ``fast`` is
-    forwarded to :meth:`~repro.sim.faults.FaultCampaign.run` (None
-    auto-selects the vectorized fast path; the reports are bit-identical
-    either way).
+    delays include the scenario's header/CRC overhead.
 
     Returns:
         Scenario label -> :class:`~repro.sim.faults.ResilienceReport`.
@@ -303,7 +284,7 @@ def integrity_reports(
             n_events, seed=seed, corruption_rate=corruption_rate
         )
         reports[label] = campaign.run(
-            simulator, n_events, arq=arq, integrity=integrity, fast=fast
+            simulator, n_events, arq=arq, integrity=integrity
         )
     return reports
 
@@ -316,7 +297,6 @@ def integrity_rows(
     n_events: int = 2000,
     seed: int = 11,
     corruption_rate: float = 0.05,
-    fast: Optional[bool] = None,
 ) -> List[Dict[str, object]]:
     """The wire-format comparison as result rows (one per scenario).
 
@@ -326,7 +306,6 @@ def integrity_rows(
     reports = integrity_reports(
         context, symbol, node, wireless,
         n_events=n_events, seed=seed, corruption_rate=corruption_rate,
-        fast=fast,
     )
     topology = context.topology(symbol, node)
     lib = context.energy_library(node)

@@ -243,7 +243,6 @@ def _fleet_block(
     rounds: int,
     round_events: int,
     arq: ARQConfig,
-    fast: Optional[bool],
 ) -> Dict[str, Any]:
     """Drive a small fleet through quarantine and recovery.
 
@@ -278,9 +277,7 @@ def _fleet_block(
             device_sim = CrossEndSimulator(
                 primary, period_s=period, seed=task_seed
             )
-            reports[name] = campaign.run(
-                device_sim, round_events, arq=arq, fast=fast
-            )
+            reports[name] = campaign.run(device_sim, round_events, arq=arq)
         supervisor.observe_round(reports)
         history.append(
             {"round": r, "scheduled": scheduled, "states": supervisor.states()}
@@ -312,7 +309,6 @@ def supervision_eval(
     devices: int = 4,
     rounds: int = 6,
     round_events: int = 150,
-    fast: Optional[bool] = None,
     verify_resume: bool = True,
 ) -> Dict[str, Any]:
     """Run the full supervision stage and summarise the outcome.
@@ -326,9 +322,6 @@ def supervision_eval(
             :data:`~repro.eval.resilience.DEFAULT_ARQ`).
         breaker: Breaker tuning (defaults to :data:`DEFAULT_BREAKER`).
         devices / rounds / round_events: Fleet demo shape.
-        fast: Forwarded to :meth:`~repro.sim.faults.FaultCampaign.run`
-            (None auto-selects the vectorized runner; either way the
-            reports are bit-identical).
         verify_resume: Run the interrupt + resume self-check on both
             runners (skippable for speed; the gate then has no resume
             evidence and fails).
@@ -371,7 +364,6 @@ def supervision_eval(
             fallback_metrics=fallback,
             cache=LastKnownGoodCache(),
             breaker=brk,
-            fast=fast,
         )
         return report, brk
 
@@ -384,9 +376,7 @@ def supervision_eval(
         _scenario_row(SCENARIOS[1], report_on, wasted_on, brk),
     ]
 
-    fleet = _fleet_block(
-        primary, period, seed, devices, rounds, round_events, arq, fast
-    )
+    fleet = _fleet_block(primary, period, seed, devices, rounds, round_events, arq)
     resume = (
         _resume_block(simulator, campaign, n_events, arq, fallback, breaker_config)
         if verify_resume

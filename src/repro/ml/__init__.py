@@ -19,7 +19,6 @@ Everything is implemented from scratch on numpy:
 from repro.ml.baselines import AdaBoostSVMClassifier, BaggingSVMClassifier
 from repro.ml.calibration import PlattScaler, brier_score
 from repro.ml.fusion import WeightedVotingFusion
-from repro.ml.inference import EnsembleBatchScorer
 from repro.ml.kernels import Kernel, LinearKernel, RBFKernel, SupportRows
 from repro.ml.metrics import accuracy, confusion_matrix
 from repro.ml.multiclass import OneVsRestSubspaceClassifier
@@ -41,7 +40,6 @@ from repro.ml.validation import (
 __all__ = [
     "AdaBoostSVMClassifier",
     "BaggingSVMClassifier",
-    "EnsembleBatchScorer",
     "Kernel",
     "OneVsRestSubspaceClassifier",
     "LinearKernel",

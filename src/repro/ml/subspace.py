@@ -394,9 +394,18 @@ class RandomSubspaceClassifier:
         return self.fusion is not None
 
     def base_scores(self, features: np.ndarray) -> np.ndarray:
-        """Per-member decision scores, shape ``(n_samples, n_members)``."""
+        """Per-member decision scores, shape ``(n_samples, n_members)``.
+
+        One Gram-matrix call per member over the whole batch.
+        """
         self._require_fitted()
-        return np.column_stack([m.scores(features) for m in self.members])
+        X = np.asarray(features, dtype=np.float64)
+        if X.ndim not in (1, 2) or X.shape[-1] != self.n_features:
+            raise ConfigurationError(
+                f"features must be ({self.n_features},) or "
+                f"(n_samples, {self.n_features}), got {X.shape}"
+            )
+        return np.column_stack([m.scores(X) for m in self.members])
 
     def decision_function(self, features: np.ndarray) -> np.ndarray:
         """Fused real-valued ensemble scores."""

@@ -13,7 +13,7 @@ from repro.dsp.batch import (
 )
 from repro.dsp.wavelet import WaveletFilter, dwt_multilevel, dwt_single_level
 from repro.errors import ConfigurationError
-from repro.ml.inference import EnsembleBatchScorer
+from repro.ml.multiclass import OneVsRestSubspaceClassifier
 
 
 class TestBatchHaar:
@@ -101,32 +101,50 @@ class TestBatchExtract:
 
 
 class TestEnsembleBatchScorer:
+    """The ensemble's own batch path: one Gram-matrix call per member over
+    the whole batch, fused once."""
+
     def _normalised(self, engine, dataset):
         raw = batch_extract_matrix(dataset.segments, engine.layout)
         return engine.normalizer.transform(raw)
 
     def test_scores_bitwise_identical(self, tiny_engine, tiny_dataset):
         X = self._normalised(tiny_engine, tiny_dataset)
-        scorer = EnsembleBatchScorer(tiny_engine.ensemble)
-        assert np.array_equal(
-            scorer.decision_function(X), tiny_engine.ensemble.decision_function(X)
+        ensemble = tiny_engine.ensemble
+        per_member = np.column_stack(
+            [
+                m.classifier.decision_function(X[:, list(m.feature_indices)])
+                for m in ensemble.members
+            ]
         )
-        assert np.array_equal(
-            scorer.predict(X), tiny_engine.ensemble.predict(X)
-        )
+        fused = per_member @ ensemble.fusion.weights + ensemble.fusion.intercept
+        assert np.array_equal(ensemble.decision_function(X), fused)
+        assert np.array_equal(ensemble.predict(X), (fused > 0).astype(int))
 
     def test_member_scores_shape(self, tiny_engine, tiny_dataset):
         X = self._normalised(tiny_engine, tiny_dataset)
-        scorer = EnsembleBatchScorer(tiny_engine.ensemble)
-        scores = scorer.member_scores(X)
-        assert scores.shape == (len(X), scorer.n_members)
+        ensemble = tiny_engine.ensemble
+        scores = ensemble.base_scores(X)
+        assert scores.shape == (len(X), len(ensemble.members))
 
     def test_validation(self, tiny_engine):
-        scorer = EnsembleBatchScorer(tiny_engine.ensemble)
-        with pytest.raises(ConfigurationError):
-            scorer.predict(np.zeros(7))
-        with pytest.raises(ConfigurationError):
-            scorer.predict(np.zeros((3, 2)))
+        ensemble = tiny_engine.ensemble
+        n = ensemble.n_features
+        for shape in ((7,), (3, 2), (3, n + 4), (2, 3, n)):
+            with pytest.raises(ConfigurationError):
+                ensemble.predict(np.zeros(shape))
+            with pytest.raises(ConfigurationError):
+                ensemble.base_scores(np.zeros(shape))
+
+    def test_one_vs_rest_inherits_width_check(self, rng):
+        X = rng.normal(size=(30, 8))
+        classifier = OneVsRestSubspaceClassifier(
+            8, 3, subspace_dim=2, n_draws=2, seed=1
+        ).fit(X, np.arange(30) % 3)
+        assert classifier.class_scores(X).shape == (30, 3)
+        for shape in ((7,), (3, 2), (3, 12)):
+            with pytest.raises(ConfigurationError):
+                classifier.class_scores(np.zeros(shape))
 
 
 class TestPredictBatch:

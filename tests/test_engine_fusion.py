@@ -32,7 +32,6 @@ from repro.errors import ConfigurationError
 from repro.graph.cuts import aggregator_cut, sensor_cut
 from repro.hw.energy import ALUMode, EnergyLibrary
 from repro.ml.fusion import WeightedVotingFusion
-from repro.ml.inference import EnsembleBatchScorer
 from repro.ml.kernels import LinearKernel, RBFKernel, SupportRows
 from repro.ml.multiclass import OneVsRestSubspaceClassifier
 from repro.ml.subspace import RandomSubspaceClassifier
@@ -477,7 +476,7 @@ def test_predict_paths_unchanged_by_stacking(case):
 
     X = trained.normalizer.transform(batch_extract_matrix(segments, trained.layout))
     expected = reference(X)
-    assert _bits(EnsembleBatchScorer(trained.ensemble).decision_function(X)) == _bits(expected)
+    assert _bits(trained.ensemble.decision_function(X)) == _bits(expected)
     assert np.array_equal(trained.predict_batch(segments), (expected > 0).astype(int))
     for seg in segments[:10]:
         x = trained.normalizer.transform(trained.layout.extract(seg))[None, :]

@@ -17,6 +17,7 @@ EXAMPLES_DIR = pathlib.Path(__file__).parent.parent / "examples"
 #: Examples cheap enough to execute end-to-end in the test suite.
 FAST_EXAMPLES = [
     "custom_pipeline.py",
+    "multiclass_gestures.py",
     "resilient_link_demo.py",
     "wire_integrity_demo.py",
 ]

@@ -8,7 +8,6 @@ from hypothesis.extra.numpy import arrays
 
 from repro.dsp.features import (
     FEATURE_NAMES,
-    FeatureExtractor,
     batch_feature_matrix,
     compute_feature,
     crossing_count,
@@ -23,6 +22,7 @@ from repro.dsp.features import (
     variance,
     zero_crossings,
 )
+from repro.core.layout import FeatureLayout
 from repro.errors import ConfigurationError
 
 SEGMENTS = arrays(
@@ -132,20 +132,25 @@ class TestVectorAndExtractor:
         assert len(vec) == 8
 
     def test_extractor_concatenates_domains(self):
-        ext = FeatureExtractor()
-        segs = [np.arange(8.0), np.arange(4.0)]
-        vec = ext.extract(segs)
-        assert len(vec) == 16
-        assert ext.dimension(2) == 16
-        assert ext.labels(2)[8] == "max@seg1"
+        # FeatureLayout.extract is the reference feature front: one
+        # feature_vector per domain (time, then DWT bands), concatenated.
+        layout = FeatureLayout(segment_length=64)
+        seg = np.sin(np.arange(64.0))
+        vec = layout.extract(seg)
+        parts = [feature_vector(d) for d in layout.domain_segments(seg)]
+        assert np.array_equal(vec, np.concatenate(parts))
+        assert len(vec) == layout.n_features == 8 * layout.n_domains
+        assert layout.feature_label(8) == "max@D1"
 
     def test_extractor_rejects_empty(self):
         with pytest.raises(ConfigurationError):
-            FeatureExtractor().extract([])
+            feature_vector([])
 
     def test_extractor_rejects_unknown_names(self):
         with pytest.raises(ConfigurationError):
-            FeatureExtractor(feature_names=["max", "nope"])
+            FeatureLayout(segment_length=64, feature_names=("max", "nope"))
+        with pytest.raises(ConfigurationError):
+            feature_vector([1.0, 2.0], ["max", "nope"])
 
 
 class TestOperationCounts:
@@ -235,34 +240,3 @@ class TestBatchFeatureMatrix:
             batch_feature_matrix(np.zeros((0, 8)))
         with pytest.raises(ConfigurationError):
             batch_feature_matrix(np.zeros((2, 8)), names=["max", "bogus"])
-
-
-class TestExtractBatch:
-    def test_matches_per_event_extract(self):
-        rng = np.random.default_rng(11)
-        extractor = FeatureExtractor()
-        domains = [rng.normal(size=(9, 64)), rng.normal(size=(9, 32))]
-        out = extractor.extract_batch(domains)
-        assert out.shape == (9, 16)
-        for i in range(9):
-            ref = extractor.extract([domains[0][i], domains[1][i]])
-            assert np.allclose(out[i], ref, atol=1e-9)
-
-    def test_single_array_is_one_domain(self):
-        rng = np.random.default_rng(12)
-        extractor = FeatureExtractor(feature_names=["mean", "std"])
-        batch = rng.normal(size=(5, 40))
-        out = extractor.extract_batch(batch)
-        assert out.shape == (5, 2)
-        assert np.allclose(out, extractor.extract_batch([batch]))
-
-    def test_validation(self):
-        extractor = FeatureExtractor()
-        with pytest.raises(ConfigurationError):
-            extractor.extract_batch([])
-        with pytest.raises(ConfigurationError):
-            extractor.extract_batch(
-                [np.zeros((3, 8)), np.zeros((4, 8))]
-            )
-        with pytest.raises(ConfigurationError):
-            extractor.extract_batch([np.zeros(8)])

@@ -1,6 +1,7 @@
 """The perf regression gate on hand-made report dicts (no timing runs)."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,9 @@ from repro.eval.perf import (
     compare_reports,
     load_perf_report,
 )
+
+#: The committed full baseline (every stage tracked).
+BASELINE = Path(__file__).resolve().parents[1] / "benchmarks" / "results" / "BENCH_perf.json"
 
 
 def _report(values, equivalent=True):
@@ -76,6 +80,52 @@ class TestCompareReports:
         check_regression(_report(_all(4.0)), _report(_all(4.0)))
         with pytest.raises(PerfRegressionError, match=TRACKED_METRICS[0]):
             check_regression(_report(_all(1.0)), _report(_all(4.0)))
+
+
+class TestSelectedStages:
+    """A ``--stage`` subset run is gated on its own stages only."""
+
+    def test_subset_passes_against_a_full_baseline(self):
+        fresh = _report({"dwt.speedup": 4.0})
+        baseline = _report(_all(4.0))
+        assert compare_reports(fresh, baseline, stages=["dwt"]) == []
+        unselected = compare_reports(fresh, baseline)
+        assert len(unselected) == len(TRACKED_METRICS) - 1
+        assert all("missing from the fresh report" in f for f in unselected)
+
+    def test_selected_stage_still_regresses(self):
+        fresh = _report({"dwt.speedup": 1.0, "wire.speedup": 1.0})
+        failures = compare_reports(
+            fresh, _report(_all(4.0)), stages=["dwt", "wire"]
+        )
+        assert [f.split(":")[0] for f in failures] == ["dwt.speedup", "wire.speedup"]
+
+    def test_selected_stage_missing_from_baseline_is_stale(self):
+        baseline = _report({"wire.speedup": 4.0})
+        failures = compare_reports(
+            _report({"dwt.speedup": 4.0}), baseline, stages=["dwt"]
+        )
+        assert len(failures) == 1
+        assert failures[0].startswith("dwt.speedup: not in the baseline")
+
+    def test_selected_stage_disagreeing_fails(self):
+        fresh = _report({"dwt.speedup": 4.0}, equivalent=False)
+        failures = compare_reports(fresh, _report(_all(4.0)), stages=["dwt"])
+        assert failures == ["dwt: scalar and batch paths disagreed on this run"]
+
+    def test_cli_stage_with_committed_baseline_exits_0(self, monkeypatch, capsys):
+        def build(fast):
+            return Work(
+                4,
+                lambda: sorted(range(20000), reverse=True)[0],
+                lambda: 19999,
+                lambda ref, out: ref == out,
+            )
+
+        monkeypatch.setattr(perf, "STAGES", (Stage("dwt", build),))
+        argv = ["perf", "--fast", "--stage", "dwt", "--baseline", str(BASELINE)]
+        assert main(argv) == 0
+        assert f"regression gate OK vs {BASELINE}" in capsys.readouterr().out
 
 
 class TestLoadReport:
