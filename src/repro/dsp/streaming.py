@@ -1,11 +1,15 @@
 """Single-pass (streaming) statistical feature extraction.
 
 The in-sensor feature cells are single-pass datapaths: they consume the
-segment sample by sample, maintaining raw power sums
-``S1 = sum x, S2 = sum x^2, S3 = sum x^3, S4 = sum x^4`` plus running
-max/min, and produce the statistical features at segment end — exactly the
-hardware structure behind the op counts in
-:func:`repro.dsp.features.operation_counts`.  This module provides that
+segment sample by sample, maintaining power sums
+``S1 = sum d, S2 = sum d^2, S3 = sum d^3, S4 = sum d^4`` of the offsets
+``d = x - x0`` from the segment's first sample ``x0`` (one latched register
+and one subtractor) plus running max/min, and produce the statistical
+features at segment end — the hardware structure behind the op counts in
+:func:`repro.dsp.features.operation_counts`.  Summing offsets rather than
+raw samples keeps the central moments from cancelling catastrophically when
+the signal sits on a large baseline: raw sums lose ``m4`` to rounding on the
+order of ``eps * mean^4``, which swamps the kurtosis of a near-flat segment.  This module provides that
 accumulator as a software object, so streaming deployments (see
 ``examples/ecg_monitor.py``) can compute features without buffering a
 whole segment, and so the tests can verify the single-pass formulation is
@@ -40,7 +44,7 @@ STREAMING_FEATURES = ("max", "min", "mean", "var", "std", "skew", "kurt")
 
 
 class StreamingMoments:
-    """Single-pass accumulator of raw power sums and extrema.
+    """Single-pass accumulator of first-sample-offset power sums and extrema.
 
     >>> acc = StreamingMoments()
     >>> acc.extend([1.0, 2.0, 3.0])
@@ -50,6 +54,7 @@ class StreamingMoments:
 
     def __init__(self) -> None:
         self._n = 0
+        self._ref = 0.0  # first sample, latched by the first update
         self._s1 = 0.0
         self._s2 = 0.0
         self._s3 = 0.0
@@ -65,7 +70,7 @@ class StreamingMoments:
     def update(self, sample: float) -> None:
         """Consume one sample (one clock of the hardware datapath).
 
-        Rejects *any* non-finite sample: a NaN poisons every raw sum, and
+        Rejects *any* non-finite sample: a NaN poisons every power sum, and
         a single ``inf`` saturates max/min and the power sums just as
         irrecoverably — a real ADC cannot produce either.
         """
@@ -74,12 +79,15 @@ class StreamingMoments:
             raise ConfigurationError(
                 f"cannot accumulate non-finite sample {x!r}"
             )
+        if self._n == 0:
+            self._ref = x
+        d = x - self._ref
         self._n += 1
-        self._s1 += x
-        x2 = x * x
-        self._s2 += x2
-        self._s3 += x2 * x
-        self._s4 += x2 * x2
+        self._s1 += d
+        d2 = d * d
+        self._s2 += d2
+        self._s3 += d2 * d
+        self._s4 += d2 * d2
         if x > self._max:
             self._max = x
         if x < self._min:
@@ -101,14 +109,17 @@ class StreamingMoments:
             if x.size == 0:
                 return
             if np.isfinite(x).all():
-                x2 = x * x
-                self._s1 = float(np.cumsum(np.concatenate(([self._s1], x)))[-1])
-                self._s2 = float(np.cumsum(np.concatenate(([self._s2], x2)))[-1])
+                if self._n == 0:
+                    self._ref = float(x[0])
+                d = x - self._ref
+                d2 = d * d
+                self._s1 = float(np.cumsum(np.concatenate(([self._s1], d)))[-1])
+                self._s2 = float(np.cumsum(np.concatenate(([self._s2], d2)))[-1])
                 self._s3 = float(
-                    np.cumsum(np.concatenate(([self._s3], x2 * x)))[-1]
+                    np.cumsum(np.concatenate(([self._s3], d2 * d)))[-1]
                 )
                 self._s4 = float(
-                    np.cumsum(np.concatenate(([self._s4], x2 * x2)))[-1]
+                    np.cumsum(np.concatenate(([self._s4], d2 * d2)))[-1]
                 )
                 self._n += x.size
                 top = float(x.max())
@@ -125,21 +136,39 @@ class StreamingMoments:
         """Combine two accumulators (parallel sub-segment datapaths).
 
         An empty side contributes nothing: its ``±inf`` extrema sentinels
-        are never allowed to leak into the merged max/min.
+        are never allowed to leak into the merged max/min.  Otherwise
+        ``other``'s sums are re-centred onto this side's reference sample
+        by binomial expansion of ``(d + delta)^p``.
         """
         out = StreamingMoments()
-        out._n = self._n + other._n
-        out._s1 = self._s1 + other._s1
-        out._s2 = self._s2 + other._s2
-        out._s3 = self._s3 + other._s3
-        out._s4 = self._s4 + other._s4
-        if self._n == 0:
-            out._max, out._min = other._max, other._min
-        elif other._n == 0:
-            out._max, out._min = self._max, self._min
-        else:
-            out._max = max(self._max, other._max)
-            out._min = min(self._min, other._min)
+        if self._n == 0 or other._n == 0:
+            src = other if self._n == 0 else self
+            out._n = src._n
+            out._ref = src._ref
+            out._s1, out._s2, out._s3, out._s4 = (
+                src._s1, src._s2, src._s3, src._s4,
+            )
+            out._max, out._min = src._max, src._min
+            return out
+        n = other._n
+        delta = other._ref - self._ref
+        b1, b2, b3, b4 = other._s1, other._s2, other._s3, other._s4
+        out._n = self._n + n
+        out._ref = self._ref
+        out._s1 = self._s1 + (b1 + n * delta)
+        out._s2 = self._s2 + (b2 + 2 * delta * b1 + n * delta**2)
+        out._s3 = self._s3 + (
+            b3 + 3 * delta * b2 + 3 * delta**2 * b1 + n * delta**3
+        )
+        out._s4 = self._s4 + (
+            b4
+            + 4 * delta * b3
+            + 6 * delta**2 * b2
+            + 4 * delta**3 * b1
+            + n * delta**4
+        )
+        out._max = max(self._max, other._max)
+        out._min = min(self._min, other._min)
         return out
 
     def finalize(self) -> Dict[str, float]:
@@ -154,21 +183,25 @@ class StreamingMoments:
             # division by zero) into downstream features.
             raise ConfigurationError("finalize() before any samples")
         n = self._n
-        mean = self._s1 / n
+        # Moments of the offsets d = x - x0; central moments are shift
+        # invariant, so only the mean needs the reference added back.
+        dm = self._s1 / n
         e2 = self._s2 / n
         e3 = self._s3 / n
         e4 = self._s4 / n
-        var = e2 - mean * mean
+        mean = self._ref + dm
+        var = e2 - dm * dm
         # Central moments from raw moments (binomial expansion).
-        m3 = e3 - 3 * mean * e2 + 2 * mean**3
-        m4 = e4 - 4 * mean * e3 + 6 * mean**2 * e2 - 3 * mean**4
-        # Degeneracy guard: the raw-sum formulation (what the hardware
-        # datapath computes) cancels catastrophically on (near-)constant
-        # inputs, leaving O(n * eps * E[x^2]) garbage in `var`.  Treat any
-        # variance below that noise floor as zero, scale-aware.
-        noise_floor = max(1e-12, 1e-12 * n * abs(e2))
-        if var <= noise_floor:
+        m3 = e3 - 3 * dm * e2 + 2 * dm**3
+        m4 = e4 - 4 * dm * e3 + 6 * dm**2 * e2 - 3 * dm**4
+        # Degeneracy guards: the power-sum formulation (what the hardware
+        # datapath computes) cancels on (near-)constant inputs, leaving
+        # O(n * eps * E[d^2]) garbage in `var`, so a variance below that
+        # scale-aware noise floor is zero.  Skew and kurt divide by `var`;
+        # like the batch reference they are 0 once var <= 1e-12.
+        if var <= 1e-12 * n * e2:
             var = 0.0
+        if var <= 1e-12:
             skew = 0.0
             kurt = 0.0
         else:

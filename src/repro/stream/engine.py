@@ -201,8 +201,8 @@ class MomentsBackend:
     :class:`~repro.dsp.streaming.StreamingMoments` and
     :class:`~repro.dsp.streaming.CrossingCounter` one sample at a time —
     the true pre-SoA streaming shape.  The batched path
-    (:meth:`score_matrix`) computes the same raw power sums for every
-    window row with a zero-seeded ``cumsum`` (the bit-identity
+    (:meth:`score_matrix`) computes the same first-sample-offset power
+    sums for every window row with a zero-seeded ``cumsum`` (the bit-identity
     construction of ``StreamingMoments.extend``), the same degenerate-
     variance guard, and the same crossing sign-propagation — so scores
     and decisions are bit-identical to the scalar path.
@@ -248,19 +248,20 @@ class MomentsBackend:
         """Score a ``(n_windows, length)`` batch in one vectorised pass."""
         rows, n = matrix.shape
         zero = np.zeros((rows, 1))
-        # Zero-seeded sequential row sums: cumsum reproduces the scalar
-        # update loop's accumulation order bit-for-bit (the same trick
+        # Offsets from each window's first sample, then zero-seeded
+        # sequential row sums: cumsum reproduces the scalar update loop's
+        # accumulation order bit-for-bit (the same trick
         # StreamingMoments.extend pins in its tests).
-        s1 = np.cumsum(np.concatenate([zero, matrix], axis=1), axis=1)[:, -1]
-        s2 = np.cumsum(
-            np.concatenate([zero, matrix * matrix], axis=1), axis=1
-        )[:, -1]
-        mean = s1 / n
+        ref = matrix[:, 0]
+        d = matrix - ref[:, None]
+        s1 = np.cumsum(np.concatenate([zero, d], axis=1), axis=1)[:, -1]
+        s2 = np.cumsum(np.concatenate([zero, d * d], axis=1), axis=1)[:, -1]
+        dm = s1 / n
         e2 = s2 / n
-        var = e2 - mean * mean
-        # StreamingMoments.finalize's degeneracy guard, elementwise.
-        noise_floor = np.maximum(1e-12, 1e-12 * n * np.abs(e2))
-        var = np.where(var <= noise_floor, 0.0, var)
+        mean = ref + dm
+        var = e2 - dm * dm
+        # StreamingMoments.finalize's variance noise floor, elementwise.
+        var = np.where(var <= 1e-12 * n * e2, 0.0, var)
         std = np.sqrt(np.maximum(var, 0.0))
         mx = matrix.max(axis=1)
         mn = matrix.min(axis=1)
