@@ -41,10 +41,14 @@ from __future__ import annotations
 
 import logging
 import os
+import pickle
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from itertools import product
+from itertools import count, product
+from multiprocessing.util import Finalize
 from typing import (
     Any,
     Callable,
@@ -101,39 +105,142 @@ class ParallelConfig:
 SERIAL = ParallelConfig(backend="serial")
 
 
+#: ``SeedSequence`` hash and mix constants (``numpy/random/bit_generator.pyx``).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
 def derive_seeds(master_seed: int, n_tasks: int) -> List[int]:
     """Independent per-task seeds from one master seed.
 
-    Spawns ``n_tasks`` children of ``SeedSequence(master_seed)`` and
-    collapses each to a 64-bit integer seed.  The derivation depends only
-    on ``(master_seed, task_index)`` — never on worker assignment or
-    completion order — so per-task RNG streams are identical however the
-    tasks are scheduled.
+    Returns, for every child ``k`` of ``SeedSequence(master_seed).spawn(
+    n_tasks)``, ``child.generate_state(1, np.uint64)[0]`` as an ``int``.
+    The derivation depends only on ``(master_seed, task_index)`` — never
+    on worker assignment or completion order — so per-task RNG streams
+    are identical however the tasks are scheduled.
+
+    The children are computed in one vectorized pass rather than as
+    ``n_tasks`` ``SeedSequence`` objects.  Child ``k``'s entropy is the
+    root's (zero-padded to the four-word pool) followed by its spawn key
+    ``k``, and the hash constants advance independently of the data, so
+    every child shares the root's mixed pool and differs only in the last
+    word mixed into it: a ``uint32`` column per child.
     """
     if n_tasks < 0:
         raise ConfigurationError("n_tasks must be >= 0")
     root = np.random.SeedSequence(int(master_seed))
-    return [
-        int(child.generate_state(1, np.uint64)[0]) for child in root.spawn(n_tasks)
-    ]
-
-
-#: Worker-side slot holding the running fan-out's ``shared`` state as a
-#: 0- or 1-tuple.  Only :func:`_install_shared`, the pool initializer,
-#: writes it, so it is only ever set inside pool workers: the serial
-#: backend and the worker-death retry hand ``shared`` to the task directly
-#: and the parent process never holds fan-out state.
-_WORKER_SHARED: Tuple[Any, ...] = ()
+    entropy_words = max(1, (int(master_seed).bit_length() + 31) // 32)
+    # hashmix calls before the spawn key: 4 to fill the pool, 12 to mix
+    # it, 4 per entropy word past the pool.
+    calls = 16 + 4 * (max(entropy_words, root.pool_size) - root.pool_size)
+    h = _INIT_A * pow(_MULT_A, calls, 1 << 32) & _MASK32
+    keys = np.arange(n_tasks, dtype=np.uint32)
+    pool = []
+    for word in root.pool:
+        hashed = keys ^ np.uint32(h)
+        h = h * _MULT_A & _MASK32
+        hashed *= np.uint32(h)
+        hashed ^= hashed >> 16
+        mixed = np.uint32(_MIX_L * int(word) & _MASK32) - np.uint32(_MIX_R) * hashed
+        mixed ^= mixed >> 16
+        pool.append(mixed)
+    # generate_state(1, np.uint64): two output words, low word first.
+    h = _INIT_B
+    halves = []
+    for word in pool[:2]:
+        out = word ^ np.uint32(h)
+        h = h * _MULT_B & _MASK32
+        out *= np.uint32(h)
+        out ^= out >> 16
+        halves.append(out.astype(np.uint64))
+    return (halves[0] | halves[1] << np.uint64(32)).tolist()
 
 
 #: Default of ``parallel_map(shared=)``: tasks take the item alone.
 _UNSHARED: Any = object()
 
+#: Seconds between a worker's checks that its parent is still alive.
+_PARENT_POLL_S = 0.25
 
-def _install_shared(bound: Tuple[Any, ...]) -> None:
-    """Pool initializer: install this fan-out's shared state in the worker."""
-    global _WORKER_SHARED
-    _WORKER_SHARED = bound
+#: This process's live worker pool (created lazily, see :func:`_live_pool`).
+_POOL: Optional[ProcessPoolExecutor] = None
+
+#: Multiprocessing exit finalizer that shuts ``_POOL`` down in this process.
+_POOL_EXIT: Optional[Finalize] = None
+
+#: Worker-side cache of the latest fan-out's shared state as
+#: ``(token, value)``.  Only :func:`_run_item_chunk` writes it, so it is
+#: only ever set inside pool workers: the serial backend and the
+#: worker-death retry hand ``shared`` to the task directly and the parent
+#: process never holds fan-out state.
+_WORKER_SHARED_STATE: Optional[Tuple[int, Any]] = None
+
+#: Per-process call counter behind the shared-state tokens.
+_SHARED_TOKENS = count()
+
+
+def _forget_pool_in_child() -> None:
+    """After fork: the parent's pool and shared state are not this process's."""
+    global _POOL, _POOL_EXIT, _WORKER_SHARED_STATE
+    _POOL = _POOL_EXIT = _WORKER_SHARED_STATE = None
+
+
+os.register_at_fork(after_in_child=_forget_pool_in_child)
+
+
+def _close_pool() -> None:
+    """Shut this process's live pool down (no-op without one)."""
+    global _POOL
+    pool, _POOL = _POOL, None
+    if pool is not None:
+        pool.shutdown(wait=True)
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Worker thread: end the worker once its parent process is gone."""
+    while os.getppid() == parent:
+        time.sleep(_PARENT_POLL_S)
+    os._exit(1)
+
+
+def _watch_parent() -> None:
+    """Pool initializer: a worker never outlives the process that made it."""
+    threading.Thread(
+        target=_exit_with_parent, args=(os.getppid(),), daemon=True
+    ).start()
+
+
+def _pool_is_stale(pool: ProcessPoolExecutor) -> bool:
+    """Whether a worker of ``pool`` died or the pool marked itself broken.
+
+    Reads the executor's private ``_processes``/``_broken``: a worker
+    killed between calls must not cost the next call a serial retry.
+    """
+    workers = list((pool._processes or {}).values())
+    return any(not p.is_alive() for p in workers) or bool(pool._broken)
+
+
+def _live_pool(workers: int) -> ProcessPoolExecutor:
+    """This process's worker pool of ``workers`` processes.
+
+    Created on first use and reused by every later call; replaced when
+    the worker count changes or a worker has died.  The pool is shut
+    down when the process exits.
+    """
+    global _POOL, _POOL_EXIT
+    if _POOL is not None and (_POOL._max_workers != workers or _pool_is_stale(_POOL)):
+        _close_pool()
+    if _POOL is None:
+        _POOL = ProcessPoolExecutor(max_workers=workers, initializer=_watch_parent)
+    if _POOL_EXIT is None:
+        # At exit, multiprocessing runs finalizers by descending priority
+        # and then joins the process's children, which would wait forever
+        # on a live pool's idle workers.  Priority 100 runs this before
+        # the pool's own queues close theirs (priority 10).
+        _POOL_EXIT = Finalize(None, _close_pool, exitpriority=100)
+    return _POOL
 
 
 def parallel_map(
@@ -154,9 +261,19 @@ def parallel_map(
             with one worker per CPU.
         shared: Optional read-only state common to every task.  When
             given (even as ``None``), tasks run as ``func(shared, item)``
-            and the process backend ships ``shared`` once per worker
-            rather than once per task — use it for heavy invariants such
-            as a fleet spec, a sample matrix or a Gram precompute.
+            and the process backend pickles ``shared`` (so it must be
+            picklable) once per call, tags it with a fresh token and
+            unpickles it at most once per worker rather than once per
+            task — use it for heavy invariants such as a fleet spec, a
+            sample matrix or a Gram precompute.  A worker keeps only the
+            latest call's state, so no call ever sees an earlier call's
+            ``shared``.
+
+    The process backend runs on one worker pool per process, created on
+    first use and reused by every later call with the same worker count
+    (``min(config.resolved_workers(), len(items))``); a changed count or
+    a pool with a dead worker is replaced, and the pool is shut down at
+    exit.  Workers end on their own if the parent process dies.
 
     Worker-death recovery: a worker process that dies mid-task (OOM
     kill, segfault, ``os._exit``) no longer poisons the whole fan-out
@@ -186,19 +303,34 @@ def parallel_map(
         items[i : i + config.chunksize]
         for i in range(0, len(items), config.chunksize)
     ]
+    shipped = (
+        (next(_SHARED_TOKENS), pickle.dumps(shared, pickle.HIGHEST_PROTOCOL))
+        if bound
+        else None
+    )
+    pool = _live_pool(workers)
+    futures = []
+    for chunk in chunks:
+        try:
+            futures.append(pool.submit(_run_item_chunk, (func, chunk, shipped)))
+        except BrokenProcessPool:
+            break
     chunk_results: List[Optional[List[Any]]] = [None] * len(chunks)
     broken: List[int] = []
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_install_shared, initargs=(bound,)
-    ) as pool:
-        futures = [
-            pool.submit(_run_item_chunk, (func, chunk)) for chunk in chunks
-        ]
+    try:
         for ci, future in enumerate(futures):
             try:
                 chunk_results[ci] = future.result()
             except BrokenProcessPool:
                 broken.append(ci)
+    except BaseException:
+        # A task raised: drop the chunks that have not started so the
+        # live pool does not run them for nobody.
+        for future in futures:
+            future.cancel()
+        raise
+    # Chunks never submitted because the pool broke mid-submission.
+    broken.extend(range(len(futures), len(chunks)))
     for ci in broken:
         base = ci * config.chunksize
         logger.warning(
@@ -220,10 +352,21 @@ def parallel_map(
     return [value for chunk in chunk_results for value in chunk]
 
 
-def _run_item_chunk(payload: Tuple[Callable[..., Any], List[Any]]) -> List[Any]:
+def _run_item_chunk(
+    payload: Tuple[Callable[..., Any], List[Any], Optional[Tuple[int, bytes]]],
+) -> List[Any]:
     """Worker: evaluate one contiguous chunk of task items in order."""
-    func, chunk = payload
-    return [func(*_WORKER_SHARED, item) for item in chunk]
+    global _WORKER_SHARED_STATE
+    func, chunk, shipped = payload
+    if shipped is None:
+        _WORKER_SHARED_STATE = None
+        return [func(item) for item in chunk]
+    token, blob = shipped
+    if _WORKER_SHARED_STATE is None or _WORKER_SHARED_STATE[0] != token:
+        _WORKER_SHARED_STATE = None  # drop the previous call's state first
+        _WORKER_SHARED_STATE = (token, pickle.loads(blob))
+    shared = _WORKER_SHARED_STATE[1]
+    return [func(shared, item) for item in chunk]
 
 
 def shard_map(

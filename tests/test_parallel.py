@@ -1,10 +1,19 @@
 """Tests: the parallel fleet driver is bit-identical to serial execution."""
 
+import json
 import multiprocessing
 import os
+import pathlib
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.generator import AutomaticXProGenerator
 from repro.errors import ConfigurationError, SimulationError
@@ -128,6 +137,23 @@ class TestDeriveSeeds:
         assert derive_seeds(1234, 3) == a[:3]
         assert derive_seeds(4321, 6) != a
 
+    @given(
+        master=st.integers(min_value=0, max_value=2**80),
+        n=st.integers(min_value=0, max_value=2000),
+    )
+    @example(master=2**32, n=5)
+    @example(master=2**64 - 1, n=500)
+    @example(master=2**70 + 3, n=1)
+    # Masters wider than the four-word pool mix their extra words first.
+    @example(master=2**128 + 5, n=5)
+    @example(master=2**200 + 17, n=500)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_seed_sequence_spawn(self, master, n):
+        children = np.random.SeedSequence(master).spawn(n)
+        assert derive_seeds(master, n) == [
+            int(child.generate_state(1, np.uint64)[0]) for child in children
+        ]
+
     def test_validation(self):
         assert derive_seeds(0, 0) == []
         with pytest.raises(ConfigurationError):
@@ -238,6 +264,16 @@ def _die_in_worker_scaled(factor, x):
     return factor * x
 
 
+def _shared_and_token(factor, x):
+    """Worker: the scaled item and the token of the state it was scaled by."""
+    return factor * x, par._WORKER_SHARED_STATE[0]
+
+
+def _cached_shared(x):
+    """Worker: the shared state this process holds during an unshared call."""
+    return par._WORKER_SHARED_STATE
+
+
 def _shard_pid(shared, bounds):
     return os.getpid()
 
@@ -252,10 +288,10 @@ class TestSharedState:
     @pytest.mark.parametrize("config", [SERIAL, PROCESS], ids=["serial", "process"])
     def test_parent_slot_stays_empty(self, config):
         assert parallel_map(_scaled, [1, 2, 3], config, shared=10) == [10, 20, 30]
-        assert par._WORKER_SHARED == ()
+        assert par._WORKER_SHARED_STATE is None
         with pytest.raises(ValueError, match="bad item 3"):
             parallel_map(_scaled_or_raise, [1, 2, 3], config, shared=10)
-        assert par._WORKER_SHARED == ()
+        assert par._WORKER_SHARED_STATE is None
 
     def test_serial_retry_receives_shared(self, caplog):
         with caplog.at_level("WARNING", logger="repro.sim.parallel"):
@@ -263,8 +299,23 @@ class TestSharedState:
                 _die_in_worker_scaled, [1, 2, 3], PROCESS, shared=7
             )
         assert out == [7, 14, 21]
-        assert par._WORKER_SHARED == ()
+        assert par._WORKER_SHARED_STATE is None
         assert len(_retry_records(caplog)) == 3
+
+    def test_later_call_never_sees_earlier_shared(self):
+        """Two calls on the same live workers: each task sees its own
+        call's ``shared`` under its own token, and an unshared call sees
+        no cached state at all."""
+        first = parallel_map(_shared_and_token, [1, 2, 3, 4], PROCESS, shared=10)
+        second = parallel_map(_shared_and_token, [1, 2, 3, 4], PROCESS, shared=20)
+        assert [value for value, _ in first] == [10, 20, 30, 40]
+        assert [value for value, _ in second] == [20, 40, 60, 80]
+        first_tokens = {token for _, token in first}
+        second_tokens = {token for _, token in second}
+        assert len(first_tokens) == len(second_tokens) == 1
+        assert first_tokens != second_tokens
+        assert parallel_map(_cached_shared, [1, 2, 3, 4], PROCESS) == [None] * 4
+        assert par._WORKER_SHARED_STATE is None
 
     def test_shard_bounds_are_contiguous_and_cover(self):
         for n in range(1, 10):
@@ -280,6 +331,136 @@ class TestSharedState:
         parts, bounds = shard_map(_shard_pid, 5, None, PROCESS, shards=1)
         assert parts == [os.getpid()]
         assert bounds == [(0, 5)]
+
+
+def _pid(x):
+    return os.getpid()
+
+
+def _pool_pids():
+    """Pids of this process's live child processes (the pool workers)."""
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process (a zombie counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+
+
+def _wait_gone(pids, timeout_s=5.0):
+    """The subset of ``pids`` still running after ``timeout_s``."""
+    deadline = time.monotonic() + timeout_s
+    alive = set(pids)
+    while alive and time.monotonic() < deadline:
+        alive = {pid for pid in alive if _running(pid)}
+        time.sleep(0.05)
+    return {pid for pid in alive if _running(pid)}
+
+
+def _run_python(script):
+    """Stdout of ``script`` run by a child interpreter that imports this
+    checkout's ``repro``; fails on a non-zero exit or after 60 s."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(pathlib.Path(par.__file__).parents[2])]
+        + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestLivePool:
+    """One worker pool per process, reused across calls."""
+
+    def test_workers_are_the_same_across_calls(self):
+        parallel_map(_pid, [1, 2], PROCESS)
+        workers = _pool_pids()
+        assert len(workers) == PROCESS.max_workers
+        assert set(parallel_map(_pid, range(8), PROCESS)) <= workers
+        assert set(parallel_map(_pid, range(8), PROCESS)) <= workers
+        assert _pool_pids() == workers
+
+    def test_worker_count_change_replaces_the_pool(self):
+        parallel_map(_pid, [1, 2], PROCESS)
+        two = _pool_pids()
+        [solo] = set(parallel_map(_pid, [1, 2], ParallelConfig(max_workers=1)))
+        assert _pool_pids() == {solo}
+        assert solo not in two and not any(_running(pid) for pid in two)
+        parallel_map(_pid, [1, 2], PROCESS)
+        assert len(_pool_pids()) == 2 and solo not in _pool_pids()
+
+    def test_worker_killed_between_calls_is_replaced_without_retry(self, caplog):
+        parallel_map(_pid, [1, 2], PROCESS)
+        victim = min(_pool_pids())
+        os.kill(victim, signal.SIGKILL)
+        assert not _wait_gone({victim})
+        with caplog.at_level("WARNING", logger="repro.sim.parallel"):
+            pids = parallel_map(_pid, range(6), PROCESS)
+        assert _retry_records(caplog) == []
+        assert victim not in pids and os.getpid() not in pids
+        assert set(pids) <= _pool_pids()
+
+    def test_nested_fan_out_starts_its_own_pool(self):
+        # In a child interpreter: a worker that reused its parent's pool
+        # would hang, and the timeout turns that into a failure.
+        out = _run_python(
+            """
+            import json, multiprocessing, os
+            from repro.sim.parallel import ParallelConfig, parallel_map
+            PROCESS = ParallelConfig(max_workers=2)
+            def pid_and_square(x):
+                return os.getpid(), x * x
+            def nested(n):
+                inner = parallel_map(pid_and_square, range(n), PROCESS)
+                return os.getpid(), [v for _, v in inner], [p for p, _ in inner]
+            outer = parallel_map(nested, [3, 4], PROCESS)
+            workers = [p.pid for p in multiprocessing.active_children()]
+            print(json.dumps([os.getpid(), workers, outer]))
+            """
+        )
+        parent, workers, outer = json.loads(out)
+        assert [values for _, values, _ in outer] == [[0, 1, 4], [0, 1, 4, 9]]
+        for pid, _, inner_pids in outer:
+            assert pid in workers
+            assert inner_pids and not set(inner_pids) & set(workers + [parent])
+
+    @pytest.mark.parametrize("ending", ["clean", "os._exit"])
+    def test_workers_never_outlive_their_parent(self, ending):
+        out = _run_python(
+            f"""
+            import multiprocessing, os
+            from repro.sim.fleetsoa import FleetConfig, FleetSpec
+            from repro.sim.parallel import ParallelConfig, fleet_soa_rounds
+            spec = FleetSpec(
+                network_sizes=[2, 2, 2, 2],
+                protocols=[0, 1, 0, 1],
+                period_s=[0.25] * 8,
+                front_delay_s=[1e-3] * 8,
+                link_delay_s=[2e-3] * 8,
+                compute_j=[1e-6] * 8,
+                radio_j=[1e-6] * 8,
+                config=FleetConfig(seed=5),
+            )
+            fleet_soa_rounds(spec, 2, config=ParallelConfig(max_workers=2))
+            print(" ".join(str(p.pid) for p in multiprocessing.active_children()))
+            if {ending!r} == "os._exit":
+                os._exit(0)
+            """
+        )
+        workers = {int(pid) for pid in out.split()}
+        assert len(workers) == 2
+        assert not _wait_gone(workers, timeout_s=5.0)
 
 
 class TestFleet:
