@@ -177,7 +177,7 @@ class GracefulDegradationPolicy:
         """Snapshot the mutable policy state as a JSON-safe dict.
 
         The thresholds are configuration, not state — checkpoints pin
-        them in the config key instead (see :mod:`repro.sim.supervise`).
+        them in the config key instead (see :mod:`repro.sim.checkpoint`).
         """
         return {
             "consecutive_drops": self._consecutive_drops,

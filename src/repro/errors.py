@@ -69,7 +69,7 @@ class ChaosRegressionError(XProError):
 
 class CheckpointError(XProError):
     """A checkpoint file is missing, tampered with, or was written for a
-    different run configuration (see :mod:`repro.sim.supervise`)."""
+    different run configuration (see :mod:`repro.sim.checkpoint`)."""
 
 
 class SupervisionGateError(XProError):

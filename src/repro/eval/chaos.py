@@ -46,6 +46,7 @@ from repro.sim.chaos import (
     report_digest,
     save_bundle,
 )
+from repro.sim.checkpoint import Checkpointer
 from repro.sim.evaluate import evaluate_partition
 from repro.sim.faults import IntegrityConfig
 from repro.sim.lifetime import MODALITY_SAMPLE_RATES, event_period_s
@@ -174,7 +175,7 @@ def chaos_eval(
     seed: int = 11,
     bundle_dir: Optional[str | Path] = None,
     verify_replay: bool = True,
-    checkpoint: Optional[object] = None,
+    checkpoint: Optional[Checkpointer] = None,
     resume: bool = False,
 ) -> Dict[str, Any]:
     """Run baselines + adversarial search and summarise the outcome.
@@ -194,7 +195,7 @@ def chaos_eval(
             campaign runners and assert bit-identical report digests
             before returning (the summary records the digests).
         checkpoint: Optional
-            :class:`~repro.sim.supervise.ChaosCheckpointer` forwarded to
+            :class:`~repro.sim.checkpoint.Checkpointer` forwarded to
             :func:`~repro.sim.chaos.chaos_search`, making the long search
             phase resumable after a crash or interruption.
         resume: Resume the search from ``checkpoint``'s last snapshot
@@ -327,9 +328,7 @@ def chaos_from_context(
     )
     checkpoint = None
     if checkpoint_path is not None:
-        from repro.sim.supervise import ChaosCheckpointer
-
-        checkpoint = ChaosCheckpointer(checkpoint_path, every=checkpoint_every)
+        checkpoint = Checkpointer(checkpoint_path, every=checkpoint_every)
     return chaos_eval(
         run_config,
         n_events=n_events,

@@ -1,8 +1,8 @@
 """Supervision evaluation stage: breakers, fleet health, resume self-check.
 
 :mod:`repro.sim.supervise` supplies the mechanisms (link circuit breaker,
-per-device health state machine, crash-safe checkpoint/resume); this
-module binds them to the experiment harness and measures what they buy:
+per-device health state machine) and :mod:`repro.sim.checkpoint` the
+crash-safe checkpoint/resume; this module binds them to the experiment harness and measures what they buy:
 
 - :func:`flapping_campaign` builds the adversarial *flapping link* mix —
   background Gilbert-Elliott burst loss plus several hard
@@ -40,6 +40,7 @@ from repro.hw.arq import ARQConfig
 from repro.hw.wireless import WirelessLink
 from repro.sim.channel import GilbertElliottParams
 from repro.sim.chaos import report_digest
+from repro.sim.checkpoint import Checkpointer
 from repro.sim.evaluate import evaluate_partition
 from repro.sim.faults import BurstLoss, FaultCampaign, LinkOutage
 from repro.sim.lifetime import MODALITY_SAMPLE_RATES, event_period_s
@@ -47,7 +48,6 @@ from repro.sim.parallel import derive_seeds
 from repro.sim.simulator import CrossEndSimulator
 from repro.sim.supervise import (
     BreakerConfig,
-    CampaignCheckpointer,
     FleetSupervisor,
     HealthPolicy,
     LinkCircuitBreaker,
@@ -153,7 +153,7 @@ class _InterruptedRun(Exception):
     """Control-flow marker raised by :class:`_InterruptingCheckpointer`."""
 
 
-class _InterruptingCheckpointer(CampaignCheckpointer):
+class _InterruptingCheckpointer(Checkpointer):
     """Checkpointer that kills the run right after its Nth snapshot.
 
     Stands in for a crash in the resume self-check: the campaign dies
@@ -165,9 +165,9 @@ class _InterruptingCheckpointer(CampaignCheckpointer):
         super().__init__(path, every=every)
         self.stop_after = int(stop_after)
 
-    def save(self, **kwargs: Any) -> Path:
+    def save(self, *args: Any, **kwargs: Any) -> Path:
         """Write the snapshot, then abort the run once quota is reached."""
-        path = super().save(**kwargs)
+        path = super().save(*args, **kwargs)
         if self.saves >= self.stop_after:
             raise _InterruptedRun(str(path))
         return path
@@ -215,7 +215,7 @@ def _resume_block(
                 run(_InterruptingCheckpointer(path, every=every), False)
             except _InterruptedRun:
                 pass
-            resumed = run(CampaignCheckpointer(path, every=every), True)
+            resumed = run(Checkpointer(path, every=every), True)
             runners[runner] = {
                 "reference_digest": report_digest(reference),
                 "resumed_digest": report_digest(resumed),

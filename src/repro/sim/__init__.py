@@ -19,9 +19,12 @@
   tracking and bit-exact JSON replay bundles.
 - :mod:`repro.sim.supervise` -- the fleet-supervision tier: per-device
   health state machines with quarantine/recovery (and the same machine
-  as integer columns for the struct-of-arrays fleet), deterministic link
-  circuit breakers, and crash-safe digest-pinned checkpoint/resume for
-  campaigns, sweeps and chaos searches.
+  as integer columns for the struct-of-arrays fleet) and deterministic
+  link circuit breakers.
+- :mod:`repro.sim.checkpoint` -- the one checkpoint journal: crash-safe,
+  digest-pinned checkpoint/resume for campaigns, sweeps and chaos
+  searches, plus the canonical-JSON digests and bit-exact float and RNG
+  codecs they share.
 """
 
 from repro.sim.channel import (
@@ -45,13 +48,19 @@ from repro.sim.chaos import (
     ReplayResult,
     assert_replay,
     build_bundle,
-    canonical_json,
     chaos_search,
     load_bundle,
     pareto_worst,
     replay_bundle,
     report_digest,
     save_bundle,
+)
+from repro.sim.checkpoint import (
+    CHECKPOINT_SCHEMA,
+    Checkpointer,
+    canonical_json,
+    load_checkpoint,
+    save_checkpoint,
     stable_digest,
 )
 from repro.sim.discharge import DischargeTrace, simulate_discharge
@@ -72,6 +81,7 @@ from repro.sim.faults import (
     PayloadCorruption,
     ResilienceReport,
     SensorBrownout,
+    fault_signature,
 )
 from repro.sim.fleetsoa import (
     FleetConfig,
@@ -95,22 +105,13 @@ from repro.sim.parallel import (
 )
 from repro.sim.simulator import CrossEndSimulator, SimulationReport
 from repro.sim.supervise import (
-    CHECKPOINT_SCHEMA,
     HEALTH_STATES,
     BreakerConfig,
-    CampaignCheckpointer,
-    CampaignResumeState,
-    ChaosCheckpointer,
-    ChaosResumeState,
     DeviceHealth,
     FleetSupervisor,
     HealthColumns,
     HealthPolicy,
     LinkCircuitBreaker,
-    SweepCheckpointer,
-    fault_signature,
-    load_checkpoint,
-    save_checkpoint,
     wasted_radio_j,
 )
 from repro.sim.timeline import render_timeline
@@ -122,14 +123,10 @@ __all__ = [
     "BreakerConfig",
     "BurstLoss",
     "CHECKPOINT_SCHEMA",
-    "CampaignCheckpointer",
-    "CampaignResumeState",
     "ChaosBounds",
-    "ChaosCheckpointer",
     "ChaosDriver",
     "ChaosJudge",
     "ChaosOutcome",
-    "ChaosResumeState",
     "ChaosRunConfig",
     "ChaosScenario",
     "ChaosScore",
@@ -137,6 +134,7 @@ __all__ = [
     "ChaosSearchResult",
     "ChaosStrategist",
     "ChaosWeights",
+    "Checkpointer",
     "CrossEndSimulator",
     "DecisionRecord",
     "DeviceHealth",
@@ -159,7 +157,6 @@ __all__ = [
     "ReplayResult",
     "ResilienceReport",
     "SensorBrownout",
-    "SweepCheckpointer",
     "assert_replay",
     "build_bundle",
     "burst_lengths",

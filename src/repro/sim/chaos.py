@@ -39,21 +39,35 @@ machine and either runner.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.degrade import GracefulDegradationPolicy, LastKnownGoodCache
-from repro.errors import ConfigurationError, ReplayMismatchError, SimulationError
+from repro.errors import (
+    CheckpointError,
+    ConfigurationError,
+    ReplayMismatchError,
+    SimulationError,
+)
 from repro.hw.arq import ARQConfig
 from repro.hw.framing import FramingConfig
 from repro.sim.channel import GilbertElliottParams
-from repro.sim.evaluate import PartitionMetrics
+from repro.sim.checkpoint import (
+    Checkpointer,
+    decode_float,
+    encode_float,
+    restore_rng,
+    rng_state,
+    stable_digest,
+    write_atomic,
+)
+from repro.sim.evaluate import PartitionMetrics, _metrics_from_dict, _metrics_to_dict
 from repro.sim.faults import (
     AggregatorStall,
     BurstLoss,
@@ -63,6 +77,10 @@ from repro.sim.faults import (
     PayloadCorruption,
     ResilienceReport,
     SensorBrownout,
+    _arq_to_dict,
+    _integrity_to_dict,
+    decode_report,
+    encode_report,
 )
 from repro.sim.simulator import CrossEndSimulator
 
@@ -73,72 +91,21 @@ BUNDLE_SCHEMA = "xpro-chaos-bundle-v1"
 _ID_HEX = 16
 
 
-# -- canonical digests ---------------------------------------------------------
-
-
-def canonical_json(obj: Any) -> str:
-    """Canonical JSON text of a JSON-safe object.
-
-    Keys are sorted, separators are minimal and NaN/Infinity are rejected,
-    so equal objects always serialise to equal bytes.  Python floats are
-    rendered by ``repr`` (shortest round-trip form), which re-parses to
-    the identical IEEE-754 value — canonical text is therefore bit-exact
-    for float payloads too.
-    """
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
-
-
-def stable_digest(obj: Any) -> str:
-    """SHA-256 hex digest of :func:`canonical_json`.
-
-    The only sanctioned way to derive scenario keys and bundle IDs:
-    Python's builtin ``hash()`` is salted per interpreter run and must
-    never leak into persisted identifiers.
-    """
-    return hashlib.sha256(canonical_json(obj).encode("ascii")).hexdigest()
-
-
-def _float_token(value: float) -> str:
-    """Bit-exact text form of one float (NaN-safe, replay-stable)."""
-    return float(value).hex()
+# -- report digests ------------------------------------------------------------
 
 
 def report_digest(report: ResilienceReport) -> str:
     """Bit-exact SHA-256 digest of one :class:`ResilienceReport`.
 
-    Every record field and every counter enters the digest; floats are
-    hashed via ``float.hex()`` so NaN latencies (dropped events) and
+    Every record field and every counter enters the digest through the
+    shared report codec (:func:`~repro.sim.faults.encode_report`); floats
+    are hashed via ``float.hex()`` so NaN latencies (dropped events) and
     denormal-scale energies are captured exactly.  Two reports share a
     digest iff :func:`repro.sim.faults.reports_identical` holds.
     """
-    payload = {
-        "records": [
-            [
-                r.index,
-                r.status,
-                r.tries,
-                _float_token(r.latency_s),
-                r.fallback,
-                r.staleness,
-                r.corrupted,
-            ]
-            for r in report.records
-        ],
-        "counters": {
-            "sensor_energy_j": _float_token(report.sensor_energy_j),
-            "aggregator_energy_j": _float_token(report.aggregator_energy_j),
-            "retry_energy_j": _float_token(report.retry_energy_j),
-            "retransmissions": report.retransmissions,
-            "fallback_events": report.fallback_events,
-            "deadline_misses": report.deadline_misses,
-            "frames_sent": report.frames_sent,
-            "frames_corrupted": report.frames_corrupted,
-            "corruptions_detected": report.corruptions_detected,
-            "corrupted_deliveries": report.corrupted_deliveries,
-            "integrity_discards": report.integrity_discards,
-        },
-    }
-    return stable_digest(payload)
+    counters = encode_report(report)
+    records = counters.pop("records")
+    return stable_digest({"records": records, "counters": counters})
 
 
 # -- the scenario space --------------------------------------------------------
@@ -203,14 +170,19 @@ class ChaosScenario:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ChaosScenario":
-        """Rebuild a scenario from :meth:`to_dict` output."""
-        known = {f for f in cls.__dataclass_fields__}  # noqa: C401
-        unknown = set(data) - known
+        """Rebuild a scenario from :meth:`to_dict` output.
+
+        Each value is cast to its field's declared ``int``/``float`` type,
+        so a hand-edited document fails here rather than inside a run.
+        """
+        fields = cls.__dataclass_fields__
+        unknown = set(data) - set(fields)
         if unknown:
             raise ConfigurationError(
                 f"unknown chaos scenario fields: {sorted(unknown)}"
             )
-        return cls(**data)
+        cast = {"int": int, "float": float}
+        return cls(**{name: cast[fields[name].type](v) for name, v in data.items()})
 
     @property
     def key(self) -> str:
@@ -396,15 +368,13 @@ class ChaosStrategist:
 
         The configuration (bounds, seed, elite...) is not included —
         checkpoints pin it in their config key instead (see
-        :class:`~repro.sim.supervise.ChaosCheckpointer`).
+        :func:`chaos_search`).
         """
-        return {"rng": self._rng.bit_generator.state}
+        return {"rng": rng_state(self._rng)}
 
     def load_state(self, state: Mapping[str, Any]) -> None:
         """Restore a snapshot produced by :meth:`state_dict`."""
-        generator = np.random.default_rng(0)
-        generator.bit_generator.state = dict(state["rng"])
-        self._rng = generator
+        self._rng = restore_rng(state["rng"])
 
     # -- mutation --------------------------------------------------------------
 
@@ -482,37 +452,6 @@ class ChaosStrategist:
 # -- the harness configuration -------------------------------------------------
 
 
-_METRIC_FLOATS = (
-    "sensor_compute_j",
-    "sensor_tx_j",
-    "sensor_rx_j",
-    "delay_front_s",
-    "delay_link_s",
-    "delay_back_s",
-    "aggregator_cpu_j",
-    "aggregator_radio_j",
-)
-
-
-def _metrics_to_dict(metrics: PartitionMetrics) -> Dict[str, Any]:
-    """JSON-safe form of one :class:`PartitionMetrics` (floats via repr)."""
-    data: Dict[str, Any] = {"in_sensor": sorted(metrics.in_sensor)}
-    for name in _METRIC_FLOATS:
-        data[name] = float(getattr(metrics, name))
-    data["crossing_bits_up"] = int(metrics.crossing_bits_up)
-    data["crossing_bits_down"] = int(metrics.crossing_bits_down)
-    return data
-
-
-def _metrics_from_dict(data: Dict[str, Any]) -> PartitionMetrics:
-    return PartitionMetrics(
-        in_sensor=frozenset(data["in_sensor"]),
-        crossing_bits_up=int(data["crossing_bits_up"]),
-        crossing_bits_down=int(data["crossing_bits_down"]),
-        **{name: float(data[name]) for name in _METRIC_FLOATS},
-    )
-
-
 @dataclass(frozen=True)
 class ChaosRunConfig:
     """The fixed harness every chaos scenario runs under.
@@ -568,7 +507,7 @@ class ChaosRunConfig:
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe canonical form (enters the bundle ID digest)."""
-        data: Dict[str, Any] = {
+        return {
             "metrics": _metrics_to_dict(self.metrics),
             "fallback_metrics": (
                 None
@@ -578,26 +517,12 @@ class ChaosRunConfig:
             "period_s": float(self.period_s),
             "jitter_sigma": float(self.jitter_sigma),
             "sim_seed": int(self.sim_seed),
-            "arq": {
-                "max_retries": self.arq.max_retries,
-                "timeout_s": float(self.arq.timeout_s),
-                "backoff_factor": float(self.arq.backoff_factor),
-                "jitter_fraction": float(self.arq.jitter_fraction),
-            },
+            "arq": _arq_to_dict(self.arq),
             "outage_threshold": int(self.outage_threshold),
             "recovery_hysteresis": int(self.recovery_hysteresis),
             "cache_max_staleness": self.cache_max_staleness,
-            "integrity": None,
+            "integrity": _integrity_to_dict(self.integrity),
         }
-        if self.integrity is not None:
-            data["integrity"] = {
-                "max_payload_bytes": self.integrity.framing.max_payload_bytes,
-                "crc": self.integrity.framing.crc,
-                "version": self.integrity.framing.version,
-                "retransmit_on_corrupt": self.integrity.retransmit_on_corrupt,
-                "values_per_payload": self.integrity.values_per_payload,
-            }
-        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ChaosRunConfig":
@@ -899,13 +824,110 @@ class ChaosSearchResult:
     evaluations: int
 
 
+# -- search checkpoints --------------------------------------------------------
+
+
+_SCORE_FLOATS = (
+    "unavailability",
+    "silent_corruption",
+    "latency_tail",
+    "battery_overhead",
+    "degraded_rate",
+    "badness",
+)
+
+
+def _encode_outcome(outcome: ChaosOutcome) -> Dict[str, Any]:
+    """JSON-safe, bit-exact form of one outcome (hex-float score and report)."""
+    score: Dict[str, Any] = {
+        name: encode_float(getattr(outcome.score, name)) for name in _SCORE_FLOATS
+    }
+    score["diverged"] = bool(outcome.score.diverged)
+    return {
+        "scenario": outcome.scenario.to_dict(),
+        "score": score,
+        "report": None if outcome.report is None else encode_report(outcome.report),
+        "report_digest": outcome.report_digest,
+        "generation": int(outcome.generation),
+    }
+
+
+def _decode_outcome(data: Mapping[str, Any]) -> ChaosOutcome:
+    """Inverse of :func:`_encode_outcome`."""
+    score = data["score"]
+    return ChaosOutcome(
+        scenario=ChaosScenario.from_dict(data["scenario"]),
+        score=ChaosScore(
+            diverged=bool(score["diverged"]),
+            **{name: decode_float(score[name]) for name in _SCORE_FLOATS},
+        ),
+        report=None if data["report"] is None else decode_report(data["report"]),
+        report_digest=data["report_digest"],
+        generation=int(data["generation"]),
+    )
+
+
+def _search_key(
+    run_config: ChaosRunConfig,
+    search: ChaosSearchConfig,
+    bounds: ChaosBounds,
+    judge: ChaosJudge,
+) -> str:
+    """Config key of a ``"chaos"`` checkpoint: harness, shape, bounds, judge."""
+    return stable_digest({
+        "run": run_config.to_dict(),
+        "search": asdict(search),
+        "bounds": asdict(bounds),
+        "judge": {
+            "period_s": float(judge.period_s),
+            "clean_sensor_j": float(judge.clean_sensor_j),
+            "weights": asdict(judge.weights),
+        },
+    })
+
+
+def _resume_search(
+    state: Mapping[str, Any], strategist: ChaosStrategist
+) -> Tuple[int, int, List[ChaosScenario], List[ChaosOutcome], int]:
+    """Decode a ``"chaos"`` checkpoint state; restores the strategist RNG.
+
+    Returns the generation the search stopped inside, the index of that
+    generation's next scenario, its full candidate population, every
+    outcome evaluated so far (evaluation order) and the campaign runs
+    executed so far.
+    """
+    strategist.load_state(state["strategist"])
+    population = [ChaosScenario.from_dict(s) for s in state["population"]]
+    outcomes = [_decode_outcome(o) for o in state["outcomes"]]
+    evaluations = int(state["evaluations"])
+    if not outcomes or len(outcomes) != evaluations:
+        raise CheckpointError(
+            f"checkpoint holds {len(outcomes)} outcomes of {evaluations} "
+            "evaluations"
+        )
+    for scenario in population + [o.scenario for o in outcomes]:
+        if scenario.n_events != strategist.bounds.n_events:
+            raise CheckpointError(
+                f"checkpoint scenario of {scenario.n_events} events in a "
+                f"{strategist.bounds.n_events}-event search"
+            )
+        scenario.to_campaign()  # out-of-range fault parameters fail here
+    return (
+        int(state["generation"]),
+        int(state["position"]),
+        population,
+        outcomes,
+        evaluations,
+    )
+
+
 def chaos_search(
     run_config: ChaosRunConfig,
     search: Optional[ChaosSearchConfig] = None,
     bounds: Optional[ChaosBounds] = None,
     n_events: int = 400,
     judge: Optional[ChaosJudge] = None,
-    checkpoint: Optional[object] = None,
+    checkpoint: Optional[Checkpointer] = None,
     resume: bool = False,
 ) -> ChaosSearchResult:
     """The orchestrator: strategist -> driver -> judge, generation by generation.
@@ -919,11 +941,12 @@ def chaos_search(
         n_events: Run length when ``bounds`` is omitted.
         judge: Scoring override; the default judge normalises against the
             run config's period and clean sensor energy.
-        checkpoint: Optional
-            :class:`~repro.sim.supervise.ChaosCheckpointer`; snapshots
-            the strategist RNG, the generation cursor, the population and
-            every evaluated outcome every ``checkpoint.every`` campaign
-            evaluations.
+        checkpoint: Optional :class:`~repro.sim.checkpoint.Checkpointer`;
+            snapshots the strategist RNG, the generation cursor, the
+            population and every evaluated outcome (scores and reports
+            hex-float encoded) as a ``"chaos"`` checkpoint every
+            ``checkpoint.every`` campaign evaluations.  The config key
+            pins the harness, search shape, bounds and judge.
         resume: Continue from ``checkpoint``'s last snapshot; the resumed
             search retraces the uninterrupted search exactly (same
             proposals, same frontier, same worst case).
@@ -945,29 +968,22 @@ def chaos_search(
         fresh_fraction=search.fresh_fraction,
     )
 
-    memo: Dict[str, ChaosOutcome] = {}
-    outcomes: List[ChaosOutcome] = []
-    evaluations = 0
-    start_generation = 0
-    start_position = 0
+    if resume and checkpoint is None:
+        raise ConfigurationError("resume=True requires a checkpoint")
+    config_key = None
+    if checkpoint is not None:
+        config_key = _search_key(run_config, search, bounds, judge)
     if resume:
-        if checkpoint is None:
-            raise ConfigurationError("resume=True requires a checkpoint")
-        state = checkpoint.load(
-            run_config=run_config,
-            search=search,
-            bounds=bounds,
-            judge=judge,
-            strategist=strategist,
+        (
+            start_generation, start_position, population, outcomes, evaluations
+        ) = checkpoint.load(
+            "chaos", config_key, partial(_resume_search, strategist=strategist)
         )
-        start_generation = state.generation
-        start_position = state.position
-        population = list(state.population)
-        outcomes = list(state.outcomes)
-        evaluations = state.evaluations
-        memo = {o.scenario.key: o for o in outcomes}
     else:
+        start_generation = start_position = evaluations = 0
         population = strategist.initial_population(search.population)
+        outcomes = []
+    memo = {o.scenario.key: o for o in outcomes}
     for generation in range(start_generation, search.generations):
         pos0 = start_position if generation == start_generation else 0
         for pos in range(pos0, len(population)):
@@ -999,18 +1015,14 @@ def chaos_search(
                 # The strategist RNG here is post-initial_population /
                 # post-last-evolve, so a resume replays the next evolve
                 # (and everything after it) identically.
-                checkpoint.save(
-                    run_config=run_config,
-                    search=search,
-                    bounds=bounds,
-                    judge=judge,
-                    strategist=strategist,
-                    generation=generation,
-                    position=pos + 1,
-                    population=population,
-                    outcomes=outcomes,
-                    evaluations=evaluations,
-                )
+                checkpoint.save("chaos", config_key, {
+                    "strategist": strategist.state_dict(),
+                    "generation": generation,
+                    "position": pos + 1,
+                    "population": [s.to_dict() for s in population],
+                    "outcomes": [_encode_outcome(o) for o in outcomes],
+                    "evaluations": evaluations,
+                })
         ranked = sorted(
             outcomes, key=lambda o: o.score.badness, reverse=True
         )
@@ -1063,12 +1075,15 @@ def build_bundle(
 
 
 def save_bundle(bundle: Dict[str, Any], directory: str | Path) -> Path:
-    """Write one bundle as ``chaos-<bundle_id>.json`` under ``directory``."""
-    target_dir = Path(directory)
-    target_dir.mkdir(parents=True, exist_ok=True)
-    target = target_dir / f"chaos-{bundle['bundle_id']}.json"
-    target.write_text(json.dumps(bundle, indent=2, sort_keys=True) + "\n")
-    return target
+    """Write one bundle as ``chaos-<bundle_id>.json`` under ``directory``.
+
+    The write is atomic (temporary file plus ``os.replace``), so a crash
+    mid-save never leaves a torn bundle behind.
+    """
+    return write_atomic(
+        Path(directory) / f"chaos-{bundle['bundle_id']}.json",
+        json.dumps(bundle, indent=2, sort_keys=True) + "\n",
+    )
 
 
 def load_bundle(path: str | Path) -> Dict[str, Any]:

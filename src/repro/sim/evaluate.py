@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Set, Tuple
 
 from repro.cells.cell import SOURCE_CELL, PortRef
 from repro.cells.topology import CellTopology
@@ -227,6 +227,37 @@ def metrics_identical(a: PartitionMetrics, b: PartitionMetrics) -> bool:
         if name != "in_sensor"
     )
 
+
+
+_METRIC_FLOATS = (
+    "sensor_compute_j",
+    "sensor_tx_j",
+    "sensor_rx_j",
+    "delay_front_s",
+    "delay_link_s",
+    "delay_back_s",
+    "aggregator_cpu_j",
+    "aggregator_radio_j",
+)
+
+
+def _metrics_to_dict(metrics: PartitionMetrics) -> Dict[str, Any]:
+    """JSON-safe form of one :class:`PartitionMetrics` (floats via repr)."""
+    data: Dict[str, Any] = {"in_sensor": sorted(metrics.in_sensor)}
+    for name in _METRIC_FLOATS:
+        data[name] = float(getattr(metrics, name))
+    data["crossing_bits_up"] = int(metrics.crossing_bits_up)
+    data["crossing_bits_down"] = int(metrics.crossing_bits_down)
+    return data
+
+
+def _metrics_from_dict(data: Dict[str, Any]) -> PartitionMetrics:
+    return PartitionMetrics(
+        in_sensor=frozenset(data["in_sensor"]),
+        crossing_bits_up=int(data["crossing_bits_up"]),
+        crossing_bits_down=int(data["crossing_bits_down"]),
+        **{name: float(data[name]) for name in _METRIC_FLOATS},
+    )
 
 class PartitionEvaluationCache:
     """Bounded LRU memo for pure partition evaluations.

@@ -50,15 +50,20 @@ expectation-inflated figures would double-count them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from functools import cached_property, partial
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.core.degrade import GracefulDegradationPolicy, LastKnownGoodCache
 from repro.dsp.fixedpoint import Q16_16, quantize_array
-from repro.errors import ConfigurationError, IntegrityError, SimulationError
+from repro.errors import (
+    CheckpointError,
+    ConfigurationError,
+    IntegrityError,
+    SimulationError,
+)
 from repro.hw.arq import DEFAULT_MAX_SIMULATED_TRIES, ARQConfig, UNBOUNDED_ARQ
 from repro.hw.framing import (
     SEQ_MODULUS,
@@ -69,7 +74,15 @@ from repro.hw.framing import (
     fragment_payload,
 )
 from repro.sim.channel import GilbertElliottChannel, GilbertElliottParams
-from repro.sim.evaluate import PartitionMetrics
+from repro.sim.checkpoint import (
+    Checkpointer,
+    decode_float,
+    encode_float,
+    restore_rng,
+    rng_state,
+    stable_digest,
+)
+from repro.sim.evaluate import PartitionMetrics, _metrics_to_dict
 from repro.sim.simulator import CrossEndSimulator
 
 #: Per-event decision outcomes a campaign can record.
@@ -429,8 +442,9 @@ class ResilienceReport:
         all-dropped run has no latency distribution, and NaN — rather
         than 0.0 or an exception — keeps the statistic honest, propagates
         through downstream arithmetic, and round-trips the canonical
-        encoders (:func:`repro.sim.chaos._float_token`, checkpoint hex
-        floats).  Check :attr:`availability` before aggregating.
+        float codec (:func:`repro.sim.checkpoint.encode_float`) that
+        checkpoints and report digests share.  Check :attr:`availability`
+        before aggregating.
         """
         served = self._served_latency_array
         return float(np.mean(served)) if served.size else math.nan
@@ -507,20 +521,78 @@ def reports_identical(a: ResilienceReport, b: ResilienceReport) -> bool:
             math.isnan(x.latency_s) and math.isnan(y.latency_s)
         ):
             return False
-    counters = (
-        "sensor_energy_j",
-        "aggregator_energy_j",
-        "retry_energy_j",
-        "retransmissions",
-        "fallback_events",
-        "deadline_misses",
-        "frames_sent",
-        "frames_corrupted",
-        "corruptions_detected",
-        "corrupted_deliveries",
-        "integrity_discards",
+    return all(
+        getattr(a, name) == getattr(b, name)
+        for name in _REPORT_FLOATS + _REPORT_INTS
     )
-    return all(getattr(a, name) == getattr(b, name) for name in counters)
+
+
+# -- report codec --------------------------------------------------------------
+
+#: Byte-level counters of a run, in :class:`ResilienceReport` field order.
+_WIRE_COUNTERS = (
+    "frames_sent",
+    "frames_corrupted",
+    "corruptions_detected",
+    "corrupted_deliveries",
+    "integrity_discards",
+)
+_REPORT_FLOATS = ("sensor_energy_j", "aggregator_energy_j", "retry_energy_j")
+_REPORT_INTS = ("retransmissions", "fallback_events", "deadline_misses") + (
+    _WIRE_COUNTERS
+)
+
+
+def _encode_record(record: DecisionRecord) -> List[Any]:
+    """JSON-safe row of one record, its latency bit-exact via ``float.hex()``."""
+    return [
+        record.index,
+        record.status,
+        record.tries,
+        encode_float(record.latency_s),
+        record.fallback,
+        record.staleness,
+        record.corrupted,
+    ]
+
+
+def _decode_record(row: Sequence[Any]) -> DecisionRecord:
+    """Inverse of :func:`_encode_record`."""
+    return DecisionRecord(
+        index=int(row[0]),
+        status=str(row[1]),
+        tries=int(row[2]),
+        latency_s=decode_float(row[3]),
+        fallback=bool(row[4]),
+        staleness=int(row[5]),
+        corrupted=bool(row[6]),
+    )
+
+
+def encode_report(report: ResilienceReport) -> Dict[str, Any]:
+    """JSON-safe, bit-exact form of one report (every record and counter).
+
+    The one report codec: checkpoints, sweep values, chaos outcomes and
+    :func:`~repro.sim.chaos.report_digest` all go through it.
+    """
+    data: Dict[str, Any] = {"records": [_encode_record(r) for r in report.records]}
+    for name in _REPORT_FLOATS:
+        data[name] = encode_float(getattr(report, name))
+    for name in _REPORT_INTS:
+        data[name] = int(getattr(report, name))
+    return data
+
+
+def decode_report(data: Mapping[str, Any]) -> ResilienceReport:
+    """Inverse of :func:`encode_report`."""
+    kwargs: Dict[str, Any] = {
+        "records": [_decode_record(row) for row in data["records"]]
+    }
+    for name in _REPORT_FLOATS:
+        kwargs[name] = decode_float(data[name])
+    for name in _REPORT_INTS:
+        kwargs[name] = int(data[name])
+    return ResilienceReport(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -641,7 +713,7 @@ class FaultCampaign:
         integrity: Optional[IntegrityConfig] = None,
         fast: Optional[bool] = None,
         breaker: Optional[object] = None,
-        checkpoint: Optional[object] = None,
+        checkpoint: Optional[Checkpointer] = None,
         resume: bool = False,
     ) -> ResilienceReport:
         """Stream ``n_events`` through the system with faults injected.
@@ -686,11 +758,14 @@ class FaultCampaign:
                 energy) and are served from the cache or dropped; probe
                 events run with the breaker's reduced retry budget.
                 Requires a bounded ``arq``.
-            checkpoint: Optional
-                :class:`~repro.sim.supervise.CampaignCheckpointer`;
-                snapshots the complete run state (fault RNGs, clocks,
-                counters, records) every ``checkpoint.every`` events with
-                crash-safe atomic writes.
+            checkpoint: Optional :class:`~repro.sim.checkpoint.
+                Checkpointer`; snapshots the complete run state (fault
+                RNGs, clocks, counters, records) as a ``"campaign"``
+                checkpoint every ``checkpoint.every`` events with
+                crash-safe atomic writes.  The config key pins campaign
+                seed, fault signatures, runner, ARQ, simulator, policy,
+                cache, integrity and breaker configuration, so a
+                checkpoint can never resume a different run.
             resume: Continue from ``checkpoint``'s last snapshot instead
                 of starting at event 0.  The resumed run's report is
                 bit-identical to an uninterrupted run on the same runner.
@@ -738,7 +813,7 @@ class FaultCampaign:
         cache: Optional[LastKnownGoodCache],
         integrity: Optional[IntegrityConfig],
         breaker: Optional[object],
-        checkpoint: Optional[object],
+        checkpoint: Optional[Checkpointer],
         resume: bool,
     ) -> ResilienceReport:
         """The event loop of both runners (see :meth:`run`).
@@ -748,32 +823,41 @@ class FaultCampaign:
         the clocks, energy and retry accounting, breaker gate, policy,
         cache, integrity counters and checkpoints are shared.
         """
-        config = dict(
-            campaign=self,
-            runner=runner,
-            simulator=simulator,
-            n_events=n_events,
-            arq=arq,
-            policy=policy,
-            fallback_metrics=fallback_metrics,
-            cache=cache,
-            integrity=integrity,
-            breaker=breaker,
-        )
-        resume_state = None
+        key = None
+        if checkpoint is not None:
+            key = self._checkpoint_key(
+                runner, simulator, n_events, arq, policy, fallback_metrics,
+                cache, integrity, breaker,
+            )
         if resume:
-            # checkpoint.load() re-arms the campaign and restores the
-            # fault/policy/cache/breaker state itself.
-            resume_state = checkpoint.load(**config)
+            # Decoding re-arms the campaign, restores the fault, policy,
+            # cache and breaker state and rebuilds the fault source.
+            (
+                source, start, (front_free, link_free, back_free),
+                (sensor_j, aggregator_j, retry_j),
+                (retransmissions, fallback_events, misses), records, wire,
+            ) = checkpoint.load(
+                "campaign",
+                key,
+                partial(
+                    self._resume, runner=runner, simulator=simulator,
+                    n_events=n_events, integrity=integrity, policy=policy,
+                    cache=cache, breaker=breaker,
+                ),
+            )
         else:
             self.reset()
             for part in (policy, cache, breaker):
                 if part is not None:
                     part.reset()
-        source = _SOURCES[runner](
-            self, simulator, n_events, integrity,
-            None if resume_state is None else resume_state.extra,
-        )
+            source = _SOURCES[runner](self, simulator, n_events, integrity, 0, None)
+            start = 0
+            front_free = link_free = back_free = 0.0
+            sensor_j = aggregator_j = retry_j = 0.0
+            retransmissions = fallback_events = misses = 0
+            records = []
+            wire = dict.fromkeys(_WIRE_COUNTERS, 0)
+
         brownout, event, lost, stall = (
             source.brownout, source.event, source.lost, source.stall
         )
@@ -792,20 +876,6 @@ class FaultCampaign:
         probe_tries = (
             None if breaker is None else breaker.probe_arq(arq).max_retries + 1
         )
-
-        front_free = link_free = back_free = 0.0
-        records: List[DecisionRecord] = []
-        sensor_j = aggregator_j = retry_j = 0.0
-        retransmissions = fallback_events = misses = 0
-        wire = dict.fromkeys(_WIRE_COUNTERS, 0)
-        start = 0
-        if resume_state is not None:
-            start = resume_state.cursor
-            front_free, link_free, back_free = resume_state.clocks
-            sensor_j, aggregator_j, retry_j = resume_state.energies
-            retransmissions, fallback_events, misses = resume_state.counters
-            records = list(resume_state.records)
-            wire.update(resume_state.wire)
 
         for k in range(start, n_events):
             release = k * period
@@ -965,16 +1035,21 @@ class FaultCampaign:
                         )
 
             if checkpoint is not None and checkpoint.due(k + 1):
-                checkpoint.save(
-                    **config,
-                    cursor=k + 1,
-                    clocks=(front_free, link_free, back_free),
-                    energies=(sensor_j, aggregator_j, retry_j),
-                    counters=(retransmissions, fallback_events, misses),
-                    records=records,
-                    wire=wire,
-                    extra=source.state(),
-                )
+                clocks = (front_free, link_free, back_free)
+                energies = (sensor_j, aggregator_j, retry_j)
+                checkpoint.save("campaign", key, {
+                    "cursor": k + 1,
+                    "clocks": [encode_float(v) for v in clocks],
+                    "energies": [encode_float(v) for v in energies],
+                    "counters": [retransmissions, fallback_events, misses],
+                    "records": [_encode_record(r) for r in records],
+                    "wire": dict(wire),
+                    "faults": [_fault_state(f) for f in self.faults],
+                    "policy": None if policy is None else policy.state_dict(),
+                    "cache": None if cache is None else cache.state_dict(),
+                    "breaker": None if breaker is None else breaker.state_dict(),
+                    "extra": source.state(),
+                })
 
         return ResilienceReport(
             records=records,
@@ -987,6 +1062,206 @@ class FaultCampaign:
             **wire,
         )
 
+    def _checkpoint_key(
+        self,
+        runner: str,
+        simulator: CrossEndSimulator,
+        n_events: int,
+        arq: ARQConfig,
+        policy: Optional[GracefulDegradationPolicy],
+        fallback_metrics: Optional[PartitionMetrics],
+        cache: Optional[LastKnownGoodCache],
+        integrity: Optional[IntegrityConfig],
+        breaker: Optional[Any],
+    ) -> str:
+        """Config key of a ``"campaign"`` checkpoint: the complete run setup."""
+        return stable_digest({
+            "campaign": {
+                "seed": self.seed,
+                "faults": [fault_signature(f) for f in self.faults],
+            },
+            "runner": runner,
+            "n_events": int(n_events),
+            "simulator": {
+                "period_s": float(simulator.period_s),
+                "jitter_sigma": float(simulator.jitter_sigma),
+                "seed": int(simulator.seed),
+                "metrics": _metrics_to_dict(simulator.metrics),
+            },
+            "arq": _arq_to_dict(arq),
+            "policy": (
+                None
+                if policy is None
+                else {
+                    "outage_threshold": int(policy.outage_threshold),
+                    "recovery_hysteresis": int(policy.recovery_hysteresis),
+                }
+            ),
+            "fallback_metrics": (
+                None
+                if fallback_metrics is None
+                else _metrics_to_dict(fallback_metrics)
+            ),
+            "cache": (
+                None if cache is None else {"max_staleness": cache.max_staleness}
+            ),
+            "integrity": _integrity_to_dict(integrity),
+            "breaker": None if breaker is None else asdict(breaker.config),
+        })
+
+    def _resume(
+        self,
+        state: Mapping[str, Any],
+        runner: str,
+        simulator: CrossEndSimulator,
+        n_events: int,
+        integrity: Optional[IntegrityConfig],
+        policy: Optional[GracefulDegradationPolicy],
+        cache: Optional[LastKnownGoodCache],
+        breaker: Optional[Any],
+    ) -> tuple:
+        """Decode a ``"campaign"`` checkpoint state into the loop's variables.
+
+        Re-arms the campaign, overwrites every stochastic fault's RNG
+        position with the snapshot, restores the policy, cache and
+        breaker, and rebuilds the runner's fault source from the
+        snapshot's ``extra``.
+        """
+        cursor = int(state["cursor"])
+        records = [_decode_record(row) for row in state["records"]]
+        fault_states = state["faults"]
+        if (
+            not 0 <= cursor <= n_events
+            or len(records) != cursor
+            or len(fault_states) != len(self.faults)
+        ):
+            raise CheckpointError(
+                f"checkpoint state does not fit this run: cursor {cursor}, "
+                f"{len(records)} records, {len(fault_states)} fault states "
+                f"for {n_events} events and {len(self.faults)} faults"
+            )
+        self.reset()
+        for fault, fault_state in zip(self.faults, fault_states):
+            _load_fault_state(fault, fault_state)
+        for name, part in (("policy", policy), ("cache", cache), ("breaker", breaker)):
+            if part is not None:
+                part.load_state(state[name])
+        source = _SOURCES[runner](
+            self, simulator, n_events, integrity, cursor, dict(state["extra"])
+        )
+        front_free, link_free, back_free = map(decode_float, state["clocks"])
+        sensor_j, aggregator_j, retry_j = map(decode_float, state["energies"])
+        retransmissions, fallback_events, misses = map(int, state["counters"])
+        wire = {name: int(state["wire"][name]) for name in _WIRE_COUNTERS}
+        return (
+            source, cursor, (front_free, link_free, back_free),
+            (sensor_j, aggregator_j, retry_j),
+            (retransmissions, fallback_events, misses), records, wire,
+        )
+
+
+# -- campaign checkpoint codecs ------------------------------------------------
+
+
+def fault_signature(fault: Any) -> Dict[str, Any]:
+    """Canonical configuration signature of one checkpointable fault model.
+
+    Enters the campaign checkpoint's config key, so a resume against a
+    campaign with different fault parameters (or order) is rejected.
+    Raises :class:`~repro.errors.CheckpointError` for fault types that
+    have no exact state snapshot (subclassed or third-party models).
+    """
+    if type(fault) is BurstLoss:
+        return {"type": "BurstLoss", "params": asdict(fault.params)}
+    if type(fault) is PayloadCorruption:
+        return {
+            "type": "PayloadCorruption",
+            "rate": float(fault.rate),
+            "mode": fault.mode,
+            "max_bit_flips": int(fault.max_bit_flips),
+        }
+    for cls in (LinkOutage, SensorBrownout, AggregatorStall):
+        if type(fault) is cls:
+            data: Dict[str, Any] = {
+                "type": cls.__name__,
+                "start_event": int(fault.start_event),
+                "n_events": int(fault.n_events),
+            }
+            if cls is AggregatorStall:
+                data["extra_delay_s"] = float(fault.extra_delay_s)
+            return data
+    raise CheckpointError(
+        f"cannot checkpoint campaigns containing {type(fault).__name__}: "
+        "only the fault models shipped by repro.sim.faults have exact "
+        "state snapshots"
+    )
+
+
+def _fault_state(fault: FaultModel) -> Dict[str, Any]:
+    """Snapshot the mutable (RNG/chain) state of one armed fault model."""
+    if type(fault) is BurstLoss:
+        channel = fault._channel
+        if channel is None:
+            raise CheckpointError(
+                "BurstLoss has no armed channel: reset the campaign first"
+            )
+        return {
+            "kind": "burst",
+            "rng": rng_state(channel._rng),
+            "bad": bool(channel._bad),
+        }
+    if type(fault) is PayloadCorruption:
+        return {"kind": "corruption", "rng": rng_state(fault._require_rng())}
+    fault_signature(fault)  # reject unknown types with the clearer message
+    return {"kind": "window"}
+
+
+def _load_fault_state(fault: FaultModel, state: Mapping[str, Any]) -> None:
+    """Restore :func:`_fault_state` output into an armed fault model."""
+    if type(fault) is BurstLoss:
+        channel = fault._channel
+        if channel is None or state.get("kind") != "burst":
+            raise CheckpointError("checkpoint fault state mismatch (BurstLoss)")
+        channel._rng = restore_rng(state["rng"])
+        channel._bad = bool(state["bad"])
+        return
+    if type(fault) is PayloadCorruption:
+        if state.get("kind") != "corruption":
+            raise CheckpointError(
+                "checkpoint fault state mismatch (PayloadCorruption)"
+            )
+        fault._rng = restore_rng(state["rng"])
+        return
+    if state.get("kind") != "window":
+        raise CheckpointError(
+            f"checkpoint fault state mismatch ({type(fault).__name__})"
+        )
+
+
+def _arq_to_dict(arq: ARQConfig) -> Dict[str, Any]:
+    """Canonical form of one ARQ policy (campaign keys, chaos bundles)."""
+    return {
+        "max_retries": arq.max_retries,
+        "timeout_s": float(arq.timeout_s),
+        "backoff_factor": float(arq.backoff_factor),
+        "jitter_fraction": float(arq.jitter_fraction),
+    }
+
+
+def _integrity_to_dict(
+    integrity: Optional[IntegrityConfig],
+) -> Optional[Dict[str, Any]]:
+    """Canonical form of one data-plane setup (campaign keys, chaos bundles)."""
+    if integrity is None:
+        return None
+    return {
+        "max_payload_bytes": integrity.framing.max_payload_bytes,
+        "crc": integrity.framing.crc,
+        "version": integrity.framing.version,
+        "retransmit_on_corrupt": integrity.retransmit_on_corrupt,
+        "values_per_payload": integrity.values_per_payload,
+    }
+
 
 #: Fault model types the campaign fast path can pre-sample exactly.
 _FAST_PATH_TYPES = (
@@ -995,15 +1270,6 @@ _FAST_PATH_TYPES = (
     PayloadCorruption,
     SensorBrownout,
     AggregatorStall,
-)
-
-#: Byte-level counters of a run, in :class:`ResilienceReport` field order.
-_WIRE_COUNTERS = (
-    "frames_sent",
-    "frames_corrupted",
-    "corruptions_detected",
-    "corrupted_deliveries",
-    "integrity_discards",
 )
 
 #: Salt of the payload-word stream, which is seeded from the campaign
@@ -1027,7 +1293,8 @@ class _LiveFaults:
     per-event queries, so this is the only source that runs arbitrary
     :class:`FaultModel` subclasses.  Stage jitter and payload words are
     drawn per event; the checkpoint ``extra`` carries both generators and
-    the frame sequence number.
+    the frame sequence number, which a resume checks against the frames
+    of the events before its event cursor ``start``.
     """
 
     def __init__(
@@ -1036,6 +1303,7 @@ class _LiveFaults:
         simulator: CrossEndSimulator,
         n_events: int,
         integrity: Optional[IntegrityConfig],
+        start: int,
         extra: Optional[Dict[str, object]],
     ) -> None:
         self.brownout = campaign.sensor_brownout
@@ -1050,10 +1318,16 @@ class _LiveFaults:
         )
         self._seq_base = 0
         if extra is not None:
-            self._payload_rng = _restore_rng(extra["payload_rng"])
+            self._payload_rng = restore_rng(extra["payload_rng"])
             if self._jitter_rng is not None:
-                self._jitter_rng = _restore_rng(extra["jitter_rng"])
+                self._jitter_rng = restore_rng(extra["jitter_rng"])
             self._seq_base = int(extra["seq_base"])
+            active = sum(not self.brownout(k) for k in range(start))
+            if self._seq_base != active * _frames_per_payload(integrity) % SEQ_MODULUS:
+                raise CheckpointError(
+                    f"checkpoint frame sequence {self._seq_base} does not "
+                    f"follow {active} transmitted events"
+                )
 
     def event(self, metrics: PartitionMetrics):
         """Stage times, frames, chunks and payload of one live event."""
@@ -1084,11 +1358,9 @@ class _LiveFaults:
     def state(self) -> Dict[str, object]:
         """Checkpoint ``extra``: the payload/jitter RNGs and frame seq."""
         return {
-            "payload_rng": self._payload_rng.bit_generator.state,
+            "payload_rng": rng_state(self._payload_rng),
             "jitter_rng": (
-                None
-                if self._jitter_rng is None
-                else self._jitter_rng.bit_generator.state
+                None if self._jitter_rng is None else rng_state(self._jitter_rng)
             ),
             "seq_base": self._seq_base,
         }
@@ -1112,7 +1384,8 @@ class _BlockFaults:
     recomputed from the seeds; only the composed outcomes drawn ahead of
     the snapshot, from RNGs that have since advanced, travel through the
     checkpoint ``extra`` as ``loss_remainder`` (with the active-event
-    cursor ``a``).
+    cursor ``a``, which a resume checks against its event cursor
+    ``start``).
     """
 
     _GROW = 4096
@@ -1123,6 +1396,7 @@ class _BlockFaults:
         simulator: CrossEndSimulator,
         n_events: int,
         integrity: Optional[IntegrityConfig],
+        start: int,
         extra: Optional[Dict[str, object]],
     ) -> None:
         idx = np.arange(n_events)
@@ -1165,6 +1439,11 @@ class _BlockFaults:
         if extra is not None:
             self._a = int(extra["a"])
             self._loss = [bool(v) for v in extra["loss_remainder"]]
+            if self._a != start - int(brownout[:start].sum()):
+                raise CheckpointError(
+                    f"checkpoint active-event cursor {self._a} does not "
+                    f"match event cursor {start}"
+                )
 
         n_active = int(n_events - brownout.sum())
         sigma = simulator.jitter_sigma
@@ -1254,9 +1533,3 @@ class _BlockFaults:
 #: Fault source per runner name (the name checkpoints and replays record).
 _SOURCES = {"scalar": _LiveFaults, "fast": _BlockFaults}
 
-
-def _restore_rng(state: Dict[str, object]) -> np.random.Generator:
-    """Rebuild a numpy Generator from a saved bit-generator state dict."""
-    generator = np.random.default_rng(0)
-    generator.bit_generator.state = dict(state)
-    return generator

@@ -62,7 +62,15 @@ from typing import (
 
 import numpy as np
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import CheckpointError, ConfigurationError, SimulationError
+from repro.sim.checkpoint import (
+    Checkpointer,
+    canonical_json,
+    decode_float,
+    encode_float,
+    stable_digest,
+)
+from repro.sim.faults import ResilienceReport, decode_report, encode_report
 
 logger = logging.getLogger(__name__)
 
@@ -605,12 +613,40 @@ def _call_with_params(
     return func(**kwargs, **dict(params))
 
 
+def _encode_sweep_value(value: Any) -> Dict[str, Any]:
+    """Sweep-value codec: reports, floats (``float.hex``), JSON scalars."""
+    if isinstance(value, ResilienceReport):
+        return {"kind": "report", "data": encode_report(value)}
+    if isinstance(value, float):
+        return {"kind": "float", "data": encode_float(value)}
+    try:
+        canonical_json(value)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"sweep value of type {type(value).__name__} is not "
+            "checkpoint-safe (reports, floats and JSON values are)"
+        ) from exc
+    return {"kind": "json", "data": value}
+
+
+def _decode_sweep_value(data: Mapping[str, Any]) -> Any:
+    """Inverse of :func:`_encode_sweep_value`."""
+    kind = data["kind"]
+    if kind == "report":
+        return decode_report(data["data"])
+    if kind == "float":
+        return decode_float(data["data"])
+    if kind == "json":
+        return data["data"]
+    raise CheckpointError(f"unknown sweep value kind {kind!r} in checkpoint")
+
+
 def sweep(
     func: Callable[..., Any],
     grid: Mapping[str, Sequence[Any]],
     config: Optional[ParallelConfig] = None,
     shared: Optional[Mapping[str, Any]] = None,
-    checkpoint: Optional[object] = None,
+    checkpoint: Optional[Checkpointer] = None,
     resume: bool = False,
 ) -> List[Tuple[Dict[str, Any], Any]]:
     """Evaluate ``func`` over the cartesian product of a parameter grid.
@@ -635,12 +671,14 @@ def sweep(
             mutations (accumulated warm states, memo entries) speed up
             that worker without feeding back to the caller — results stay
             bit-identical to the serial backend either way.
-        checkpoint: Optional
-            :class:`~repro.sim.supervise.SweepCheckpointer`; the grid is
-            evaluated in batches of ``checkpoint.every`` points and the
-            completed ``index -> value`` map is snapshot after each batch
-            (crash-safe atomic writes).  Without one, every point runs
-            in a single batch.
+        checkpoint: Optional :class:`~repro.sim.checkpoint.Checkpointer`;
+            the grid is evaluated in batches of ``checkpoint.every``
+            points and the completed ``index -> value`` map is snapshot
+            as a ``"sweep"`` checkpoint after each batch (crash-safe
+            atomic writes).  Values must be reports, floats or JSON
+            values.  The config key pins the function identity, the grid
+            (names and value reprs) and the shared-kwarg names.  Without
+            a checkpoint, every point runs in a single batch.
         resume: Skip the points recorded in ``checkpoint``'s last
             snapshot and evaluate only the remainder.  Every point is an
             independent seeded task, so the stitched result is
@@ -663,9 +701,23 @@ def sweep(
     combos = [
         tuple(zip(names, values)) for values in product(*(grid[n] for n in names))
     ]
-    done: Dict[int, Any] = (
-        checkpoint.load(func=func, grid=grid, shared=shared) if resume else {}
-    )
+    key = None
+    if checkpoint is not None:
+        key = stable_digest({
+            "func": f"{func.__module__}.{func.__qualname__}",
+            "grid": {name: [repr(v) for v in values] for name, values in grid.items()},
+            "grid_order": names,
+            "shared": sorted(shared or {}),
+        })
+    done: Dict[int, Any] = {}
+    if resume:
+        done = checkpoint.load(
+            "sweep",
+            key,
+            lambda state: {
+                int(i): _decode_sweep_value(v) for i, v in state["done"].items()
+            },
+        )
     pending = [i for i in range(len(combos)) if i not in done]
     every = checkpoint.every if checkpoint is not None else max(1, len(pending))
     for lo in range(0, len(pending), every):
@@ -678,5 +730,7 @@ def sweep(
         )
         done.update(zip(batch, values))
         if checkpoint is not None:
-            checkpoint.save(func=func, grid=grid, shared=shared, done=done)
+            checkpoint.save("sweep", key, {
+                "done": {str(i): _encode_sweep_value(v) for i, v in done.items()}
+            })
     return [(dict(combos[i]), done[i]) for i in range(len(combos))]

@@ -1,4 +1,4 @@
-"""Fleet supervision: health states, circuit breakers, checkpoint/resume.
+"""Fleet supervision: health states and link circuit breakers.
 
 Long campaigns and population-scale fleets need a supervisory tier above
 the per-event machinery of :mod:`repro.sim.faults`:
@@ -20,60 +20,23 @@ the per-event machinery of :mod:`repro.sim.faults`:
   one replay bit-for-bit — and composes with
   :class:`~repro.core.degrade.GracefulDegradationPolicy` (a blocked event
   is a drop signal to the policy, so an open breaker drives the
-  deployment onto the in-sensor fallback cut);
-- **crash-safe checkpoint/resume** for :meth:`~repro.sim.faults.
-  FaultCampaign.run` (:class:`CampaignCheckpointer`), :func:`~repro.sim.
-  parallel.sweep` (:class:`SweepCheckpointer`) and :func:`~repro.sim.
-  chaos.chaos_search` (:class:`ChaosCheckpointer`).  Snapshots carry RNG
-  bit-generator state, the campaign cursor, accumulated counters and the
-  evaluated-outcome archive as digest-pinned canonical JSON (the PR-6
-  replay-bundle discipline: floats via ``float.hex()``, identifiers via
-  SHA-256, never ``hash()``), so a resumed run reproduces the
-  uninterrupted run's report **bit-for-bit** on both the fast and scalar
-  campaign runners.
+  deployment onto the in-sensor fallback cut).
 
-Checkpoint files are self-validating: a ``config_key`` digest pins the
-exact run configuration (campaign seed, fault signatures, runner, ARQ,
-policy, simulator and breaker parameters), and a ``state_digest`` pins
-the state payload, so a checkpoint written by a different run — or edited
-by hand — is rejected with :class:`~repro.errors.CheckpointError` instead
-of silently resuming the wrong campaign.
+Crash-safe checkpoint/resume of campaigns, sweeps and chaos searches lives
+in :mod:`repro.sim.checkpoint`.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import CheckpointError, ConfigurationError
 from repro.hw.arq import ARQConfig
-from repro.sim.chaos import (
-    ChaosOutcome,
-    ChaosScenario,
-    ChaosScore,
-    _metrics_to_dict,
-    canonical_json,
-    stable_digest,
-)
-from repro.sim.faults import (
-    DELIVERED,
-    AggregatorStall,
-    BurstLoss,
-    DecisionRecord,
-    LinkOutage,
-    PayloadCorruption,
-    ResilienceReport,
-    SensorBrownout,
-)
-
-#: Schema marker stamped into every checkpoint file.
-CHECKPOINT_SCHEMA = "xpro-checkpoint-v1"
+from repro.sim.faults import DELIVERED, ResilienceReport
 
 #: Health states a supervised device moves through.
 HEALTHY = "healthy"
@@ -81,270 +44,6 @@ DEGRADED = "degraded"
 QUARANTINED = "quarantined"
 RECOVERING = "recovering"
 HEALTH_STATES = (HEALTHY, DEGRADED, QUARANTINED, RECOVERING)
-
-
-# -- float / RNG / record codecs -----------------------------------------------
-
-
-def _enc_float(value: float) -> str:
-    """Bit-exact text form of one float (NaN/inf-safe, resume-stable)."""
-    return float(value).hex()
-
-
-def _dec_float(token: str) -> float:
-    """Inverse of :func:`_enc_float`."""
-    return float.fromhex(token)
-
-
-def rng_state(generator: np.random.Generator) -> Dict[str, Any]:
-    """JSON-safe snapshot of a numpy ``Generator``'s bit-generator state."""
-    return generator.bit_generator.state
-
-
-def restore_rng(state: Mapping[str, Any]) -> np.random.Generator:
-    """Rebuild a numpy ``Generator`` from :func:`rng_state` output."""
-    generator = np.random.default_rng(0)
-    try:
-        generator.bit_generator.state = dict(state)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"invalid RNG state in checkpoint: {exc}") from exc
-    return generator
-
-
-def _enc_record(record: DecisionRecord) -> List[Any]:
-    return [
-        record.index,
-        record.status,
-        record.tries,
-        _enc_float(record.latency_s),
-        record.fallback,
-        record.staleness,
-        record.corrupted,
-    ]
-
-
-def _dec_record(row: Sequence[Any]) -> DecisionRecord:
-    return DecisionRecord(
-        index=int(row[0]),
-        status=str(row[1]),
-        tries=int(row[2]),
-        latency_s=_dec_float(row[3]),
-        fallback=bool(row[4]),
-        staleness=int(row[5]),
-        corrupted=bool(row[6]),
-    )
-
-
-_REPORT_FLOATS = ("sensor_energy_j", "aggregator_energy_j", "retry_energy_j")
-_REPORT_INTS = (
-    "retransmissions",
-    "fallback_events",
-    "deadline_misses",
-    "frames_sent",
-    "frames_corrupted",
-    "corruptions_detected",
-    "corrupted_deliveries",
-    "integrity_discards",
-)
-
-
-def _enc_report(report: ResilienceReport) -> Dict[str, Any]:
-    data: Dict[str, Any] = {
-        "records": [_enc_record(r) for r in report.records]
-    }
-    for name in _REPORT_FLOATS:
-        data[name] = _enc_float(getattr(report, name))
-    for name in _REPORT_INTS:
-        data[name] = int(getattr(report, name))
-    return data
-
-
-def _dec_report(data: Mapping[str, Any]) -> ResilienceReport:
-    kwargs: Dict[str, Any] = {
-        "records": [_dec_record(row) for row in data["records"]]
-    }
-    for name in _REPORT_FLOATS:
-        kwargs[name] = _dec_float(data[name])
-    for name in _REPORT_INTS:
-        kwargs[name] = int(data[name])
-    return ResilienceReport(**kwargs)
-
-
-# -- fault signatures and mutable fault state ----------------------------------
-
-
-def fault_signature(fault: Any) -> Dict[str, Any]:
-    """Canonical configuration signature of one checkpointable fault model.
-
-    Enters the checkpoint's ``config_key`` digest, so a resume against a
-    campaign with different fault parameters (or order) is rejected.
-    Raises :class:`~repro.errors.CheckpointError` for fault types this
-    module cannot snapshot (subclassed or third-party models).
-    """
-    if isinstance(fault, BurstLoss) and type(fault) is BurstLoss:
-        return {"type": "BurstLoss", "params": asdict(fault.params)}
-    if isinstance(fault, PayloadCorruption) and type(fault) is PayloadCorruption:
-        return {
-            "type": "PayloadCorruption",
-            "rate": float(fault.rate),
-            "mode": fault.mode,
-            "max_bit_flips": int(fault.max_bit_flips),
-        }
-    for cls in (LinkOutage, SensorBrownout, AggregatorStall):
-        if type(fault) is cls:
-            data: Dict[str, Any] = {
-                "type": cls.__name__,
-                "start_event": int(fault.start_event),
-                "n_events": int(fault.n_events),
-            }
-            if cls is AggregatorStall:
-                data["extra_delay_s"] = float(fault.extra_delay_s)
-            return data
-    raise CheckpointError(
-        f"cannot checkpoint campaigns containing {type(fault).__name__}: "
-        "only the fault models shipped by repro.sim.faults have exact "
-        "state snapshots"
-    )
-
-
-def fault_state(fault: Any) -> Dict[str, Any]:
-    """Snapshot the mutable (RNG/chain) state of one armed fault model."""
-    if type(fault) is BurstLoss:
-        channel = fault._channel
-        if channel is None:
-            raise CheckpointError(
-                "BurstLoss has no armed channel: reset the campaign first"
-            )
-        return {
-            "kind": "burst",
-            "rng": rng_state(channel._rng),
-            "bad": bool(channel._bad),
-        }
-    if type(fault) is PayloadCorruption:
-        return {"kind": "corruption", "rng": rng_state(fault._require_rng())}
-    fault_signature(fault)  # reject unknown types with the clearer message
-    return {"kind": "window"}
-
-
-def load_fault_state(fault: Any, state: Mapping[str, Any]) -> None:
-    """Restore :func:`fault_state` output into an armed fault model."""
-    if type(fault) is BurstLoss:
-        channel = fault._channel
-        if channel is None or state.get("kind") != "burst":
-            raise CheckpointError("checkpoint fault state mismatch (BurstLoss)")
-        channel._rng = restore_rng(state["rng"])
-        channel._bad = bool(state["bad"])
-        return
-    if type(fault) is PayloadCorruption:
-        if state.get("kind") != "corruption":
-            raise CheckpointError(
-                "checkpoint fault state mismatch (PayloadCorruption)"
-            )
-        fault._rng = restore_rng(state["rng"])
-        return
-    if state.get("kind") != "window":
-        raise CheckpointError(
-            f"checkpoint fault state mismatch ({type(fault).__name__})"
-        )
-
-
-def _arq_to_dict(arq: ARQConfig) -> Dict[str, Any]:
-    return {
-        "max_retries": arq.max_retries,
-        "timeout_s": float(arq.timeout_s),
-        "backoff_factor": float(arq.backoff_factor),
-        "jitter_fraction": float(arq.jitter_fraction),
-    }
-
-
-def _integrity_to_dict(integrity: Any) -> Optional[Dict[str, Any]]:
-    if integrity is None:
-        return None
-    return {
-        "max_payload_bytes": integrity.framing.max_payload_bytes,
-        "crc": integrity.framing.crc,
-        "version": integrity.framing.version,
-        "retransmit_on_corrupt": integrity.retransmit_on_corrupt,
-        "values_per_payload": integrity.values_per_payload,
-    }
-
-
-# -- the checkpoint store ------------------------------------------------------
-
-
-def save_checkpoint(
-    path: str | Path, kind: str, config_key: str, state: Dict[str, Any]
-) -> Path:
-    """Atomically write one digest-pinned checkpoint document.
-
-    The file carries the schema marker, the run's ``config_key`` and a
-    ``state_digest`` (SHA-256 of the canonical state JSON), so
-    :func:`load_checkpoint` can reject stale, foreign or hand-edited
-    checkpoints.  The write goes through a temporary file plus
-    ``os.replace`` — a crash mid-save leaves the previous checkpoint
-    intact instead of a torn file.
-    """
-    target = Path(path)
-    try:
-        digest = stable_digest(state)
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(
-            f"checkpoint state is not canonical-JSON-safe: {exc}"
-        ) from exc
-    doc = {
-        "schema": CHECKPOINT_SCHEMA,
-        "kind": kind,
-        "config_key": config_key,
-        "state_digest": digest,
-        "state": state,
-    }
-    target.parent.mkdir(parents=True, exist_ok=True)
-    tmp = target.with_name(target.name + ".tmp")
-    tmp.write_text(json.dumps(doc, sort_keys=True) + "\n")
-    os.replace(tmp, target)
-    return target
-
-
-def load_checkpoint(
-    path: str | Path, kind: str, config_key: str
-) -> Dict[str, Any]:
-    """Load and validate one checkpoint document, returning its state.
-
-    Raises :class:`~repro.errors.CheckpointError` when the file is
-    missing, unparseable, of the wrong kind, written for a different run
-    configuration, or fails its state digest (tampering/corruption).
-    """
-    target = Path(path)
-    try:
-        data = json.loads(target.read_text())
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {target}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"{target} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict) or data.get("schema") != CHECKPOINT_SCHEMA:
-        raise CheckpointError(
-            f"{target}: not a checkpoint file "
-            f"(expected schema {CHECKPOINT_SCHEMA!r})"
-        )
-    if data.get("kind") != kind:
-        raise CheckpointError(
-            f"{target}: checkpoint kind {data.get('kind')!r} != expected {kind!r}"
-        )
-    if data.get("config_key") != config_key:
-        raise CheckpointError(
-            f"{target}: checkpoint was written for a different run "
-            f"configuration (config_key {data.get('config_key')} != "
-            f"{config_key}); refusing to resume"
-        )
-    state = data.get("state")
-    if not isinstance(state, dict):
-        raise CheckpointError(f"{target}: checkpoint misses its state payload")
-    if stable_digest(state) != data.get("state_digest"):
-        raise CheckpointError(
-            f"{target}: state digest mismatch — the checkpoint was edited "
-            "or corrupted"
-        )
-    return state
 
 
 # -- the link circuit breaker --------------------------------------------------
@@ -545,493 +244,6 @@ def wasted_radio_j(
             active.sensor_tx_j + active.sensor_rx_j + active.aggregator_radio_j
         )
     return total
-
-
-# -- campaign checkpointing ----------------------------------------------------
-
-
-@dataclass
-class CampaignResumeState:
-    """Decoded mid-run state handed back to a resuming campaign runner.
-
-    Attributes:
-        cursor: Index of the first event still to simulate.
-        clocks: ``(front_free, link_free, back_free)`` resource clocks.
-        energies: ``(sensor_j, aggregator_j, retry_j)`` accumulators.
-        counters: ``(retransmissions, fallback_events, deadline_misses)``.
-        records: Decision records of the already-simulated events.
-        wire: Data-plane integrity counters.
-        extra: Runner-specific state (RNG snapshots, loss-stream
-            remainder); consumed by the runner that wrote it.
-    """
-
-    cursor: int
-    clocks: Tuple[float, float, float]
-    energies: Tuple[float, float, float]
-    counters: Tuple[int, int, int]
-    records: List[DecisionRecord]
-    wire: Dict[str, int]
-    extra: Dict[str, Any] = field(default_factory=dict)
-
-
-class CampaignCheckpointer:
-    """Periodic crash-safe snapshots of one :meth:`FaultCampaign.run`.
-
-    Pass one to ``FaultCampaign.run(..., checkpoint=...)`` to snapshot
-    every ``every`` events, and ``resume=True`` to continue from the last
-    snapshot: the resumed run's report is bit-identical to an
-    uninterrupted run on the same runner.  The config key pins campaign
-    seed, fault signatures, runner, ARQ, simulator, policy, cache,
-    integrity and breaker configuration, so a checkpoint can never resume
-    a different run.
-    """
-
-    kind = "campaign"
-
-    def __init__(self, path: str | Path, every: int = 200) -> None:
-        if every < 1:
-            raise ConfigurationError("every must be >= 1")
-        self.path = Path(path)
-        self.every = int(every)
-        self.saves = 0
-
-    def due(self, events_done: int) -> bool:
-        """Whether a snapshot is due after ``events_done`` events."""
-        return events_done > 0 and events_done % self.every == 0
-
-    def config_key(
-        self,
-        *,
-        campaign: Any,
-        runner: str,
-        simulator: Any,
-        n_events: int,
-        arq: ARQConfig,
-        policy: Optional[Any],
-        fallback_metrics: Optional[Any],
-        cache: Optional[Any],
-        integrity: Optional[Any],
-        breaker: Optional[LinkCircuitBreaker],
-    ) -> str:
-        """Digest pinning the complete run configuration."""
-        payload = {
-            "campaign": {
-                "seed": int(campaign.seed),
-                "faults": [fault_signature(f) for f in campaign.faults],
-            },
-            "runner": runner,
-            "n_events": int(n_events),
-            "simulator": {
-                "period_s": float(simulator.period_s),
-                "jitter_sigma": float(simulator.jitter_sigma),
-                "seed": int(simulator.seed),
-                "metrics": _metrics_to_dict(simulator.metrics),
-            },
-            "arq": _arq_to_dict(arq),
-            "policy": (
-                None
-                if policy is None
-                else {
-                    "outage_threshold": int(policy.outage_threshold),
-                    "recovery_hysteresis": int(policy.recovery_hysteresis),
-                }
-            ),
-            "fallback_metrics": (
-                None
-                if fallback_metrics is None
-                else _metrics_to_dict(fallback_metrics)
-            ),
-            "cache": (
-                None if cache is None else {"max_staleness": cache.max_staleness}
-            ),
-            "integrity": _integrity_to_dict(integrity),
-            "breaker": None if breaker is None else asdict(breaker.config),
-        }
-        return stable_digest(payload)
-
-    def save(
-        self,
-        *,
-        campaign: Any,
-        runner: str,
-        simulator: Any,
-        n_events: int,
-        arq: ARQConfig,
-        policy: Optional[Any],
-        fallback_metrics: Optional[Any],
-        cache: Optional[Any],
-        integrity: Optional[Any],
-        breaker: Optional[LinkCircuitBreaker],
-        cursor: int,
-        clocks: Sequence[float],
-        energies: Sequence[float],
-        counters: Sequence[int],
-        records: Sequence[DecisionRecord],
-        wire: Mapping[str, int],
-        extra: Optional[Mapping[str, Any]] = None,
-    ) -> Path:
-        """Write one snapshot of the running campaign (atomic replace)."""
-        key = self.config_key(
-            campaign=campaign,
-            runner=runner,
-            simulator=simulator,
-            n_events=n_events,
-            arq=arq,
-            policy=policy,
-            fallback_metrics=fallback_metrics,
-            cache=cache,
-            integrity=integrity,
-            breaker=breaker,
-        )
-        state = {
-            "cursor": int(cursor),
-            "clocks": [_enc_float(v) for v in clocks],
-            "energies": [_enc_float(v) for v in energies],
-            "counters": [int(v) for v in counters],
-            "records": [_enc_record(r) for r in records],
-            "wire": {k: int(v) for k, v in wire.items()},
-            "faults": [fault_state(f) for f in campaign.faults],
-            "policy": None if policy is None else policy.state_dict(),
-            "cache": None if cache is None else cache.state_dict(),
-            "breaker": None if breaker is None else breaker.state_dict(),
-            "extra": dict(extra or {}),
-        }
-        path = save_checkpoint(self.path, self.kind, key, state)
-        self.saves += 1
-        return path
-
-    def load(
-        self,
-        *,
-        campaign: Any,
-        runner: str,
-        simulator: Any,
-        n_events: int,
-        arq: ARQConfig,
-        policy: Optional[Any],
-        fallback_metrics: Optional[Any],
-        cache: Optional[Any],
-        integrity: Optional[Any],
-        breaker: Optional[LinkCircuitBreaker],
-    ) -> CampaignResumeState:
-        """Validate, restore in-place fault/policy/cache/breaker state.
-
-        Re-arms the campaign (``campaign.reset()``), overwrites every
-        stochastic fault's RNG position with the snapshot, restores the
-        degradation policy, cache and breaker, and returns the decoded
-        :class:`CampaignResumeState` for the runner to continue from.
-        """
-        key = self.config_key(
-            campaign=campaign,
-            runner=runner,
-            simulator=simulator,
-            n_events=n_events,
-            arq=arq,
-            policy=policy,
-            fallback_metrics=fallback_metrics,
-            cache=cache,
-            integrity=integrity,
-            breaker=breaker,
-        )
-        state = load_checkpoint(self.path, self.kind, key)
-        campaign.reset()
-        for fault, fstate in zip(campaign.faults, state["faults"]):
-            load_fault_state(fault, fstate)
-        if policy is not None:
-            policy.load_state(state["policy"])
-        if cache is not None:
-            cache.load_state(state["cache"])
-        if breaker is not None:
-            breaker.load_state(state["breaker"])
-        clocks = tuple(_dec_float(v) for v in state["clocks"])
-        energies = tuple(_dec_float(v) for v in state["energies"])
-        counters = tuple(int(v) for v in state["counters"])
-        return CampaignResumeState(
-            cursor=int(state["cursor"]),
-            clocks=clocks,  # type: ignore[arg-type]
-            energies=energies,  # type: ignore[arg-type]
-            counters=counters,  # type: ignore[arg-type]
-            records=[_dec_record(row) for row in state["records"]],
-            wire={k: int(v) for k, v in state["wire"].items()},
-            extra=dict(state["extra"]),
-        )
-
-
-# -- sweep checkpointing -------------------------------------------------------
-
-
-def _encode_sweep_value(value: Any) -> Dict[str, Any]:
-    """Default sweep-value encoder (reports, floats, JSON scalars)."""
-    if isinstance(value, ResilienceReport):
-        return {"kind": "report", "data": _enc_report(value)}
-    if isinstance(value, float):
-        return {"kind": "float", "data": _enc_float(value)}
-    try:
-        canonical_json(value)
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(
-            f"sweep value of type {type(value).__name__} is not "
-            "checkpoint-safe; pass SweepCheckpointer(encode=..., decode=...)"
-        ) from exc
-    return {"kind": "json", "data": value}
-
-
-def _decode_sweep_value(data: Mapping[str, Any]) -> Any:
-    """Inverse of :func:`_encode_sweep_value`."""
-    kind = data.get("kind")
-    if kind == "report":
-        return _dec_report(data["data"])
-    if kind == "float":
-        return _dec_float(data["data"])
-    if kind == "json":
-        return data["data"]
-    raise CheckpointError(f"unknown sweep value kind {kind!r} in checkpoint")
-
-
-class SweepCheckpointer:
-    """Periodic snapshots of a :func:`~repro.sim.parallel.sweep`.
-
-    The sweep evaluates its pending grid points in batches of ``every``
-    and saves the accumulated ``point index -> value`` map after each
-    batch; on ``resume=True`` the completed points are skipped and only
-    the remainder is re-evaluated.  Because every point is an independent
-    seeded task, the stitched result is bit-identical to an uninterrupted
-    sweep.  The config key pins the function identity, the grid (names
-    and value reprs) and the shared-kwarg names.
-
-    Values are encoded with a default codec covering
-    :class:`~repro.sim.faults.ResilienceReport`, floats (``float.hex``)
-    and JSON scalars; pass ``encode``/``decode`` for anything else.
-    """
-
-    kind = "sweep"
-
-    def __init__(
-        self,
-        path: str | Path,
-        every: int = 1,
-        encode: Optional[Callable[[Any], Dict[str, Any]]] = None,
-        decode: Optional[Callable[[Mapping[str, Any]], Any]] = None,
-    ) -> None:
-        if every < 1:
-            raise ConfigurationError("every must be >= 1")
-        self.path = Path(path)
-        self.every = int(every)
-        self.encode = encode or _encode_sweep_value
-        self.decode = decode or _decode_sweep_value
-        self.saves = 0
-
-    def config_key(
-        self,
-        *,
-        func: Callable[..., Any],
-        grid: Mapping[str, Sequence[Any]],
-        shared: Optional[Mapping[str, Any]],
-    ) -> str:
-        """Digest pinning the sweep's function, grid and shared names."""
-        payload = {
-            "func": f"{func.__module__}.{func.__qualname__}",
-            "grid": {
-                name: [repr(v) for v in values] for name, values in grid.items()
-            },
-            "grid_order": list(grid.keys()),
-            "shared": sorted(shared or {}),
-        }
-        return stable_digest(payload)
-
-    def save(
-        self,
-        *,
-        func: Callable[..., Any],
-        grid: Mapping[str, Sequence[Any]],
-        shared: Optional[Mapping[str, Any]],
-        done: Mapping[int, Any],
-    ) -> Path:
-        """Write the completed-point map (atomic replace)."""
-        key = self.config_key(func=func, grid=grid, shared=shared)
-        state = {
-            "done": {str(i): self.encode(v) for i, v in done.items()}
-        }
-        path = save_checkpoint(self.path, self.kind, key, state)
-        self.saves += 1
-        return path
-
-    def load(
-        self,
-        *,
-        func: Callable[..., Any],
-        grid: Mapping[str, Sequence[Any]],
-        shared: Optional[Mapping[str, Any]],
-    ) -> Dict[int, Any]:
-        """Validate and decode the completed-point map."""
-        key = self.config_key(func=func, grid=grid, shared=shared)
-        state = load_checkpoint(self.path, self.kind, key)
-        return {int(i): self.decode(v) for i, v in state["done"].items()}
-
-
-# -- chaos-search checkpointing ------------------------------------------------
-
-
-_SCORE_FLOATS = (
-    "unavailability",
-    "silent_corruption",
-    "latency_tail",
-    "battery_overhead",
-    "degraded_rate",
-    "badness",
-)
-
-
-def _enc_score(score: ChaosScore) -> Dict[str, Any]:
-    data: Dict[str, Any] = {
-        name: _enc_float(getattr(score, name)) for name in _SCORE_FLOATS
-    }
-    data["diverged"] = bool(score.diverged)
-    return data
-
-
-def _dec_score(data: Mapping[str, Any]) -> ChaosScore:
-    kwargs = {name: _dec_float(data[name]) for name in _SCORE_FLOATS}
-    return ChaosScore(diverged=bool(data["diverged"]), **kwargs)
-
-
-def _enc_outcome(outcome: ChaosOutcome) -> Dict[str, Any]:
-    return {
-        "scenario": outcome.scenario.to_dict(),
-        "score": _enc_score(outcome.score),
-        "report": (
-            None if outcome.report is None else _enc_report(outcome.report)
-        ),
-        "report_digest": outcome.report_digest,
-        "generation": int(outcome.generation),
-    }
-
-
-def _dec_outcome(data: Mapping[str, Any]) -> ChaosOutcome:
-    return ChaosOutcome(
-        scenario=ChaosScenario.from_dict(data["scenario"]),
-        score=_dec_score(data["score"]),
-        report=(
-            None if data["report"] is None else _dec_report(data["report"])
-        ),
-        report_digest=data["report_digest"],
-        generation=int(data["generation"]),
-    )
-
-
-@dataclass
-class ChaosResumeState:
-    """Decoded mid-search state handed back to :func:`chaos_search`.
-
-    Attributes:
-        generation: Generation the search stopped inside.
-        position: Index of the next scenario of that generation.
-        population: The generation's full candidate population.
-        outcomes: Every outcome evaluated so far, in evaluation order.
-        evaluations: Campaign runs executed so far.
-    """
-
-    generation: int
-    position: int
-    population: List[ChaosScenario]
-    outcomes: List[ChaosOutcome]
-    evaluations: int
-
-
-class ChaosCheckpointer:
-    """Periodic snapshots of one :func:`~repro.sim.chaos.chaos_search`.
-
-    Snapshots fire every ``every`` campaign evaluations and carry the
-    strategist's RNG bit-generator state, the generation cursor, the
-    candidate population and the full evaluated-outcome archive (scores
-    and reports hex-float encoded), so a resumed search retraces the
-    uninterrupted search exactly — same proposals, same Pareto frontier,
-    same worst-case digest.
-    """
-
-    kind = "chaos"
-
-    def __init__(self, path: str | Path, every: int = 8) -> None:
-        if every < 1:
-            raise ConfigurationError("every must be >= 1")
-        self.path = Path(path)
-        self.every = int(every)
-        self.saves = 0
-
-    def due(self, evaluations: int) -> bool:
-        """Whether a snapshot is due after ``evaluations`` campaign runs."""
-        return evaluations > 0 and evaluations % self.every == 0
-
-    def config_key(
-        self, *, run_config: Any, search: Any, bounds: Any, judge: Any
-    ) -> str:
-        """Digest pinning harness, search shape, bounds and judge."""
-        payload = {
-            "run": run_config.to_dict(),
-            "search": asdict(search),
-            "bounds": asdict(bounds),
-            "judge": {
-                "period_s": float(judge.period_s),
-                "clean_sensor_j": float(judge.clean_sensor_j),
-                "weights": asdict(judge.weights),
-            },
-        }
-        return stable_digest(payload)
-
-    def save(
-        self,
-        *,
-        run_config: Any,
-        search: Any,
-        bounds: Any,
-        judge: Any,
-        strategist: Any,
-        generation: int,
-        position: int,
-        population: Sequence[ChaosScenario],
-        outcomes: Sequence[ChaosOutcome],
-        evaluations: int,
-    ) -> Path:
-        """Write one snapshot of the running search (atomic replace)."""
-        key = self.config_key(
-            run_config=run_config, search=search, bounds=bounds, judge=judge
-        )
-        state = {
-            "strategist": strategist.state_dict(),
-            "generation": int(generation),
-            "position": int(position),
-            "population": [s.to_dict() for s in population],
-            "outcomes": [_enc_outcome(o) for o in outcomes],
-            "evaluations": int(evaluations),
-        }
-        path = save_checkpoint(self.path, self.kind, key, state)
-        self.saves += 1
-        return path
-
-    def load(
-        self,
-        *,
-        run_config: Any,
-        search: Any,
-        bounds: Any,
-        judge: Any,
-        strategist: Any,
-    ) -> ChaosResumeState:
-        """Validate, restore the strategist RNG, return the decoded state."""
-        key = self.config_key(
-            run_config=run_config, search=search, bounds=bounds, judge=judge
-        )
-        state = load_checkpoint(self.path, self.kind, key)
-        strategist.load_state(state["strategist"])
-        return ChaosResumeState(
-            generation=int(state["generation"]),
-            position=int(state["position"]),
-            population=[
-                ChaosScenario.from_dict(s) for s in state["population"]
-            ],
-            outcomes=[_dec_outcome(o) for o in state["outcomes"]],
-            evaluations=int(state["evaluations"]),
-        )
 
 
 # -- per-device health state machine -------------------------------------------
@@ -1476,29 +688,16 @@ class HealthColumns:
 
 
 __all__ = [
-    "CHECKPOINT_SCHEMA",
     "HEALTH_STATES",
     "HEALTHY",
     "DEGRADED",
     "QUARANTINED",
     "RECOVERING",
     "BreakerConfig",
-    "CampaignCheckpointer",
-    "CampaignResumeState",
-    "ChaosCheckpointer",
-    "ChaosResumeState",
     "DeviceHealth",
     "FleetSupervisor",
     "HealthColumns",
     "HealthPolicy",
     "LinkCircuitBreaker",
-    "SweepCheckpointer",
-    "fault_signature",
-    "fault_state",
-    "load_checkpoint",
-    "load_fault_state",
-    "restore_rng",
-    "rng_state",
-    "save_checkpoint",
     "wasted_radio_j",
 ]

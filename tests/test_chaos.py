@@ -38,15 +38,14 @@ from repro.sim.chaos import (
     ChaosStrategist,
     assert_replay,
     build_bundle,
-    canonical_json,
     chaos_search,
     load_bundle,
     pareto_worst,
     replay_bundle,
     report_digest,
     save_bundle,
-    stable_digest,
 )
+from repro.sim.checkpoint import canonical_json, stable_digest
 from repro.sim.evaluate import evaluate_partition
 from repro.sim.faults import (
     AggregatorStall,

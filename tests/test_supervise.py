@@ -29,6 +29,7 @@ from repro.core.degrade import GracefulDegradationPolicy, LastKnownGoodCache
 from repro.errors import CheckpointError, ConfigurationError
 from repro.hw.arq import ARQConfig
 from repro.sim.channel import GilbertElliottParams
+from repro.sim.checkpoint import Checkpointer, load_checkpoint, save_checkpoint
 from repro.sim.chaos import (
     ChaosRunConfig,
     ChaosSearchConfig,
@@ -57,16 +58,11 @@ from repro.sim.supervise import (
     QUARANTINED,
     RECOVERING,
     BreakerConfig,
-    CampaignCheckpointer,
-    ChaosCheckpointer,
     DeviceHealth,
     FleetSupervisor,
     HealthColumns,
     HealthPolicy,
     LinkCircuitBreaker,
-    SweepCheckpointer,
-    load_checkpoint,
-    save_checkpoint,
     wasted_radio_j,
 )
 
@@ -330,15 +326,15 @@ class _AbortAfterSave(Exception):
     """Control-flow marker of the interrupting checkpointers below."""
 
 
-class _InterruptingCampaignCheckpointer(CampaignCheckpointer):
+class _InterruptingCampaignCheckpointer(Checkpointer):
     """Campaign checkpointer that aborts the run after its Nth save."""
 
     def __init__(self, path, every, stop_after=1):
         super().__init__(path, every=every)
         self.stop_after = stop_after
 
-    def save(self, **kwargs):
-        result = super().save(**kwargs)
+    def save(self, *args, **kwargs):
+        result = super().save(*args, **kwargs)
         if self.saves >= self.stop_after:
             raise _AbortAfterSave
         return result
@@ -368,7 +364,7 @@ class TestCampaignResume:
         reference = run()
         with pytest.raises(_AbortAfterSave):
             run(_InterruptingCampaignCheckpointer(path, every=77))
-        resumed = run(CampaignCheckpointer(path, every=77), resume=True)
+        resumed = run(Checkpointer(path, every=77), resume=True)
         assert reports_identical(reference, resumed)
         assert report_digest(reference) == report_digest(resumed)
 
@@ -403,7 +399,7 @@ class TestCampaignResume:
         reference = run()
         with pytest.raises(_AbortAfterSave):
             run(_InterruptingCampaignCheckpointer(path, every=70))
-        resumed = run(CampaignCheckpointer(path, every=70), resume=True)
+        resumed = run(Checkpointer(path, every=70), resume=True)
         assert report_digest(reference) == report_digest(resumed)
 
     @pytest.mark.parametrize(
@@ -418,7 +414,7 @@ class TestCampaignResume:
         path = tmp_path / "campaign.json"
         flapping().run(
             simulator(), 100, arq=ARQ, fast=fast,
-            checkpoint=CampaignCheckpointer(path, every=50),
+            checkpoint=Checkpointer(path, every=50),
         )
         assert set(json.loads(path.read_text())["state"]["extra"]) == keys
 
@@ -440,13 +436,13 @@ class TestCampaignResume:
                 simulator(),
                 300,
                 arq=ARQ,
-                checkpoint=CampaignCheckpointer(path, every=100),
+                checkpoint=Checkpointer(path, every=100),
                 resume=True,
             )
 
     def test_checkpointer_validation(self, tmp_path):
         with pytest.raises(ConfigurationError):
-            CampaignCheckpointer(tmp_path / "x.json", every=0)
+            Checkpointer(tmp_path / "x.json", every=0)
 
 
 def _square(x=0, y=0, weight=1.0):
@@ -462,7 +458,7 @@ class TestSweepResume:
             _square, self.GRID, config=ParallelConfig(backend="serial"),
             shared={"weight": 2.0},
         )
-        ck = SweepCheckpointer(tmp_path / "sweep.json", every=3)
+        ck = Checkpointer(tmp_path / "sweep.json", every=3)
         checkpointed = sweep(
             _square, self.GRID, config=ParallelConfig(backend="serial"),
             shared={"weight": 2.0}, checkpoint=ck,
@@ -475,7 +471,7 @@ class TestSweepResume:
         reference = sweep(
             _square, self.GRID, config=ParallelConfig(backend="serial")
         )
-        full = SweepCheckpointer(path, every=2)
+        full = Checkpointer(path, every=2)
         sweep(_square, self.GRID, config=ParallelConfig(backend="serial"),
               checkpoint=full)
         # Truncate the done-map to simulate a crash after 3 combos.
@@ -485,27 +481,27 @@ class TestSweepResume:
         save_checkpoint(path, "sweep", doc["config_key"], {"done": kept})
         resumed = sweep(
             _square, self.GRID, config=ParallelConfig(backend="serial"),
-            checkpoint=SweepCheckpointer(path, every=2), resume=True,
+            checkpoint=Checkpointer(path, every=2), resume=True,
         )
         assert resumed == reference
 
     def test_resume_rejects_different_grid(self, tmp_path):
         path = tmp_path / "sweep.json"
         sweep(_square, self.GRID, config=ParallelConfig(backend="serial"),
-              checkpoint=SweepCheckpointer(path, every=2))
+              checkpoint=Checkpointer(path, every=2))
         with pytest.raises(CheckpointError, match="different run"):
             sweep(
                 _square, {"x": [9], "y": [1]},
                 config=ParallelConfig(backend="serial"),
-                checkpoint=SweepCheckpointer(path, every=2), resume=True,
+                checkpoint=Checkpointer(path, every=2), resume=True,
             )
 
 
-class _InterruptingChaosCheckpointer(ChaosCheckpointer):
+class _InterruptingChaosCheckpointer(Checkpointer):
     """Chaos checkpointer that aborts the search after its first save."""
 
-    def save(self, **kwargs):
-        result = super().save(**kwargs)
+    def save(self, *args, **kwargs):
+        result = super().save(*args, **kwargs)
         raise _AbortAfterSave from None
         return result
 
@@ -533,7 +529,7 @@ class TestChaosResume:
             )
         resumed = chaos_search(
             run_config, search=search, n_events=120,
-            checkpoint=ChaosCheckpointer(path, every=2), resume=True,
+            checkpoint=Checkpointer(path, every=2), resume=True,
         )
         assert resumed.evaluations == reference.evaluations
         assert resumed.worst.scenario.key == reference.worst.scenario.key
@@ -547,7 +543,7 @@ class TestChaosResume:
             run_config,
             search=ChaosSearchConfig(population=3, generations=1, seed=1, fast=True),
             n_events=120,
-            checkpoint=ChaosCheckpointer(path, every=2),
+            checkpoint=Checkpointer(path, every=2),
         )
         with pytest.raises(CheckpointError, match="different run"):
             chaos_search(
@@ -556,7 +552,7 @@ class TestChaosResume:
                     population=4, generations=1, seed=1, fast=True
                 ),
                 n_events=120,
-                checkpoint=ChaosCheckpointer(path, every=2),
+                checkpoint=Checkpointer(path, every=2),
                 resume=True,
             )
 
@@ -812,13 +808,12 @@ _KILL_SCRIPT = textwrap.dedent(
     sys.path.insert(0, {testdir!r})
     from test_supervise import ARQ, flapping, simulator, synthetic_metrics
     from repro.core.degrade import GracefulDegradationPolicy, LastKnownGoodCache
-    from repro.sim.supervise import (
-        BreakerConfig, CampaignCheckpointer, LinkCircuitBreaker,
-    )
+    from repro.sim.checkpoint import Checkpointer
+    from repro.sim.supervise import BreakerConfig, LinkCircuitBreaker
 
-    class KillingCheckpointer(CampaignCheckpointer):
-        def save(self, **kwargs):
-            super().save(**kwargs)
+    class KillingCheckpointer(Checkpointer):
+        def save(self, *args, **kwargs):
+            super().save(*args, **kwargs)
             if self.saves >= 2:
                 os.kill(os.getpid(), signal.SIGKILL)
 
@@ -874,7 +869,7 @@ class TestKillAndResume:
                 resume=resume,
             )
 
-        resumed = run(CampaignCheckpointer(path, every=60), resume=True)
+        resumed = run(Checkpointer(path, every=60), resume=True)
         reference = run()
         assert reports_identical(reference, resumed)
         assert report_digest(reference) == report_digest(resumed)
