@@ -558,9 +558,11 @@ def _encode_record(record: DecisionRecord) -> List[Any]:
 
 def _decode_record(row: Sequence[Any]) -> DecisionRecord:
     """Inverse of :func:`_encode_record`."""
+    if row[1] not in (DELIVERED, DEGRADED, DROPPED):
+        raise ValueError(f"unknown decision status {row[1]!r}")
     return DecisionRecord(
         index=int(row[0]),
-        status=str(row[1]),
+        status=row[1],
         tries=int(row[2]),
         latency_s=decode_float(row[3]),
         fallback=bool(row[4]),
@@ -1132,7 +1134,7 @@ class FaultCampaign:
         fault_states = state["faults"]
         if (
             not 0 <= cursor <= n_events
-            or len(records) != cursor
+            or [r.index for r in records] != list(range(cursor))
             or len(fault_states) != len(self.faults)
         ):
             raise CheckpointError(
@@ -1153,6 +1155,8 @@ class FaultCampaign:
         sensor_j, aggregator_j, retry_j = map(decode_float, state["energies"])
         retransmissions, fallback_events, misses = map(int, state["counters"])
         wire = {name: int(state["wire"][name]) for name in _WIRE_COUNTERS}
+        if min(retransmissions, fallback_events, misses, *wire.values()) < 0:
+            raise CheckpointError("checkpoint holds a negative campaign counter")
         return (
             source, cursor, (front_free, link_free, back_free),
             (sensor_j, aggregator_j, retry_j),

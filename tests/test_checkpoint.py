@@ -216,14 +216,27 @@ class TestHostileState:
         with pytest.raises(CheckpointError, match=match):
             run(Checkpointer(path, every=50), resume=True)
 
-    def test_inconsistent_cursor_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "edit,match",
+        [
+            (lambda s: s.__setitem__("cursor", 99), "does not fit this run"),
+            (lambda s: s["records"][-1].__setitem__(0, 7), "does not fit this run"),
+            (lambda s: s["records"][-1].__setitem__(1, "zz"), "decision status"),
+            (lambda s: s["counters"].__setitem__(0, -1), "negative campaign counter"),
+            (lambda s: s["wire"].__setitem__("frames_sent", -1), "negative campaign"),
+        ],
+        ids=["cursor", "record-index", "record-status", "counter", "wire"],
+    )
+    def test_state_that_would_unbalance_the_report(self, tmp_path, edit, match):
+        """Well-typed values that would resume into a report whose
+        statuses or counters no longer balance."""
         path = tmp_path / "campaign.json"
         run = flapping_run(False)
         run(Checkpointer(path, every=50))
         doc = json.loads(path.read_text())
-        doc["state"]["cursor"] = 99  # 100 records were saved
+        edit(doc["state"])
         save_checkpoint(path, "campaign", doc["config_key"], doc["state"])
-        with pytest.raises(CheckpointError, match="does not fit this run"):
+        with pytest.raises(CheckpointError, match=match):
             run(Checkpointer(path, every=50), resume=True)
 
     def test_chaos_outcomes_must_match_evaluations(self, tmp_path):
