@@ -117,6 +117,13 @@ class TrainedAnalyticEngine:
         the whole front end is vectorised: batched feature extraction,
         one normaliser transform, and one Gram-matrix call per base
         classifier instead of per-event kernel evaluations.
+
+        With two or more rows each Gram's cross term is one BLAS product,
+        so a fused score may differ from :meth:`predict_segment`'s in the
+        last bits (about 1e-14 on the Table-1 cases) — far inside the
+        smallest decision margin seen there (about 2e-5), which is what
+        keeps the decisions identical.  A single row takes the
+        slice-stable one-query path and matches it bit for bit.
         """
         from repro.dsp.batch import batch_extract_matrix
 

@@ -155,7 +155,7 @@ class AdaBoostSVMClassifier(_SVMEnsembleBase):
                 kernel=self.kernel_factory(), C=self.C, seed=self.seed + round_index
             )
             svm.fit(X[idx], y01[idx])
-            pred = np.sign(np.atleast_1d(svm.decision_function(X)))
+            pred = np.sign(svm.training_scores(X))
             pred[pred == 0] = 1.0
             err = float(weights[pred != y].sum())
             if err <= 1e-12:

@@ -22,6 +22,21 @@ bit-identical entries (see :meth:`Kernel.subspace_gram`).  A plain BLAS
 its summation order) varies with the matrix shape — so the cross-product
 term is accumulated one rank-1 feature column at a time instead.
 
+Which entry points are slice-stable:
+
+- :meth:`Kernel.__call__` and :meth:`Kernel.subspace_gram` — everything
+  training reads, including the multi-row scores it fits the fusion on
+  and selects members by
+  (:meth:`repro.ml.svm.SVMClassifier.training_scores`);
+- :meth:`Kernel.gram_rows` with one query row and the stacked scorer,
+  both built on :func:`_column_dot` (below): every single-query path,
+  ``predict_segment`` and the cross-end engine.
+
+:meth:`Kernel.gram_rows` with two or more query rows — multi-row
+``decision_function`` and ``predict_batch`` — takes one BLAS product
+instead, so its last bits depend on the batch shape.  Its contract is
+decision identity, not bit identity.
+
 Memory layout matters too: NumPy's axis reductions pick their summation
 order from the operand's strides (pairwise for a contiguous inner axis,
 sequential otherwise), and mixed basic/advanced indexing like
@@ -38,9 +53,10 @@ Scoring one sample against a fixed set of rows (an SVM's support vectors)
 is a one-row ``rhs``.  :func:`_column_dot` then takes one broadcast product
 over the transposed rows and one axis-0 ``add.reduce``, which NumPy
 accumulates row by row — the same fixed feature order as the rank-1 loop,
-so the column is bitwise equal to the matching column of a multi-row
-Gram.  :class:`SupportRows` holds the transposed rows and their squared
-norms so a classifier derives them once, not per query.
+so the column is bitwise equal to the matching column of a slice-stable
+multi-row Gram (:meth:`Kernel.__call__`).  :class:`SupportRows` holds the
+transposed rows and their squared norms so a classifier derives them
+once, not per query.
 
 The order is per column, so it survives stacking: with several
 classifiers' rows side by side in one block (:meth:`SupportRows.stack`)
@@ -79,27 +95,34 @@ def _column_dot(lhs_t: np.ndarray, rhs_t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cross_dot(
-    lhs_m: np.ndarray, rhs_m: np.ndarray, lhs_t: Optional[np.ndarray] = None
-) -> np.ndarray:
+def _cross_dot(lhs_m: np.ndarray, rhs_m: np.ndarray) -> np.ndarray:
     """Slice-stable ``lhs_m @ rhs_m.T`` over 2-D float64 inputs.
 
     Accumulates one rank-1 term per feature column, so entry ``(i, j)`` is
     the fixed-order sum ``sum_f lhs_m[i, f] * rhs_m[j, f]`` — a function of
     the two rows only, independent of the matrix shapes.
 
-    A one-row ``rhs_m`` goes through :func:`_column_dot` over ``lhs_t``
-    (the C-contiguous transpose of ``lhs_m``, derived here unless
-    supplied), which keeps the same per-entry order.
+    A one-row ``rhs_m`` goes through :func:`_column_dot`, which keeps the
+    same per-entry order.
     """
     if rhs_m.shape[0] == 1:
-        if lhs_t is None:
-            lhs_t = np.ascontiguousarray(lhs_m.T)
-        return _column_dot(lhs_t, rhs_m.T)[:, None]
+        return _column_dot(np.ascontiguousarray(lhs_m.T), rhs_m.T)[:, None]
     out = np.zeros((lhs_m.shape[0], rhs_m.shape[0]))
     for f in range(lhs_m.shape[1]):
         out += lhs_m[:, f, None] * rhs_m[None, :, f]
     return out
+
+
+def _support_cross(support: "SupportRows", rhs_m: np.ndarray) -> np.ndarray:
+    """``(n, m)`` cross products of prepared rows against query rows.
+
+    One query keeps the slice-stable :func:`_column_dot` order; two or
+    more take one BLAS product, whose summation order depends on the
+    shapes (see "Slice stability" in the module docstring).
+    """
+    if rhs_m.shape[0] == 1:
+        return _column_dot(support.rows_t, rhs_m.T)[:, None]
+    return support.rows @ rhs_m.T
 
 
 def _as_rows(x: np.ndarray) -> np.ndarray:
@@ -219,7 +242,14 @@ class Kernel(ABC):
 
     def gram_rows(self, support: SupportRows, rhs: np.ndarray) -> np.ndarray:
         """``(n, m)`` Gram of prepared rows against ``rhs`` (one sample or
-        rows), bitwise equal to ``self(support.rows, rhs)`` made 2-D.
+        rows), the scoring path of :meth:`SVMClassifier.decision_function
+        <repro.ml.svm.SVMClassifier.decision_function>`.
+
+        One query row is bitwise ``self(support.rows, rhs)`` made 2-D.
+        Two or more take the cross term as one BLAS ``support.rows @
+        rhs.T``: it agrees with :meth:`__call__` to rounding (about 1e-14
+        on the Table-1 models), not bit for bit, and serves multi-row
+        scoring only — training reads :meth:`__call__`.
 
         Kernels that use the prepared operands override this; the default
         falls back to :meth:`__call__`.
@@ -275,7 +305,7 @@ class LinearKernel(Kernel):
     def gram_rows(self, support: SupportRows, rhs: np.ndarray) -> np.ndarray:
         rhs_m = _as_rows(rhs)
         _check_dims(support.rows, rhs_m)
-        return _cross_dot(support.rows, rhs_m, support.rows_t)
+        return _support_cross(support, rhs_m)
 
     def from_cross(
         self, lhs_sq: np.ndarray, rhs_sq: np.ndarray, cross: np.ndarray
@@ -326,7 +356,7 @@ class RBFKernel(Kernel):
         return self._assemble(
             support.sq_norms,
             (rhs_m**2).sum(axis=1),
-            _cross_dot(support.rows, rhs_m, support.rows_t),
+            _support_cross(support, rhs_m),
         )
 
     def _assemble(

@@ -57,11 +57,13 @@ def _sliced_scores(
 ) -> np.ndarray:
     """Validation decision scores from a shared full-row Gram.
 
-    Bitwise equal to ``svm.decision_function(X[np.ix_(val_rows, subset)])``
+    Bitwise equal to ``svm.training_scores(X[np.ix_(val_rows, subset)])``
     for an SVM trained on ``X[np.ix_(train_rows, subset)]``: the kernel's
     slice stability makes the cross-Gram block between the support rows and
     the validation rows identical to a fresh kernel evaluation, so only the
-    same ``dual_coef @ cross + bias`` contraction remains.
+    same ``dual_coef @ cross + bias`` contraction remains.  (Multi-row
+    ``svm.decision_function`` agrees only to rounding: its cross term is a
+    BLAS product.)
     """
     rows = np.asarray(train_rows, dtype=np.intp)[svm.support_indices]
     cross = full_gram[np.ix_(rows, np.asarray(val_rows, dtype=np.intp))]
@@ -330,7 +332,10 @@ class RandomSubspaceClassifier:
         self.members = candidates[:n_keep]
         share_support([m.classifier for m in self.members])
 
-        base_scores = np.column_stack([m.scores(X) for m in self.members])
+        base_scores = np.column_stack(
+            [m.classifier.training_scores(X[:, m.feature_indices])
+             for m in self.members]
+        )
         self.fusion = WeightedVotingFusion().fit(base_scores, y)
         return self
 
@@ -348,9 +353,7 @@ class RandomSubspaceClassifier:
                 svm.fit_reference(X[np.ix_(fit_idx, subset)], y[fit_idx])
             except TrainingError:
                 return None  # a degenerate fold; skip this draw
-            preds = (
-                np.atleast_1d(svm.decision_function(X[np.ix_(val_idx, subset)])) > 0
-            ).astype(int)
+            preds = (svm.training_scores(X[np.ix_(val_idx, subset)]) > 0).astype(int)
             return SubspaceMember(subset, svm, accuracy(y[val_idx], preds))
         fold_accuracies = []
         fold_rng = np.random.default_rng(fold_seed)
@@ -364,9 +367,7 @@ class RandomSubspaceClassifier:
                 svm.fit_reference(X[np.ix_(train_f, subset)], y[train_f])
             except TrainingError:
                 continue
-            preds = (
-                np.atleast_1d(svm.decision_function(X[np.ix_(val_f, subset)])) > 0
-            ).astype(int)
+            preds = (svm.training_scores(X[np.ix_(val_f, subset)]) > 0).astype(int)
             fold_accuracies.append(accuracy(y[val_f], preds))
         if not fold_accuracies:
             return None

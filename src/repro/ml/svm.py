@@ -462,16 +462,40 @@ class SVMClassifier:
         return self._bias
 
     def decision_function(self, features: np.ndarray) -> np.ndarray:
-        """Signed margin scores; positive means class 1."""
+        """Signed margin scores; positive means class 1.
+
+        One sample is scored through the slice-stable single-query path;
+        two or more rows take one BLAS cross product
+        (:meth:`~repro.ml.kernels.Kernel.gram_rows`), whose last bits
+        depend on the batch shape.  Training reads
+        :meth:`training_scores` instead.
+        """
+        X = self._check_rows(features)
+        gram = self.kernel.gram_rows(self._support, X)
+        scores = self._dual_coef @ gram + self._bias
+        return scores if np.asarray(features).ndim == 2 else scores[0]
+
+    def training_scores(self, features: np.ndarray) -> np.ndarray:
+        """Decision scores of ``(n, d)`` rows through the slice-stable
+        :meth:`Kernel.__call__ <repro.ml.kernels.Kernel.__call__>`.
+
+        Every Gram entry is a fixed-order sum over its two rows, so the
+        scores a trained model is fitted or selected on never depend on
+        how BLAS blocks a product of that batch's shape.  Bitwise
+        ``dual_coef @ gram[np.ix_(support, rows)] + bias`` of a
+        fold-sliced training Gram over the same rows.
+        """
+        X = self._check_rows(features)
+        return self._dual_coef @ self.kernel(self._support.rows, X) + self._bias
+
+    def _check_rows(self, features: np.ndarray) -> np.ndarray:
         self._require_fitted()
         X = np.atleast_2d(np.asarray(features, dtype=np.float64))
         if X.shape[1] != self._dimension:
             raise ConfigurationError(
                 f"feature dimension {X.shape[1]} != trained {self._dimension}"
             )
-        gram = self.kernel.gram_rows(self._support, X)
-        scores = self._dual_coef @ gram + self._bias
-        return scores if np.asarray(features).ndim == 2 else scores[0]
+        return X
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Binary {0,1} predictions."""

@@ -106,6 +106,37 @@ class TestBatchCRC:
             crc16_ccitt(row, init=0x1D0F) for row in rows
         ]
 
+    @given(
+        st.integers(0, 12),
+        st.integers(0, 40),
+        st.integers(0, 0xFFFF),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200)
+    def test_padded_matrix_matches_scalar(self, n, width, init, seed):
+        """Random garbage past every length, any preset, zero rows and
+        zero width: row ``i`` is the scalar CRC of its first bytes."""
+        rng = np.random.default_rng(seed)
+        matrix = rng.integers(0, 256, size=(n, width), dtype=np.uint8)
+        lengths = rng.integers(0, width + 1, size=n)
+        got = batch_crc16_ccitt(matrix, lengths=lengths, init=init)
+        assert got.dtype == np.uint16 and got.shape == (n,)
+        assert got.tolist() == [
+            crc16_ccitt(matrix[i, : lengths[i]].tobytes(), init) for i in range(n)
+        ]
+        # A strided (non-contiguous) view reads the same bytes.
+        wide = np.repeat(matrix, 2, axis=1)
+        assert batch_crc16_ccitt(wide[:, ::2], lengths, init).tolist() == got.tolist()
+
+    def test_ccitt_false_check_value(self):
+        """The catalogue check value of CRC-16/CCITT-FALSE, through the
+        batch path, alone and beside other rows."""
+        assert batch_crc16_ccitt([b"123456789"]).tolist() == [0x29B1]
+        matrix, lengths = pack_byte_rows([b"", b"123456789", b"x"])
+        matrix[0, :] = 0xEE
+        assert batch_crc16_ccitt(matrix, lengths)[1] == 0x29B1
+        assert crc16_ccitt(b"123456789") == 0x29B1
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             batch_crc16_ccitt(np.zeros(4, dtype=np.uint8))
