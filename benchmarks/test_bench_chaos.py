@@ -8,7 +8,7 @@ writes the machine-readable summary to
 ``benchmarks/results/BENCH_chaos.json`` (``results-fast/`` under
 ``XPRO_BENCH_FAST=1``) together with the Pareto-frontier replay bundles.
 
-The nightly regression gate (``scripts/check_chaos_regression.py``)
+The nightly regression gate (``python -m repro chaos ... --baseline``)
 compares a freshly searched summary against the committed baseline
 ``benchmarks/results/BENCH_chaos_baseline.json``; see ``docs/CHAOS.md``.
 """

@@ -59,7 +59,7 @@ def test_ensemble_inference(benchmark, setup):
 def test_st_graph_construction(benchmark, setup):
     _, _, topology, lib, link, _ = setup
     graph = benchmark(build_st_graph, topology, lib, link)
-    assert len(graph.compute_energy) == len(topology)
+    assert len(graph.cell_names) == len(topology)
 
 
 def test_min_cut_solve(benchmark, setup):

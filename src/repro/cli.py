@@ -464,6 +464,8 @@ def _cmd_chaos(args: argparse.Namespace) -> str:
         write_chaos_summary,
     )
 
+    # Read the baseline first: a bad path fails before the search runs.
+    baseline = load_chaos_summary(args.baseline) if args.baseline else None
     if args.smoke:
         ctx = ExperimentContext(
             n_segments=40, training=TrainingConfig(n_draws=8)
@@ -516,8 +518,7 @@ def _cmd_chaos(args: argparse.Namespace) -> str:
     if args.json:
         target = write_chaos_summary(summary, args.json)
         lines.append(f"chaos summary written to {target}")
-    if args.baseline:
-        baseline = load_chaos_summary(args.baseline)
+    if baseline is not None:
         threshold = (
             args.threshold if args.threshold is not None
             else DEFAULT_CHAOS_THRESHOLD
@@ -605,6 +606,8 @@ def _cmd_perf(args: argparse.Namespace) -> str:
         write_perf_report,
     )
 
+    # Read the baseline first: a bad path fails before minutes of timing.
+    baseline = load_perf_report(args.baseline) if args.baseline else None
     report = collect_perf_report(
         fast=args.fast,
         repeats=args.repeats,
@@ -621,8 +624,7 @@ def _cmd_perf(args: argparse.Namespace) -> str:
         target = write_perf_report(report, args.json)
         lines.append(f"perf report written to {target}")
     check_equivalence(report)
-    if args.baseline:
-        baseline = load_perf_report(args.baseline)
+    if baseline is not None:
         threshold = args.threshold if args.threshold is not None else DEFAULT_THRESHOLD
         check_regression(report, baseline, threshold, args.stage)
         lines.append(f"regression gate OK vs {args.baseline}")

@@ -26,16 +26,11 @@ import logging
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.cells.cell import SOURCE_CELL
 from repro.cells.topology import CellTopology
 from repro.core.partition import Partition
 from repro.errors import ConfigurationError, InfeasibleConstraintError
 from repro.graph.cuts import aggregator_cut, enumerate_partitions, sensor_cut
-from repro.graph.stgraph import (
-    STGraphTemplate,
-    build_st_graph,
-    build_st_graph_template,
-)
+from repro.graph.stgraph import STGraph, build_st_graph
 from repro.hw.aggregator import AggregatorCPU
 from repro.hw.energy import EnergyLibrary
 from repro.hw.wireless import WirelessLink
@@ -75,7 +70,7 @@ class AutomaticXProGenerator:
     The generator keeps two per-instance fast-path structures, both tied to
     its ``(topology, energy_lib, link, cpu)`` context:
 
-    - a parametric :class:`~repro.graph.stgraph.STGraphTemplate` so the
+    - one :class:`~repro.graph.stgraph.STGraph` (:attr:`template`), so the
       Lagrangian bisection re-prices one prebuilt s-t graph and warm-starts
       each solve from the previous residual flow (``warm_start=True``);
     - a bounded :class:`~repro.sim.evaluate.PartitionEvaluationCache` so
@@ -91,8 +86,9 @@ class AutomaticXProGenerator:
         energy_lib: In-sensor energy model (process node, ALU modes).
         link: Wireless transceiver model.
         cpu: Aggregator CPU model (for the delay model and Fig. 13).
-        warm_start: Reuse the s-t graph template and residual flows across
-            solves (``False`` forces the legacy cold rebuild per solve).
+        warm_start: Reuse one s-t graph and its residual flows across
+            solves (``False`` builds a fresh graph per solve and solves it
+            cold: the reference the fast path is measured against).
         cache_size: Bound of the partition-evaluation memo (0 disables).
     """
 
@@ -112,13 +108,13 @@ class AutomaticXProGenerator:
         self.cpu = cpu
         self.warm_start = warm_start
         self._eval_cache = PartitionEvaluationCache(maxsize=cache_size)
-        self._template: Optional[STGraphTemplate] = None
+        self._template: Optional[STGraph] = None
         self._context_key: Optional[Tuple[int, int, int, int]] = None
 
     # -- fast-path cache management ---------------------------------------------
 
     def invalidate_caches(self) -> None:
-        """Drop the s-t graph template and the evaluation memo.
+        """Drop the cached s-t graph and the evaluation memo.
 
         Needed only after mutating one of the model objects *in place*;
         rebinding ``self.topology``/``self.energy_lib``/``self.link``/
@@ -141,21 +137,22 @@ class AutomaticXProGenerator:
         return self._eval_cache
 
     @property
-    def template(self) -> Optional[STGraphTemplate]:
-        """The current s-t graph template, if one has been built."""
+    def template(self) -> Optional[STGraph]:
+        """The cached s-t graph every warm solve re-prices, if built yet."""
         self._check_context()
         return self._template
 
-    def _ensure_template(self) -> STGraphTemplate:
+    def _build_graph(self) -> STGraph:
+        return build_st_graph(self.topology, self.energy_lib, self.link, self.cpu)
+
+    def _solve(self, lam: float) -> Tuple[FrozenSet[str], float]:
+        """Min cut at delay price ``lam`` (J/s): (in-sensor cells, capacity)."""
+        if not self.warm_start:
+            return self._build_graph().solve(lam, warm=False)
         self._check_context()
         if self._template is None:
-            self._template = build_st_graph_template(
-                self.topology,
-                self.energy_lib,
-                self.link,
-                self._delay_weights(1.0),
-            )
-        return self._template
+            self._template = self._build_graph()
+        return self._template.solve(lam)
 
     # -- evaluation helpers ------------------------------------------------------
 
@@ -187,11 +184,7 @@ class AutomaticXProGenerator:
 
     def min_cut_partition(self) -> Partition:
         """Exact energy-minimal partition, ignoring delay (Section 3.2.2)."""
-        if self.warm_start:
-            in_sensor, capacity = self._ensure_template().solve_lagrangian(0.0)
-        else:
-            graph = build_st_graph(self.topology, self.energy_lib, self.link)
-            in_sensor, capacity = graph.solve()
+        in_sensor, capacity = self._solve(0.0)
         logger.debug(
             "min-cut: %d/%d cells in-sensor, capacity %.4g J",
             len(in_sensor), len(self.topology), capacity,
@@ -199,34 +192,6 @@ class AutomaticXProGenerator:
         return Partition(in_sensor=in_sensor, label="cross")
 
     # -- delay-constrained generation --------------------------------------------------
-
-    def _delay_weights(self, lam: float) -> Dict[str, float]:
-        """Lagrangian edge surcharges pricing delay at ``lam`` J/s."""
-        weights: Dict[str, float] = {}
-        for name, cell in self.topology.cells.items():
-            cost = self.energy_lib.cell_cost(
-                cell.op_counts, cell.mode, cell.parallel_width
-            )
-            weights[f"cell:{name}"] = lam * self.energy_lib.seconds(cost.cycles)
-            weights[f"back:{name}"] = lam * self.cpu.compute_time(cell.op_counts)
-        consumers_map = self.topology.consumers_by_port()
-        for ref, port in self.topology.producer_ports():
-            transfer = self.link.transfer_delay(port.n_values, port.bits_per_value)
-            weights[f"tx:{ref.cell}.{ref.port}"] = lam * transfer
-            if ref.cell != SOURCE_CELL:
-                for consumer in consumers_map[ref]:
-                    weights[f"rx:{ref.cell}.{ref.port}:{consumer}"] = lam * transfer
-        return weights
-
-    def _lagrangian_cut(self, lam: float) -> FrozenSet[str]:
-        if self.warm_start:
-            in_sensor, _ = self._ensure_template().solve_lagrangian(lam)
-            return in_sensor
-        graph = build_st_graph(
-            self.topology, self.energy_lib, self.link, self._delay_weights(lam)
-        )
-        in_sensor, _ = graph.solve()
-        return in_sensor
 
     def generate(
         self,
@@ -291,13 +256,13 @@ class AutomaticXProGenerator:
                 # Grow hi until its cut is delay-feasible (or give up and
                 # rely on the single-end candidates).
                 for _ in range(20):
-                    cut = self._lagrangian_cut(hi)
+                    cut, _ = self._solve(hi)
                     if ev(cut).delay_total_s <= limit:
                         break
                     hi *= 4.0
                 for _ in range(lagrangian_steps):
                     mid = (lo + hi) / 2.0
-                    cut = self._lagrangian_cut(mid)
+                    cut, _ = self._solve(mid)
                     candidates.append((cut, "cross"))
                     if ev(cut).delay_total_s <= limit:
                         hi = mid

@@ -22,12 +22,12 @@ experiment harness:
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro.errors import ChaosRegressionError, ConfigurationError
 from repro.eval.context import ExperimentContext
+from repro.eval.jsonio import read_json_document, write_json_document
 from repro.graph.cuts import sensor_cut
 from repro.hw.framing import FramingConfig
 from repro.hw.wireless import WirelessLink
@@ -362,25 +362,12 @@ def chaos_rows(summary: Dict[str, Any]) -> List[Dict[str, Any]]:
 
 def write_chaos_summary(summary: Dict[str, Any], path: str | Path) -> Path:
     """Serialise a chaos summary to pretty-printed JSON."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return target
+    return write_json_document(summary, path)
 
 
 def load_chaos_summary(path: str | Path) -> Dict[str, Any]:
     """Load a chaos summary, validating the schema marker."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read chaos summary {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{path} is not valid JSON: {exc}") from exc
-    if data.get("schema") != SUMMARY_SCHEMA:
-        raise ConfigurationError(
-            f"{path}: unknown chaos summary schema {data.get('schema')!r}"
-        )
-    return data
+    return read_json_document(path, SUMMARY_SCHEMA, "chaos summary")
 
 
 def compare_chaos_summaries(

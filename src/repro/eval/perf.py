@@ -18,9 +18,9 @@ scalar reference and the fast path — on the same inputs:
 - **generator**: a ladder of 6 delay limits spanning the band between the
   best single-end delay and the unconstrained min-cut delay, each forcing
   the full Lagrangian bisection — a cold ``warm_start=False,
-  cache_size=0`` generator per limit (graph rebuilt, Dinic from scratch,
-  no memo) vs one warm generator for the whole ladder; identical
-  partitions and bit-identical metrics at every limit;
+  cache_size=0`` generator per limit (a fresh s-t graph per solve, Dinic
+  from zero flow, no memo) vs one warm generator for the whole ladder;
+  identical partitions and bit-identical metrics at every limit;
 - **wire**: 512 payload round trips (Q16.16 packing, CRC-protected
   fragmentation, decode, value recovery) through the scalar
   :mod:`repro.hw.framing` reference vs the batch codec; byte-identical
@@ -53,14 +53,14 @@ run is also an equivalence check.  Adding a stage means adding one row;
 
 The report is serialised to ``benchmarks/results/BENCH_perf.json``
 (schema documented in ``docs/PERFORMANCE.md``).  CI regenerates the
-report in fast mode and feeds it to :func:`compare_reports`, which fails
-the build when any *tracked* metric — the machine-portable speedup
-ratios — regresses by more than 25% against the committed baseline.
+report in fast mode with ``repro perf --baseline``, which feeds it to
+:func:`compare_reports` and fails the build when any *tracked* metric —
+the machine-portable speedup ratios — regresses by more than 25% against
+the committed baseline.
 """
 
 from __future__ import annotations
 
-import json
 import platform
 import time
 from dataclasses import dataclass, field
@@ -75,6 +75,7 @@ from repro.core.pipeline import TrainingConfig, train_analytic_engine
 from repro.dsp.batch import batch_extract_matrix
 from repro.dsp.wavelet import dwt_multilevel, dwt_multilevel_batch
 from repro.errors import ConfigurationError, PerfRegressionError
+from repro.eval.jsonio import read_json_document, write_json_document
 from repro.signals.datasets import load_case
 
 #: Report schema identifier (bump on breaking layout changes).
@@ -737,20 +738,12 @@ def collect_perf_report(
 
 def write_perf_report(report: Dict[str, Any], path: str | Path) -> Path:
     """Serialise a perf report to pretty-printed JSON."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return target
+    return write_json_document(report, path)
 
 
 def load_perf_report(path: str | Path) -> Dict[str, Any]:
     """Load a perf report, validating the schema marker."""
-    data = json.loads(Path(path).read_text())
-    if data.get("schema") != SCHEMA:
-        raise ConfigurationError(
-            f"{path}: unknown perf report schema {data.get('schema')!r}"
-        )
-    return data
+    return read_json_document(path, SCHEMA, "perf report")
 
 
 def _disagreeing(report: Dict[str, Any]) -> List[str]:

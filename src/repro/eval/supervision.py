@@ -25,7 +25,6 @@ crash-safe checkpoint/resume; this module binds them to the experiment harness a
 
 from __future__ import annotations
 
-import json
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
@@ -34,6 +33,7 @@ from typing import Any, Dict, List, Optional
 from repro.core.degrade import GracefulDegradationPolicy, LastKnownGoodCache
 from repro.errors import ConfigurationError, SupervisionGateError
 from repro.eval.context import ExperimentContext
+from repro.eval.jsonio import read_json_document, write_json_document
 from repro.eval.resilience import DEFAULT_ARQ
 from repro.graph.cuts import sensor_cut
 from repro.hw.arq import ARQConfig
@@ -444,27 +444,12 @@ def write_supervision_summary(
     summary: Dict[str, Any], path: str | Path
 ) -> Path:
     """Serialise a supervision summary to pretty-printed JSON."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return target
+    return write_json_document(summary, path)
 
 
 def load_supervision_summary(path: str | Path) -> Dict[str, Any]:
     """Load a supervision summary, validating the schema marker."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigurationError(
-            f"cannot read supervision summary {path}: {exc}"
-        ) from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{path} is not valid JSON: {exc}") from exc
-    if data.get("schema") != SUMMARY_SCHEMA:
-        raise ConfigurationError(
-            f"{path}: unknown supervision summary schema {data.get('schema')!r}"
-        )
-    return data
+    return read_json_document(path, SUMMARY_SCHEMA, "supervision summary")
 
 
 def supervision_failures(summary: Dict[str, Any]) -> List[str]:

@@ -4,7 +4,8 @@
   implemented from scratch.
 - :mod:`repro.graph.stgraph` -- the paper's s-t graph (Section 3.2.2):
   front node ``F``, back node ``B``, per-port dummy data nodes generalising
-  the paper's "D" node, compute edges, and Tx/Rx communication edge pairs.
+  the paper's "D" node, compute edges, and Tx/Rx communication edge pairs,
+  each edge priced as energy plus a delay price times its delay.
 - :mod:`repro.graph.cuts` -- named reference cuts (in-sensor, in-aggregator,
   trivial feature/classifier boundary) and exhaustive enumeration for small
   topologies.
@@ -12,13 +13,7 @@
 
 from repro.graph.maxflow import FlowNetwork, MaxFlowResult
 from repro.graph.visualize import st_graph_to_dot, topology_to_dot
-from repro.graph.stgraph import (
-    STGraph,
-    STGraphTemplate,
-    TemplateSolveStats,
-    build_st_graph,
-    build_st_graph_template,
-)
+from repro.graph.stgraph import STGraph, TemplateSolveStats, build_st_graph
 from repro.graph.cuts import (
     aggregator_cut,
     enumerate_partitions,
@@ -30,13 +25,11 @@ __all__ = [
     "FlowNetwork",
     "MaxFlowResult",
     "STGraph",
-    "STGraphTemplate",
     "TemplateSolveStats",
     "st_graph_to_dot",
     "topology_to_dot",
     "aggregator_cut",
     "build_st_graph",
-    "build_st_graph_template",
     "enumerate_partitions",
     "sensor_cut",
     "trivial_cut",

@@ -34,17 +34,26 @@ With this construction, the capacity of any finite F/B cut equals the
 sensor-node energy per event of the corresponding partition — verified
 against the independent system simulator in the integration tests — and the
 min cut is the energy-optimal partition.
+
+Delay (Section 3.2.3) enters as a second, per-edge attribute: each forward
+edge also carries the delay its cut adds (in-sensor compute time on
+``cell -> B``, link transfer time on Tx and Rx edges, and aggregator compute
+time on a ``F -> cell`` edge cut exactly when the cell runs in the
+aggregator).  At delay price ``lambda`` (J/s) an edge's capacity is
+``energy + lambda * delay``; the delay-constrained generator searches over
+``lambda``.  One built graph serves every price.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from repro.cells.cell import SOURCE_CELL, PortRef
 from repro.cells.topology import CellTopology
 from repro.errors import ConfigurationError, PartitionError
 from repro.graph.maxflow import INFINITY, FlowNetwork
+from repro.hw.aggregator import AggregatorCPU
 from repro.hw.energy import EnergyLibrary
 from repro.hw.wireless import WirelessLink
 
@@ -57,118 +66,9 @@ def _data_node(ref: PortRef) -> str:
     return f"D[{ref.cell}.{ref.port}]"
 
 
-@dataclass(frozen=True)
-class STGraph:
-    """The built s-t graph plus the bookkeeping to interpret cuts.
-
-    Attributes:
-        network: The flow network (consumed by :meth:`solve`).
-        topology: The cell topology the graph was built from.
-        compute_energy: cell name -> in-sensor computation energy (J).
-        tx_energy: port ref -> one-shot transmission energy (J).
-        rx_energy: (port ref, consumer) -> reception energy (J).
-    """
-
-    network: FlowNetwork
-    topology: CellTopology
-    compute_energy: Dict[str, float]
-    tx_energy: Dict[PortRef, float]
-    rx_energy: Dict[Tuple[PortRef, str], float]
-
-    def solve(self) -> Tuple[FrozenSet[str], float]:
-        """Run min-cut and return (in-sensor cell set, sensor energy).
-
-        The returned set contains only real cell names (data nodes and the
-        F/B terminals are stripped).
-        """
-        result = self.network.max_flow(FRONT, BACK)
-        if result.max_flow == INFINITY:
-            raise PartitionError("s-t graph has no finite cut (bad construction)")
-        cell_names = set(self.topology.cells)
-        in_sensor = frozenset(n for n in result.source_side if n in cell_names)
-        return in_sensor, result.max_flow
-
-
-def build_st_graph(
-    topology: CellTopology,
-    energy_lib: EnergyLibrary,
-    link: WirelessLink,
-    delay_weights: Dict[str, float] | None = None,
-) -> STGraph:
-    """Build the s-t graph for a topology under given hardware models.
-
-    Args:
-        topology: The functional-cell dataflow graph.
-        energy_lib: In-sensor energy model (node + ALU modes).
-        link: Wireless link model (Tx/Rx energies per payload).
-        delay_weights: Optional Lagrangian terms added to capacities by the
-            delay-constrained generator: maps ``"cell:<name>"``,
-            ``"back:<name>"``, ``"tx:<cell>.<port>"`` and
-            ``"rx:<cell>.<port>:<consumer>"`` keys to extra joule-equivalent
-            weights.  Absent keys add nothing.
-
-    Returns:
-        The :class:`STGraph` ready to :meth:`~STGraph.solve`.
-    """
-    weights = delay_weights or {}
-    net = FlowNetwork()
-    compute_energy: Dict[str, float] = {}
-    tx_energy: Dict[PortRef, float] = {}
-    rx_energy: Dict[Tuple[PortRef, str], float] = {}
-
-    consumers_map = topology.consumers_by_port()
-    result_ref = topology.result
-
-    # Cell computation edges (and optional back-end Lagrangian edges).
-    for name, cell in topology.cells.items():
-        cost = energy_lib.cell_cost(cell.op_counts, cell.mode, cell.parallel_width)
-        compute_energy[name] = cost.energy_j
-        net.add_edge(name, BACK, cost.energy_j + weights.get(f"cell:{name}", 0.0))
-        back_weight = weights.get(f"back:{name}", 0.0)
-        if back_weight > 0.0:
-            net.add_edge(FRONT, name, back_weight)
-
-    # Data nodes: one per consumed port (plus the result port).
-    for ref, port in topology.producer_ports():
-        port_consumers = consumers_map.get(ref, [])
-        is_result = ref == result_ref
-        if not port_consumers and not is_result:
-            continue
-        dnode = _data_node(ref)
-        producer = FRONT if ref.cell == SOURCE_CELL else ref.cell
-        tx = link.tx_energy(port.n_values, port.bits_per_value)
-        tx_energy[ref] = tx
-        net.add_edge(
-            producer, dnode, tx + weights.get(f"tx:{ref.cell}.{ref.port}", 0.0)
-        )
-        for consumer in port_consumers:
-            net.add_edge(dnode, consumer, INFINITY)
-            if ref.cell != SOURCE_CELL:
-                rx = link.rx_energy(port.n_values, port.bits_per_value)
-                rx_energy[(ref, consumer)] = rx
-                net.add_edge(
-                    consumer,
-                    ref.cell,
-                    rx + weights.get(f"rx:{ref.cell}.{ref.port}:{consumer}", 0.0),
-                )
-        if is_result:
-            net.add_edge(dnode, BACK, INFINITY)
-
-    return STGraph(
-        network=net,
-        topology=topology,
-        compute_energy=compute_energy,
-        tx_energy=tx_energy,
-        rx_energy=rx_energy,
-    )
-
-
-# -- parametric template (warm-started Lagrangian re-solves) -------------------
-
-
 @dataclass
 class TemplateSolveStats:
-    """Work counters of one :class:`STGraphTemplate` (for tests and tuning).
+    """Work counters of one :class:`STGraph` (for tests and tuning).
 
     Attributes:
         cold_solves: Solves that started from zero flow.
@@ -184,40 +84,36 @@ class TemplateSolveStats:
 
     @property
     def total_solves(self) -> int:
-        """All solves run through the template."""
+        """All solves run through the graph."""
         return self.cold_solves + self.warm_solves
 
 
 @dataclass
-class STGraphTemplate:
-    """A reusable, parametrically priced s-t graph.
+class STGraph:
+    """The s-t graph of one hardware context, solvable at any delay price.
 
-    The graph *structure* (nodes, arcs, twin pairing, CSR index) of one
-    ``(topology, energy_lib, link)`` context never changes across the
-    generator's Lagrangian search — only the capacities move, linearly in
-    the delay price: ``capacity(lambda) = base + lambda * coefficient``
-    per forward edge.  The template therefore builds the network once and
-    re-solves it via :meth:`~repro.graph.maxflow.FlowNetwork.clone_with_capacities`,
-    warm-starting each solve from the stored residual state of the largest
-    previously solved ``lambda' <= lambda``: capacities are non-decreasing
-    in lambda (all coefficients are non-negative), so the earlier flow is
-    still feasible and only the incremental flow must be augmented.
+    The graph *structure* (nodes, arcs, twin pairing, CSR index) never
+    changes across the generator's Lagrangian search — only the capacities
+    move, linearly in the delay price: ``capacity(lambda) = base + lambda *
+    coefficient`` per forward edge.  Every solve runs on a capacity clone
+    (:meth:`~repro.graph.maxflow.FlowNetwork.clone_with_capacities`), so
+    :attr:`network` keeps its ``lambda = 0`` capacities.  A warm solve
+    restarts from the stored residual state of the largest previously
+    solved ``lambda' <= lambda``: capacities are non-decreasing in lambda
+    (all coefficients are non-negative), so the earlier flow is still
+    feasible and only the incremental flow must be augmented.
 
-    The template deliberately holds no :class:`~repro.cells.topology.CellTopology`
+    The graph holds no :class:`~repro.cells.topology.CellTopology`
     reference — just the derived arrays plus the cell-name set needed to
     interpret cuts — so it is picklable and can be shipped to the worker
     processes of :func:`repro.sim.parallel.sweep` even when the topology's
-    cell compute closures are not.
-
-    The warm-start contract (see ``docs/PERFORMANCE.md``): residual states
-    are reusable for any ``lambda >= lambda'`` of the *same* template;
-    whenever the topology, energy library or link model changes, the
-    template must be rebuilt (the generator does this automatically).
+    cell compute closures are not.  Residual states belong to this graph
+    only: when the topology, energy library, link or CPU model changes,
+    build a new graph (the generator does this automatically).
 
     Attributes:
-        network: The structural prototype, carrying the ``lambda = 0``
-            base capacities.  Never solved directly — every solve runs on
-            a capacity clone.
+        network: The structure, carrying the ``lambda = 0`` base
+            capacities.  Never solved directly.
         cell_names: Real cell names (terminals/data nodes are stripped
             from cut sides).
         base_capacities: Per-forward-edge energy term (J).
@@ -236,25 +132,15 @@ class STGraphTemplate:
     _states: List[Tuple[float, List[float]]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if len(self.base_capacities) != self.network.n_forward_edges:
+        n_edges = self.network.n_forward_edges
+        if len(self.base_capacities) != n_edges:
             raise ConfigurationError("base capacities do not match the network")
-        if len(self.delay_coefficients) != self.network.n_forward_edges:
+        if len(self.delay_coefficients) != n_edges:
             raise ConfigurationError("delay coefficients do not match the network")
         if any(c < 0 for c in self.delay_coefficients):
             raise ConfigurationError("delay coefficients must be non-negative")
         if self.max_warm_states < 1:
             raise ConfigurationError("max_warm_states must be >= 1")
-
-    # -- warm-state bookkeeping ------------------------------------------------
-
-    def clear_warm_states(self) -> None:
-        """Drop every stored residual state (solves go cold again)."""
-        self._states.clear()
-
-    @property
-    def n_warm_states(self) -> int:
-        """Number of stored residual states."""
-        return len(self._states)
 
     def _best_state(self, lam: float) -> Optional[Tuple[float, List[float]]]:
         """The stored state with the largest ``lambda' <= lam``, if any."""
@@ -277,8 +163,6 @@ class STGraphTemplate:
             # once the bisection has moved past it).
             del self._states[1]
 
-    # -- solving ---------------------------------------------------------------
-
     def capacities(self, lam: float) -> List[float]:
         """Forward-edge capacities at one delay price."""
         if lam < 0:
@@ -290,17 +174,20 @@ class STGraphTemplate:
             for b, c in zip(self.base_capacities, self.delay_coefficients)
         ]
 
-    def solve_lagrangian(
+    def solve(
         self, lam: float = 0.0, warm: bool = True
     ) -> Tuple[FrozenSet[str], float]:
-        """Min-cut at one delay price; returns (in-sensor cells, capacity).
+        """Min cut at one delay price; returns (in-sensor cells, capacity).
+
+        The returned set contains only real cell names (data nodes and the
+        F/B terminals are stripped).
 
         Args:
             lam: The Lagrangian delay price in J/s (0 = pure energy cut).
             warm: Restart from the best stored residual state when one
                 exists (and store this solve's state for later re-solves).
-                ``False`` forces a cold reference solve that leaves the
-                stored states untouched.
+                ``False`` forces a cold solve that leaves the stored states
+                untouched.
         """
         caps = self.capacities(lam)
         state = self._best_state(lam) if warm else None
@@ -337,30 +224,27 @@ class STGraphTemplate:
         return in_sensor, total
 
 
-def build_st_graph_template(
+def build_st_graph(
     topology: CellTopology,
     energy_lib: EnergyLibrary,
     link: WirelessLink,
-    delay_coefficients: Mapping[str, float] | None = None,
-) -> STGraphTemplate:
-    """Build the parametric s-t graph template for one hardware context.
+    cpu: Optional[AggregatorCPU] = None,
+) -> STGraph:
+    """Build the s-t graph for a topology under given hardware models.
 
-    The construction mirrors :func:`build_st_graph` edge for edge, but
-    splits every capacity into its energy base and its per-lambda delay
-    coefficient so the same structure can be re-priced at any delay price.
-    The ``delay_coefficients`` mapping uses the same keys as
-    ``build_st_graph``'s ``delay_weights`` (``"cell:<name>"``,
-    ``"back:<name>"``, ``"tx:<cell>.<port>"``,
-    ``"rx:<cell>.<port>:<consumer>"``) holding the weight *per unit
-    lambda* (i.e. the delay in seconds attributed to that edge).
+    Args:
+        topology: The functional-cell dataflow graph.
+        energy_lib: In-sensor energy model (node + ALU modes).
+        link: Wireless link model (Tx/Rx energies and transfer delay).
+        cpu: Aggregator CPU model.  When given, every edge carries its
+            delay coefficient and each cell with a positive aggregator
+            compute time gets a ``F -> cell`` edge (zero capacity at
+            ``lambda = 0``, so it never changes the energy cut).  When
+            None, every coefficient is 0: a plain energy graph.
 
-    The one structural difference from a per-lambda cold build: the
-    Lagrangian back edges (``F -> cell``) are present whenever their
-    coefficient is positive, carrying zero capacity at ``lambda = 0``.
-    Zero-capacity edges are invisible to the solver's traversals, so cuts
-    and flow values are unaffected.
+    Returns:
+        The :class:`STGraph` ready to :meth:`~STGraph.solve`.
     """
-    coeffs = dict(delay_coefficients or {})
     net = FlowNetwork()
     base: List[float] = []
     coef: List[float] = []
@@ -370,15 +254,17 @@ def build_st_graph_template(
         base.append(energy)
         coef.append(delay)
 
+    priced = cpu is not None
     consumers_map = topology.consumers_by_port()
     result_ref = topology.result
 
     for name, cell in topology.cells.items():
         cost = energy_lib.cell_cost(cell.op_counts, cell.mode, cell.parallel_width)
-        edge(name, BACK, cost.energy_j, coeffs.get(f"cell:{name}", 0.0))
-        back_coef = coeffs.get(f"back:{name}", 0.0)
-        if back_coef > 0.0:
-            edge(FRONT, name, 0.0, back_coef)
+        compute_s = energy_lib.seconds(cost.cycles) if priced else 0.0
+        edge(name, BACK, cost.energy_j, compute_s)
+        back_s = cpu.compute_time(cell.op_counts) if cpu is not None else 0.0
+        if back_s > 0.0:
+            edge(FRONT, name, 0.0, back_s)
 
     for ref, port in topology.producer_ports():
         port_consumers = consumers_map.get(ref, [])
@@ -387,22 +273,17 @@ def build_st_graph_template(
             continue
         dnode = _data_node(ref)
         producer = FRONT if ref.cell == SOURCE_CELL else ref.cell
-        tx = link.tx_energy(port.n_values, port.bits_per_value)
-        edge(producer, dnode, tx, coeffs.get(f"tx:{ref.cell}.{ref.port}", 0.0))
+        n, bits = port.n_values, port.bits_per_value
+        transfer_s = link.transfer_delay(n, bits) if priced else 0.0
+        edge(producer, dnode, link.tx_energy(n, bits), transfer_s)
         for consumer in port_consumers:
             edge(dnode, consumer, INFINITY)
             if ref.cell != SOURCE_CELL:
-                rx = link.rx_energy(port.n_values, port.bits_per_value)
-                edge(
-                    consumer,
-                    ref.cell,
-                    rx,
-                    coeffs.get(f"rx:{ref.cell}.{ref.port}:{consumer}", 0.0),
-                )
+                edge(consumer, ref.cell, link.rx_energy(n, bits), transfer_s)
         if is_result:
             edge(dnode, BACK, INFINITY)
 
-    return STGraphTemplate(
+    return STGraph(
         network=net,
         cell_names=frozenset(topology.cells),
         base_capacities=base,

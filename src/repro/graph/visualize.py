@@ -59,11 +59,7 @@ def topology_to_dot(
 
 
 def st_graph_to_dot(graph: STGraph) -> str:
-    """DOT source for the s-t graph (Fig. 7 style), weights in nJ.
-
-    Must be called on a freshly built graph (before :meth:`STGraph.solve`
-    consumes its capacities).
-    """
+    """DOT source for the s-t graph (Fig. 7 style), energy weights in nJ."""
     lines: List[str] = [
         "digraph stgraph {",
         "  rankdir=LR;",

@@ -663,8 +663,7 @@ def sweep(
         shared: Extra keyword arguments passed to *every* point, shipped
             once per worker (``shared=`` of :func:`parallel_map`) instead
             of once per task.  Use it for heavyweight sweep-invariant
-            state — e.g. an
-            :class:`~repro.graph.stgraph.STGraphTemplate` or a
+            state — e.g. an :class:`~repro.graph.stgraph.STGraph` or a
             :class:`~repro.sim.evaluate.PartitionEvaluationCache` when the
             topology does not vary across the grid.  Names must not
             collide with grid keys.  Each worker operates on its own copy, so

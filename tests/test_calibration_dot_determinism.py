@@ -1,5 +1,7 @@
 """Tests: Platt calibration, DOT export, end-to-end determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,35 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError, TrainingError
 from repro.graph.stgraph import build_st_graph
 from repro.graph.visualize import st_graph_to_dot, topology_to_dot
+from repro.hw.energy import EnergyLibrary
+from repro.hw.wireless import WirelessLink
 from repro.ml.calibration import PlattScaler, brier_score
+
+from tests.test_stgraph_properties import _random_topology
+
+#: sha256 of ``st_graph_to_dot`` per graph, captured once; a change to the
+#: s-t construction or the exporter must leave them unchanged.
+DOT_DIGESTS = {
+    "C1/model2": "37a069205b4a7a666487a3662c7e582a463d8c31e7d72826235b24561cd1f8f1",
+    "random5x6/model3": "538de1ca1f6511ff34da38508ea824ba38c4c305a324688e3c9d8cb1a7b7b474",
+    "random17x12/model3": "9a46f8c619b8ea402f5faf4ef648452dd74182b951f2cb9a8dc5c013b933fa81",
+}
+
+
+def _dot_graphs(tiny_topology):
+    """The pinned graphs: the tiny C1 paper case and two random DAGs."""
+    lib = EnergyLibrary("90nm")
+    graphs = {"C1/model2": build_st_graph(tiny_topology, lib, WirelessLink("model2"))}
+    for seed, n_cells in ((5, 6), (17, 12)):
+        topology = _random_topology(np.random.default_rng(seed), n_cells)
+        graphs[f"random{seed}x{n_cells}/model3"] = build_st_graph(
+            topology, lib, WirelessLink("model3")
+        )
+    return graphs
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 class TestPlattScaler:
@@ -96,6 +126,19 @@ class TestDotExport:
         assert '"F"' in dot and '"B"' in dot
         assert "inf" in dot  # the grouped-data infinite edges
         assert dot.count("->") > len(tiny_topology)
+
+    def test_st_graph_dot_golden(self, tiny_topology):
+        digests = {
+            key: _sha(st_graph_to_dot(graph))
+            for key, graph in _dot_graphs(tiny_topology).items()
+        }
+        assert digests == DOT_DIGESTS
+
+    def test_st_graph_dot_unchanged_by_solve(self, tiny_topology):
+        for key, graph in _dot_graphs(tiny_topology).items():
+            before = st_graph_to_dot(graph)
+            graph.solve()
+            assert st_graph_to_dot(graph) == before, key
 
     def test_dot_is_balanced(self, tiny_topology):
         dot = topology_to_dot(tiny_topology)

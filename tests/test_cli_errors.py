@@ -56,3 +56,16 @@ class TestDomainErrors:
         code = main(["chaos", "--replay", str(bad)])
         assert code == 2
         assert _single_error_line(capsys.readouterr()).startswith("error:")
+
+    @pytest.mark.parametrize("text", [None, "{not json", '{"schema": "other"}'])
+    @pytest.mark.parametrize(
+        "argv", [["perf", "--fast", "--stage", "dwt"], ["chaos", "--smoke"]]
+    )
+    def test_unusable_baseline_returns_2(self, capsys, tmp_path, argv, text):
+        """The baseline is read before any timing or search runs."""
+        baseline = tmp_path / "baseline.json"
+        if text is not None:
+            baseline.write_text(text)
+        code = main([*argv, "--baseline", str(baseline)])
+        assert code == 2
+        assert _single_error_line(capsys.readouterr()).startswith("error:")

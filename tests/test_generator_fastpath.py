@@ -1,13 +1,13 @@
 """The generator fast path: warm-started re-solves and evaluation memo.
 
-The fast path must be *invisible* in results: a warm generator (shared
-s-t graph template, residual warm starts, partition-evaluation memo)
-returns exactly what the legacy cold-solve generator returns — on all six
-paper cases, with and without the paper delay limit, with and without a
-tight explicit limit that forces the full Lagrangian bisection, and
-lambda-by-lambda across a price ladder on paper and synthetic
-topologies.  On top of the equivalence, the template's solve counters
-must show the work actually shrank.
+The fast path must be *invisible* in results: a warm generator (one
+shared s-t graph, residual warm starts, partition-evaluation memo)
+returns exactly what the cold reference generator (a fresh graph per
+solve, no memo) returns — on all six paper cases, with and without the
+paper delay limit, with and without a tight explicit limit that forces
+the full Lagrangian bisection, and lambda-by-lambda across a price ladder
+on paper and synthetic topologies.  On top of the equivalence, the
+graph's solve counters must show the work actually shrank.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from repro.core.pipeline import TrainingConfig
 from repro.eval.context import ExperimentContext
 from repro.graph.cuts import aggregator_cut, sensor_cut
 from repro.graph.maxflow import FlowNetwork
-from repro.graph.stgraph import build_st_graph, build_st_graph_template
+from repro.graph.stgraph import build_st_graph
 from repro.hw.aggregator import AggregatorCPU
 from repro.hw.energy import EnergyLibrary
 from repro.hw.wireless import WirelessLink
@@ -48,7 +48,7 @@ def _hardware(paper_context, case, wireless):
 
 
 def _generators(topology, lib, link):
-    """(legacy cold generator, warm fast-path generator) for one context."""
+    """(cold reference generator, warm fast-path generator) for one context."""
     cold = AutomaticXProGenerator(
         topology, lib, link, CPU, warm_start=False, cache_size=0
     )
@@ -111,16 +111,11 @@ def _lambda_ladder(gen):
 
 def _assert_ladder_matches(topology, lib, link):
     gen = AutomaticXProGenerator(topology, lib, link, CPU)
-    template = build_st_graph_template(
-        topology, lib, link, gen._delay_weights(1.0)
-    )
+    template = build_st_graph(topology, lib, link, CPU)
     for lam in _lambda_ladder(gen):
-        warm_cut, _ = template.solve_lagrangian(lam)
-        cold_cut, _ = template.solve_lagrangian(lam, warm=False)
-        legacy_cut, _ = build_st_graph(
-            topology, lib, link, gen._delay_weights(lam)
-        ).solve()
-        assert warm_cut == cold_cut == legacy_cut, f"cut mismatch at lambda={lam}"
+        warm_cut, _ = template.solve(lam)
+        cold_cut, _ = template.solve(lam, warm=False)
+        assert warm_cut == cold_cut, f"cut mismatch at lambda={lam}"
     assert template.stats.warm_solves > 0
     assert template.stats.cold_solves > 0
 
@@ -157,10 +152,10 @@ def _ladder_work(monkeypatch, topology, lib, link):
 
     monkeypatch.setattr(FlowNetwork, "max_flow", recording)
     gen = AutomaticXProGenerator(topology, lib, link, CPU)
-    template = build_st_graph_template(topology, lib, link, gen._delay_weights(1.0))
+    template = build_st_graph(topology, lib, link, CPU)
     for lam in _lambda_ladder(gen):
-        template.solve_lagrangian(lam)
-        template.solve_lagrangian(lam, warm=False)
+        template.solve(lam)
+        template.solve(lam, warm=False)
     stats = template.stats
     return solves, (
         stats.cold_solves,
@@ -209,9 +204,9 @@ def test_template_counters_show_warm_work_shrank(paper_context):
     # Re-solving an already-solved price pushes no new flow at all.
     template = gen.template
     lam = gen._initial_lambda()
-    template.solve_lagrangian(lam)
+    template.solve(lam)
     before = template.stats.warm_augmenting_paths
-    template.solve_lagrangian(lam)
+    template.solve(lam)
     assert template.stats.warm_augmenting_paths == before
     # And the repeated generate() call stays fully warm.
     cold_before = template.stats.cold_solves

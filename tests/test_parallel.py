@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.core.generator import AutomaticXProGenerator
 from repro.errors import ConfigurationError, SimulationError
 from repro.graph.cuts import sensor_cut
-from repro.graph.stgraph import build_st_graph_template
+from repro.graph.stgraph import build_st_graph
 from repro.hw.arq import ARQConfig
 from repro.hw.wireless import WirelessLink
 from repro.sim import parallel as par
@@ -111,7 +111,7 @@ def _priced_cut(template, lam):
     generator consumes only the cut (metrics are recomputed from it), so
     the cut is the decision-relevant, bit-stable output.
     """
-    in_sensor, _total = template.solve_lagrangian(lam)
+    in_sensor, _total = template.solve(lam)
     return sorted(in_sensor)
 
 
@@ -696,7 +696,7 @@ class TestSweepShared:
         cpu = request.getfixturevalue("cpu_model")
         link = WirelessLink("model3")
         gen = AutomaticXProGenerator(topo, lib, link, cpu)
-        template = build_st_graph_template(topo, lib, link, gen._delay_weights(1.0))
+        template = build_st_graph(topo, lib, link, cpu)
         return template, gen._initial_lambda()
 
     def test_shared_template_serial_matches_process(self, priced_template):

@@ -9,6 +9,7 @@ import pytest
 from repro.cli import main
 from repro.errors import ConfigurationError, PerfRegressionError
 from repro.eval import perf
+from repro.eval.chaos import load_chaos_summary
 from repro.eval.perf import (
     SCHEMA,
     TRACKED_METRICS,
@@ -18,6 +19,7 @@ from repro.eval.perf import (
     compare_reports,
     load_perf_report,
 )
+from repro.eval.supervision import load_supervision_summary
 
 #: The committed full baseline (every stage tracked).
 BASELINE = Path(__file__).resolve().parents[1] / "benchmarks" / "results" / "BENCH_perf.json"
@@ -139,6 +141,31 @@ class TestLoadReport:
         path.write_text(json.dumps({**_report(_all(4.0)), "schema": "other/2"}))
         with pytest.raises(ConfigurationError, match="other/2"):
             load_perf_report(path)
+
+
+@pytest.mark.parametrize(
+    "load", [load_perf_report, load_chaos_summary, load_supervision_summary]
+)
+class TestUnusableReportFiles:
+    """Every report loader turns a bad file into one ConfigurationError."""
+
+    def test_missing_file(self, load, tmp_path):
+        with pytest.raises(ConfigurationError, match="cannot read"):
+            load(tmp_path / "absent.json")
+
+    @pytest.mark.parametrize("text", ["{not json", "", "\udcff"])
+    def test_invalid_json(self, load, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        with pytest.raises(ConfigurationError, match="not valid JSON"):
+            load(path)
+
+    @pytest.mark.parametrize("document", [{"schema": "other/2"}, {}, [1, 2], "text"])
+    def test_wrong_schema(self, load, tmp_path, document):
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(ConfigurationError, match="unknown .* schema"):
+            load(path)
 
 
 class TestStageTable:

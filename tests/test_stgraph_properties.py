@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from repro.cells.cell import SOURCE_CELL, FunctionalCell, OutputPort, PortRef
 from repro.cells.topology import CellTopology
-from repro.graph.cuts import enumerate_partitions
+from repro.core.generator import AutomaticXProGenerator
+from repro.graph.cuts import aggregator_cut, enumerate_partitions, sensor_cut
 from repro.graph.stgraph import build_st_graph
 from repro.hw.aggregator import AggregatorCPU
 from repro.hw.energy import ALUMode, EnergyLibrary
@@ -119,3 +120,40 @@ def test_capacity_matches_evaluator_for_the_solved_cut(seed, n_cells):
     in_sensor, capacity = build_st_graph(topo, LIB, link).solve()
     metrics = evaluate_partition(topo, in_sensor, LIB, link, CPU)
     assert metrics.sensor_total_j == pytest.approx(capacity, rel=1e-9)
+
+
+@given(
+    st.integers(0, 10_000),
+    st.integers(2, 8),
+    st.sampled_from(["model1", "model2", "model3"]),
+    st.floats(0.0, 1.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_delay_constrained_generator_against_exhaustive(seed, n_cells, model, frac):
+    """Ground truth for Section 3.2.3: the Lagrangian generator's result is
+    feasible and never beats the exhaustive constrained optimum, and it is
+    that optimum whenever the unconstrained min cut already fits.
+
+    The limit is drawn between the best single-end delay and 1.5x the
+    unconstrained min-cut delay.  Below the min-cut delay the Lagrangian
+    search may stop above the optimum (a duality gap); no bound on that
+    gap is asserted.
+    """
+    topo = _random_topology(np.random.default_rng(seed), n_cells)
+    gen = AutomaticXProGenerator(topo, LIB, WirelessLink(model), CPU)
+    unconstrained = gen.evaluate(gen.min_cut_partition().in_sensor)
+    single_end = min(
+        gen.evaluate(sensor_cut(topo)).delay_total_s,
+        gen.evaluate(aggregator_cut(topo)).delay_total_s,
+    )
+    lo, hi = sorted((single_end, 1.5 * unconstrained.delay_total_s))
+    limit = lo + frac * (hi - lo)
+
+    result = gen.generate(delay_limit_s=limit).metrics
+    optimum = gen.generate_exhaustive(delay_limit_s=limit).metrics
+    assert result.delay_total_s <= limit * (1 + 1e-9)
+    assert result.sensor_total_j >= optimum.sensor_total_j
+    if unconstrained.delay_total_s <= limit:
+        assert result.sensor_total_j == pytest.approx(
+            optimum.sensor_total_j, rel=1e-12
+        )
