@@ -21,6 +21,7 @@ from repro.dsp.features import (
     maximum,
     mean,
     minimum,
+    multiband_feature_matrix,
     skewness,
     standard_deviation,
     variance,
@@ -56,6 +57,7 @@ __all__ = [
     "maximum",
     "mean",
     "minimum",
+    "multiband_feature_matrix",
     "skewness",
     "standard_deviation",
     "variance",

@@ -22,7 +22,7 @@ from typing import List
 import numpy as np
 
 from repro.core.layout import FeatureLayout
-from repro.dsp.features import batch_feature_matrix
+from repro.dsp.features import multiband_feature_matrix
 from repro.dsp.wavelet import dwt_multilevel_batch
 from repro.errors import ConfigurationError
 
@@ -33,7 +33,7 @@ def batch_haar_level(batch: np.ndarray) -> tuple:
     """One Haar DWT level over a (rows, n) batch -> (approx, detail)."""
     if batch.ndim != 2 or batch.shape[1] % 2:
         raise ConfigurationError("batch must be 2-D with even row length")
-    pairs = batch.reshape(batch.shape[0], -1, 2)
+    pairs = batch.reshape(batch.shape[0], batch.shape[1] // 2, 2)
     approx = (pairs[:, :, 0] + pairs[:, :, 1]) / _SQRT2
     # Sign convention matches the reference convolution path of
     # repro.dsp.wavelet: detail[k] = (x[2k] - x[2k+1]) / sqrt(2).
@@ -94,6 +94,4 @@ def batch_extract_matrix(
     else:
         bands = dwt_multilevel_batch(aligned, layout.dwt_levels, layout.wavelet)
 
-    parts = [batch_feature_matrix(X, layout.feature_names)]
-    parts.extend(batch_feature_matrix(band, layout.feature_names) for band in bands)
-    return np.concatenate(parts, axis=1)
+    return multiband_feature_matrix([X, *bands], layout.feature_names)

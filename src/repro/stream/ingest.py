@@ -7,9 +7,10 @@ it decodes frame batches with the vectorised batch codec
 (:func:`~repro.hw.framing.decode_frames`), enforces per-stream sequence
 discipline in the modular space of :data:`~repro.hw.framing.SEQ_MODULUS`
 (duplicates discarded, gaps counted with their implied missing frames),
-deserialises accepted payloads, and feeds them to
-:meth:`~repro.stream.engine.StreamPool.extend` — where the pool's own
-non-finite rejection and backpressure accounting take over.
+deserialises the accepted payloads of a batch in one call, and feeds
+them to :meth:`~repro.stream.engine.StreamPool.extend_streams` in one
+ragged scatter — where the pool's own non-finite rejection and
+backpressure accounting take over.
 
 Integrity columns are struct-of-arrays like the pool itself: one int64
 column per counter across all streams, aggregated to per-tenant
@@ -19,12 +20,12 @@ multi-subscriber gateway bookkeeping the fog-assisted wIoT shape needs.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.dsp.fixedpoint import FixedPointFormat, Q16_16
-from repro.errors import ConfigurationError, IntegrityError
+from repro.errors import ConfigurationError
 from repro.hw.framing import (
     SEQ_MODULUS,
     FramingConfig,
@@ -61,9 +62,15 @@ class FrameIngestor:
         self.pool = pool
         self.config = config if config is not None else FramingConfig()
         self.fmt = fmt
+        if fmt.total_bits % 8:
+            raise ConfigurationError(
+                f"payloads need a byte-aligned format, got {fmt.total_bits} bits"
+            )
+        self._word = fmt.total_bits // 8
         n = pool.n_streams
-        self._expected = np.zeros(n, dtype=np.int64)
-        self._synced = np.zeros(n, dtype=bool)
+        #: Next sequence number per stream; ``None`` until the first
+        #: verified frame synchronises it.
+        self._expected: List[Optional[int]] = [None] * n
         self.frames_ok = np.zeros(n, dtype=np.int64)
         self.frames_corrupt = np.zeros(n, dtype=np.int64)
         self.frames_duplicate = np.zeros(n, dtype=np.int64)
@@ -83,7 +90,10 @@ class FrameIngestor:
         ``stream_ids[i]`` owns ``frames[i]``; frames are processed in
         batch order, which is arrival order per stream.  Decoding and CRC
         verification run once for the whole batch through the vectorised
-        codec; sequencing is per stream.
+        codec; sequencing and the payload word check run per frame; the
+        accepted payloads are then deserialised with one
+        :func:`~repro.hw.framing.decode_values` call and written with one
+        :meth:`~repro.stream.engine.StreamPool.extend_streams` scatter.
         """
         sids = np.asarray(stream_ids, dtype=np.int64)
         batch = decode_frames(frames, self.config, lengths)
@@ -98,16 +108,19 @@ class FrameIngestor:
             raise ConfigurationError(
                 f"stream ids must lie in [0, {self.pool.n_streams})"
             )
-        accepted = 0
         half = SEQ_MODULUS // 2
-        for i in range(len(batch)):
-            s = int(sids[i])
-            if not batch.ok[i]:
+        word = self._word
+        expected = self._expected
+        streams, lasts, sizes, payloads = [], [], [], []
+        for s, ok, seq, last, payload in zip(
+            sids.tolist(), batch.ok.tolist(), batch.seq.tolist(),
+            batch.last.tolist(), batch.payloads,
+        ):
+            if not ok:
                 self.frames_corrupt[s] += 1
                 continue
-            seq = int(batch.seq[i])
-            if self._synced[s]:
-                delta = (seq - int(self._expected[s])) % SEQ_MODULUS
+            if expected[s] is not None:
+                delta = (seq - expected[s]) % SEQ_MODULUS
                 if delta == 0:
                     pass
                 elif delta < half:
@@ -116,24 +129,25 @@ class FrameIngestor:
                 else:
                     self.frames_duplicate[s] += 1
                     continue
-            payload = batch.payloads[i]
-            assert payload is not None
-            try:
-                values = decode_values(payload, self.fmt)
-            except IntegrityError:
+            if len(payload) % word:
                 # Structurally valid frame, but the payload is not whole
                 # fixed-point words — corrupt at the payload layer.
                 self.frames_corrupt[s] += 1
                 continue
-            self._expected[s] = (seq + 1) % SEQ_MODULUS
-            self._synced[s] = True
-            self.frames_ok[s] += 1
-            if bool(batch.last[i]):
-                self.payloads_ok[s] += 1
-            got = self.pool.extend(s, values)
-            self.samples_in[s] += got
-            accepted += got
-        return accepted
+            expected[s] = (seq + 1) % SEQ_MODULUS
+            streams.append(s)
+            if last:
+                lasts.append(s)
+            sizes.append(len(payload) // word)
+            payloads.append(payload)
+        if not streams:
+            return 0
+        np.add.at(self.frames_ok, streams, 1)
+        np.add.at(self.payloads_ok, lasts, 1)
+        values = decode_values(b"".join(payloads), self.fmt)
+        got = self.pool.extend_streams(streams, sizes, values)
+        self.samples_in += got
+        return int(got.sum())
 
     def stream_counters(self, stream: int) -> IntegrityCounters:
         """One stream's integrity bookkeeping as scalar counters."""

@@ -6,7 +6,8 @@ Arbitrary byte matrices, lengths and stream ids go into
 after every accepted push the books balance: each frame of the batch is
 counted exactly once as ok, corrupt or duplicate, and the pool took
 exactly the samples of the frames counted ok.  A scalar model built on
-``decode_frame`` re-derives every counter independently.
+``decode_frame`` and ``decode_values_scalar`` re-derives every counter
+and the pool's ring contents independently, one sample at a time.
 
 Most uniformly random bytes never pass a 16-bit CRC, so the batches mix
 valid frames (random payload widths, sequence numbers near each stream's
@@ -25,6 +26,7 @@ from repro.hw.framing import (
     FramingConfig,
     decode_frame,
     decode_frames,
+    decode_values_scalar,
     encode_frames,
     pack_byte_rows,
 )
@@ -33,6 +35,7 @@ from repro.stream import FrameIngestor, MomentsBackend, StreamPool, StreamSpec
 ALLOWED = (IntegrityError, DataValidationError, ConfigurationError)
 CONFIGS = (FramingConfig(), FramingConfig(crc=False), FramingConfig(max_payload_bytes=9))
 N_STREAMS = 3
+CAPACITY = 16
 WORD = 4  # Q16.16 bytes per sample
 
 COUNTERS = ("frames_ok", "frames_corrupt", "frames_duplicate",
@@ -97,6 +100,7 @@ class _ScalarModel:
     def __init__(self) -> None:
         self.counts = {name: np.zeros(N_STREAMS, dtype=np.int64) for name in COUNTERS}
         self.samples = np.zeros(N_STREAMS, dtype=np.int64)
+        self.ring = np.zeros((N_STREAMS, CAPACITY))
         self.expected = [None] * N_STREAMS
 
     def push(self, sids, rows, config) -> None:
@@ -119,11 +123,14 @@ class _ScalarModel:
                 continue
             self.expected[s] = (frame.seq + 1) % SEQ_MODULUS
             self.counts["frames_ok"][s] += 1
-            self.samples[s] += len(frame.payload) // WORD
+            # No tick runs, so skip_stale takes every (finite) sample.
+            for value in decode_values_scalar(frame.payload):
+                self.ring[s, self.samples[s] % CAPACITY] = value
+                self.samples[s] += 1
 
 
 def _ingestor(config):
-    spec = StreamSpec.homogeneous(N_STREAMS, window=8, hop=4, capacity=16)
+    spec = StreamSpec.homogeneous(N_STREAMS, window=8, hop=4, capacity=CAPACITY)
     return FrameIngestor(StreamPool(spec, MomentsBackend()), config)
 
 
@@ -141,12 +148,14 @@ def test_push_frames_balances_its_books(batches):
         model = models.setdefault(config, _ScalarModel())
         before_total = _totals(ingestor)
         before_samples = ingestor.pool.accepted_samples.copy()
+        before_ring = ingestor.pool._ring.copy()
         try:
             accepted = ingestor.push_frames(sids, matrix, lengths)
         except ALLOWED:
             # A rejected call changes nothing.
             assert _totals(ingestor) == before_total
             assert np.array_equal(ingestor.pool.accepted_samples, before_samples)
+            assert np.array_equal(ingestor.pool._ring, before_ring)
             continue
         rows = [matrix[i, : lengths[i]].tobytes() for i in range(len(matrix))]
         model.push(sids.tolist(), rows, config)
@@ -154,6 +163,7 @@ def test_push_frames_balances_its_books(batches):
         grown = ingestor.pool.accepted_samples - before_samples
         assert accepted == int(grown.sum())
         assert np.array_equal(ingestor.pool.accepted_samples, model.samples)
+        assert ingestor.pool._ring.tobytes() == model.ring.tobytes()
         for name in COUNTERS:
             assert np.array_equal(getattr(ingestor, name), model.counts[name]), name
 
