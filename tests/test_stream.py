@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dsp.fixedpoint import FixedPointFormat
 from repro.errors import ConfigurationError
 from repro.hw.framing import FramingConfig, encode_frames, encode_values
 from repro.stream import (
@@ -350,6 +351,11 @@ class TestFrameIngestor:
         ingestor.push_frames([0], good, glen)
         assert ingestor.stream_counters(0).frames_ok == 1
         assert ingestor.stream_counters(0).sequence_gaps == 0
+
+    def test_format_must_be_byte_aligned(self):
+        pool, _, config = self._setup()
+        with pytest.raises(ConfigurationError, match="byte-aligned"):
+            FrameIngestor(pool, config, FixedPointFormat(4, 8))
 
     def test_stream_id_validation(self):
         pool, ingestor, config = self._setup()
