@@ -12,7 +12,7 @@ Usage (after ``pip install -e .``)::
     python -m repro chaos --replay bundles/chaos-<id>.json
     python -m repro chaos --checkpoint chaos.ckpt.json --resume
     python -m repro supervision --events 800 --json BENCH_supervision.json
-    python -m repro perf --fast --baseline benchmarks/results/BENCH_perf.json
+    python -m repro perf --fast --stage generator --json BENCH_perf.json
 
 The figure/headline commands accept ``--segments`` / ``--draws`` to trade
 harness scale for runtime (the full-scale defaults match the benchmark
@@ -147,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     perf = sub.add_parser(
         "perf",
-        help="benchmark scalar vs vectorized hot paths, optionally gate vs a baseline",
+        help="benchmark scalar vs vectorized hot paths against each stage's floor",
     )
     perf.add_argument(
         "--repeats", type=int, default=3,
@@ -164,14 +164,6 @@ def _build_parser() -> argparse.ArgumentParser:
     perf.add_argument(
         "--json", metavar="FILE", default=None,
         help="write the machine-readable report (BENCH_perf.json schema)",
-    )
-    perf.add_argument(
-        "--baseline", metavar="FILE", default=None,
-        help="run the regression gate against this committed baseline",
-    )
-    perf.add_argument(
-        "--threshold", type=float, default=None,
-        help="allowed fractional regression for the gate (default: 0.25)",
     )
 
     chaos = sub.add_parser(
@@ -597,17 +589,12 @@ def _cmd_supervision(args: argparse.Namespace) -> str:
 
 def _cmd_perf(args: argparse.Namespace) -> str:
     from repro.eval.perf import (
-        DEFAULT_THRESHOLD,
-        check_equivalence,
-        check_regression,
+        check_report,
         collect_perf_report,
-        load_perf_report,
         perf_rows,
         write_perf_report,
     )
 
-    # Read the baseline first: a bad path fails before minutes of timing.
-    baseline = load_perf_report(args.baseline) if args.baseline else None
     report = collect_perf_report(
         fast=args.fast,
         repeats=args.repeats,
@@ -623,11 +610,7 @@ def _cmd_perf(args: argparse.Namespace) -> str:
     if args.json:
         target = write_perf_report(report, args.json)
         lines.append(f"perf report written to {target}")
-    check_equivalence(report)
-    if baseline is not None:
-        threshold = args.threshold if args.threshold is not None else DEFAULT_THRESHOLD
-        check_regression(report, baseline, threshold, args.stage)
-        lines.append(f"regression gate OK vs {args.baseline}")
+    check_report(report)
     return "\n".join(lines)
 
 

@@ -12,7 +12,7 @@
   degradation) and the wire-integrity comparison (no-CRC vs CRC-16 vs
   CRC + sequence-aware retransmission over real framed payloads).
 - :mod:`repro.eval.perf` -- scalar-vs-vectorized performance benchmarks
-  and the BENCH_perf.json regression gate.
+  and their per-stage speed-up floors.
 - :mod:`repro.eval.chaos` -- the adversarial chaos stage: fixed-mix
   baselines, worst-case search, replay-bundle emission and the nightly
   BENCH_chaos regression gate.
@@ -40,9 +40,8 @@ from repro.eval.motivation import motivation_rows
 from repro.eval.pareto import ParetoPoint, pareto_frontier
 from repro.eval.perf import (
     PerfCase,
-    check_regression,
+    check_report,
     collect_perf_report,
-    compare_reports,
     load_perf_report,
     perf_rows,
     write_perf_report,
@@ -91,7 +90,7 @@ __all__ = [
     "chaos_rows",
     "chaos_run_config",
     "check_chaos_regression",
-    "check_regression",
+    "check_report",
     "check_supervision_gate",
     "codesign_rows",
     "compare_chaos_summaries",
@@ -99,7 +98,6 @@ __all__ = [
     "load_chaos_summary",
     "write_chaos_summary",
     "collect_perf_report",
-    "compare_reports",
     "default_campaign",
     "load_perf_report",
     "perf_rows",

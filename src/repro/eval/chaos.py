@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro.errors import ChaosRegressionError, ConfigurationError
-from repro.eval.context import ExperimentContext
+from repro.eval.context import ExperimentContext, case_period_s
 from repro.eval.jsonio import read_json_document, write_json_document
 from repro.graph.cuts import sensor_cut
 from repro.hw.framing import FramingConfig
@@ -49,8 +49,6 @@ from repro.sim.chaos import (
 from repro.sim.checkpoint import Checkpointer
 from repro.sim.evaluate import evaluate_partition
 from repro.sim.faults import IntegrityConfig
-from repro.sim.lifetime import MODALITY_SAMPLE_RATES, event_period_s
-from repro.signals.datasets import TABLE1_CASES
 
 #: Schema marker of the chaos summary document (and committed baseline).
 SUMMARY_SCHEMA = "xpro-chaos-summary-v1"
@@ -94,15 +92,10 @@ def chaos_run_config(
     )
     primary = evaluate_partition(topology, in_sensor, lib, link, cpu)
     fallback = evaluate_partition(topology, sensor_cut(topology), lib, link, cpu)
-
-    spec = TABLE1_CASES[symbol]
-    period = event_period_s(
-        spec.segment_length, MODALITY_SAMPLE_RATES[spec.modality]
-    )
     return ChaosRunConfig(
         metrics=primary,
         fallback_metrics=fallback,
-        period_s=period,
+        period_s=case_period_s(symbol),
         sim_seed=sim_seed,
         integrity=integrity,
     )

@@ -25,7 +25,8 @@ from repro.hw.aggregator import AggregatorCPU
 from repro.hw.energy import EnergyLibrary
 from repro.hw.wireless import WirelessLink
 from repro.sim.evaluate import PartitionMetrics, evaluate_partition
-from repro.signals.datasets import CASE_ORDER, load_case
+from repro.sim.lifetime import MODALITY_SAMPLE_RATES, event_period_s
+from repro.signals.datasets import CASE_ORDER, TABLE1_CASES, load_case
 
 #: Default dataset subsample used by the evaluation harness.  Large enough
 #: for the classifiers to develop realistic support-vector counts (which
@@ -36,6 +37,12 @@ DEFAULT_EVAL_SEGMENTS: Optional[int] = 360
 
 #: The four cut strategies of Figure 12 (and the three engines of Figs 8-11).
 STRATEGIES = ("aggregator", "sensor", "trivial", "cross")
+
+
+def case_period_s(symbol: str) -> float:
+    """Event period of one Table-1 case: a segment at its modality's rate."""
+    spec = TABLE1_CASES[symbol]
+    return event_period_s(spec.segment_length, MODALITY_SAMPLE_RATES[spec.modality])
 
 
 @dataclass

@@ -25,28 +25,16 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.cells.library import characterize_all_modules
-from repro.eval.context import STRATEGIES, ExperimentContext
-from repro.sim.lifetime import (
-    MODALITY_SAMPLE_RATES,
-    battery_lifetime_hours,
-    event_period_s,
-)
-from repro.signals.datasets import TABLE1_CASES, table1
+from repro.eval.context import STRATEGIES, ExperimentContext, case_period_s
+from repro.sim.lifetime import battery_lifetime_hours
+from repro.signals.datasets import table1
 
 #: Engine label shorthand used in the paper's bar charts.
 ENGINE_LABELS = {"aggregator": "A", "sensor": "S", "cross": "C", "trivial": "T"}
 
 
-def _case_period_s(symbol: str, context: ExperimentContext) -> float:
-    spec = TABLE1_CASES[symbol]
-    rate = MODALITY_SAMPLE_RATES[spec.modality]
-    return event_period_s(spec.segment_length, rate)
-
-
-def _lifetime_hours(metrics, symbol: str, context: ExperimentContext) -> float:
-    return battery_lifetime_hours(
-        metrics.sensor_total_j, _case_period_s(symbol, context)
-    )
+def _lifetime_hours(metrics, symbol: str) -> float:
+    return battery_lifetime_hours(metrics.sensor_total_j, case_period_s(symbol))
 
 
 def table1_rows() -> List[Dict[str, object]]:
@@ -82,7 +70,7 @@ def fig8_rows(
         for symbol in context.all_cases():
             metrics = context.strategy_metrics(symbol, node, wireless)
             lifetimes = {
-                eng: _lifetime_hours(metrics[eng], symbol, context)
+                eng: _lifetime_hours(metrics[eng], symbol)
                 for eng in ("aggregator", "sensor", "cross")
             }
             base = lifetimes["aggregator"]
@@ -107,13 +95,13 @@ def fig9_rows(
     baselines: Dict[str, float] = {}
     for symbol in context.all_cases():
         metrics = context.strategy_metrics(symbol, node, models[0])
-        baselines[symbol] = _lifetime_hours(metrics["aggregator"], symbol, context)
+        baselines[symbol] = _lifetime_hours(metrics["aggregator"], symbol)
     for model in models:
         for symbol in context.all_cases():
             metrics = context.strategy_metrics(symbol, node, model)
             row: Dict[str, object] = {"wireless": model, "case": symbol}
             for eng in ("aggregator", "sensor", "cross"):
-                hours = _lifetime_hours(metrics[eng], symbol, context)
+                hours = _lifetime_hours(metrics[eng], symbol)
                 row[f"{eng}_hours"] = hours
                 row[f"{eng}_norm"] = hours / baselines[symbol]
             rows.append(row)
@@ -172,9 +160,7 @@ def fig12_rows(
         metrics = context.strategy_metrics(symbol, node, wireless)
         row: Dict[str, object] = {"case": symbol}
         for strategy in STRATEGIES:
-            row[f"{strategy}_hours"] = _lifetime_hours(
-                metrics[strategy], symbol, context
-            )
+            row[f"{strategy}_hours"] = _lifetime_hours(metrics[strategy], symbol)
         rows.append(row)
     return rows
 
@@ -221,12 +207,12 @@ def headline_summary(
     for node in nodes:
         for symbol in context.all_cases():
             metrics = context.strategy_metrics(symbol, node, wireless)
-            cross = _lifetime_hours(metrics["cross"], symbol, context)
+            cross = _lifetime_hours(metrics["cross"], symbol)
             life_ratio_a.append(
-                cross / _lifetime_hours(metrics["aggregator"], symbol, context)
+                cross / _lifetime_hours(metrics["aggregator"], symbol)
             )
             life_ratio_s.append(
-                cross / _lifetime_hours(metrics["sensor"], symbol, context)
+                cross / _lifetime_hours(metrics["sensor"], symbol)
             )
 
     delay_red_a: List[float] = []

@@ -46,7 +46,7 @@ from typing import Dict, List, Optional
 
 from repro.core.degrade import GracefulDegradationPolicy, LastKnownGoodCache
 from repro.errors import ConfigurationError, SimulationError
-from repro.eval.context import ExperimentContext
+from repro.eval.context import ExperimentContext, case_period_s
 from repro.graph.cuts import sensor_cut
 from repro.hw.arq import ARQConfig
 from repro.hw.framing import FramingConfig
@@ -63,9 +63,7 @@ from repro.sim.faults import (
     SensorBrownout,
 )
 from repro.sim.channel import GilbertElliottParams
-from repro.sim.lifetime import MODALITY_SAMPLE_RATES, event_period_s
 from repro.sim.simulator import CrossEndSimulator
-from repro.signals.datasets import TABLE1_CASES
 
 #: Default bounded-retry policy used by the resilience harness.
 DEFAULT_ARQ = ARQConfig(max_retries=3, timeout_s=2e-3, backoff_factor=2.0)
@@ -159,12 +157,7 @@ def resilience_reports(
     generator = context.generator(symbol, node, wireless)
     primary = generator.generate().metrics
     fallback = evaluate_partition(topology, sensor_cut(topology), lib, link, cpu)
-
-    spec = TABLE1_CASES[symbol]
-    period = event_period_s(
-        spec.segment_length, MODALITY_SAMPLE_RATES[spec.modality]
-    )
-    simulator = CrossEndSimulator(primary, period_s=period, seed=seed)
+    simulator = CrossEndSimulator(primary, period_s=case_period_s(symbol), seed=seed)
     campaign = default_campaign(n_events, seed=seed)
 
     reports: Dict[str, Optional[ResilienceReport]] = {}
@@ -269,10 +262,7 @@ def integrity_reports(
     cpu = context.cpu
     in_sensor = context.generator(symbol, node, wireless).generate().partition.in_sensor
 
-    spec = TABLE1_CASES[symbol]
-    period = event_period_s(
-        spec.segment_length, MODALITY_SAMPLE_RATES[spec.modality]
-    )
+    period = case_period_s(symbol)
 
     reports: Dict[str, ResilienceReport] = {}
     for label in INTEGRITY_SCENARIOS:

@@ -32,7 +32,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.core.degrade import GracefulDegradationPolicy, LastKnownGoodCache
 from repro.errors import ConfigurationError, SupervisionGateError
-from repro.eval.context import ExperimentContext
+from repro.eval.context import ExperimentContext, case_period_s
 from repro.eval.jsonio import read_json_document, write_json_document
 from repro.eval.resilience import DEFAULT_ARQ
 from repro.graph.cuts import sensor_cut
@@ -43,7 +43,6 @@ from repro.sim.chaos import report_digest
 from repro.sim.checkpoint import Checkpointer
 from repro.sim.evaluate import evaluate_partition
 from repro.sim.faults import BurstLoss, FaultCampaign, LinkOutage
-from repro.sim.lifetime import MODALITY_SAMPLE_RATES, event_period_s
 from repro.sim.parallel import derive_seeds
 from repro.sim.simulator import CrossEndSimulator
 from repro.sim.supervise import (
@@ -54,7 +53,6 @@ from repro.sim.supervise import (
     QUARANTINED,
     wasted_radio_j,
 )
-from repro.signals.datasets import TABLE1_CASES
 
 #: Schema marker of the supervision summary document.
 SUMMARY_SCHEMA = "xpro-supervision-summary-v1"
@@ -345,10 +343,7 @@ def supervision_eval(
     primary = context.generator(symbol, node, wireless).generate().metrics
     fallback = evaluate_partition(topology, sensor_cut(topology), lib, link, cpu)
 
-    spec = TABLE1_CASES[symbol]
-    period = event_period_s(
-        spec.segment_length, MODALITY_SAMPLE_RATES[spec.modality]
-    )
+    period = case_period_s(symbol)
     simulator = CrossEndSimulator(primary, period_s=period, seed=seed)
     campaign = flapping_campaign(n_events, seed=seed)
 

@@ -58,11 +58,9 @@ class TestDomainErrors:
         assert _single_error_line(capsys.readouterr()).startswith("error:")
 
     @pytest.mark.parametrize("text", [None, "{not json", '{"schema": "other"}'])
-    @pytest.mark.parametrize(
-        "argv", [["perf", "--fast", "--stage", "dwt"], ["chaos", "--smoke"]]
-    )
+    @pytest.mark.parametrize("argv", [["chaos", "--smoke"]])
     def test_unusable_baseline_returns_2(self, capsys, tmp_path, argv, text):
-        """The baseline is read before any timing or search runs."""
+        """The baseline is read before any search runs."""
         baseline = tmp_path / "baseline.json"
         if text is not None:
             baseline.write_text(text)

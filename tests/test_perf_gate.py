@@ -1,9 +1,8 @@
-"""The perf regression gate on hand-made report dicts (no timing runs)."""
+"""The perf gate and report layout on hand-made reports and instant stages
+(no real timing runs)."""
 
 import json
-from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.cli import main
@@ -12,135 +11,85 @@ from repro.eval import perf
 from repro.eval.chaos import load_chaos_summary
 from repro.eval.perf import (
     SCHEMA,
-    TRACKED_METRICS,
     Stage,
     Work,
-    check_regression,
-    compare_reports,
+    check_report,
+    collect_perf_report,
     load_perf_report,
+    write_perf_report,
 )
 from repro.eval.supervision import load_supervision_summary
 
-#: The committed full baseline (every stage tracked).
-BASELINE = Path(__file__).resolve().parents[1] / "benchmarks" / "results" / "BENCH_perf.json"
+
+def _case(speedup, floor=4.0, equivalent=True):
+    return {"speedup": speedup, "floor": floor, "equivalent": equivalent}
 
 
-def _report(values, equivalent=True):
-    """A report tracking ``values`` (metric -> ratio), gate = value."""
-    return {
-        "schema": SCHEMA,
-        "cases": {
-            name.split(".")[0]: {"equivalent": equivalent} for name in values
-        },
-        "metrics": dict(values),
-        "tracked": list(values),
-        "gate": dict(values),
-    }
+def _report(**cases):
+    return {"schema": SCHEMA, "cases": cases}
 
 
-def _all(value):
-    return {name: value for name in TRACKED_METRICS}
+def _agreeing(fast):
+    return Work(4, lambda: sum(range(1000)), lambda: sum(range(1000)), lambda r, o: r == o)
 
 
-class TestCompareReports:
-    def test_threshold_validated(self):
-        for threshold in (0.0, 1.0, -0.1, 1.5):
-            with pytest.raises(ConfigurationError):
-                compare_reports(_report(_all(4.0)), _report(_all(4.0)), threshold)
+class TestCheckReport:
+    def test_at_or_above_the_floor_passes(self):
+        check_report(_report(dwt=_case(4.0), wire=_case(50.0)))
 
-    def test_floor_is_gate_times_one_minus_threshold(self):
-        baseline = _report(_all(4.0))
-        baseline["metrics"] = _all(100.0)  # the gate value wins over metrics
-        assert compare_reports(_report(_all(3.01)), baseline, 0.25) == []
-        failures = compare_reports(_report(_all(2.99)), baseline, 0.25)
-        assert len(failures) == len(TRACKED_METRICS)
-        assert all("2.99 < 3.00" in line for line in failures)
-        assert compare_reports(_report(_all(2.99)), baseline, 0.5) == []
-
-    def test_improvement_never_fails(self):
-        assert compare_reports(_report(_all(50.0)), _report(_all(4.0))) == []
-
-    def test_missing_fresh_metric_fails(self):
-        fresh = _report({name: 4.0 for name in TRACKED_METRICS[1:]})
-        failures = compare_reports(fresh, _report(_all(4.0)))
-        assert failures == [f"{TRACKED_METRICS[0]}: missing from the fresh report"]
-
-    def test_stale_baseline_fails(self):
-        baseline = _report({name: 4.0 for name in TRACKED_METRICS[:-1]})
-        failures = compare_reports(_report(_all(4.0)), baseline)
-        assert len(failures) == 1
-        assert failures[0].startswith(f"{TRACKED_METRICS[-1]}: not in the baseline")
-
-    def test_disagreeing_case_fails(self):
-        failures = compare_reports(
-            _report(_all(4.0), equivalent=False), _report(_all(4.0))
+    def test_names_every_disagreeing_stage(self):
+        report = _report(
+            dwt=_case(9.0, equivalent=False),
+            wire=_case(9.0),
+            fleet=_case(1.0, equivalent=False),
         )
-        assert len(failures) == len(TRACKED_METRICS)
-        assert all("disagreed" in line for line in failures)
-
-    def test_check_regression_raises_on_failure(self):
-        check_regression(_report(_all(4.0)), _report(_all(4.0)))
-        with pytest.raises(PerfRegressionError, match=TRACKED_METRICS[0]):
-            check_regression(_report(_all(1.0)), _report(_all(4.0)))
+        with pytest.raises(PerfRegressionError) as exc:
+            check_report(report)
+        lines = str(exc.value).splitlines()[1:]
+        assert [line.strip() for line in lines] == [
+            "dwt: scalar and batch paths disagreed",
+            "fleet: scalar and batch paths disagreed",
+            "fleet: speedup 1.00 < floor 4.00",
+        ]
 
 
 class TestSelectedStages:
     """A ``--stage`` subset run is gated on its own stages only."""
 
-    def test_subset_passes_against_a_full_baseline(self):
-        fresh = _report({"dwt.speedup": 4.0})
-        baseline = _report(_all(4.0))
-        assert compare_reports(fresh, baseline, stages=["dwt"]) == []
-        unselected = compare_reports(fresh, baseline)
-        assert len(unselected) == len(TRACKED_METRICS) - 1
-        assert all("missing from the fresh report" in f for f in unselected)
+    def test_unselected_stages_are_not_gated(self, monkeypatch):
+        monkeypatch.setattr(
+            perf,
+            "STAGES",
+            (Stage("dwt", _agreeing, floor=0.0), Stage("wire", _agreeing, floor=1e6)),
+        )
+        assert main(["perf", "--fast", "--stage", "dwt"]) == 0
 
     def test_selected_stage_still_regresses(self):
-        fresh = _report({"dwt.speedup": 1.0, "wire.speedup": 1.0})
-        failures = compare_reports(
-            fresh, _report(_all(4.0)), stages=["dwt", "wire"]
-        )
-        assert [f.split(":")[0] for f in failures] == ["dwt.speedup", "wire.speedup"]
-
-    def test_selected_stage_missing_from_baseline_is_stale(self):
-        baseline = _report({"wire.speedup": 4.0})
-        failures = compare_reports(
-            _report({"dwt.speedup": 4.0}), baseline, stages=["dwt"]
-        )
-        assert len(failures) == 1
-        assert failures[0].startswith("dwt.speedup: not in the baseline")
+        report = _report(dwt=_case(3.99), wire=_case(1.0, floor=8.0), fleet=_case(9.0))
+        with pytest.raises(PerfRegressionError) as exc:
+            check_report(report)
+        message = str(exc.value)
+        assert "dwt: speedup 3.99 < floor 4.00" in message
+        assert "wire: speedup 1.00 < floor 8.00" in message
+        assert "fleet" not in message
 
     def test_selected_stage_disagreeing_fails(self):
-        fresh = _report({"dwt.speedup": 4.0}, equivalent=False)
-        failures = compare_reports(fresh, _report(_all(4.0)), stages=["dwt"])
-        assert failures == ["dwt: scalar and batch paths disagreed on this run"]
-
-    def test_cli_stage_with_committed_baseline_exits_0(self, monkeypatch, capsys):
-        def build(fast):
-            return Work(
-                4,
-                lambda: sorted(range(20000), reverse=True)[0],
-                lambda: 19999,
-                lambda ref, out: ref == out,
-            )
-
-        monkeypatch.setattr(perf, "STAGES", (Stage("dwt", build),))
-        argv = ["perf", "--fast", "--stage", "dwt", "--baseline", str(BASELINE)]
-        assert main(argv) == 0
-        assert f"regression gate OK vs {BASELINE}" in capsys.readouterr().out
+        with pytest.raises(PerfRegressionError, match="dwt: scalar and batch paths"):
+            check_report(_report(dwt=_case(4.0, equivalent=False)))
 
 
 class TestLoadReport:
     def test_round_trip(self, tmp_path):
-        path = tmp_path / "BENCH_perf.json"
-        path.write_text(json.dumps(_report(_all(4.0))))
-        assert load_perf_report(path)["tracked"] == list(TRACKED_METRICS)
+        report = _report(dwt=_case(4.0))
+        path = write_perf_report(report, tmp_path / "BENCH_perf.json")
+        assert load_perf_report(path) == report
 
     def test_wrong_schema_rejected(self, tmp_path):
         path = tmp_path / "BENCH_perf.json"
-        path.write_text(json.dumps({**_report(_all(4.0)), "schema": "other/2"}))
-        with pytest.raises(ConfigurationError, match="other/2"):
-            load_perf_report(path)
+        for schema in ("other/2", "xpro-bench-perf/1"):
+            path.write_text(json.dumps({**_report(dwt=_case(4.0)), "schema": schema}))
+            with pytest.raises(ConfigurationError, match=schema):
+                load_perf_report(path)
 
 
 @pytest.mark.parametrize(
@@ -168,35 +117,81 @@ class TestUnusableReportFiles:
             load(path)
 
 
+class TestReportLayout:
+    """The ``xpro-bench-perf/2`` layout, pinned on instant stages."""
+
+    def test_v2_layout(self, monkeypatch):
+        def with_extras(fast):
+            return _agreeing(fast)._replace(extras={"z_extra": 1.0, "a_extra": 2.0})
+
+        monkeypatch.setattr(
+            perf,
+            "STAGES",
+            (Stage("zeta", with_extras, floor=2.5), Stage("alpha", _agreeing, floor=0.0)),
+        )
+        report = collect_perf_report(fast=True)
+        assert report["schema"] == SCHEMA == "xpro-bench-perf/2"
+        assert list(report) == ["schema", "fast_mode", "python", "machine", "repeats", "cases"]
+        assert (report["fast_mode"], report["repeats"]) == (True, 1)
+        assert list(report["cases"]) == ["zeta", "alpha"]
+        zeta = report["cases"]["zeta"]
+        assert list(zeta) == [
+            "n_items", "scalar_wall_s", "batch_wall_s", "scalar_per_s",
+            "batch_per_s", "speedup", "equivalent", "floor", "a_extra", "z_extra",
+        ]
+        assert (zeta["n_items"], zeta["floor"], zeta["equivalent"]) == (4, 2.5, True)
+
+    def test_paths_are_timed_interleaved(self, monkeypatch):
+        calls = []
+        ref, fast = (lambda: calls.append("ref")), (lambda: calls.append("fast"))
+        work = Work(1, ref, fast, lambda r, o: True)
+        monkeypatch.setattr(perf, "STAGES", (Stage("twin", lambda fast: work, 0.0, 3),))
+        collect_perf_report(fast=True)
+        assert calls == ["ref", "fast"] * 4  # one untimed pair, then 3 timed
+
+
 class TestStageTable:
     def test_lists_derive_from_the_table(self):
         names = tuple(stage.name for stage in perf.STAGES)
         assert perf.ALL_STAGES == names
-        assert TRACKED_METRICS == tuple(f"{name}.speedup" for name in names)
+
+    def test_floors_pin_the_table(self):
+        assert {stage.name: stage.floor for stage in perf.STAGES} == {
+            "extraction": 6.30,
+            "dwt": 2.67,
+            "inference": 5.74,
+            "end_to_end": 7.11,
+            "generator": 5.00,
+            "wire": 8.00,
+            "fleet": 8.00,
+            "streaming": 4.44,
+            "training": 5.00,
+        }
+
+    def test_a_stage_needs_a_floor(self):
+        with pytest.raises(TypeError):
+            Stage("twin", _agreeing)  # type: ignore[call-arg]
 
     def test_disagreeing_stage_exits_2_and_is_named(self, monkeypatch, capsys):
-        def build(fast):
-            return Work(
-                4,
-                lambda: np.zeros(4),
-                lambda: np.ones(4),
-                lambda ref, out: bool(np.array_equal(ref, out)),
-            )
-
-        monkeypatch.setattr(perf, "STAGES", (Stage("broken_twin", build),))
+        work = Work(4, lambda: 0, lambda: 1, lambda ref, out: ref == out)
+        monkeypatch.setattr(perf, "STAGES", (Stage("broken_twin", lambda fast: work, 0.0),))
         assert main(["perf", "--fast", "--stage", "broken_twin"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "broken_twin" in err
 
-    def test_agreeing_stage_exits_0(self, monkeypatch, capsys):
-        def build(fast):
-            return Work(
-                4,
-                lambda: sum(range(1000)),
-                lambda: sum(range(1000)),
-                lambda ref, out: ref == out,
-            )
+    def test_stage_below_its_floor_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(perf, "STAGES", (Stage("slow_twin", _agreeing, floor=1e6),))
+        assert main(["perf", "--fast", "--stage", "slow_twin"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "slow_twin: speedup" in err and "< floor 1000000.00" in err
 
-        monkeypatch.setattr(perf, "STAGES", (Stage("twin", build),))
+    def test_agreeing_stage_exits_0(self, monkeypatch, capsys):
+        monkeypatch.setattr(perf, "STAGES", (Stage("twin", _agreeing, floor=0.0),))
         assert main(["perf", "--fast", "--stage", "twin"]) == 0
         assert "twin" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("repeats", ["0", "-2"])
+    def test_repeats_below_one_exits_2(self, capsys, repeats):
+        assert main(["perf", "--stage", "dwt", "--repeats", repeats]) == 2
+        assert "repeats must be >= 1" in capsys.readouterr().err
