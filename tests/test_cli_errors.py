@@ -58,9 +58,10 @@ class TestDomainErrors:
         assert _single_error_line(capsys.readouterr()).startswith("error:")
 
     @pytest.mark.parametrize("text", [None, "{not json", '{"schema": "other"}'])
-    @pytest.mark.parametrize("argv", [["chaos", "--smoke"]])
+    @pytest.mark.parametrize("argv", [["chaos"], ["chaos", "--smoke"]])
     def test_unusable_baseline_returns_2(self, capsys, tmp_path, argv, text):
-        """The baseline is read before any search runs."""
+        """The baseline is read before any training or search runs, at full
+        scale as at smoke scale."""
         baseline = tmp_path / "baseline.json"
         if text is not None:
             baseline.write_text(text)

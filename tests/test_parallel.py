@@ -343,11 +343,15 @@ def _pool_pids():
 
 
 def _running(pid):
-    """Whether ``pid`` is a live process (a zombie counts as gone)."""
+    """Whether ``pid`` is a live process (a zombie counts as gone).
+
+    A process reaped between the open and the read fails the read with
+    ``ProcessLookupError``; it is gone too.
+    """
     try:
         with open(f"/proc/{pid}/stat") as fh:
             return fh.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
-    except FileNotFoundError:
+    except (FileNotFoundError, ProcessLookupError):
         return False
 
 
