@@ -9,7 +9,7 @@ paper-level acceptance criteria of the supervision tier:
 - the fleet supervisor **quarantines** the flapping device and walks it
   back through recovery/probation on clean rounds;
 - an interrupted campaign **resumes bit-identically** to the
-  uninterrupted run on both the fast and the scalar runner.
+  uninterrupted run.
 
 The machine-readable summary lands in
 ``benchmarks/results/BENCH_supervision.json`` (``results-fast/`` under
@@ -120,15 +120,12 @@ def test_fleet_quarantines_and_recovers_sick_device(supervision_summary):
     assert len(quarantined_rounds) == fleet["sick_rest_rounds"]
 
 
-def test_resume_is_bit_identical_on_both_runners(supervision_summary):
-    """Acceptance: interrupt + resume reproduces the reference reports."""
+def test_resume_is_bit_identical(supervision_summary):
+    """Acceptance: interrupt + resume reproduces the reference report."""
     resume = supervision_summary["resume"]
     assert resume is not None
-    assert resume["runners_identical"] is True
-    for runner in ("fast", "scalar"):
-        block = resume["runners"][runner]
-        assert block["bit_identical"] is True
-        assert block["reference_digest"] == block["resumed_digest"]
+    assert resume["bit_identical"] is True
+    assert resume["reference_digest"] == resume["resumed_digest"]
     assert supervision_summary["resume_bit_identical"] is True
 
 

@@ -242,10 +242,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "digest matches bit-for-bit (needs no trained context)"
         ),
     )
-    chaos.add_argument(
-        "--runner", choices=["fast", "scalar", "both"], default="both",
-        help="campaign runner(s) used by --replay (default: %(default)s)",
-    )
     _add_scale_args(chaos)
 
     sup = sub.add_parser(
@@ -435,16 +431,11 @@ def _cmd_chaos(args: argparse.Namespace) -> str:
     from repro.sim.chaos import assert_replay, load_bundle
 
     if args.replay:
-        bundle = load_bundle(args.replay)
-        runners = {"fast": (True,), "scalar": (False,), "both": (True, False)}
-        lines = []
-        for fast in runners[args.runner]:
-            result = assert_replay(bundle, fast=fast)
-            lines.append(
-                f"bundle {result.bundle_id}: {result.runner} runner replayed "
-                f"bit-identically (report digest {result.digest[:16]}…)"
-            )
-        return "\n".join(lines)
+        result = assert_replay(load_bundle(args.replay))
+        return (
+            f"bundle {result.bundle_id} replayed bit-identically "
+            f"(report digest {result.digest[:16]}…)"
+        )
 
     from repro.core.pipeline import TrainingConfig
     from repro.eval.chaos import (
@@ -499,8 +490,8 @@ def _cmd_chaos(args: argparse.Namespace) -> str:
     replay = summary.get("replay")
     if replay is not None:
         lines.append(
-            f"worst bundle {replay['bundle_id']} replayed bit-identically on "
-            f"fast and scalar runners: {replay['bit_identical']}"
+            f"worst bundle {replay['bundle_id']} replayed bit-identically: "
+            f"{replay['bit_identical']}"
         )
     if args.bundle_dir:
         lines.append(
@@ -576,7 +567,7 @@ def _cmd_supervision(args: argparse.Namespace) -> str:
         f"{summary['wasted_radio_saved_uj']:.4g} uJ",
         f"sick device {fleet['sick_device']} quarantined "
         f"{fleet['sick_quarantines']}x, final state {fleet['sick_final_state']}",
-        f"interrupt + resume bit-identical on both runners: "
+        f"interrupt + resume bit-identical: "
         f"{resume['bit_identical'] if resume else 'not checked'}",
     ]
     if args.json:

@@ -13,8 +13,8 @@ experiment harness:
   space, so the judge can compare the strategist's finds against them
   under one driver — apples to apples;
 - :func:`chaos_eval` runs the full orchestration (baselines, search,
-  Pareto frontier, bundle emission, replay self-verification on both
-  runners) and returns one JSON-safe summary document;
+  Pareto frontier, bundle emission, replay self-verification of the
+  worst bundle) and returns one JSON-safe summary document;
 - :func:`check_chaos_regression` is the nightly gate: it fails when the
   fresh search finds a worst case materially worse than the committed
   baseline (``benchmarks/results/BENCH_chaos_baseline.json``) allows.
@@ -167,7 +167,6 @@ def chaos_eval(
     bounds: Optional[ChaosBounds] = None,
     seed: int = 11,
     bundle_dir: Optional[str | Path] = None,
-    verify_replay: bool = True,
     checkpoint: Optional[Checkpointer] = None,
     resume: bool = False,
 ) -> Dict[str, Any]:
@@ -183,10 +182,10 @@ def chaos_eval(
             :class:`~repro.sim.chaos.ChaosBounds` at ``n_events``).
         seed: Strategist seed and fixed-mix campaign seed.
         bundle_dir: When given, every Pareto-worst scenario is written
-            there as a replay bundle (``chaos-<id>.json``).
-        verify_replay: Re-run the worst scenario's bundle on *both*
-            campaign runners and assert bit-identical report digests
-            before returning (the summary records the digests).
+            there as a replay bundle (``chaos-<id>.json``).  The worst
+            scenario's bundle is always replayed once and must reproduce
+            its report digest (:func:`~repro.sim.chaos.assert_replay`);
+            the summary's ``replay`` block records the outcome.
         checkpoint: Optional
             :class:`~repro.sim.checkpoint.Checkpointer` forwarded to
             :func:`~repro.sim.chaos.chaos_search`, making the long search
@@ -207,7 +206,7 @@ def chaos_eval(
     fixed_rows: List[Dict[str, Any]] = []
     fixed_outcomes: Dict[str, ChaosOutcome] = {}
     for label, scenario in fixed_mix_scenarios(n_events, seed=seed).items():
-        report = driver.run(scenario, fast=search.fast)
+        report = driver.run(scenario)
         outcome = ChaosOutcome(
             scenario=scenario,
             score=judge.score(report),
@@ -252,17 +251,14 @@ def chaos_eval(
             bundle_paths.append(str(save_bundle(bundle, bundle_dir)))
 
     replay_block: Optional[Dict[str, Any]] = None
-    if verify_replay and worst.report is not None:
-        worst_bundle = build_bundle(
-            worst.scenario, run_config, worst.report, worst.score
+    if worst.report is not None:
+        replayed = assert_replay(
+            build_bundle(worst.scenario, run_config, worst.report, worst.score)
         )
-        fast_result = assert_replay(worst_bundle, fast=True)
-        scalar_result = assert_replay(worst_bundle, fast=False)
         replay_block = {
-            "bundle_id": worst_bundle["bundle_id"],
-            "fast_digest": fast_result.digest,
-            "scalar_digest": scalar_result.digest,
-            "bit_identical": fast_result.digest == scalar_result.digest,
+            "bundle_id": replayed.bundle_id,
+            "report_digest": replayed.digest,
+            "bit_identical": replayed.matches,
         }
 
     axes_max = {
@@ -405,8 +401,8 @@ def compare_chaos_summaries(
     replay = fresh.get("replay")
     if replay is not None and not replay.get("bit_identical", False):
         failures.append(
-            "replay: fast and scalar runners disagreed on the worst bundle "
-            f"({replay.get('fast_digest')} != {replay.get('scalar_digest')})"
+            f"replay: the worst bundle {replay.get('bundle_id')} did not "
+            "replay bit-identically"
         )
     return failures
 

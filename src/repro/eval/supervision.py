@@ -16,7 +16,7 @@ crash-safe checkpoint/resume; this module binds them to the experiment harness a
   through quarantine and recovery under a
   :class:`~repro.sim.supervise.FleetSupervisor`, and self-checks that an
   interrupted + resumed campaign reproduces the uninterrupted report
-  bit-for-bit on both runners;
+  bit-for-bit;
 - :func:`check_supervision_gate` is the CI gate: the breaker must
   strictly reduce wasted retry radio energy, must not reduce decision
   availability, and resume must be bit-identical — anything else raises
@@ -179,57 +179,42 @@ def _resume_block(
     fallback: Any,
     breaker_config: BreakerConfig,
 ) -> Dict[str, Any]:
-    """Interrupt + resume the breaker campaign on both runners.
+    """Interrupt + resume the breaker campaign once.
 
-    For each runner the uninterrupted report is the reference; a second
-    run is killed right after its first checkpoint snapshot and resumed
-    from disk.  The block records both digests per runner plus the
-    cross-runner comparison.
+    The uninterrupted report is the reference; a second run is killed
+    right after its first checkpoint snapshot and resumed from disk.  The
+    block records both digests.
     """
     every = max(1, n_events // 3)
-    runners: Dict[str, Dict[str, Any]] = {}
+
+    def run(checkpoint: Optional[object], resume: bool) -> Any:
+        return campaign.run(
+            simulator,
+            n_events,
+            arq=arq,
+            policy=GracefulDegradationPolicy(
+                outage_threshold=3, recovery_hysteresis=8
+            ),
+            fallback_metrics=fallback,
+            cache=LastKnownGoodCache(),
+            breaker=LinkCircuitBreaker(breaker_config),
+            checkpoint=checkpoint,
+            resume=resume,
+        )
+
+    reference = report_digest(run(None, False))
     with tempfile.TemporaryDirectory(prefix="xpro-supervision-") as tmp:
-        for runner, fast in (("fast", True), ("scalar", False)):
-            path = Path(tmp) / f"resume-{runner}.json"
-
-            def run(checkpoint: Optional[object], resume: bool) -> Any:
-                return campaign.run(
-                    simulator,
-                    n_events,
-                    arq=arq,
-                    policy=GracefulDegradationPolicy(
-                        outage_threshold=3, recovery_hysteresis=8
-                    ),
-                    fallback_metrics=fallback,
-                    cache=LastKnownGoodCache(),
-                    breaker=LinkCircuitBreaker(breaker_config),
-                    fast=fast,
-                    checkpoint=checkpoint,
-                    resume=resume,
-                )
-
-            reference = run(None, False)
-            try:
-                run(_InterruptingCheckpointer(path, every=every), False)
-            except _InterruptedRun:
-                pass
-            resumed = run(Checkpointer(path, every=every), True)
-            runners[runner] = {
-                "reference_digest": report_digest(reference),
-                "resumed_digest": report_digest(resumed),
-                "bit_identical": report_digest(reference)
-                == report_digest(resumed),
-            }
-    cross = (
-        runners["fast"]["reference_digest"]
-        == runners["scalar"]["reference_digest"]
-    )
+        path = Path(tmp) / "resume.json"
+        try:
+            run(_InterruptingCheckpointer(path, every=every), False)
+        except _InterruptedRun:
+            pass
+        resumed = report_digest(run(Checkpointer(path, every=every), True))
     return {
         "checkpoint_every": every,
-        "runners": runners,
-        "runners_identical": cross,
-        "bit_identical": cross
-        and all(r["bit_identical"] for r in runners.values()),
+        "reference_digest": reference,
+        "resumed_digest": resumed,
+        "bit_identical": reference == resumed,
     }
 
 
@@ -320,9 +305,8 @@ def supervision_eval(
             :data:`~repro.eval.resilience.DEFAULT_ARQ`).
         breaker: Breaker tuning (defaults to :data:`DEFAULT_BREAKER`).
         devices / rounds / round_events: Fleet demo shape.
-        verify_resume: Run the interrupt + resume self-check on both
-            runners (skippable for speed; the gate then has no resume
-            evidence and fails).
+        verify_resume: Run the interrupt + resume self-check (skippable
+            for speed; the gate then has no resume evidence and fails).
 
     Returns:
         A JSON-safe summary document (:data:`SUMMARY_SCHEMA`) whose
@@ -468,7 +452,7 @@ def supervision_failures(summary: Dict[str, Any]) -> List[str]:
     if not summary.get("resume_bit_identical", False):
         failures.append(
             "resume_bit_identical: an interrupted + resumed campaign did "
-            "not reproduce the uninterrupted report on both runners"
+            "not reproduce the uninterrupted report"
         )
     return failures
 

@@ -14,10 +14,7 @@ points in it.  The pipeline factors the way production chaos harnesses do:
 - a **driver** (:class:`ChaosDriver`) runs each schedule through the
   existing :class:`~repro.sim.faults.FaultCampaign` machinery under one
   fixed harness configuration (:class:`ChaosRunConfig`: bounded ARQ,
-  graceful degradation, last-known-good cache, byte-level wire format),
-  taking the vectorized fast runner whenever
-  :meth:`~repro.sim.faults.FaultCampaign.supports_fast` allows and falling
-  back to the scalar reference otherwise;
+  graceful degradation, last-known-good cache, byte-level wire format);
 - a **judge** (:class:`ChaosJudge`) scores each run on degradation rather
   than pass/fail: silent-corruption rate, unavailability, latency tail and
   battery impact versus the clean-run energy of the partition;
@@ -26,15 +23,15 @@ points in it.  The pipeline factors the way production chaos harnesses do:
   (:func:`build_bundle`) for each: a self-contained JSON document carrying
   the scenario, the full harness configuration (partition metrics
   included, so no trained context is needed to replay) and the expected
-  report digest.  :func:`replay_bundle` re-runs a bundle on either
-  campaign runner and asserts report identity.
+  report digest.  :func:`replay_bundle` re-runs a bundle and
+  :func:`assert_replay` asserts report identity.
 
 Everything is deterministic: scenario keys and bundle IDs are SHA-256
 digests of canonical JSON (never Python ``hash()``, which is salted per
 interpreter run), the strategist's randomness flows from one seed, and the
 fault campaigns re-arm from their own seeds, so the same search finds the
 same worst cases and the same bundle replays to the same digest on any
-machine and either runner.
+machine.
 """
 
 from __future__ import annotations
@@ -563,14 +560,11 @@ class ChaosRunConfig:
 
 
 class ChaosDriver:
-    """Runs one scenario through the campaign machinery, fast when possible.
+    """Runs one scenario through the campaign machinery.
 
     The driver holds the fixed harness (:class:`ChaosRunConfig`) and turns
     each :class:`ChaosScenario` into one deterministic
-    :meth:`~repro.sim.faults.FaultCampaign.run`: the vectorized fast
-    runner when the campaign's fault models support it, the scalar
-    reference otherwise (the two are bit-identical, so the choice never
-    changes a digest).
+    :meth:`~repro.sim.faults.FaultCampaign.run`.
     """
 
     def __init__(self, run_config: ChaosRunConfig) -> None:
@@ -593,21 +587,9 @@ class ChaosDriver:
             max_staleness=run_config.cache_max_staleness
         )
 
-    def run(
-        self, scenario: ChaosScenario, fast: Optional[bool] = None
-    ) -> ResilienceReport:
-        """One deterministic campaign run of ``scenario``.
-
-        Args:
-            fast: ``None`` auto-selects (fast path when
-                ``campaign.supports_fast()``, scalar otherwise); ``False``
-                forces the scalar reference; ``True`` demands the fast
-                path.  Reports are bit-identical either way.
-        """
-        campaign = scenario.to_campaign()
-        if fast is None:
-            fast = campaign.supports_fast()
-        return campaign.run(
+    def run(self, scenario: ChaosScenario) -> ResilienceReport:
+        """One deterministic campaign run of ``scenario``."""
+        return scenario.to_campaign().run(
             self.simulator,
             scenario.n_events,
             arq=self.run_config.arq,
@@ -615,7 +597,6 @@ class ChaosDriver:
             fallback_metrics=self.run_config.fallback_metrics,
             cache=self._cache,
             integrity=self.run_config.integrity,
-            fast=fast,
         )
 
 
@@ -796,7 +777,6 @@ class ChaosSearchConfig:
     seed: int = 0
     elite: int = 3
     fresh_fraction: float = 0.25
-    fast: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if self.population < 1:
@@ -991,7 +971,7 @@ def chaos_search(
             key = scenario.key
             if key not in memo:
                 try:
-                    report = driver.run(scenario, fast=search.fast)
+                    report = driver.run(scenario)
                 except SimulationError:
                     outcome = ChaosOutcome(
                         scenario=scenario,
@@ -1087,7 +1067,14 @@ def save_bundle(bundle: Dict[str, Any], directory: str | Path) -> Path:
 
 
 def load_bundle(path: str | Path) -> Dict[str, Any]:
-    """Load and validate one replay bundle."""
+    """Load and validate one replay bundle.
+
+    Raises:
+        ConfigurationError: The file is unreadable, not JSON, of another
+            schema, edited after its ``bundle_id`` was computed, or holds
+            a scenario, run config or ``expected.report_digest`` that
+            does not decode.
+    """
     try:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -1109,6 +1096,25 @@ def load_bundle(path: str | Path) -> Dict[str, Any]:
             f"{path}: bundle_id {data['bundle_id']} does not match its spec "
             f"digest {expected_id} (bundle edited by hand?)"
         )
+    try:
+        ChaosScenario.from_dict(data["scenario"]).to_campaign()
+        ChaosRunConfig.from_dict(data["run"])
+        digest = data["expected"]["report_digest"]
+    except (
+        LookupError,
+        TypeError,
+        ValueError,
+        AttributeError,
+        OverflowError,
+        ConfigurationError,
+    ) as exc:
+        raise ConfigurationError(
+            f"{path}: malformed bundle: {type(exc).__name__}: {exc}"
+        ) from exc
+    if not isinstance(digest, str):
+        raise ConfigurationError(
+            f"{path}: malformed bundle: expected.report_digest must be a string"
+        )
     return data
 
 
@@ -1118,14 +1124,12 @@ class ReplayResult:
 
     Attributes:
         bundle_id: ID of the replayed bundle.
-        runner: ``"fast"`` or ``"scalar"``.
         digest: Digest of the re-run report.
         expected_digest: Digest the bundle pinned at capture time.
         report: The re-run report itself.
     """
 
     bundle_id: str
-    runner: str
     digest: str
     expected_digest: str
     report: ResilienceReport
@@ -1136,43 +1140,33 @@ class ReplayResult:
         return self.digest == self.expected_digest
 
 
-def replay_bundle(
-    bundle: Dict[str, Any], fast: Optional[bool] = None
-) -> ReplayResult:
+def replay_bundle(bundle: Dict[str, Any]) -> ReplayResult:
     """Re-run a bundle's scenario and compare report digests.
 
     Args:
         bundle: A loaded replay bundle (see :func:`load_bundle`).
-        fast: Runner choice, as in :meth:`ChaosDriver.run`.
 
     Returns:
         The :class:`ReplayResult`; check ``.matches`` or use
         :func:`assert_replay` to raise on mismatch.
     """
     scenario = ChaosScenario.from_dict(bundle["scenario"])
-    run_config = ChaosRunConfig.from_dict(bundle["run"])
-    driver = ChaosDriver(run_config)
-    if fast is None:
-        fast = scenario.to_campaign().supports_fast()
-    report = driver.run(scenario, fast=fast)
+    report = ChaosDriver(ChaosRunConfig.from_dict(bundle["run"])).run(scenario)
     return ReplayResult(
         bundle_id=bundle["bundle_id"],
-        runner="fast" if fast else "scalar",
         digest=report_digest(report),
         expected_digest=bundle["expected"]["report_digest"],
         report=report,
     )
 
 
-def assert_replay(
-    bundle: Dict[str, Any], fast: Optional[bool] = None
-) -> ReplayResult:
+def assert_replay(bundle: Dict[str, Any]) -> ReplayResult:
     """:func:`replay_bundle`, raising :class:`ReplayMismatchError` on drift."""
-    result = replay_bundle(bundle, fast=fast)
+    result = replay_bundle(bundle)
     if not result.matches:
         raise ReplayMismatchError(
-            f"bundle {result.bundle_id} did not replay bit-identically on the "
-            f"{result.runner} runner: report digest {result.digest} != "
-            f"expected {result.expected_digest}"
+            f"bundle {result.bundle_id} did not replay bit-identically: "
+            f"report digest {result.digest} != expected "
+            f"{result.expected_digest}"
         )
     return result

@@ -24,21 +24,24 @@ model, the degradation policy and the last-known-good cache before each
 run, so two runs of the same campaign produce identical
 :class:`ResilienceReport` objects.
 
-Both runners (``run(..., fast=...)``) drive one event loop; they differ
-only in where fault outcomes, stage jitter and payloads come from.  The
-scalar runner asks every fault model per event and per attempt, so it
-runs any :class:`FaultModel`.  Campaigns built purely from the fault
-models above also have a *fast* runner: loss outcomes are pre-sampled in
-blocks (one :meth:`~repro.sim.channel.GilbertElliottChannel.
-outcome_block` / ``Generator.random`` block per stochastic fault, served
-through a cursor in exactly the scalar consumption order), jitter factors
-and payload words are drawn as matrices, and byte-level payloads run
-through the batch frame codec of :mod:`repro.hw.framing`.  The report is
-bit-identical to the scalar runner under the same seed; only the
-post-run internal RNG positions of the fault models differ (harmless,
-because every ``run()`` starts with :meth:`FaultCampaign.reset`).
+One event loop drives every run; the campaign's fault models alone pick
+where fault outcomes, stage jitter and payloads come from.  Campaigns
+built purely from the fault models above take the *block* source: loss
+outcomes are pre-sampled in blocks (one :meth:`~repro.sim.channel.
+GilbertElliottChannel.outcome_block` / ``Generator.random`` block per
+stochastic fault, served through a cursor in exactly the per-attempt
+consumption order), jitter factors and payload words are drawn as
+matrices, and byte-level payloads run through the batch frame codec of
+:mod:`repro.hw.framing`.  Any other :class:`FaultModel` runs on the
+*live* source, which asks every fault model per event and per attempt.
+Both sources give bit-identical reports under the same seed (a campaign
+of trivial subclasses of the models above is the live-source oracle);
+only the post-run internal RNG positions of the fault models differ
+(harmless, because every ``run()`` starts with
+:meth:`FaultCampaign.reset`).  Only block-source campaigns can be
+checkpointed, since only the shipped models have state snapshots.
 
-The runner injects the faults into a :class:`~repro.sim.simulator.
+A run injects the faults into a :class:`~repro.sim.simulator.
 CrossEndSimulator` configuration (its partition metrics, event period and
 jitter model), simulates the bounded-retry ARQ of :mod:`repro.hw.arq`
 per transmission attempt, and applies the graceful-degradation policies of
@@ -508,7 +511,8 @@ def reports_identical(a: ResilienceReport, b: ResilienceReport) -> bool:
     ``a == b`` is False for any run with a drop even when the replay is
     perfect.  This helper compares every record field and every counter
     with NaN allowed to match NaN — the right notion of "bit-identical
-    replay" for scalar-vs-fast and serial-vs-parallel equivalence checks.
+    replay" for live-vs-block source and serial-vs-parallel equivalence
+    checks.
     """
     if len(a.records) != len(b.records):
         return False
@@ -699,8 +703,9 @@ class FaultCampaign:
 
         The fast path pre-samples each model's random stream in blocks,
         which is only provably bit-identical for the fault models this
-        module ships.  Subclassed or third-party models fall back to the
-        scalar runner.
+        module ships.  :meth:`run` takes it exactly when this holds;
+        subclassed or third-party models run on the live per-event
+        source.
         """
         return all(type(fault) in _FAST_PATH_TYPES for fault in self.faults)
 
@@ -713,7 +718,6 @@ class FaultCampaign:
         fallback_metrics: Optional[PartitionMetrics] = None,
         cache: Optional[LastKnownGoodCache] = None,
         integrity: Optional[IntegrityConfig] = None,
-        fast: Optional[bool] = None,
         breaker: Optional[object] = None,
         checkpoint: Optional[Checkpointer] = None,
         resume: bool = False,
@@ -746,13 +750,6 @@ class FaultCampaign:
                 populated.  Payload *content* is drawn deterministically
                 from the campaign seed, so runs stay bit-for-bit
                 reproducible.
-            fast: Runner selection.  ``None`` (default) picks the
-                vectorized fast path when :meth:`supports_fast` allows it;
-                ``False`` forces the scalar reference runner; ``True``
-                requires the fast path and raises
-                :class:`~repro.errors.ConfigurationError` when a fault
-                model lacks one.  Both runners produce bit-identical
-                reports under the same seed.
             breaker: Optional link circuit breaker
                 (:class:`~repro.sim.supervise.LinkCircuitBreaker`); gates
                 every non-browned-out event before the ARQ layer.  Blocked
@@ -765,12 +762,15 @@ class FaultCampaign:
                 RNGs, clocks, counters, records) as a ``"campaign"``
                 checkpoint every ``checkpoint.every`` events with
                 crash-safe atomic writes.  The config key pins campaign
-                seed, fault signatures, runner, ARQ, simulator, policy,
-                cache, integrity and breaker configuration, so a
-                checkpoint can never resume a different run.
+                seed, fault signatures, ARQ, simulator, policy, cache,
+                integrity and breaker configuration, so a checkpoint can
+                never resume a different run.  Only campaigns of the
+                shipped fault models (:meth:`supports_fast`) have state
+                snapshots; others raise
+                :class:`~repro.errors.CheckpointError`.
             resume: Continue from ``checkpoint``'s last snapshot instead
                 of starting at event 0.  The resumed run's report is
-                bit-identical to an uninterrupted run on the same runner.
+                bit-identical to an uninterrupted run.
 
         Returns:
             The :class:`ResilienceReport`; bit-for-bit identical across
@@ -783,13 +783,6 @@ class FaultCampaign:
                 "a degradation policy requires fallback_metrics"
             )
         arq = UNBOUNDED_ARQ if arq is None else arq
-        use_fast = self.supports_fast() if fast is None else bool(fast)
-        if use_fast and not self.supports_fast():
-            raise ConfigurationError(
-                "fast=True needs fault models with an exact fast path "
-                "(LinkOutage, BurstLoss, PayloadCorruption, SensorBrownout, "
-                "AggregatorStall); pass fast=None or fast=False"
-            )
         if breaker is not None and arq.max_retries is None:
             raise ConfigurationError(
                 "a circuit breaker requires a bounded ARQConfig: its probe "
@@ -799,14 +792,12 @@ class FaultCampaign:
         if resume and checkpoint is None:
             raise ConfigurationError("resume=True requires a checkpoint")
         return self._run(
-            "fast" if use_fast else "scalar", simulator, n_events, arq,
-            policy, fallback_metrics, cache, integrity, breaker, checkpoint,
-            resume,
+            simulator, n_events, arq, policy, fallback_metrics, cache,
+            integrity, breaker, checkpoint, resume,
         )
 
     def _run(
         self,
-        runner: str,
         simulator: CrossEndSimulator,
         n_events: int,
         arq: ARQConfig,
@@ -818,18 +809,21 @@ class FaultCampaign:
         checkpoint: Optional[Checkpointer],
         resume: bool,
     ) -> ResilienceReport:
-        """The event loop of both runners (see :meth:`run`).
+        """The event loop of every run (see :meth:`run`).
 
-        ``runner`` only picks where fault outcomes, stage jitter and
-        payloads come from (:class:`_LiveFaults` or :class:`_BlockFaults`);
-        the clocks, energy and retry accounting, breaker gate, policy,
-        cache, integrity counters and checkpoints are shared.
+        The fault source (:class:`_BlockFaults` when :meth:`supports_fast`
+        holds, :class:`_LiveFaults` otherwise) only supplies fault
+        outcomes, stage jitter and payloads; the clocks, energy and retry
+        accounting, breaker gate, policy, cache, integrity counters and
+        checkpoints are the loop's own.
         """
         key = None
         if checkpoint is not None:
+            # Raises CheckpointError unless every fault is a shipped model,
+            # so a checkpointed run always takes the block source.
             key = self._checkpoint_key(
-                runner, simulator, n_events, arq, policy, fallback_metrics,
-                cache, integrity, breaker,
+                simulator, n_events, arq, policy, fallback_metrics, cache,
+                integrity, breaker,
             )
         if resume:
             # Decoding re-arms the campaign, restores the fault, policy,
@@ -842,9 +836,9 @@ class FaultCampaign:
                 "campaign",
                 key,
                 partial(
-                    self._resume, runner=runner, simulator=simulator,
-                    n_events=n_events, integrity=integrity, policy=policy,
-                    cache=cache, breaker=breaker,
+                    self._resume, simulator=simulator, n_events=n_events,
+                    integrity=integrity, policy=policy, cache=cache,
+                    breaker=breaker,
                 ),
             )
         else:
@@ -852,7 +846,10 @@ class FaultCampaign:
             for part in (policy, cache, breaker):
                 if part is not None:
                     part.reset()
-            source = _SOURCES[runner](self, simulator, n_events, integrity, 0, None)
+            if self.supports_fast():
+                source = _BlockFaults(self, simulator, n_events, integrity)
+            else:
+                source = _LiveFaults(self, simulator, integrity)
             start = 0
             front_free = link_free = back_free = 0.0
             sensor_j = aggregator_j = retry_j = 0.0
@@ -1066,7 +1063,6 @@ class FaultCampaign:
 
     def _checkpoint_key(
         self,
-        runner: str,
         simulator: CrossEndSimulator,
         n_events: int,
         arq: ARQConfig,
@@ -1082,7 +1078,11 @@ class FaultCampaign:
                 "seed": self.seed,
                 "faults": [fault_signature(f) for f in self.faults],
             },
-            "runner": runner,
+            # Kept as a literal from when the runner was selectable, so
+            # checkpoints written then (and the pinned checkpoint bytes)
+            # stay valid; a key naming the former "scalar" runner never
+            # matches.
+            "runner": "fast",
             "n_events": int(n_events),
             "simulator": {
                 "period_s": float(simulator.period_s),
@@ -1114,7 +1114,6 @@ class FaultCampaign:
     def _resume(
         self,
         state: Mapping[str, Any],
-        runner: str,
         simulator: CrossEndSimulator,
         n_events: int,
         integrity: Optional[IntegrityConfig],
@@ -1126,8 +1125,8 @@ class FaultCampaign:
 
         Re-arms the campaign, overwrites every stochastic fault's RNG
         position with the snapshot, restores the policy, cache and
-        breaker, and rebuilds the runner's fault source from the
-        snapshot's ``extra``.
+        breaker, and rebuilds the block fault source from the snapshot's
+        ``extra``.
         """
         cursor = int(state["cursor"])
         records = [_decode_record(row) for row in state["records"]]
@@ -1148,7 +1147,7 @@ class FaultCampaign:
         for name, part in (("policy", policy), ("cache", cache), ("breaker", breaker)):
             if part is not None:
                 part.load_state(state[name])
-        source = _SOURCES[runner](
+        source = _BlockFaults(
             self, simulator, n_events, integrity, cursor, dict(state["extra"])
         )
         front_free, link_free, back_free = map(decode_float, state["clocks"])
@@ -1296,19 +1295,14 @@ class _LiveFaults:
     Loss, brownout, stall and corruption are the campaign's composed
     per-event queries, so this is the only source that runs arbitrary
     :class:`FaultModel` subclasses.  Stage jitter and payload words are
-    drawn per event; the checkpoint ``extra`` carries both generators and
-    the frame sequence number, which a resume checks against the frames
-    of the events before its event cursor ``start``.
+    drawn per event.
     """
 
     def __init__(
         self,
         campaign: FaultCampaign,
         simulator: CrossEndSimulator,
-        n_events: int,
         integrity: Optional[IntegrityConfig],
-        start: int,
-        extra: Optional[Dict[str, object]],
     ) -> None:
         self.brownout = campaign.sensor_brownout
         self.lost = campaign.try_lost
@@ -1321,17 +1315,6 @@ class _LiveFaults:
             np.random.default_rng(simulator.seed) if self._sigma > 0 else None
         )
         self._seq_base = 0
-        if extra is not None:
-            self._payload_rng = restore_rng(extra["payload_rng"])
-            if self._jitter_rng is not None:
-                self._jitter_rng = restore_rng(extra["jitter_rng"])
-            self._seq_base = int(extra["seq_base"])
-            active = sum(not self.brownout(k) for k in range(start))
-            if self._seq_base != active * _frames_per_payload(integrity) % SEQ_MODULUS:
-                raise CheckpointError(
-                    f"checkpoint frame sequence {self._seq_base} does not "
-                    f"follow {active} transmitted events"
-                )
 
     def event(self, metrics: PartitionMetrics):
         """Stage times, frames, chunks and payload of one live event."""
@@ -1358,16 +1341,6 @@ class _LiveFaults:
         step = integrity.framing.max_payload_bytes
         chunks = [payload[i : i + step] for i in range(0, len(payload), step)]
         return (*times, frames, chunks, payload)
-
-    def state(self) -> Dict[str, object]:
-        """Checkpoint ``extra``: the payload/jitter RNGs and frame seq."""
-        return {
-            "payload_rng": rng_state(self._payload_rng),
-            "jitter_rng": (
-                None if self._jitter_rng is None else rng_state(self._jitter_rng)
-            ),
-            "seq_base": self._seq_base,
-        }
 
 
 class _BlockFaults:
@@ -1400,8 +1373,8 @@ class _BlockFaults:
         simulator: CrossEndSimulator,
         n_events: int,
         integrity: Optional[IntegrityConfig],
-        start: int,
-        extra: Optional[Dict[str, object]],
+        start: int = 0,
+        extra: Optional[Dict[str, object]] = None,
     ) -> None:
         idx = np.arange(n_events)
         brownout = np.zeros(n_events, dtype=bool)
@@ -1532,8 +1505,4 @@ class _BlockFaults:
         """Checkpoint ``extra``: active cursor and loss outcomes drawn ahead."""
         remainder = [int(v) for v in self._loss[self._att :]]
         return {"a": self._a, "loss_remainder": remainder}
-
-
-#: Fault source per runner name (the name checkpoints and replays record).
-_SOURCES = {"scalar": _LiveFaults, "fast": _BlockFaults}
 

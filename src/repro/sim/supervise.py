@@ -103,8 +103,8 @@ class LinkCircuitBreaker:
 
     The breaker holds no RNG: given the same sequence of
     ``decide``/``record`` calls it follows the same trajectory, which is
-    what keeps breaker-wrapped campaigns bit-identical across the scalar
-    and fast runners and across checkpoint resumes.
+    what keeps breaker-wrapped campaigns bit-identical across the live
+    and block fault sources and across checkpoint resumes.
     """
 
     def __init__(self, config: Optional[BreakerConfig] = None) -> None:

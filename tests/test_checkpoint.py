@@ -107,7 +107,7 @@ def assert_only_checkpoint_errors(tmp_path, kind, run, every):
     assert rejected > 0
 
 
-def flapping_run(fast):
+def flapping_run():
     def run(checkpoint, resume=False):
         return flapping().run(
             simulator(), 120, arq=ARQ,
@@ -115,13 +115,13 @@ def flapping_run(fast):
             fallback_metrics=synthetic_metrics(sensor_tx_j=2e-7),
             cache=LastKnownGoodCache(),
             breaker=LinkCircuitBreaker(BreakerConfig(failure_threshold=3)),
-            fast=fast, checkpoint=checkpoint, resume=resume,
+            checkpoint=checkpoint, resume=resume,
         )
 
     return run
 
 
-def jittered_run(fast):
+def jittered_run():
     def run(checkpoint, resume=False):
         campaign = FaultCampaign(
             [
@@ -137,7 +137,7 @@ def jittered_run(fast):
             ),
             120, arq=ARQ, cache=LastKnownGoodCache(),
             integrity=IntegrityConfig(values_per_payload=8),
-            fast=fast, checkpoint=checkpoint, resume=resume,
+            checkpoint=checkpoint, resume=resume,
         )
 
     return run
@@ -159,7 +159,7 @@ def chaos_run(checkpoint, resume=False):
             period_s=0.25,
             sim_seed=7,
         ),
-        search=ChaosSearchConfig(population=3, generations=2, seed=1, fast=True),
+        search=ChaosSearchConfig(population=3, generations=2, seed=1),
         n_events=30,
         checkpoint=checkpoint,
         resume=resume,
@@ -169,8 +169,8 @@ def chaos_run(checkpoint, resume=False):
 class TestHostileState:
     @pytest.mark.parametrize(
         "run",
-        [flapping_run(True), flapping_run(False), jittered_run(True), jittered_run(False)],
-        ids=["flapping-fast", "flapping-scalar", "jittered-fast", "jittered-scalar"],
+        [flapping_run(), jittered_run()],
+        ids=["flapping-fast", "jittered-fast"],
     )
     def test_campaign(self, tmp_path, run):
         assert_only_checkpoint_errors(tmp_path, "campaign", run, every=50)
@@ -184,7 +184,7 @@ class TestHostileState:
     def test_campaign_regressions(self, tmp_path):
         """A missing cursor, a short record, a non-hex clock, no ``extra``."""
         path = tmp_path / "campaign.json"
-        run = flapping_run(True)
+        run = flapping_run()
         run(Checkpointer(path, every=50))
         doc = json.loads(path.read_text())
         edits = {
@@ -200,20 +200,15 @@ class TestHostileState:
             with pytest.raises(CheckpointError, match="malformed campaign"):
                 run(Checkpointer(path, every=50), resume=True)
 
-    @pytest.mark.parametrize(
-        "fast,field,match",
-        [(True, "a", "active-event cursor"), (False, "seq_base", "frame sequence")],
-        ids=["fast", "scalar"],
-    )
-    def test_runner_cursor_must_follow_event_cursor(self, tmp_path, fast, field, match):
+    def test_runner_cursor_must_follow_event_cursor(self, tmp_path):
         """A shifted runner cursor would replay other jitter or frames."""
         path = tmp_path / "campaign.json"
-        run = jittered_run(fast)
+        run = jittered_run()
         run(Checkpointer(path, every=50))
         doc = json.loads(path.read_text())
-        doc["state"]["extra"][field] += 1
+        doc["state"]["extra"]["a"] += 1
         save_checkpoint(path, "campaign", doc["config_key"], doc["state"])
-        with pytest.raises(CheckpointError, match=match):
+        with pytest.raises(CheckpointError, match="active-event cursor"):
             run(Checkpointer(path, every=50), resume=True)
 
     @pytest.mark.parametrize(
@@ -231,7 +226,7 @@ class TestHostileState:
         """Well-typed values that would resume into a report whose
         statuses or counters no longer balance."""
         path = tmp_path / "campaign.json"
-        run = flapping_run(False)
+        run = flapping_run()
         run(Checkpointer(path, every=50))
         doc = json.loads(path.read_text())
         edit(doc["state"])

@@ -1,7 +1,7 @@
 """Golden pins of the checkpoint file format.
 
-Every resumable loop — :meth:`~repro.sim.faults.FaultCampaign.run` on
-both runners, :func:`~repro.sim.parallel.sweep` and
+Every resumable loop — :meth:`~repro.sim.faults.FaultCampaign.run`,
+:func:`~repro.sim.parallel.sweep` and
 :func:`~repro.sim.chaos.chaos_search` — writes its snapshot through one
 digest-pinned document format.  These tests run each loop at fixed
 settings and pin the SHA-256 of the checkpoint file it leaves behind, the
@@ -9,14 +9,24 @@ settings and pin the SHA-256 of the checkpoint file it leaves behind, the
 one hand-built report.  A byte that moves in any of them means old
 checkpoints no longer resume, so the literals must never be edited to
 make a change pass.
+
+Campaigns used to take a ``fast`` / ``scalar`` runner choice, and the
+scalar runner wrote checkpoints of its own.  ``tests/data`` keeps two of
+those files, byte for byte as that runner wrote them for
+:func:`run_flapping` and :func:`run_jittered`; their config key names
+the scalar runner, so resuming one must fail with
+:class:`~repro.errors.CheckpointError`.
 """
 
 import hashlib
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
 from repro.core.degrade import GracefulDegradationPolicy, LastKnownGoodCache
+from repro.errors import CheckpointError
 from repro.sim.channel import GilbertElliottParams
 from repro.sim.chaos import (
     ChaosRunConfig,
@@ -74,25 +84,17 @@ GOLDEN = {
         "6a0aeafb7c51b12bafbef47b7291b955d0fba0b5aa7ca9c9b7b07536a92b989f",
         "194d7e638dfb7b2176fef21a105cbb4bd8af67bb00b80b138e0cafa5c48b52ce",
     ),
-    "campaign-scalar": (
-        "2fd265da28abfe3465d62bf625fefd54b10aabb55f60b74f0f50212ae4dddedc",
-        "9bae5c5ddda4fc9894db2a7444a39c8ad725201347226f86e91086e1d9d063ca",
-    ),
     "campaign-jitter-fast": (
         "b9120e28abd9ff30466355de76fb9535e5d7e870163e2bf2c1263685520868a2",
         "5aba8367033b9cc5a5f0c13589237667f45c224c20a8098f28811ff0afe1aade",
-    ),
-    "campaign-jitter-scalar": (
-        "e7c567635453a297bd322053a82437fadb6b21022bc8748c526debfe60156a75",
-        "eb2cbe56a638155000a6bf144d37c769aa7894a56abdd74e441dbc28fe32fada",
     ),
     "sweep": (
         "be3286761961c98c6651d9c5f073fcc58c8e4ef4192b973702a5c1eed650e624",
         "faabf924c1eddc2379f3410ae6f464e9605efa132aabfd4075aab0619649dc62",
     ),
     "chaos": (
-        "d525e00c82e89892bbe44e5d6f2d7a5d64e68a9254cfdab3ca757d07d1cf6fbc",
-        "a2c380e47a6a7e51f925c83842a004e05964d211cc436294dfa46aa4318b3358",
+        "0bc389ee104b320086b124738dc2763c3a324833bfcf936aa14ab0fcfa70649c",
+        "b4b23a5ffeefb80e096ce747e4475f3e938be2d2755f229dd6d6eb4758760f76",
     ),
 }
 
@@ -102,7 +104,15 @@ GOLDEN_REPORT_DIGEST = (
 )
 
 
-def run_flapping(path, fast):
+#: Checkpoints the former scalar runner wrote for :func:`run_flapping`
+#: and :func:`run_jittered`.
+SCALAR_CHECKPOINTS = {
+    "campaign": Path(__file__).parent / "data" / "campaign-scalar.json",
+    "campaign-jitter": Path(__file__).parent / "data" / "campaign-jitter-scalar.json",
+}
+
+
+def run_flapping(path, resume=False):
     """``flapping()`` for 120 events with policy, cache and breaker state."""
     return flapping().run(
         simulator(),
@@ -112,12 +122,12 @@ def run_flapping(path, fast):
         fallback_metrics=synthetic_metrics(sensor_tx_j=2e-7),
         cache=LastKnownGoodCache(),
         breaker=LinkCircuitBreaker(BreakerConfig(failure_threshold=3)),
-        fast=fast,
         checkpoint=checkpointer("campaign", path, 50),
+        resume=resume,
     )
 
 
-def run_jittered(path, fast):
+def run_jittered(path, resume=False):
     """A jittered byte-level campaign: payload, jitter and loss RNG state."""
     campaign = FaultCampaign(
         [
@@ -135,8 +145,8 @@ def run_jittered(path, fast):
         arq=ARQ,
         cache=LastKnownGoodCache(),
         integrity=IntegrityConfig(values_per_payload=8),
-        fast=fast,
         checkpoint=checkpointer("campaign", path, 50),
+        resume=resume,
     )
 
 
@@ -163,20 +173,30 @@ def fixed_report():
     )
 
 
-class TestCheckpointGolden:
-    @pytest.mark.parametrize("fast", [True, False], ids=["fast", "scalar"])
-    def test_campaign(self, tmp_path, fast):
-        path = tmp_path / "campaign.json"
-        run_flapping(path, fast)
-        name = "campaign-fast" if fast else "campaign-scalar"
-        assert (file_sha256(path), config_key(path)) == GOLDEN[name]
+def check_campaign(tmp_path, runner, name, run):
+    """``"fast"``: ``run`` writes the pinned file.  ``"scalar"``: resuming
+    the former scalar runner's file of the same run is refused."""
+    path = tmp_path / "campaign.json"
+    if runner == "fast":
+        run(path)
+        assert (file_sha256(path), config_key(path)) == GOLDEN[f"{name}-fast"]
+    else:
+        shutil.copyfile(SCALAR_CHECKPOINTS[name], path)
+        with pytest.raises(CheckpointError, match="different run"):
+            run(path, resume=True)
 
-    @pytest.mark.parametrize("fast", [True, False], ids=["fast", "scalar"])
-    def test_jittered_campaign(self, tmp_path, fast):
-        path = tmp_path / "campaign.json"
-        run_jittered(path, fast)
-        name = "campaign-jitter-fast" if fast else "campaign-jitter-scalar"
-        assert (file_sha256(path), config_key(path)) == GOLDEN[name]
+
+RUNNERS = pytest.mark.parametrize("runner", ["fast", "scalar"])
+
+
+class TestCheckpointGolden:
+    @RUNNERS
+    def test_campaign(self, tmp_path, runner):
+        check_campaign(tmp_path, runner, "campaign", run_flapping)
+
+    @RUNNERS
+    def test_jittered_campaign(self, tmp_path, runner):
+        check_campaign(tmp_path, runner, "campaign-jitter", run_jittered)
 
     def test_sweep(self, tmp_path):
         path = tmp_path / "sweep.json"
@@ -199,7 +219,7 @@ class TestCheckpointGolden:
                 period_s=0.25,
                 sim_seed=7,
             ),
-            search=ChaosSearchConfig(population=3, generations=1, seed=1, fast=True),
+            search=ChaosSearchConfig(population=3, generations=1, seed=1),
             n_events=60,
             checkpoint=checkpointer("chaos", path, 2),
         )

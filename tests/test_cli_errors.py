@@ -1,8 +1,13 @@
 """CLI robustness: bad input must exit 2 with a one-line error, no traceback."""
 
+import json
+
 import pytest
 
 from repro.cli import main
+from repro.sim.checkpoint import stable_digest
+
+from .test_chaos import golden_bundle
 
 
 def _single_error_line(captured) -> str:
@@ -28,7 +33,7 @@ class TestArgparseErrors:
 
     def test_invalid_choice_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["chaos", "--runner", "warp-speed"])
+            main(["chaos", "--node", "warp-speed"])
         assert exc.value.code == 2
         assert _single_error_line(capsys.readouterr()).startswith("error:")
 
@@ -56,6 +61,39 @@ class TestDomainErrors:
         code = main(["chaos", "--replay", str(bad)])
         assert code == 2
         assert _single_error_line(capsys.readouterr()).startswith("error:")
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("expected", {}),
+            ("expected", []),
+            ("expected", {"report_digest": 5}),
+            ("scenario", {}),
+            ("scenario", []),
+            ("scenario", {"seed": 1, "n_events": 10, "erasure_rate": 2.0}),
+            ("run", {}),
+            ("run", "model2"),
+        ],
+        ids=[
+            "expected-empty", "expected-list", "digest-not-string",
+            "scenario-empty", "scenario-list", "scenario-out-of-range",
+            "run-empty", "run-string",
+        ],
+    )
+    def test_malformed_replay_bundle_returns_2(self, capsys, tmp_path, field, value):
+        """A bundle whose schema and ``bundle_id`` check out but whose body
+        does not decode is refused before anything runs."""
+        bundle = golden_bundle()
+        bundle[field] = value
+        spec = {"scenario": bundle["scenario"], "run": bundle["run"]}
+        bundle["bundle_id"] = stable_digest(spec)[:16]
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(bundle))
+        code = main(["chaos", "--replay", str(path)])
+        assert code == 2
+        line = _single_error_line(capsys.readouterr())
+        assert line.startswith("error:")
+        assert "malformed bundle" in line
 
     @pytest.mark.parametrize("text", [None, "{not json", '{"schema": "other"}'])
     @pytest.mark.parametrize("argv", [["chaos"], ["chaos", "--smoke"]])

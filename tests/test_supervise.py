@@ -2,7 +2,7 @@
 
 Covers the :mod:`repro.sim.supervise` mechanisms end to end — the
 deterministic link circuit breaker (unit trajectory + in-campaign
-bit-identity across the fast and scalar runners), the digest-pinned
+bit-identity across the fast and scalar fault sources), the digest-pinned
 checkpoint documents (tamper and config-mismatch rejection), crash-safe
 resume of campaigns, sweeps and chaos searches (bit-identical to the
 uninterrupted run), the per-device health state machine with quarantine
@@ -40,13 +40,9 @@ from repro.sim.evaluate import PartitionMetrics
 from repro.sim.faults import (
     DELIVERED,
     DROPPED,
-    BurstLoss,
     DecisionRecord,
     FaultCampaign,
     IntegrityConfig,
-    LinkOutage,
-    PayloadCorruption,
-    SensorBrownout,
     reports_identical,
 )
 from repro.sim.parallel import ParallelConfig, sweep
@@ -65,6 +61,8 @@ from repro.sim.supervise import (
     LinkCircuitBreaker,
     wasted_radio_j,
 )
+
+from .test_wire_fastpath import BUILTIN_TYPES, RUNNERS, SUBCLASS_TYPES
 
 ARQ = ARQConfig(max_retries=3, timeout_s=2e-3, backoff_factor=2.0)
 
@@ -88,13 +86,14 @@ def synthetic_metrics(**overrides) -> PartitionMetrics:
     return PartitionMetrics(**values)
 
 
-def flapping(seed=5):
+def flapping(seed=5, types=BUILTIN_TYPES):
     """Burst loss plus two hard outage windows, breaker-opening shape."""
+    burst, outage = types[0], types[2]
     return FaultCampaign(
         [
-            BurstLoss(GilbertElliottParams(0.02, 0.10, 0.01, 0.6)),
-            LinkOutage(start_event=60, n_events=40),
-            LinkOutage(start_event=200, n_events=30),
+            burst(GilbertElliottParams(0.02, 0.10, 0.01, 0.6)),
+            outage(start_event=60, n_events=40),
+            outage(start_event=200, n_events=30),
         ],
         seed=seed,
     )
@@ -246,7 +245,7 @@ class TestCheckpointDocuments:
 
 
 class TestBreakerInCampaign:
-    def run(self, fast, breaker=None, n_events=300, with_policy=True, seed=5):
+    def run(self, types=BUILTIN_TYPES, breaker=None, n_events=300, with_policy=True):
         kwargs = {}
         if with_policy:
             kwargs = dict(
@@ -258,8 +257,8 @@ class TestBreakerInCampaign:
                 ),
                 cache=LastKnownGoodCache(),
             )
-        return flapping(seed).run(
-            simulator(), n_events, arq=ARQ, breaker=breaker, fast=fast, **kwargs
+        return flapping(types=types).run(
+            simulator(), n_events, arq=ARQ, breaker=breaker, **kwargs
         )
 
     def test_requires_bounded_arq(self):
@@ -271,8 +270,8 @@ class TestBreakerInCampaign:
     def test_fast_and_scalar_bit_identical_with_breaker(self):
         cfg = BreakerConfig(failure_threshold=3, probe_backoff_events=4)
         brk_fast, brk_scalar = LinkCircuitBreaker(cfg), LinkCircuitBreaker(cfg)
-        fast = self.run(True, breaker=brk_fast)
-        scalar = self.run(False, breaker=brk_scalar)
+        fast = self.run(BUILTIN_TYPES, breaker=brk_fast)
+        scalar = self.run(SUBCLASS_TYPES, breaker=brk_scalar)
         assert reports_identical(fast, scalar)
         assert report_digest(fast) == report_digest(scalar)
         assert brk_fast.state_dict() == brk_scalar.state_dict()
@@ -280,9 +279,9 @@ class TestBreakerInCampaign:
         assert brk_fast.blocked_events > 0
 
     def test_breaker_reduces_retransmissions(self):
-        baseline = self.run(True, breaker=None)
+        baseline = self.run(breaker=None)
         brk = LinkCircuitBreaker(BreakerConfig(failure_threshold=3))
-        braked = self.run(True, breaker=brk)
+        braked = self.run(breaker=brk)
         assert braked.retransmissions < baseline.retransmissions
         assert wasted_radio_j(
             braked, synthetic_metrics()
@@ -303,7 +302,6 @@ class TestBreakerInCampaign:
             policy=policy,
             fallback_metrics=synthetic_metrics(sensor_tx_j=2e-7),
             cache=LastKnownGoodCache(),
-            fast=True,
         )
         assert policy.transitions >= 2  # entered and left fallback
         assert report.fallback_events > 0
@@ -312,7 +310,6 @@ class TestBreakerInCampaign:
 
     def test_without_cache_blocked_events_drop(self):
         report = self.run(
-            True,
             breaker=LinkCircuitBreaker(BreakerConfig(failure_threshold=3)),
             with_policy=False,
         )
@@ -341,12 +338,15 @@ class _InterruptingCampaignCheckpointer(Checkpointer):
 
 
 class TestCampaignResume:
-    @pytest.mark.parametrize("fast", [True, False], ids=["fast", "scalar"])
-    def test_interrupt_resume_bit_identical(self, tmp_path, fast):
+    """Checkpoints always resume on the fast source; each resumed run must
+    reproduce the uninterrupted run on the parametrised source."""
+
+    @RUNNERS
+    def test_interrupt_resume_bit_identical(self, tmp_path, types):
         path = tmp_path / "campaign.json"
 
-        def run(checkpoint=None, resume=False):
-            return flapping().run(
+        def run(checkpoint=None, resume=False, types=BUILTIN_TYPES):
+            return flapping(types=types).run(
                 simulator(),
                 300,
                 arq=ARQ,
@@ -356,32 +356,32 @@ class TestCampaignResume:
                 fallback_metrics=synthetic_metrics(sensor_tx_j=2e-7),
                 cache=LastKnownGoodCache(),
                 breaker=LinkCircuitBreaker(BreakerConfig(failure_threshold=3)),
-                fast=fast,
                 checkpoint=checkpoint,
                 resume=resume,
             )
 
-        reference = run()
+        reference = run(types=types)
         with pytest.raises(_AbortAfterSave):
             run(_InterruptingCampaignCheckpointer(path, every=77))
         resumed = run(Checkpointer(path, every=77), resume=True)
         assert reports_identical(reference, resumed)
         assert report_digest(reference) == report_digest(resumed)
 
-    @pytest.mark.parametrize("fast", [True, False], ids=["fast", "scalar"])
-    def test_interrupt_resume_integrity_jitter(self, tmp_path, fast):
+    @RUNNERS
+    def test_interrupt_resume_integrity_jitter(self, tmp_path, types):
         """Resume restores the payload, jitter and loss-stream positions."""
         path = tmp_path / "campaign.json"
         jittered = CrossEndSimulator(
             synthetic_metrics(), period_s=0.25, jitter_sigma=0.3, seed=3
         )
 
-        def run(checkpoint=None, resume=False):
+        def run(checkpoint=None, resume=False, types=BUILTIN_TYPES):
+            burst, corruption, _, brownout, _ = types
             campaign = FaultCampaign(
                 [
-                    BurstLoss(GilbertElliottParams(0.02, 0.10, 0.01, 0.6)),
-                    PayloadCorruption(0.08, mode="bitflip"),
-                    SensorBrownout(start_event=40, n_events=5),
+                    burst(GilbertElliottParams(0.02, 0.10, 0.01, 0.6)),
+                    corruption(0.08, mode="bitflip"),
+                    brownout(start_event=40, n_events=5),
                 ],
                 seed=9,
             )
@@ -391,32 +391,35 @@ class TestCampaignResume:
                 arq=ARQ,
                 cache=LastKnownGoodCache(),
                 integrity=IntegrityConfig(values_per_payload=8),
-                fast=fast,
                 checkpoint=checkpoint,
                 resume=resume,
             )
 
-        reference = run()
+        reference = run(types=types)
         with pytest.raises(_AbortAfterSave):
             run(_InterruptingCampaignCheckpointer(path, every=70))
         resumed = run(Checkpointer(path, every=70), resume=True)
         assert report_digest(reference) == report_digest(resumed)
 
-    @pytest.mark.parametrize(
-        "fast,keys",
-        [
-            (True, {"a", "loss_remainder"}),
-            (False, {"payload_rng", "jitter_rng", "seq_base"}),
-        ],
-        ids=["fast", "scalar"],
-    )
-    def test_checkpoint_extra_keys_per_runner(self, tmp_path, fast, keys):
+    @RUNNERS
+    def test_checkpoint_extra_keys_per_runner(self, tmp_path, types):
+        """Only the fast source snapshots; a campaign on the scalar source
+        (subclassed faults have no state snapshot) cannot be checkpointed."""
         path = tmp_path / "campaign.json"
-        flapping().run(
-            simulator(), 100, arq=ARQ, fast=fast,
-            checkpoint=Checkpointer(path, every=50),
-        )
-        assert set(json.loads(path.read_text())["state"]["extra"]) == keys
+
+        def run():
+            flapping(types=types).run(
+                simulator(), 100, arq=ARQ, checkpoint=Checkpointer(path, every=50)
+            )
+
+        if types is SUBCLASS_TYPES:
+            with pytest.raises(CheckpointError, match="cannot checkpoint"):
+                run()
+            assert not path.exists()
+        else:
+            run()
+            extra = json.loads(path.read_text())["state"]["extra"]
+            assert set(extra) == {"a", "loss_remainder"}
 
     def test_resume_needs_a_checkpointer(self):
         with pytest.raises(ConfigurationError, match="resume"):
@@ -519,7 +522,7 @@ class TestChaosResume:
 
     def test_interrupt_resume_matches_uninterrupted(self, tmp_path):
         run_config = self.make_run_config()
-        search = ChaosSearchConfig(population=3, generations=2, seed=1, fast=True)
+        search = ChaosSearchConfig(population=3, generations=2, seed=1)
         reference = chaos_search(run_config, search=search, n_events=120)
         path = tmp_path / "chaos.json"
         with pytest.raises(_AbortAfterSave):
@@ -541,16 +544,14 @@ class TestChaosResume:
         path = tmp_path / "chaos.json"
         chaos_search(
             run_config,
-            search=ChaosSearchConfig(population=3, generations=1, seed=1, fast=True),
+            search=ChaosSearchConfig(population=3, generations=1, seed=1),
             n_events=120,
             checkpoint=Checkpointer(path, every=2),
         )
         with pytest.raises(CheckpointError, match="different run"):
             chaos_search(
                 run_config,
-                search=ChaosSearchConfig(
-                    population=4, generations=1, seed=1, fast=True
-                ),
+                search=ChaosSearchConfig(population=4, generations=1, seed=1),
                 n_events=120,
                 checkpoint=Checkpointer(path, every=2),
                 resume=True,
@@ -805,8 +806,8 @@ _KILL_SCRIPT = textwrap.dedent(
     """
     import os, signal, sys
     sys.path.insert(0, {src!r})
-    sys.path.insert(0, {testdir!r})
-    from test_supervise import ARQ, flapping, simulator, synthetic_metrics
+    sys.path.insert(0, {root!r})
+    from tests.test_supervise import ARQ, flapping, simulator, synthetic_metrics
     from repro.core.degrade import GracefulDegradationPolicy, LastKnownGoodCache
     from repro.sim.checkpoint import Checkpointer
     from repro.sim.supervise import BreakerConfig, LinkCircuitBreaker
@@ -823,7 +824,6 @@ _KILL_SCRIPT = textwrap.dedent(
         fallback_metrics=synthetic_metrics(sensor_tx_j=2e-7),
         cache=LastKnownGoodCache(),
         breaker=LinkCircuitBreaker(BreakerConfig(failure_threshold=3)),
-        fast={fast!r},
         checkpoint=KillingCheckpointer({path!r}, every=60),
     )
     raise SystemExit("the campaign survived the kill switch")
@@ -832,17 +832,15 @@ _KILL_SCRIPT = textwrap.dedent(
 
 
 class TestKillAndResume:
-    """SIGKILL a campaign subprocess mid-run, resume, assert bit-identity."""
+    """SIGKILL a campaign subprocess mid-run, resume, assert bit-identity
+    with the uninterrupted run on the parametrised fault source."""
 
-    @pytest.mark.parametrize("fast", [True, False], ids=["fast", "scalar"])
-    def test_sigkill_then_resume_is_bit_identical(self, tmp_path, fast):
+    @RUNNERS
+    def test_sigkill_then_resume_is_bit_identical(self, tmp_path, types):
         path = str(tmp_path / "killed.json")
-        src = str(Path(__file__).resolve().parent.parent / "src")
+        root = Path(__file__).resolve().parent.parent
         script = _KILL_SCRIPT.format(
-            src=src,
-            testdir=str(Path(__file__).resolve().parent),
-            path=path,
-            fast=fast,
+            src=str(root / "src"), root=str(root), path=path
         )
         proc = subprocess.run(
             [sys.executable, "-c", script],
@@ -853,8 +851,8 @@ class TestKillAndResume:
         assert proc.returncode == -signal.SIGKILL, proc.stderr
         assert os.path.exists(path), "no checkpoint survived the kill"
 
-        def run(checkpoint=None, resume=False):
-            return flapping().run(
+        def run(checkpoint=None, resume=False, types=BUILTIN_TYPES):
+            return flapping(types=types).run(
                 simulator(),
                 300,
                 arq=ARQ,
@@ -864,12 +862,11 @@ class TestKillAndResume:
                 fallback_metrics=synthetic_metrics(sensor_tx_j=2e-7),
                 cache=LastKnownGoodCache(),
                 breaker=LinkCircuitBreaker(BreakerConfig(failure_threshold=3)),
-                fast=fast,
                 checkpoint=checkpoint,
                 resume=resume,
             )
 
         resumed = run(Checkpointer(path, every=60), resume=True)
-        reference = run()
+        reference = run(types=types)
         assert reports_identical(reference, resumed)
         assert report_digest(reference) == report_digest(resumed)
