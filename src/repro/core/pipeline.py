@@ -72,6 +72,8 @@ class TrainingConfig:
     def __post_init__(self) -> None:
         if self.split_repeats < 1:
             raise ConfigurationError("split_repeats must be >= 1")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ConfigurationError("test_fraction must be in (0, 1)")
         if self.kernel not in ("rbf", "linear"):
             raise ConfigurationError(
                 f"kernel must be 'rbf' or 'linear', got {self.kernel!r}"
@@ -118,12 +120,13 @@ class TrainedAnalyticEngine:
         one normaliser transform, and one Gram-matrix call per base
         classifier instead of per-event kernel evaluations.
 
-        With two or more rows each Gram's cross term is one BLAS product,
-        so a fused score may differ from :meth:`predict_segment`'s in the
-        last bits (about 1e-14 on the Table-1 cases) — far inside the
-        smallest decision margin seen there (about 2e-5), which is what
-        keeps the decisions identical.  A single row takes the
-        slice-stable one-query path and matches it bit for bit.
+        Scores are not bitwise :meth:`predict_segment`'s.  Batch
+        extraction rounds differently from ``FeatureLayout.extract``, and
+        with two or more rows each Gram's cross term is one BLAS product.
+        Together they move a fused score by about 4e-15 on the Table-1
+        cases, far inside the smallest decision margin measured there
+        (1.5e-4 at the training scale of ``tests/test_decision_margin.py``),
+        which is what keeps the decisions identical.
         """
         from repro.dsp.batch import batch_extract_matrix
 
@@ -187,9 +190,11 @@ def train_analytic_engine(
     """
     config = config or TrainingConfig()
     layout = layout or FeatureLayout(segment_length=dataset.segment_length)
-    # Vectorised extraction (verified exactly equivalent to the reference
-    # per-row path in tests/test_batch_extraction.py); imported lazily to
-    # keep the dsp <-> core layering acyclic.
+    # Vectorised extraction.  It is not bitwise the per-row
+    # FeatureLayout.extract path: Haar pair arithmetic and array powers
+    # round differently, by at most 8.9e-15 absolute / 1.7e-12 relative on
+    # the Table-1 cases (bound pinned in tests/test_batch_extraction.py).
+    # Imported lazily to keep the dsp <-> core layering acyclic.
     from repro.dsp.batch import batch_extract_matrix
 
     features = batch_extract_matrix(dataset.segments, layout)

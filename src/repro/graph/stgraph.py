@@ -106,8 +106,9 @@ class STGraph:
     The graph holds no :class:`~repro.cells.topology.CellTopology`
     reference — just the derived arrays plus the cell-name set needed to
     interpret cuts — so it is picklable and can be shipped to the worker
-    processes of :func:`repro.sim.parallel.sweep` even when the topology's
-    cell compute closures are not.  Residual states belong to this graph
+    processes of :func:`repro.sim.parallel.parallel_map` (as its
+    ``shared=`` state) even when the topology's cell compute closures are
+    not.  Residual states belong to this graph
     only: when the topology, energy library, link or CPU model changes,
     build a new graph (the generator does this automatically).
 

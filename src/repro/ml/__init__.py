@@ -12,7 +12,7 @@ Everything is implemented from scratch on numpy:
 - :mod:`repro.ml.svm` -- an SMO-trained binary SVM.
 - :mod:`repro.ml.subspace` -- the random-subspace ensemble protocol.
 - :mod:`repro.ml.fusion` -- least-squares weighted-voting score fusion.
-- :mod:`repro.ml.validation` -- 75/25 splits, k-fold CV, repeated training.
+- :mod:`repro.ml.validation` -- stratified 75/25 splits and k-fold CV.
 - :mod:`repro.ml.metrics` -- accuracy and confusion statistics.
 """
 
@@ -25,17 +25,10 @@ from repro.ml.multiclass import OneVsRestSubspaceClassifier
 from repro.ml.subspace import (
     RandomSubspaceClassifier,
     SubspaceMember,
-    build_subspace_classifier,
     fit_subspace_draw,
 )
 from repro.ml.svm import StackedScorer, SVMClassifier, share_support
-from repro.ml.tuning import TuningResult, grid_search
-from repro.ml.validation import (
-    RepeatedProtocolResult,
-    kfold_indices,
-    repeated_protocol,
-    train_test_split,
-)
+from repro.ml.validation import kfold_indices
 
 __all__ = [
     "AdaBoostSVMClassifier",
@@ -45,22 +38,16 @@ __all__ = [
     "LinearKernel",
     "RBFKernel",
     "RandomSubspaceClassifier",
-    "RepeatedProtocolResult",
     "SVMClassifier",
     "StackedScorer",
     "SubspaceMember",
     "SupportRows",
     "WeightedVotingFusion",
     "PlattScaler",
-    "TuningResult",
     "brier_score",
     "accuracy",
-    "build_subspace_classifier",
     "fit_subspace_draw",
-    "grid_search",
     "confusion_matrix",
     "kfold_indices",
-    "repeated_protocol",
     "share_support",
-    "train_test_split",
 ]

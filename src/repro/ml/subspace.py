@@ -40,13 +40,10 @@ import numpy as np
 
 from repro.errors import ConfigurationError, TrainingError
 from repro.ml.fusion import WeightedVotingFusion
-from repro.ml.kernels import Kernel, LinearKernel, RBFKernel
+from repro.ml.kernels import Kernel, RBFKernel
 from repro.ml.metrics import accuracy
 from repro.ml.svm import SVMClassifier, share_support
 from repro.ml.validation import kfold_indices, stratified_train_test_split
-
-#: Supported seed-derivation modes (see :class:`RandomSubspaceClassifier`).
-SEED_MODES = ("legacy", "spawn")
 
 
 def _sliced_scores(
@@ -186,14 +183,6 @@ class RandomSubspaceClassifier:
             single held-out split — the exact §4.4 protocol, at k times
             the training cost.  The retained member is then refit on all
             training rows.
-        seed_mode: How per-draw SVM and fold-rng seeds derive from the
-            master seed.  ``"legacy"`` (default) keeps the historical
-            streams — member seed ``seed + draw``, fold seed ``seed +
-            31 * draw`` — which can collide across draws (draw 31's
-            member seed equals draw 1's fold seed).  ``"spawn"`` derives
-            both from independent ``np.random.SeedSequence(seed)``
-            children, making collisions statistically impossible at the
-            cost of changing every pinned stream.
     """
 
     def __init__(
@@ -206,7 +195,6 @@ class RandomSubspaceClassifier:
         C: float = 1.0,
         seed: int = 42,
         cv_folds: Optional[int] = None,
-        seed_mode: str = "legacy",
     ) -> None:
         if n_features <= 0:
             raise ConfigurationError("n_features must be positive")
@@ -224,31 +212,27 @@ class RandomSubspaceClassifier:
         self.keep_fraction = float(keep_fraction)
         if cv_folds is not None and cv_folds < 2:
             raise ConfigurationError("cv_folds must be >= 2 when given")
-        if seed_mode not in SEED_MODES:
-            raise ConfigurationError(
-                f"unknown seed_mode {seed_mode!r}; available: {SEED_MODES}"
-            )
         self.kernel_factory = kernel_factory or functools.partial(RBFKernel, gamma=0.5)
         self.C = float(C)
         self.seed = int(seed)
         self.cv_folds = cv_folds
-        self.seed_mode = seed_mode
         self.members: List[SubspaceMember] = []
         self.fusion: Optional[WeightedVotingFusion] = None
 
     # -- training -----------------------------------------------------------
 
     def _draw_seeds(self) -> List[Tuple[int, int]]:
-        """Per-draw ``(member_seed, fold_seed)`` pairs (see ``seed_mode``)."""
-        if self.seed_mode == "legacy":
-            return [
-                (self.seed + draw, self.seed + 31 * draw)
-                for draw in range(self.n_draws)
-            ]
-        children = np.random.SeedSequence(self.seed).spawn(self.n_draws)
+        """Per-draw ``(member_seed, fold_seed)`` pairs.
+
+        Member seed ``seed + draw``, fold seed ``seed + 31 * draw``: the
+        streams every trained model and golden digest rests on.  They can
+        collide across draws (draw 31's member seed equals draw 1's fold
+        seed); deriving both from ``np.random.SeedSequence`` children
+        would rule that out, at the cost of changing every pinned stream.
+        """
         return [
-            tuple(int(w) for w in child.generate_state(2, np.uint64))
-            for child in children
+            (self.seed + draw, self.seed + 31 * draw)
+            for draw in range(self.n_draws)
         ]
 
     def fit(
@@ -445,53 +429,3 @@ class RandomSubspaceClassifier:
     def _require_fitted(self) -> None:
         if not self.is_fitted:
             raise ConfigurationError("ensemble used before fit()")
-
-
-def build_subspace_classifier(
-    n_features: int,
-    params: Optional[Dict[str, object]] = None,
-    seed: int = 0,
-    seed_mode: str = "legacy",
-) -> RandomSubspaceClassifier:
-    """Construct an ensemble from a plain parameter dictionary.
-
-    The shared constructor behind :func:`repro.ml.tuning.grid_search` and
-    :func:`repro.ml.validation.repeated_protocol`.  Recognised keys:
-    ``subspace_dim`` (12), ``n_draws`` (20), ``keep_fraction`` (0.2),
-    ``C`` (1.0), ``kernel`` ("rbf"/"linear"), ``gamma`` (0.5) and
-    ``cv_folds`` (None); defaults in parentheses.
-
-    Args:
-        n_features: Dimensionality of the full feature vector.
-        params: Parameter overrides (plain values, e.g. one grid point).
-        seed: Master ensemble seed.
-        seed_mode: Seed-derivation mode (see
-            :class:`RandomSubspaceClassifier`).
-    """
-    params = dict(params or {})
-    unknown = set(params) - {
-        "subspace_dim", "n_draws", "keep_fraction", "C", "kernel", "gamma",
-        "cv_folds",
-    }
-    if unknown:
-        raise ConfigurationError(f"unknown classifier parameters: {sorted(unknown)}")
-    kernel = params.get("kernel", "rbf")
-    gamma = float(params.get("gamma", 0.5))
-    if kernel == "rbf":
-        factory = lambda: RBFKernel(gamma=gamma)  # noqa: E731
-    elif kernel == "linear":
-        factory = lambda: LinearKernel()  # noqa: E731
-    else:
-        raise ConfigurationError(f"unknown kernel {kernel!r}")
-    cv_folds = params.get("cv_folds")
-    return RandomSubspaceClassifier(
-        n_features=n_features,
-        subspace_dim=int(params.get("subspace_dim", 12)),
-        n_draws=int(params.get("n_draws", 20)),
-        keep_fraction=float(params.get("keep_fraction", 0.2)),
-        kernel_factory=factory,
-        C=float(params.get("C", 1.0)),
-        seed=seed,
-        cv_folds=None if cv_folds is None else int(cv_folds),
-        seed_mode=seed_mode,
-    )

@@ -3,45 +3,18 @@
 Section 4.4 fixes the protocol: 75% / 25% random train/test split, 10-fold
 cross-validation on the training set, the split repeated 50 times with the
 best classifier kept.  These helpers implement the index bookkeeping from
-scratch (no scikit-learn offline), deterministically from explicit rngs.
-:func:`repeated_protocol` runs the full repeated-selection loop end to end
-on the training fast path (see :mod:`repro.ml.subspace`).
+scratch (no scikit-learn offline), deterministically from explicit rngs;
+the repeated-selection loop itself is
+:func:`repro.core.pipeline.train_analytic_engine`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError, TrainingError
-
-
-def train_test_split(
-    n_samples: int,
-    rng: np.random.Generator,
-    test_fraction: float = 0.25,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Random index split into train/test sets.
-
-    Args:
-        n_samples: Total sample count.
-        rng: Random generator (owns the shuffle).
-        test_fraction: Fraction reserved for testing (paper: 0.25).
-
-    Returns:
-        ``(train_idx, test_idx)`` integer index arrays.
-    """
-    if n_samples < 2:
-        raise ConfigurationError("need at least 2 samples to split")
-    if not 0.0 < test_fraction < 1.0:
-        raise ConfigurationError("test_fraction must be in (0, 1)")
-    order = rng.permutation(n_samples)
-    n_test = max(1, int(round(n_samples * test_fraction)))
-    if n_test >= n_samples:
-        n_test = n_samples - 1
-    return order[n_test:], order[:n_test]
+from repro.errors import ConfigurationError
 
 
 def stratified_train_test_split(
@@ -54,10 +27,21 @@ def stratified_train_test_split(
     The paper's random split occasionally produces one-class folds on small
     subsamples; stratification removes that failure mode without changing
     expected proportions, which matters when tests run on reduced datasets.
+
+    Args:
+        labels: Class label per sample.
+        rng: Random generator (owns the shuffles).
+        test_fraction: Fraction of each class reserved for testing, in
+            ``(0, 1)`` (paper: 0.25).
+
+    Returns:
+        ``(train_idx, test_idx)`` integer index arrays.
     """
     y = np.asarray(labels)
     if len(y) < 2:
         raise ConfigurationError("need at least 2 samples to split")
+    if not 0.0 < test_fraction < 1.0:
+        raise ConfigurationError("test_fraction must be in (0, 1)")
     train_parts: List[np.ndarray] = []
     test_parts: List[np.ndarray] = []
     for value in np.unique(y):
@@ -103,102 +87,3 @@ def kfold_indices(
         train = np.concatenate([order[:start], order[start + size :]])
         yield train, val
         start += size
-
-
-@dataclass
-class RepeatedProtocolResult:
-    """Outcome of the §4.4 repeated train/test selection loop.
-
-    Attributes:
-        best_classifier: The winning trained ensemble (highest held-out
-            test accuracy; earliest repeat wins ties).
-        best_accuracy: Its test accuracy.
-        best_repeat: Zero-based index of the winning repeat.
-        test_accuracies: Per-repeat held-out accuracies, in repeat order
-            (``nan`` for repeats whose training degenerated).
-        failed_repeats: Indices of repeats aborted by a
-            :class:`~repro.errors.TrainingError`.
-    """
-
-    best_classifier: Any
-    best_accuracy: float
-    best_repeat: int
-    test_accuracies: List[float] = field(default_factory=list)
-    failed_repeats: List[int] = field(default_factory=list)
-
-
-def repeated_protocol(
-    features: np.ndarray,
-    labels: np.ndarray,
-    n_repeats: int = 50,
-    params: Optional[Dict[str, object]] = None,
-    seed: int = 0,
-    test_fraction: float = 0.25,
-    parallel=None,
-    fast: bool = True,
-) -> RepeatedProtocolResult:
-    """The paper's repeated-selection loop: split, train, keep the best.
-
-    Each repeat draws a fresh stratified 75/25 split, trains a
-    :class:`~repro.ml.subspace.RandomSubspaceClassifier` on the training
-    rows (10-fold CV inside each draw when ``params['cv_folds']`` is set,
-    as §4.4 prescribes) and scores it on the held-out rows; the classifier
-    with the highest held-out accuracy is returned.  Per-repeat split rngs
-    and ensemble seeds derive from independent
-    ``np.random.SeedSequence(seed)`` children, so repeats are decoupled
-    and the loop is reproducible for any ``n_repeats``.
-
-    Args:
-        features: Normalised feature matrix ``(n_samples, n_features)``.
-        labels: Binary {0, 1} labels.
-        n_repeats: Number of split/train/score repeats (paper: 50).
-        params: Classifier parameters for
-            :func:`~repro.ml.subspace.build_subspace_classifier`.
-        seed: Master seed for all repeats.
-        test_fraction: Held-out fraction per repeat (paper: 0.25).
-        parallel: Optional :class:`~repro.sim.parallel.ParallelConfig`
-            forwarded to each ensemble fit (fans subspace draws across
-            worker processes, bit-identical to serial).
-        fast: Forwarded to each ensemble fit; ``False`` runs the pinned
-            reference twin.
-
-    Returns:
-        A :class:`RepeatedProtocolResult`; raises
-        :class:`~repro.errors.TrainingError` when every repeat fails.
-    """
-    from repro.ml.metrics import accuracy
-    from repro.ml.subspace import build_subspace_classifier
-
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels)
-    if X.ndim != 2 or len(X) != len(y):
-        raise ConfigurationError("need a 2-D feature matrix with matching labels")
-    if n_repeats < 1:
-        raise ConfigurationError("n_repeats must be >= 1")
-
-    children = np.random.SeedSequence(seed).spawn(n_repeats)
-    result = RepeatedProtocolResult(
-        best_classifier=None, best_accuracy=-1.0, best_repeat=-1
-    )
-    for repeat, child in enumerate(children):
-        split_word, clf_word = (int(w) for w in child.generate_state(2, np.uint64))
-        split_rng = np.random.default_rng(split_word)
-        train_idx, test_idx = stratified_train_test_split(
-            y, split_rng, test_fraction=test_fraction
-        )
-        clf = build_subspace_classifier(X.shape[1], params, seed=clf_word)
-        try:
-            clf.fit(X[train_idx], y[train_idx], parallel=parallel, fast=fast)
-        except TrainingError:
-            result.test_accuracies.append(float("nan"))
-            result.failed_repeats.append(repeat)
-            continue
-        score = accuracy(y[test_idx], clf.predict(X[test_idx]))
-        result.test_accuracies.append(score)
-        if score > result.best_accuracy:
-            result.best_classifier = clf
-            result.best_accuracy = score
-            result.best_repeat = repeat
-    if result.best_classifier is None:
-        raise TrainingError("every repeat of the protocol failed to train")
-    return result

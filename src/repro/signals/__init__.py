@@ -26,7 +26,6 @@ from repro.signals.datasets import (
     load_case,
     table1,
 )
-from repro.signals.augment import Augmenter
 from repro.signals.io import load_npz, load_ucr_file, save_npz
 from repro.signals.quality import QualityGate, QualityReport, SignalQualityIndex
 from repro.signals.segmentation import segment_stream, sliding_windows
@@ -40,7 +39,6 @@ from repro.signals.waveforms import (
 )
 
 __all__ = [
-    "Augmenter",
     "QualityGate",
     "QualityReport",
     "SignalQualityIndex",

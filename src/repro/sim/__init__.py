@@ -8,8 +8,8 @@
   segments through sensor, link and aggregator resources, used to validate
   the static model and to detect real-time overruns.
 - :mod:`repro.sim.parallel` -- fleet-scale parallel fan-out of independent
-  tasks (subspace draws, design-space sweeps, fleet and stream shards)
-  across worker processes, bit-identical to serial execution.
+  tasks (subspace draws, seeded scenarios, fleet shards) across worker
+  processes, bit-identical to serial execution.
 - :mod:`repro.sim.faults` -- composable fault models (outages, burst loss,
   corruption, brownouts, stalls) and seeded fault-injection campaigns with
   bounded-retry ARQ, graceful degradation and an optional byte-level data
@@ -22,8 +22,8 @@
   as integer columns for the struct-of-arrays fleet) and deterministic
   link circuit breakers.
 - :mod:`repro.sim.checkpoint` -- the one checkpoint journal: crash-safe,
-  digest-pinned checkpoint/resume for campaigns, sweeps and chaos
-  searches, plus the canonical-JSON digests and bit-exact float and RNG
+  digest-pinned checkpoint/resume for campaigns and chaos searches,
+  plus the canonical-JSON digests and bit-exact float and RNG
   codecs they share.
 """
 
@@ -100,8 +100,6 @@ from repro.sim.parallel import (
     fleet_soa_rounds,
     parallel_map,
     shard_map,
-    stream_soa_windows,
-    sweep,
 )
 from repro.sim.simulator import CrossEndSimulator, SimulationReport
 from repro.sim.supervise import (
@@ -191,7 +189,5 @@ __all__ = [
     "simulate_discharge",
     "simulate_fleet_scalar",
     "simulate_fleet_soa",
-    "stream_soa_windows",
-    "sweep",
     "event_period_s",
 ]

@@ -1,10 +1,9 @@
 """Checkpoint journal: one digest-pinned document format for resumable loops.
 
-Three loops resume from disk: :meth:`~repro.sim.faults.FaultCampaign.run`
-(kind ``"campaign"``), :func:`~repro.sim.parallel.sweep` (``"sweep"``) and
-:func:`~repro.sim.chaos.chaos_search` (``"chaos"``).  Each owns the key,
-state encoder and decoder of its kind; this module holds only what they
-share:
+Two loops resume from disk: :meth:`~repro.sim.faults.FaultCampaign.run`
+(kind ``"campaign"``) and :func:`~repro.sim.chaos.chaos_search`
+(``"chaos"``).  Each owns the key, state encoder and decoder of its kind;
+this module holds only what they share:
 
 - the document format (:data:`CHECKPOINT_SCHEMA`, :func:`save_checkpoint`,
   :func:`load_checkpoint`): a ``config_key`` digest pins the exact run
@@ -170,8 +169,7 @@ class Checkpointer:
     """Periodic crash-safe snapshots of one resumable loop.
 
     Pass one as ``checkpoint=`` to :meth:`~repro.sim.faults.FaultCampaign.
-    run` (snapshots every ``every`` events), :func:`~repro.sim.parallel.
-    sweep` (every ``every`` grid points) or :func:`~repro.sim.chaos.
+    run` (snapshots every ``every`` events) or :func:`~repro.sim.chaos.
     chaos_search` (every ``every`` campaign evaluations), and
     ``resume=True`` to continue from the last snapshot: the resumed run is
     bit-identical to an uninterrupted one.  The loop supplies the kind,

@@ -578,7 +578,7 @@ def _decode_record(row: Sequence[Any]) -> DecisionRecord:
 def encode_report(report: ResilienceReport) -> Dict[str, Any]:
     """JSON-safe, bit-exact form of one report (every record and counter).
 
-    The one report codec: checkpoints, sweep values, chaos outcomes and
+    The one report codec: checkpoints, chaos outcomes and
     :func:`~repro.sim.chaos.report_digest` all go through it.
     """
     data: Dict[str, Any] = {"records": [_encode_record(r) for r in report.records]}

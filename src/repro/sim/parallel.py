@@ -1,18 +1,15 @@
 """Fleet-scale parallel simulation driver.
 
 The evaluation layers run large numbers of *independent* tasks: one
-subspace draw per ensemble member (:func:`subspace_draws`), one partition
-evaluation per design-space point (:func:`sweep`), one seeded simulation
-per scenario (:func:`parallel_map` directly).  Each task is
-self-contained and carries its own seed, so the sweep is embarrassingly
-parallel — this module fans it across worker processes.  Population-scale
-fleets go through :func:`fleet_soa_rounds`, which shards the network axis
-of a struct-of-arrays :class:`~repro.sim.fleetsoa.FleetSpec` with
-:func:`shard_map` and ships the shared read-only columns once per worker;
-live stream populations go through :func:`stream_soa_windows`, which
-shards the stream axis of a :class:`~repro.stream.engine.StreamSpec` the
-same way.  Any fan-out passes its read-only invariants as
-``parallel_map(..., shared=...)``.
+subspace draw per ensemble member (:func:`subspace_draws`), one seeded
+simulation per scenario (:func:`parallel_map` directly).  Each task is
+self-contained and carries its own seed, so the fan-out is
+embarrassingly parallel — this module spreads it across worker
+processes.  Population-scale fleets go through :func:`fleet_soa_rounds`,
+which shards the network axis of a struct-of-arrays
+:class:`~repro.sim.fleetsoa.FleetSpec` with :func:`shard_map` and ships
+the shared read-only columns once per worker.  Any fan-out passes its
+read-only invariants as ``parallel_map(..., shared=...)``.
 
 Determinism contract
 --------------------
@@ -47,30 +44,13 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from itertools import count, product
+from itertools import count
 from multiprocessing.util import Finalize
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import CheckpointError, ConfigurationError, SimulationError
-from repro.sim.checkpoint import (
-    Checkpointer,
-    canonical_json,
-    decode_float,
-    encode_float,
-    stable_digest,
-)
-from repro.sim.faults import ResilienceReport, decode_report, encode_report
+from repro.errors import ConfigurationError, SimulationError
 
 logger = logging.getLogger(__name__)
 
@@ -467,78 +447,6 @@ def fleet_soa_rounds(
     return concat_fleet_results(parts)
 
 
-def _stream_soa_shard(shared: Tuple[Any, ...], bounds: Tuple[int, int]) -> Any:
-    """Worker: run one contiguous stream range of the shared pool."""
-    from repro.stream.engine import run_stream_pool
-
-    spec, backend, samples, tick_samples, policy = shared
-    lo, hi = bounds
-    return run_stream_pool(
-        spec.slice_streams(lo, hi),
-        backend,
-        samples[lo:hi],
-        tick_samples,
-        policy=policy,
-    )
-
-
-def stream_soa_windows(
-    spec: Any,
-    backend: Any,
-    samples: Any,
-    tick_samples: int,
-    policy: str = "skip_stale",
-    config: Optional[ParallelConfig] = None,
-    shards: Optional[int] = None,
-) -> Any:
-    """Process-parallel struct-of-arrays multi-stream window scoring.
-
-    Shards the stream axis of a :class:`~repro.stream.engine.StreamSpec`
-    into contiguous ranges (one per worker by default) with
-    :func:`shard_map`, which ships the read-only spec, backend and sample
-    matrix to each worker once, runs every range with
-    :func:`~repro.stream.engine.run_stream_pool` and stitches the shards
-    back into canonical stream order.
-
-    Streams are mutually independent — each consumes only its own sample
-    row and ring buffer — so the sharded result is **bit-identical** to
-    the unsharded one (and the serial backend to the process backend)
-    under :func:`~repro.stream.engine.stream_results_identical`.
-
-    Args:
-        spec: The stream population (:class:`~repro.stream.engine.
-            StreamSpec`).
-        backend: Picklable window scorer (e.g. :class:`~repro.stream.
-            engine.MomentsBackend`).
-        samples: ``(n_streams, T)`` sample matrix.
-        tick_samples: Samples ingested between scoring ticks.
-        policy: Backpressure policy (see :class:`~repro.stream.engine.
-            StreamPool`).
-        config: Execution configuration.
-        shards: Shard count override (default: resolved worker count).
-
-    Returns:
-        One stitched :class:`~repro.stream.engine.StreamRunResult`.
-    """
-    from repro.stream.engine import concat_stream_results
-
-    if tick_samples < 1:
-        raise ConfigurationError("tick_samples must be >= 1")
-    x = np.asarray(samples, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != spec.n_streams:
-        raise ConfigurationError(
-            f"samples must be ({spec.n_streams}, T), got {x.shape}"
-        )
-    parts, bounds = shard_map(
-        _stream_soa_shard,
-        spec.n_streams,
-        (spec, backend, x, tick_samples, policy),
-        config,
-        shards,
-    )
-    return concat_stream_results(parts, [lo for lo, _ in bounds])
-
-
 def _subspace_draw_task(shared: Dict[str, Any], task: Tuple[Any, int, int]) -> Any:
     """Worker: train and score one subspace draw on the shared state."""
     from repro.ml.subspace import fit_subspace_draw
@@ -602,134 +510,3 @@ def subspace_draws(
     }
     tasks = [(subset, ms, fs) for subset, (ms, fs) in zip(subsets, seeds)]
     return parallel_map(_subspace_draw_task, tasks, config, shared=shared)
-
-
-def _call_with_params(
-    shared: Tuple[Callable[..., Any], Dict[str, Any]],
-    params: Tuple[Tuple[str, Any], ...],
-) -> Any:
-    """Worker: evaluate one design-space point."""
-    func, kwargs = shared
-    return func(**kwargs, **dict(params))
-
-
-def _encode_sweep_value(value: Any) -> Dict[str, Any]:
-    """Sweep-value codec: reports, floats (``float.hex``), JSON scalars."""
-    if isinstance(value, ResilienceReport):
-        return {"kind": "report", "data": encode_report(value)}
-    if isinstance(value, float):
-        return {"kind": "float", "data": encode_float(value)}
-    try:
-        canonical_json(value)
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(
-            f"sweep value of type {type(value).__name__} is not "
-            "checkpoint-safe (reports, floats and JSON values are)"
-        ) from exc
-    return {"kind": "json", "data": value}
-
-
-def _decode_sweep_value(data: Mapping[str, Any]) -> Any:
-    """Inverse of :func:`_encode_sweep_value`."""
-    kind = data["kind"]
-    if kind == "report":
-        return decode_report(data["data"])
-    if kind == "float":
-        return decode_float(data["data"])
-    if kind == "json":
-        return data["data"]
-    raise CheckpointError(f"unknown sweep value kind {kind!r} in checkpoint")
-
-
-def sweep(
-    func: Callable[..., Any],
-    grid: Mapping[str, Sequence[Any]],
-    config: Optional[ParallelConfig] = None,
-    shared: Optional[Mapping[str, Any]] = None,
-    checkpoint: Optional[Checkpointer] = None,
-    resume: bool = False,
-) -> List[Tuple[Dict[str, Any], Any]]:
-    """Evaluate ``func`` over the cartesian product of a parameter grid.
-
-    The design-space sweep primitive: ``grid`` maps parameter names to the
-    values each may take; every combination is evaluated as one task.
-
-    Args:
-        func: Module-level callable accepting the grid's keys as keyword
-            arguments.
-        grid: Parameter name -> candidate values.  Iteration order of the
-            mapping fixes the product order (first key varies slowest).
-        config: Execution configuration.
-        shared: Extra keyword arguments passed to *every* point, shipped
-            once per worker (``shared=`` of :func:`parallel_map`) instead
-            of once per task.  Use it for heavyweight sweep-invariant
-            state — e.g. an :class:`~repro.graph.stgraph.STGraph` or a
-            :class:`~repro.sim.evaluate.PartitionEvaluationCache` when the
-            topology does not vary across the grid.  Names must not
-            collide with grid keys.  Each worker operates on its own copy, so
-            mutations (accumulated warm states, memo entries) speed up
-            that worker without feeding back to the caller — results stay
-            bit-identical to the serial backend either way.
-        checkpoint: Optional :class:`~repro.sim.checkpoint.Checkpointer`;
-            the grid is evaluated in batches of ``checkpoint.every``
-            points and the completed ``index -> value`` map is snapshot
-            as a ``"sweep"`` checkpoint after each batch (crash-safe
-            atomic writes).  Values must be reports, floats or JSON
-            values.  The config key pins the function identity, the grid
-            (names and value reprs) and the shared-kwarg names.  Without
-            a checkpoint, every point runs in a single batch.
-        resume: Skip the points recorded in ``checkpoint``'s last
-            snapshot and evaluate only the remainder.  Every point is an
-            independent seeded task, so the stitched result is
-            bit-identical to an uninterrupted sweep.
-
-    Returns:
-        ``(params, value)`` pairs in deterministic product order, where
-        ``params`` is the keyword dictionary of that point.
-    """
-    if not grid:
-        raise ConfigurationError("sweep grid must name at least one parameter")
-    if resume and checkpoint is None:
-        raise ConfigurationError("resume=True requires a checkpoint")
-    names = list(grid.keys())
-    overlap = set(names) & set(shared or {})
-    if overlap:
-        raise ConfigurationError(
-            f"sweep grid and shared kwargs overlap: {sorted(overlap)}"
-        )
-    combos = [
-        tuple(zip(names, values)) for values in product(*(grid[n] for n in names))
-    ]
-    key = None
-    if checkpoint is not None:
-        key = stable_digest({
-            "func": f"{func.__module__}.{func.__qualname__}",
-            "grid": {name: [repr(v) for v in values] for name, values in grid.items()},
-            "grid_order": names,
-            "shared": sorted(shared or {}),
-        })
-    done: Dict[int, Any] = {}
-    if resume:
-        done = checkpoint.load(
-            "sweep",
-            key,
-            lambda state: {
-                int(i): _decode_sweep_value(v) for i, v in state["done"].items()
-            },
-        )
-    pending = [i for i in range(len(combos)) if i not in done]
-    every = checkpoint.every if checkpoint is not None else max(1, len(pending))
-    for lo in range(0, len(pending), every):
-        batch = pending[lo : lo + every]
-        values = parallel_map(
-            _call_with_params,
-            [combos[i] for i in batch],
-            config,
-            shared=(func, dict(shared or {})),
-        )
-        done.update(zip(batch, values))
-        if checkpoint is not None:
-            checkpoint.save("sweep", key, {
-                "done": {str(i): _encode_sweep_value(v) for i, v in done.items()}
-            })
-    return [(dict(combos[i]), done[i]) for i in range(len(combos))]

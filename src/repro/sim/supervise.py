@@ -22,8 +22,8 @@ the per-event machinery of :mod:`repro.sim.faults`:
   is a drop signal to the policy, so an open breaker drives the
   deployment onto the in-sensor fallback cut).
 
-Crash-safe checkpoint/resume of campaigns, sweeps and chaos searches lives
-in :mod:`repro.sim.checkpoint`.
+Crash-safe checkpoint/resume of campaigns and chaos searches lives in
+:mod:`repro.sim.checkpoint`.
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ from repro.stream.engine import (
     StreamRunResult,
     StreamSpec,
     TickResult,
-    concat_stream_results,
     run_stream_pool,
     stream_results_identical,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "StreamRunResult",
     "StreamSpec",
     "TickResult",
-    "concat_stream_results",
     "run_stream_pool",
     "run_twin",
     "stream_results_identical",

@@ -56,8 +56,8 @@ the fast path to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -155,29 +155,6 @@ class StreamSpec:
             levels=np.full(n_streams, level, dtype=np.float64),
             tenants=tenants,
             capacity=capacity,
-        )
-
-    def slice_streams(self, lo: int, hi: int) -> "StreamSpec":
-        """The sub-population of streams ``[lo, hi)``, columns preserved.
-
-        Streams are mutually independent, so feeding a slice the matching
-        sample rows reproduces exactly the parent pool's windows for those
-        streams — the property :func:`repro.sim.parallel.
-        stream_soa_windows` relies on for sharded fan-out.
-        """
-        if not 0 <= lo <= hi <= self.n_streams:
-            raise ConfigurationError(
-                f"stream slice [{lo}, {hi}) out of range for "
-                f"{self.n_streams} streams"
-            )
-        if hi == lo:
-            raise ConfigurationError("stream slice must be non-empty")
-        return StreamSpec(
-            windows=self.windows[lo:hi],
-            hops=self.hops[lo:hi],
-            levels=self.levels[lo:hi],
-            tenants=self.tenants[lo:hi],
-            capacity=self.capacity,
         )
 
 
@@ -365,21 +342,6 @@ class StreamRunResult:
         return int(self.streams.size)
 
 
-#: Float columns of :class:`StreamRunResult` (NaN-aware comparison).
-_RESULT_FLOAT_FIELDS = ("scores",)
-#: Integer window/accounting columns (exact comparison).
-_RESULT_INT_FIELDS = (
-    "streams",
-    "indices",
-    "end_seq",
-    "decisions",
-    "accepted_samples",
-    "rejected_samples",
-    "dropped_samples",
-    "skipped_windows",
-)
-
-
 def _canonical_order(result: StreamRunResult) -> np.ndarray:
     """Sort permutation by (stream, window index): emission order differs
     between paths only in inter-tick interleaving, never within a
@@ -399,11 +361,8 @@ def stream_results_identical(a: StreamRunResult, b: StreamRunResult) -> bool:
     if a.accepted_samples.size != b.accepted_samples.size:
         return False
     oa, ob = _canonical_order(a), _canonical_order(b)
-    for name in _RESULT_FLOAT_FIELDS:
-        if not np.array_equal(
-            getattr(a, name)[oa], getattr(b, name)[ob], equal_nan=True
-        ):
-            return False
+    if not np.array_equal(a.scores[oa], b.scores[ob], equal_nan=True):
+        return False
     for name in ("streams", "indices", "end_seq", "decisions"):
         if not np.array_equal(getattr(a, name)[oa], getattr(b, name)[ob]):
             return False
@@ -416,45 +375,6 @@ def stream_results_identical(a: StreamRunResult, b: StreamRunResult) -> bool:
         if not np.array_equal(getattr(a, name), getattr(b, name)):
             return False
     return True
-
-
-def concat_stream_results(
-    parts: Sequence[StreamRunResult], offsets: Sequence[int]
-) -> StreamRunResult:
-    """Stitch per-shard results back into one canonical-order run.
-
-    ``offsets[i]`` is the first global stream index of shard ``i``;
-    window rows are re-sorted into canonical (stream, window index)
-    order, so the stitched result compares identical to an unsharded run
-    under :func:`stream_results_identical`.
-    """
-    if not parts:
-        raise ConfigurationError("need at least one result to concatenate")
-    if len(offsets) != len(parts):
-        raise ConfigurationError("offsets must match the shard count")
-    ticks = parts[0].ticks
-    if any(p.ticks != ticks for p in parts):
-        raise ConfigurationError("shards disagree on tick count")
-    streams = np.concatenate(
-        [p.streams + int(off) for p, off in zip(parts, offsets)]
-    )
-    merged = StreamRunResult(
-        streams=streams,
-        indices=np.concatenate([p.indices for p in parts]),
-        end_seq=np.concatenate([p.end_seq for p in parts]),
-        scores=np.concatenate([p.scores for p in parts]),
-        decisions=np.concatenate([p.decisions for p in parts]),
-        accepted_samples=np.concatenate([p.accepted_samples for p in parts]),
-        rejected_samples=np.concatenate([p.rejected_samples for p in parts]),
-        dropped_samples=np.concatenate([p.dropped_samples for p in parts]),
-        skipped_windows=np.concatenate([p.skipped_windows for p in parts]),
-        ticks=ticks,
-    )
-    order = _canonical_order(merged)
-    for name in _RESULT_FLOAT_FIELDS + ("streams", "indices", "end_seq",
-                                        "decisions"):
-        setattr(merged, name, getattr(merged, name)[order])
-    return merged
 
 
 def _ceil_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:

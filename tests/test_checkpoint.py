@@ -39,11 +39,10 @@ from repro.sim.faults import (
     PayloadCorruption,
     SensorBrownout,
 )
-from repro.sim.parallel import ParallelConfig, sweep
 from repro.sim.simulator import CrossEndSimulator
 from repro.sim.supervise import BreakerConfig, LinkCircuitBreaker
 
-from .test_supervise import ARQ, _square, flapping, simulator, synthetic_metrics
+from .test_supervise import ARQ, flapping, simulator, synthetic_metrics
 
 #: Replacement values of the hostile mutations: wrong types, a float where
 #: an integer belongs, and out-of-range integers.
@@ -143,14 +142,6 @@ def jittered_run():
     return run
 
 
-def sweep_run(checkpoint, resume=False):
-    return sweep(
-        _square, {"x": [0, 1, 2], "y": [1, 2]},
-        config=ParallelConfig(backend="serial"),
-        checkpoint=checkpoint, resume=resume,
-    )
-
-
 def chaos_run(checkpoint, resume=False):
     return chaos_search(
         ChaosRunConfig(
@@ -174,9 +165,6 @@ class TestHostileState:
     )
     def test_campaign(self, tmp_path, run):
         assert_only_checkpoint_errors(tmp_path, "campaign", run, every=50)
-
-    def test_sweep(self, tmp_path):
-        assert_only_checkpoint_errors(tmp_path, "sweep", sweep_run, every=2)
 
     def test_chaos(self, tmp_path):
         assert_only_checkpoint_errors(tmp_path, "chaos", chaos_run, every=2)
@@ -276,9 +264,9 @@ class TestCheckpointer:
 
     def test_decoder_errors_become_checkpoint_errors(self, tmp_path):
         ck = Checkpointer(tmp_path / "ck.json", every=1)
-        ck.save("sweep", "k", {"done": {}})
+        ck.save("chaos", "k", {"done": {}})
         with pytest.raises(CheckpointError, match="KeyError"):
-            ck.load("sweep", "k", lambda s: s["missing"])
+            ck.load("chaos", "k", lambda s: s["missing"])
 
 
 class TestAtomicWrites:
@@ -332,3 +320,7 @@ class TestLayering:
 
     def test_supervise_does_not_import_chaos(self):
         assert "repro.sim.chaos" not in self.imported_modules("supervise")
+
+    def test_parallel_imports_neither_faults_nor_checkpoint(self):
+        imported = self.imported_modules("parallel")
+        assert not imported & {"repro.sim.faults", "repro.sim.checkpoint"}

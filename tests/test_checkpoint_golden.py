@@ -1,7 +1,6 @@
 """Golden pins of the checkpoint file format.
 
-Every resumable loop — :meth:`~repro.sim.faults.FaultCampaign.run`,
-:func:`~repro.sim.parallel.sweep` and
+Every resumable loop — :meth:`~repro.sim.faults.FaultCampaign.run` and
 :func:`~repro.sim.chaos.chaos_search` — writes its snapshot through one
 digest-pinned document format.  These tests run each loop at fixed
 settings and pin the SHA-256 of the checkpoint file it leaves behind, the
@@ -46,11 +45,10 @@ from repro.sim.faults import (
     ResilienceReport,
     SensorBrownout,
 )
-from repro.sim.parallel import ParallelConfig, sweep
 from repro.sim.simulator import CrossEndSimulator
 from repro.sim.supervise import BreakerConfig, LinkCircuitBreaker
 
-from .test_supervise import ARQ, _square, flapping, simulator, synthetic_metrics
+from .test_supervise import ARQ, flapping, simulator, synthetic_metrics
 
 
 def checkpointer(kind, path, every):
@@ -87,10 +85,6 @@ GOLDEN = {
     "campaign-jitter-fast": (
         "b9120e28abd9ff30466355de76fb9535e5d7e870163e2bf2c1263685520868a2",
         "5aba8367033b9cc5a5f0c13589237667f45c224c20a8098f28811ff0afe1aade",
-    ),
-    "sweep": (
-        "be3286761961c98c6651d9c5f073fcc58c8e4ef4192b973702a5c1eed650e624",
-        "faabf924c1eddc2379f3410ae6f464e9605efa132aabfd4075aab0619649dc62",
     ),
     "chaos": (
         "0bc389ee104b320086b124738dc2763c3a324833bfcf936aa14ab0fcfa70649c",
@@ -197,16 +191,6 @@ class TestCheckpointGolden:
     @RUNNERS
     def test_jittered_campaign(self, tmp_path, runner):
         check_campaign(tmp_path, runner, "campaign-jitter", run_jittered)
-
-    def test_sweep(self, tmp_path):
-        path = tmp_path / "sweep.json"
-        sweep(
-            _square,
-            {"x": [0, 1, 2], "y": [1, 2]},
-            config=ParallelConfig(backend="serial"),
-            checkpoint=checkpointer("sweep", path, 2),
-        )
-        assert (file_sha256(path), config_key(path)) == GOLDEN["sweep"]
 
     def test_chaos(self, tmp_path):
         path = tmp_path / "chaos.json"

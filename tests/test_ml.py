@@ -5,16 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.pipeline import TrainingConfig
 from repro.errors import ConfigurationError, TrainingError
 from repro.ml.fusion import WeightedVotingFusion
 from repro.ml.kernels import LinearKernel, RBFKernel
 from repro.ml.metrics import accuracy, confusion_matrix, sensitivity, specificity
 from repro.ml.svm import SVMClassifier
-from repro.ml.validation import (
-    kfold_indices,
-    stratified_train_test_split,
-    train_test_split,
-)
+from repro.ml.validation import kfold_indices, stratified_train_test_split
 
 
 def _blobs(rng, n=60, gap=3.0, dim=2):
@@ -192,7 +189,8 @@ class TestFusion:
 
 class TestValidation:
     def test_split_proportions(self, rng):
-        train, test = train_test_split(100, rng, test_fraction=0.25)
+        y = np.array([0] * 60 + [1] * 40)
+        train, test = stratified_train_test_split(y, rng, test_fraction=0.25)
         assert len(train) == 75 and len(test) == 25
         assert set(train) | set(test) == set(range(100))
         assert not set(train) & set(test)
@@ -212,10 +210,14 @@ class TestValidation:
         assert sorted(seen) == list(range(23))
 
     def test_invalid_arguments(self, rng):
+        y = np.array([0] * 10 + [1] * 10)
         with pytest.raises(ConfigurationError):
-            train_test_split(1, rng)
-        with pytest.raises(ConfigurationError):
-            train_test_split(10, rng, test_fraction=1.5)
+            stratified_train_test_split(y[:1], rng)
+        for fraction in (1.5, 1.0, 0.0, -0.3):
+            with pytest.raises(ConfigurationError):
+                stratified_train_test_split(y, rng, test_fraction=fraction)
+            with pytest.raises(ConfigurationError):
+                TrainingConfig(test_fraction=fraction)
         with pytest.raises(ConfigurationError):
             list(kfold_indices(3, 5, rng))
         with pytest.raises(ConfigurationError):

@@ -33,7 +33,6 @@ from repro.sim.parallel import (
     fleet_soa_rounds,
     parallel_map,
     shard_map,
-    sweep,
 )
 from repro.sim.simulator import CrossEndSimulator
 
@@ -96,10 +95,6 @@ def _bsn_simulate(task):
 def _run_campaign(task):
     campaign, simulator, n_events, arq = task
     return campaign.run(simulator, n_events, arq=arq)
-
-
-def _affine(a, b):
-    return 3 * a + b
 
 
 def _priced_cut(template, lam):
@@ -564,85 +559,6 @@ class TestFleetSoaRounds:
             fleet_soa_rounds(soa_spec, 2, config=SERIAL, shards=0)
 
 
-class TestStreamSoaWindows:
-    """Sharded stream fan-out == unsharded == serial, bit-for-bit."""
-
-    @pytest.fixture(scope="class")
-    def stream_case(self):
-        from repro.stream import MomentsBackend, StreamSpec
-
-        rng = np.random.default_rng(31)
-        n = 10
-        spec = StreamSpec(
-            windows=rng.integers(4, 24, n),
-            hops=rng.integers(1, 30, n),  # hop > window included
-            levels=rng.normal(0.0, 0.4, n),
-            tenants=rng.integers(0, 3, n),
-            capacity=32,
-        )
-        return spec, MomentsBackend(), rng.normal(0.0, 1.0, (n, 130))
-
-    def test_serial_process_and_direct_agree(self, stream_case):
-        from repro.sim.parallel import stream_soa_windows
-        from repro.stream import run_stream_pool, stream_results_identical
-
-        spec, backend, samples = stream_case
-        direct = run_stream_pool(spec, backend, samples, 16)
-        serial = stream_soa_windows(
-            spec, backend, samples, 16, config=SERIAL, shards=3
-        )
-        process = stream_soa_windows(
-            spec, backend, samples, 16, config=PROCESS, shards=3
-        )
-        assert stream_results_identical(direct, serial)
-        assert stream_results_identical(direct, process)
-
-    def test_shard_count_does_not_change_the_result(self, stream_case):
-        from repro.sim.parallel import stream_soa_windows
-        from repro.stream import stream_results_identical
-
-        spec, backend, samples = stream_case
-        one = stream_soa_windows(
-            spec, backend, samples, 16, config=SERIAL, shards=1
-        )
-        many = stream_soa_windows(
-            spec, backend, samples, 16, config=SERIAL, shards=10
-        )
-        oversubscribed = stream_soa_windows(
-            spec, backend, samples, 16, config=SERIAL, shards=50
-        )
-        assert stream_results_identical(one, many)
-        assert stream_results_identical(one, oversubscribed)
-
-    def test_backpressure_policies_shard_identically(self, stream_case):
-        from repro.sim.parallel import stream_soa_windows
-        from repro.stream import run_stream_pool, stream_results_identical
-
-        spec, backend, samples = stream_case
-        for policy in ("skip_stale", "drop_new"):
-            direct = run_stream_pool(spec, backend, samples, 40, policy=policy)
-            sharded = stream_soa_windows(
-                spec, backend, samples, 40, policy=policy,
-                config=SERIAL, shards=4,
-            )
-            assert stream_results_identical(direct, sharded)
-
-    def test_validation(self, stream_case):
-        from repro.sim.parallel import stream_soa_windows
-
-        spec, backend, samples = stream_case
-        with pytest.raises(ConfigurationError):
-            stream_soa_windows(spec, backend, samples, 0, config=SERIAL)
-        with pytest.raises(ConfigurationError):
-            stream_soa_windows(
-                spec, backend, samples, 8, config=SERIAL, shards=0
-            )
-        with pytest.raises(ConfigurationError):
-            stream_soa_windows(
-                spec, backend, samples[:4], 8, config=SERIAL
-            )
-
-
 class TestCampaigns:
     def _tasks(self, metrics_pair):
         primary, _ = metrics_pair
@@ -671,26 +587,8 @@ class TestCampaigns:
         assert _reports_equal(first, second)
 
 
-class TestSweep:
-    def test_grid_order_and_values(self):
-        grid = {"a": [0, 1, 2], "b": [10, 20]}
-        results = sweep(_affine, grid, SERIAL)
-        assert [params for params, _ in results] == [
-            {"a": a, "b": b} for a in (0, 1, 2) for b in (10, 20)
-        ]
-        assert all(value == 3 * p["a"] + p["b"] for p, value in results)
-
-    def test_serial_matches_process(self):
-        grid = {"a": list(range(5)), "b": [1, 7]}
-        assert sweep(_affine, grid, SERIAL) == sweep(_affine, grid, PROCESS)
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ConfigurationError):
-            sweep(_affine, {}, SERIAL)
-
-
 class TestSweepShared:
-    """Satellite: heavyweight sweep-invariant state ships once per worker."""
+    """A heavyweight s-t template ships once per worker as ``shared=``."""
 
     @pytest.fixture(scope="class")
     def priced_template(self, request):
@@ -705,35 +603,21 @@ class TestSweepShared:
 
     def test_shared_template_serial_matches_process(self, priced_template):
         template, lam0 = priced_template
-        grid = {"lam": [lam0 * f for f in (0.0, 0.02, 0.1, 0.5, 1.0, 4.0)]}
-        serial = sweep(_priced_cut, grid, SERIAL, shared={"template": template})
-        process = sweep(_priced_cut, grid, PROCESS, shared={"template": template})
+        lams = [lam0 * f for f in (0.0, 0.02, 0.1, 0.5, 1.0, 4.0)]
+        serial = parallel_map(_priced_cut, lams, SERIAL, shared=template)
+        process = parallel_map(_priced_cut, lams, PROCESS, shared=template)
         assert repr(serial) == repr(process)
         # Same values a plain in-process loop over the ladder produces.
-        expected = [_priced_cut(template=template, lam=lam) for lam in grid["lam"]]
-        assert [value for _, value in serial] == expected
+        assert serial == [_priced_cut(template, lam) for lam in lams]
 
     def test_process_workers_do_not_feed_back(self, priced_template):
         """Worker-side warm states never mutate the caller's template."""
         template, lam0 = priced_template
         before = template.stats.total_solves
-        sweep(
-            _priced_cut,
-            {"lam": [0.0, lam0, 2.0 * lam0]},
-            PROCESS,
-            shared={"template": template},
+        parallel_map(
+            _priced_cut, [0.0, lam0, 2.0 * lam0], PROCESS, shared=template
         )
         assert template.stats.total_solves == before
-
-    def test_shared_keys_must_not_shadow_grid(self, priced_template):
-        template, _ = priced_template
-        with pytest.raises(ConfigurationError):
-            sweep(
-                _priced_cut,
-                {"lam": [0.0], "template": [template]},
-                SERIAL,
-                shared={"template": template},
-            )
 
 
 class TestSeededSimulatorFanout:

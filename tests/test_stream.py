@@ -26,7 +26,6 @@ from repro.stream import (
     ScalarStreamTwin,
     StreamPool,
     StreamSpec,
-    concat_stream_results,
     run_stream_pool,
     run_twin,
     stream_results_identical,
@@ -67,16 +66,6 @@ class TestStreamSpec:
             StreamSpec(windows=[4], hops=[2], levels=[np.nan])
         with pytest.raises(ConfigurationError):
             StreamSpec(windows=[4], hops=[2], tenants=[-1])
-
-    def test_slice_streams_bounds(self):
-        spec = StreamSpec.homogeneous(4, window=4, hop=2)
-        part = spec.slice_streams(1, 3)
-        assert part.n_streams == 2
-        assert part.capacity == spec.capacity
-        with pytest.raises(ConfigurationError):
-            spec.slice_streams(2, 2)
-        with pytest.raises(ConfigurationError):
-            spec.slice_streams(0, 5)
 
     def test_columns_are_read_only(self):
         spec = StreamSpec.homogeneous(2, window=4, hop=2)
@@ -228,22 +217,6 @@ class TestSoaTwinIdentity:
         assert stream_results_identical(a, b)
         b.scores[0] += 1e-12
         assert not stream_results_identical(a, b)
-
-    def test_concat_matches_unsharded(self):
-        rng = np.random.default_rng(14)
-        spec = _random_spec(rng, 9)
-        samples = rng.normal(0.0, 1.0, (9, 80))
-        whole = run_stream_pool(spec, MomentsBackend(), samples, 16)
-        bounds = [(0, 3), (3, 7), (7, 9)]
-        parts = [
-            run_stream_pool(
-                spec.slice_streams(lo, hi), MomentsBackend(),
-                samples[lo:hi], 16,
-            )
-            for lo, hi in bounds
-        ]
-        stitched = concat_stream_results(parts, [lo for lo, _ in bounds])
-        assert stream_results_identical(whole, stitched)
 
 
 class TestEngineBackend:

@@ -4,7 +4,7 @@ Covers the :mod:`repro.sim.supervise` mechanisms end to end — the
 deterministic link circuit breaker (unit trajectory + in-campaign
 bit-identity across the fast and scalar fault sources), the digest-pinned
 checkpoint documents (tamper and config-mismatch rejection), crash-safe
-resume of campaigns, sweeps and chaos searches (bit-identical to the
+resume of campaigns and chaos searches (bit-identical to the
 uninterrupted run), the per-device health state machine with quarantine
 and probation, and the fleet supervisor's scheduling view.  The
 kill-and-resume integration test SIGKILLs a subprocess mid-campaign and
@@ -45,7 +45,6 @@ from repro.sim.faults import (
     IntegrityConfig,
     reports_identical,
 )
-from repro.sim.parallel import ParallelConfig, sweep
 from repro.sim.simulator import CrossEndSimulator
 from repro.sim.supervise import (
     DEGRADED,
@@ -220,7 +219,7 @@ class TestCheckpointDocuments:
 
     def test_wrong_kind_rejected(self, tmp_path):
         path = tmp_path / "ck.json"
-        save_checkpoint(path, "sweep", "k", {"cursor": 1})
+        save_checkpoint(path, "chaos", "k", {"cursor": 1})
         with pytest.raises(CheckpointError, match="kind"):
             load_checkpoint(path, "campaign", "k")
 
@@ -446,58 +445,6 @@ class TestCampaignResume:
     def test_checkpointer_validation(self, tmp_path):
         with pytest.raises(ConfigurationError):
             Checkpointer(tmp_path / "x.json", every=0)
-
-
-def _square(x=0, y=0, weight=1.0):
-    """Module-level sweep target (workers import it by qualified name)."""
-    return weight * (x * x + y)
-
-
-class TestSweepResume:
-    GRID = {"x": [0, 1, 2, 3], "y": [1, 2]}
-
-    def test_checkpointed_sweep_matches_plain(self, tmp_path):
-        plain = sweep(
-            _square, self.GRID, config=ParallelConfig(backend="serial"),
-            shared={"weight": 2.0},
-        )
-        ck = Checkpointer(tmp_path / "sweep.json", every=3)
-        checkpointed = sweep(
-            _square, self.GRID, config=ParallelConfig(backend="serial"),
-            shared={"weight": 2.0}, checkpoint=ck,
-        )
-        assert checkpointed == plain
-        assert ck.path.exists()
-
-    def test_resume_completes_partial_sweep(self, tmp_path):
-        path = tmp_path / "sweep.json"
-        reference = sweep(
-            _square, self.GRID, config=ParallelConfig(backend="serial")
-        )
-        full = Checkpointer(path, every=2)
-        sweep(_square, self.GRID, config=ParallelConfig(backend="serial"),
-              checkpoint=full)
-        # Truncate the done-map to simulate a crash after 3 combos.
-        doc = json.loads(path.read_text())
-        done = doc["state"]["done"]
-        kept = {k: done[k] for k in sorted(done, key=int)[:3]}
-        save_checkpoint(path, "sweep", doc["config_key"], {"done": kept})
-        resumed = sweep(
-            _square, self.GRID, config=ParallelConfig(backend="serial"),
-            checkpoint=Checkpointer(path, every=2), resume=True,
-        )
-        assert resumed == reference
-
-    def test_resume_rejects_different_grid(self, tmp_path):
-        path = tmp_path / "sweep.json"
-        sweep(_square, self.GRID, config=ParallelConfig(backend="serial"),
-              checkpoint=Checkpointer(path, every=2))
-        with pytest.raises(CheckpointError, match="different run"):
-            sweep(
-                _square, {"x": [9], "y": [1]},
-                config=ParallelConfig(backend="serial"),
-                checkpoint=Checkpointer(path, every=2), resume=True,
-            )
 
 
 class _InterruptingChaosCheckpointer(Checkpointer):

@@ -4,20 +4,22 @@ The fast training engine (fold-sliced shared Grams + the cached-error
 screened SMO) promises *bitwise* identity to the pinned reference
 protocol.  These tests pin that contract at every layer: single-SVM
 fast-vs-reference identity, Gram slice stability, serial-vs-parallel
-ensemble identity on all six Table-1 cases, seed-mode derivation and the
-degenerate edges of the fast path.
+ensemble identity on all six Table-1 cases, per-draw seed derivation, the
+repeat-and-keep-best loop and the degenerate edges of the fast path.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.pipeline import TrainingConfig, train_analytic_engine
 from repro.errors import ConfigurationError, TrainingError
 from repro.ml.kernels import LinearKernel, RBFKernel
-from repro.ml.subspace import RandomSubspaceClassifier, build_subspace_classifier
+from repro.ml.subspace import RandomSubspaceClassifier
 from repro.ml.svm import SVMClassifier
-from repro.ml.validation import repeated_protocol
 from repro.sim.parallel import ParallelConfig
 from repro.signals.datasets import CASE_ORDER, load_case
 
@@ -263,61 +265,33 @@ class TestSeedModes:
         seeds = clf._draw_seeds()
         assert seeds[31][0] == seeds[1][1]
 
-    def test_spawn_mode_collision_free(self):
-        clf = RandomSubspaceClassifier(
-            n_features=20, n_draws=64, seed=42, seed_mode="spawn"
-        )
-        seeds = clf._draw_seeds()
-        flat = [w for pair in seeds for w in pair]
-        assert len(set(flat)) == len(flat)
-
-    def test_unknown_seed_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            RandomSubspaceClassifier(n_features=10, seed_mode="bogus")
-
-    def test_spawn_mode_trains(self, case_features):
-        X, y = case_features["C1"]
-        clf = build_subspace_classifier(
-            X.shape[1],
-            {"subspace_dim": 6, "n_draws": 3, "keep_fraction": 0.5},
-            seed=5,
-            seed_mode="spawn",
-        )
-        clf.fit(X, y)
-        assert clf.is_fitted
-
 
 class TestRepeatedProtocol:
-    def test_selects_best_repeat(self, case_features):
-        X, y = case_features["C1"]
-        result = repeated_protocol(
-            X,
-            y,
-            n_repeats=3,
-            params={"subspace_dim": 6, "n_draws": 3, "keep_fraction": 0.5},
-            seed=2,
-        )
-        assert result.best_classifier.is_fitted
-        assert len(result.test_accuracies) == 3
-        assert result.best_accuracy == max(result.test_accuracies)
-        assert result.test_accuracies[result.best_repeat] == result.best_accuracy
-        assert result.failed_repeats == []
+    """The §4.4 repeat-and-keep-best loop of ``train_analytic_engine``."""
 
-    def test_reproducible(self, case_features):
-        X, y = case_features["C1"]
-        kwargs = dict(
-            n_repeats=2,
-            params={"subspace_dim": 6, "n_draws": 2, "keep_fraction": 0.5},
-            seed=9,
-        )
-        a = repeated_protocol(X, y, **kwargs)
-        b = repeated_protocol(X, y, **kwargs)
-        assert a.test_accuracies == b.test_accuracies
-        assert a.best_repeat == b.best_repeat
+    CONFIG = TrainingConfig(
+        subspace_dim=6, n_draws=3, keep_fraction=0.5, split_repeats=3, seed=2
+    )
 
-    def test_validation(self, case_features):
-        X, y = case_features["C1"]
-        with pytest.raises(ConfigurationError):
-            repeated_protocol(X, y, n_repeats=0)
-        with pytest.raises(ConfigurationError):
-            repeated_protocol(np.zeros(5), y[:5])
+    def test_selects_best_repeat(self):
+        ds = load_case("C1", n_segments=64)
+        best = train_analytic_engine(ds, self.CONFIG)
+        # Repeat r trains alone as a one-split run at seed + 1000 * r.
+        repeats = [
+            train_analytic_engine(
+                ds, replace(self.CONFIG, split_repeats=1, seed=self.CONFIG.seed + 1000 * r)
+            )
+            for r in range(self.CONFIG.split_repeats)
+        ]
+        accuracies = [e.test_accuracy for e in repeats]
+        assert best.test_accuracy == max(accuracies)
+        # The earliest repeat wins ties.
+        winner = repeats[accuracies.index(max(accuracies))]
+        assert _ensembles_identical(best.ensemble, winner.ensemble)
+
+    def test_reproducible(self):
+        ds = load_case("C1", n_segments=64)
+        a = train_analytic_engine(ds, self.CONFIG)
+        b = train_analytic_engine(ds, self.CONFIG)
+        assert a.test_accuracy == b.test_accuracy
+        assert _ensembles_identical(a.ensemble, b.ensemble)
