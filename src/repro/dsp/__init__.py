@@ -14,7 +14,6 @@ computes on a signal segment before it reaches the classifier:
 
 from repro.dsp.features import (
     FEATURE_NAMES,
-    batch_feature_matrix,
     crossing_count,
     feature_vector,
     kurtosis,
@@ -46,7 +45,6 @@ __all__ = [
     "MinMaxNormalizer",
     "Q16_16",
     "WaveletFilter",
-    "batch_feature_matrix",
     "crossing_count",
     "dwt_multilevel",
     "dwt_multilevel_batch",

@@ -384,32 +384,6 @@ def multiband_feature_matrix(
     return out
 
 
-def batch_feature_matrix(
-    segments: Sequence[Sequence[float]], names: Sequence[str] = FEATURE_NAMES
-) -> np.ndarray:
-    """All requested features of a ``(n_segments, n_samples)`` batch at once.
-
-    The batched analogue of :func:`feature_vector`: row ``i`` of the result
-    is ``feature_vector(segments[i], names)`` to float precision (the
-    reductions are the same up to summation blocking).  It is the one-band
-    call of :func:`multiband_feature_matrix`, and so bitwise the per-band
-    computation.
-
-    Args:
-        segments: Two-dimensional batch; every row is one segment.
-        names: Features to compute, in output-column order.
-
-    Returns:
-        ``(n_segments, len(names))`` feature matrix.
-    """
-    X = np.asarray(segments, dtype=np.float64)
-    if X.ndim != 2:
-        raise ConfigurationError("segments must be a 2-D batch")
-    if X.shape[0] == 0 or X.shape[1] == 0:
-        raise ConfigurationError("segments batch must be non-empty")
-    return multiband_feature_matrix([X], names)
-
-
 def operation_counts(name: str, segment_length: int) -> Mapping[str, int]:
     """S-ALU operation counts for one feature cell over an N-sample segment.
 

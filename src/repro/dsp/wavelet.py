@@ -146,10 +146,6 @@ class WaveletFilter:
         """Number of taps in each filter."""
         return len(self.lowpass)
 
-    def multiplies_per_output(self) -> int:
-        """Multiplier count per output sample — feeds the energy model."""
-        return self.length
-
 
 def _analysis_step(
     segment: np.ndarray, taps: np.ndarray
@@ -327,28 +323,3 @@ def dwt_band_lengths(segment_length: int, levels: int) -> List[int]:
     lengths = [segment_length >> level for level in range(1, levels)]
     lengths.extend([segment_length >> levels] * 2)
     return lengths
-
-
-def reconstruct_single_level(
-    approx: np.ndarray, detail: np.ndarray, wavelet: WaveletFilter | str = "haar"
-) -> np.ndarray:
-    """Inverse of :func:`dwt_single_level` (used only to test invertibility).
-
-    Upsamples both bands by two, filters with the time-reversed analysis
-    filters (orthogonal wavelets are self-dual up to reversal) and sums.
-    """
-    if isinstance(wavelet, str):
-        wavelet = WaveletFilter.by_name(wavelet)
-    if len(approx) != len(detail):
-        raise ConfigurationError("approximation/detail lengths differ")
-    n = 2 * len(approx)
-    up_a = np.zeros(n)
-    up_d = np.zeros(n)
-    up_a[::2] = approx
-    up_d[::2] = detail
-
-    def _synthesis(upsampled: np.ndarray, taps: np.ndarray) -> np.ndarray:
-        extended = np.concatenate([upsampled[-(len(taps) - 1):], upsampled])
-        return np.convolve(extended, taps, mode="valid")[:n]
-
-    return _synthesis(up_a, wavelet.lowpass) + _synthesis(up_d, wavelet.highpass)

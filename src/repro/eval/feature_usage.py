@@ -5,8 +5,8 @@ salient features in the time-domain, EEG is with a good data representation
 under DWT, and EMG is more sensitive to the classifier"* — and the random
 subspace training *"can automatically find the favorable features for
 specific biosignal type"*.  These helpers expose what a trained ensemble
-actually selected, per domain and per statistic, so that claim can be
-inspected on any dataset.
+actually selected, per domain, so that claim can be inspected on any
+dataset.
 """
 
 from __future__ import annotations
@@ -34,20 +34,6 @@ def domain_usage(
         for index in member.feature_indices:
             domain, _ = layout.feature_of(index)
             counts[labels[domain]] += 1
-    return counts
-
-
-def statistic_usage(
-    ensemble: RandomSubspaceClassifier, layout: FeatureLayout
-) -> Dict[str, int]:
-    """Member-feature selections per statistical feature kind."""
-    if not ensemble.is_fitted:
-        raise ConfigurationError("ensemble must be fitted")
-    counts = {name: 0 for name in layout.feature_names}
-    for member in ensemble.members:
-        for index in member.feature_indices:
-            _, fname = layout.feature_of(index)
-            counts[fname] += 1
     return counts
 
 

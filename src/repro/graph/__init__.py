@@ -12,7 +12,6 @@
 """
 
 from repro.graph.maxflow import FlowNetwork, MaxFlowResult
-from repro.graph.visualize import st_graph_to_dot, topology_to_dot
 from repro.graph.stgraph import STGraph, TemplateSolveStats, build_st_graph
 from repro.graph.cuts import (
     aggregator_cut,
@@ -26,8 +25,6 @@ __all__ = [
     "MaxFlowResult",
     "STGraph",
     "TemplateSolveStats",
-    "st_graph_to_dot",
-    "topology_to_dot",
     "aggregator_cut",
     "build_st_graph",
     "enumerate_partitions",

@@ -333,32 +333,16 @@ class FramingConfig:
         """Header + trailer bits added to every frame."""
         return self.header_bits + self.crc_bits
 
-    def frame_count(
-        self, payload_bytes: Union[int, np.ndarray]
-    ) -> Union[int, np.ndarray]:
-        """Frames needed to carry a payload of ``payload_bytes`` bytes.
-
-        Accepts an ndarray of sizes and returns an int64 array for batch
-        link planning.
-        """
-        if isinstance(payload_bytes, np.ndarray):
-            sizes = payload_bytes.astype(np.int64)
-            if sizes.size and int(sizes.min()) < 0:
-                raise ConfigurationError("payload_bytes must be non-negative")
-            return np.where(sizes == 0, 0, -(-sizes // self.max_payload_bytes))
+    def frame_count(self, payload_bytes: int) -> int:
+        """Frames needed to carry a payload of ``payload_bytes`` bytes."""
         if payload_bytes < 0:
             raise ConfigurationError("payload_bytes must be non-negative")
         if payload_bytes == 0:
             return 0
         return -(-payload_bytes // self.max_payload_bytes)
 
-    def framed_bits(
-        self, payload_bytes: Union[int, np.ndarray]
-    ) -> Union[int, np.ndarray]:
-        """Total on-air bits of a framed payload (excluding radio headers).
-
-        ndarray-aware, like :meth:`frame_count`.
-        """
+    def framed_bits(self, payload_bytes: int) -> int:
+        """Total on-air bits of a framed payload (excluding radio headers)."""
         return 8 * payload_bytes + self.frame_count(payload_bytes) * (
             self.overhead_bits_per_frame
         )

@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.hw.arq import ARQConfig, UNBOUNDED_ARQ
 from repro.hw.framing import FramingConfig
@@ -176,34 +174,6 @@ class WirelessLink:
             + n_frames * self.model.header_bits
         )
 
-    def payload_bits_batch(
-        self, n_values: np.ndarray, bits_per_value: int
-    ) -> np.ndarray:
-        """Vectorized :meth:`payload_bits` over an array of payload sizes.
-
-        Applies the same accounting — including framed fragmentation when
-        the link carries a :class:`~repro.hw.framing.FramingConfig` — to
-        every entry at once, riding the ndarray-aware
-        :meth:`FramingConfig.frame_count` / :meth:`FramingConfig.framed_bits`
-        planning helpers.  Entry ``i`` equals
-        ``payload_bits(n_values[i], bits_per_value)`` exactly.
-        """
-        sizes = np.asarray(n_values, dtype=np.int64)
-        if sizes.ndim != 1:
-            raise ConfigurationError("n_values must be one-dimensional")
-        if bits_per_value <= 0 or (sizes < 0).any():
-            raise ConfigurationError("invalid payload shape")
-        if self.framing is None:
-            bits = sizes * bits_per_value + self.model.header_bits
-            return np.where(sizes == 0, 0, bits)
-        payload_bytes = -(-sizes * bits_per_value // 8)
-        n_frames = self.framing.frame_count(payload_bytes)
-        bits = (
-            self.framing.framed_bits(payload_bytes)
-            + n_frames * self.model.header_bits
-        )
-        return np.where(sizes == 0, 0, bits)
-
     def framing_overhead_bits(self, n_values: int, bits_per_value: int) -> int:
         """Extra on-air bits the framing layer adds over the legacy path."""
         if self.framing is None or n_values == 0:
@@ -265,12 +235,6 @@ class WirelessLink:
             raise ConfigurationError("bits must be non-negative")
         return bits * self.model.tx_nj_per_bit * _NJ * self.expected_transmissions
 
-    def rx_energy_bits(self, bits: int) -> float:
-        """Energy (J) to receive a raw bit count (header already included)."""
-        if bits < 0:
-            raise ConfigurationError("bits must be non-negative")
-        return bits * self.model.rx_nj_per_bit * _NJ * self.expected_transmissions
-
     def single_try_tx_energy_bits(self, bits: int) -> float:
         """Energy (J) of exactly one transmission of a raw bit count.
 
@@ -284,14 +248,3 @@ class WirelessLink:
         if bits < 0:
             raise ConfigurationError("bits must be non-negative")
         return bits * self.model.tx_nj_per_bit * _NJ
-
-    def single_try_rx_energy_bits(self, bits: int) -> float:
-        """Energy (J) of exactly one reception of a raw bit count.
-
-        The receive-side twin of :meth:`single_try_tx_energy_bits`:
-        per-attempt accounting for breaker-gated links, with no
-        expected-transmission inflation.
-        """
-        if bits < 0:
-            raise ConfigurationError("bits must be non-negative")
-        return bits * self.model.rx_nj_per_bit * _NJ

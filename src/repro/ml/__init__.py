@@ -22,11 +22,7 @@ from repro.ml.fusion import WeightedVotingFusion
 from repro.ml.kernels import Kernel, LinearKernel, RBFKernel, SupportRows
 from repro.ml.metrics import accuracy, confusion_matrix
 from repro.ml.multiclass import OneVsRestSubspaceClassifier
-from repro.ml.subspace import (
-    RandomSubspaceClassifier,
-    SubspaceMember,
-    fit_subspace_draw,
-)
+from repro.ml.subspace import RandomSubspaceClassifier, SubspaceMember
 from repro.ml.svm import StackedScorer, SVMClassifier, share_support
 from repro.ml.validation import kfold_indices
 
@@ -46,7 +42,6 @@ __all__ = [
     "PlattScaler",
     "brier_score",
     "accuracy",
-    "fit_subspace_draw",
     "confusion_matrix",
     "kfold_indices",
     "share_support",

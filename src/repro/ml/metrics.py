@@ -40,9 +40,3 @@ def sensitivity(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     denom = cm["tp"] + cm["fn"]
     return cm["tp"] / denom if denom else 0.0
 
-
-def specificity(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """True-negative rate; 0.0 when there are no negatives."""
-    cm = confusion_matrix(y_true, y_pred)
-    denom = cm["tn"] + cm["fp"]
-    return cm["tn"] / denom if denom else 0.0

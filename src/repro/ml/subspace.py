@@ -25,9 +25,7 @@ with the RBF squared-column precompute shared across draws), sliced with
 — 11 Gram builds collapse to 1, and every fold SVM runs the fast SMO on
 its injected slice.  ``fit(fast=False)`` is the pinned reference twin
 (per-fold Gram rebuilds, :meth:`~repro.ml.svm.SVMClassifier.fit_reference`);
-both produce bitwise-identical ensembles.  ``fit(parallel=...)`` fans the
-draws across worker processes (:func:`repro.sim.parallel.subspace_draws`)
-with serial == parallel bit-identity.
+both produce bitwise-identical ensembles.
 """
 
 from __future__ import annotations
@@ -82,9 +80,9 @@ def fit_subspace_draw(
 ) -> Optional["SubspaceMember"]:
     """Train and score one subspace draw on a shared full-row Gram.
 
-    The fast-path worker (module-level so process pools can pickle it by
-    name): builds **one** Gram over all rows of the subspace and slices it
-    across every CV fold, the final refit and the validation scoring.
+    One fast-path draw: builds **one** Gram over all rows of the subspace
+    and slices it across every CV fold, the final refit and the
+    validation scoring.
 
     Args:
         X: Full ``(n, d)`` normalised feature matrix.
@@ -240,7 +238,6 @@ class RandomSubspaceClassifier:
         features: np.ndarray,
         labels: np.ndarray,
         *,
-        parallel=None,
         fast: bool = True,
     ) -> "RandomSubspaceClassifier":
         """Run the full subspace protocol on normalised feature rows.
@@ -248,9 +245,6 @@ class RandomSubspaceClassifier:
         Args:
             features: ``(n, n_features)`` normalised feature matrix.
             labels: Binary {0, 1} labels.
-            parallel: Optional :class:`~repro.sim.parallel.ParallelConfig`;
-                fans the draws across worker processes with bit-identical
-                results (requires the fast path).
             fast: ``True`` (default) trains every draw on one shared
                 full-row Gram sliced across folds; ``False`` runs the
                 pinned reference protocol (per-fold Gram rebuilds through
@@ -267,8 +261,6 @@ class RandomSubspaceClassifier:
             raise ConfigurationError("features/labels length mismatch")
         if len(np.unique(y)) < 2:
             raise TrainingError("training data contains a single class")
-        if parallel is not None and not fast:
-            raise ConfigurationError("parallel draws require the fast path")
 
         rng = np.random.default_rng(self.seed)
         fit_idx, val_idx = stratified_train_test_split(y, rng, test_fraction=0.25)
@@ -293,20 +285,15 @@ class RandomSubspaceClassifier:
                 for d in range(self.n_draws)
             ]
         else:
-            from repro.sim.parallel import SERIAL, subspace_draws
-
-            results = subspace_draws(
-                X,
-                y,
-                subsets,
-                seeds,
-                kernel=self.kernel_factory(),
-                C=self.C,
-                cv_folds=self.cv_folds,
-                fit_idx=fit_idx,
-                val_idx=val_idx,
-                config=parallel or SERIAL,
-            )
+            kernel = self.kernel_factory()
+            pre = kernel.gram_precompute(X)
+            results = [
+                fit_subspace_draw(
+                    X, y, subset, kernel, self.C, member_seed, fold_seed,
+                    self.cv_folds, fit_idx, val_idx, pre,
+                )
+                for subset, (member_seed, fold_seed) in zip(subsets, seeds)
+            ]
 
         candidates = [member for member in results if member is not None]
         if not candidates:

@@ -13,8 +13,8 @@ of Table 1 (see DESIGN.md, substitution #1):
   baseline wander, powerline hum).
 - :mod:`repro.signals.datasets` -- the six labelled test cases C1, C2, E1,
   E2, M1, M2 and the Table 1 attribute table.
-- :mod:`repro.signals.segmentation` -- windowing utilities for streaming
-  use.
+- :mod:`repro.signals.segmentation` -- stream re-segmentation into
+  fixed windows.
 """
 
 from repro.signals.datasets import (
@@ -28,7 +28,7 @@ from repro.signals.datasets import (
 )
 from repro.signals.io import load_npz, load_ucr_file, save_npz
 from repro.signals.quality import QualityGate, QualityReport, SignalQualityIndex
-from repro.signals.segmentation import segment_stream, sliding_windows
+from repro.signals.segmentation import segment_stream
 from repro.signals.waveforms import (
     AccelerometerGenerator,
     ECGGenerator,
@@ -58,6 +58,5 @@ __all__ = [
     "load_ucr_file",
     "save_npz",
     "segment_stream",
-    "sliding_windows",
     "table1",
 ]

@@ -159,11 +159,6 @@ def load_case(symbol: str, n_segments: int | None = None) -> BiosignalDataset:
     return BiosignalDataset(spec=spec, segments=segments, labels=labels)
 
 
-def load_all_cases(n_segments: int | None = None) -> Dict[str, BiosignalDataset]:
-    """Load all six cases (optionally size-reduced), in paper order."""
-    return {sym: load_case(sym, n_segments) for sym in CASE_ORDER}
-
-
 def load_fall_detection(
     n_segments: int = 400,
     segment_length: int = 128,

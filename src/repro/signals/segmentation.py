@@ -2,8 +2,8 @@
 
 A deployed wearable does not receive pre-cut segments: the ADC produces a
 continuous sample stream and the analytic engine processes it in fixed-size
-windows (one "event" per window in the paper's energy accounting).  These
-helpers cut streams into the segment shapes the classification pipeline
+windows (one "event" per window in the paper's energy accounting).  This
+helper cuts streams into the segment shapes the classification pipeline
 expects.
 """
 
@@ -14,35 +14,6 @@ from typing import Iterable, Iterator, List, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
-
-
-def sliding_windows(
-    samples: Sequence[float], window: int, stride: int | None = None
-) -> np.ndarray:
-    """Cut a sample array into (possibly overlapping) windows.
-
-    Args:
-        samples: 1-D sample sequence.
-        window: Window length in samples.
-        stride: Hop between window starts; defaults to ``window``
-            (non-overlapping, the paper's event model).
-
-    Returns:
-        Array of shape ``(n_windows, window)``; trailing samples that do not
-        fill a whole window are dropped.
-    """
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ConfigurationError("samples must be one-dimensional")
-    if window <= 0:
-        raise ConfigurationError("window must be positive")
-    hop = window if stride is None else int(stride)
-    if hop <= 0:
-        raise ConfigurationError("stride must be positive")
-    if len(arr) < window:
-        return np.empty((0, window))
-    starts = range(0, len(arr) - window + 1, hop)
-    return np.stack([arr[s : s + window] for s in starts])
 
 
 def segment_stream(

@@ -8,7 +8,7 @@
   segments through sensor, link and aggregator resources, used to validate
   the static model and to detect real-time overruns.
 - :mod:`repro.sim.parallel` -- fleet-scale parallel fan-out of independent
-  tasks (subspace draws, seeded scenarios, fleet shards) across worker
+  tasks (seeded scenarios, fleet shards) across worker
   processes, bit-identical to serial execution.
 - :mod:`repro.sim.faults` -- composable fault models (outages, burst loss,
   corruption, brownouts, stalls) and seeded fault-injection campaigns with
@@ -30,7 +30,6 @@
 from repro.sim.channel import (
     GilbertElliottChannel,
     GilbertElliottParams,
-    burst_lengths,
     ge_outcome_block,
 )
 from repro.sim.chaos import (
@@ -157,7 +156,6 @@ __all__ = [
     "SensorBrownout",
     "assert_replay",
     "build_bundle",
-    "burst_lengths",
     "concat_fleet_results",
     "canonical_json",
     "chaos_search",

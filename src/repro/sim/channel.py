@@ -199,20 +199,3 @@ class GilbertElliottChannel:
         """Boolean loss outcomes for ``n`` consecutive payloads."""
         return self.outcome_block(n)
 
-
-def burst_lengths(outcomes: np.ndarray) -> np.ndarray:
-    """Lengths of consecutive-loss runs in an outcome sequence."""
-    arr = np.asarray(outcomes, dtype=bool)
-    if arr.ndim != 1:
-        raise ConfigurationError("outcomes must be one-dimensional")
-    lengths = []
-    run = 0
-    for lost in arr:
-        if lost:
-            run += 1
-        elif run:
-            lengths.append(run)
-            run = 0
-    if run:
-        lengths.append(run)
-    return np.asarray(lengths, dtype=int)

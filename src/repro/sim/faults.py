@@ -434,9 +434,6 @@ class ResilienceReport:
         """Fraction of events with no decision (1 - availability)."""
         return 1.0 - self.availability
 
-    def _served_latencies(self) -> List[float]:
-        return self._served_latency_array.tolist()
-
     @property
     def mean_latency_s(self) -> float:
         """Mean decision latency over served events.

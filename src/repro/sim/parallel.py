@@ -1,9 +1,8 @@
 """Fleet-scale parallel simulation driver.
 
 The evaluation layers run large numbers of *independent* tasks: one
-subspace draw per ensemble member (:func:`subspace_draws`), one seeded
-simulation per scenario (:func:`parallel_map` directly).  Each task is
-self-contained and carries its own seed, so the fan-out is
+seeded simulation per scenario (:func:`parallel_map` directly).  Each
+task is self-contained and carries its own seed, so the fan-out is
 embarrassingly parallel — this module spreads it across worker
 processes.  Population-scale fleets go through :func:`fleet_soa_rounds`,
 which shards the network axis of a struct-of-arrays
@@ -46,7 +45,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from itertools import count
 from multiprocessing.util import Finalize
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,13 +65,11 @@ class ParallelConfig:
         backend: ``"process"`` fans tasks across worker processes;
             ``"serial"`` runs them in-process (reference semantics).
         max_workers: Worker-process count; ``None`` uses the CPU count.
-        chunksize: Tasks handed to a worker per dispatch; raise it for
-            many cheap tasks to amortise pickling overhead.
+            It is also the shard count of :func:`shard_map`.
     """
 
     backend: str = "process"
     max_workers: Optional[int] = None
-    chunksize: int = 1
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
@@ -81,8 +78,6 @@ class ParallelConfig:
             )
         if self.max_workers is not None and self.max_workers < 1:
             raise ConfigurationError("max_workers must be >= 1 when given")
-        if self.chunksize < 1:
-            raise ConfigurationError("chunksize must be >= 1")
 
     def resolved_workers(self) -> int:
         """The actual worker count this configuration resolves to."""
@@ -159,7 +154,7 @@ _POOL: Optional[ProcessPoolExecutor] = None
 _POOL_EXIT: Optional[Finalize] = None
 
 #: Worker-side cache of the latest fan-out's shared state as
-#: ``(token, value)``.  Only :func:`_run_item_chunk` writes it, so it is
+#: ``(token, value)``.  Only :func:`_run_item` writes it, so it is
 #: only ever set inside pool workers: the serial backend and the
 #: worker-death retry hand ``shared`` to the task directly and the parent
 #: process never holds fan-out state.
@@ -252,10 +247,9 @@ def parallel_map(
             and the process backend pickles ``shared`` (so it must be
             picklable) once per call, tags it with a fresh token and
             unpickles it at most once per worker rather than once per
-            task — use it for heavy invariants such as a fleet spec, a
-            sample matrix or a Gram precompute.  A worker keeps only the
-            latest call's state, so no call ever sees an earlier call's
-            ``shared``.
+            task — use it for heavy invariants such as a fleet spec.  A
+            worker keeps only the latest call's state, so no call ever
+            sees an earlier call's ``shared``.
 
     The process backend runs on one worker pool per process, created on
     first use and reused by every later call with the same worker count
@@ -266,14 +260,13 @@ def parallel_map(
     Worker-death recovery: a worker process that dies mid-task (OOM
     kill, segfault, ``os._exit``) no longer poisons the whole fan-out
     with an opaque ``BrokenProcessPool``.  Because every task is
-    self-contained and carries its own derived seed, the chunks lost with
+    self-contained and carries its own derived seed, the tasks lost with
     the dead worker are simply re-executed serially in-process — with
-    bit-identical results.  Each retried chunk logs a warning on this
-    module's logger with ``chunk``, ``tasks`` and ``workers`` extras.
-    A task that then fails *again* raises a
-    :class:`~repro.errors.SimulationError` naming its index.  Ordinary
-    exceptions raised by ``func`` inside a healthy worker propagate
-    unchanged.
+    bit-identical results.  Each retried task logs a warning on this
+    module's logger with ``task`` and ``workers`` extras.  A task that
+    then fails *again* raises a :class:`~repro.errors.SimulationError`
+    naming its index.  Ordinary exceptions raised by ``func`` inside a
+    healthy worker propagate unchanged.
 
     Returns:
         ``[func(item) for item in items]`` (or ``func(shared, item)``) —
@@ -287,10 +280,6 @@ def parallel_map(
     if config.backend == "serial":
         return [func(*bound, item) for item in items]
     workers = min(config.resolved_workers(), len(items))
-    chunks = [
-        items[i : i + config.chunksize]
-        for i in range(0, len(items), config.chunksize)
-    ]
     shipped = (
         (next(_SHARED_TOKENS), pickle.dumps(shared, pickle.HIGHEST_PROTOCOL))
         if bound
@@ -298,63 +287,57 @@ def parallel_map(
     )
     pool = _live_pool(workers)
     futures = []
-    for chunk in chunks:
+    for item in items:
         try:
-            futures.append(pool.submit(_run_item_chunk, (func, chunk, shipped)))
+            futures.append(pool.submit(_run_item, (func, item, shipped)))
         except BrokenProcessPool:
             break
-    chunk_results: List[Optional[List[Any]]] = [None] * len(chunks)
+    results: List[Any] = [None] * len(items)
     broken: List[int] = []
     try:
-        for ci, future in enumerate(futures):
+        for i, future in enumerate(futures):
             try:
-                chunk_results[ci] = future.result()
+                results[i] = future.result()
             except BrokenProcessPool:
-                broken.append(ci)
+                broken.append(i)
     except BaseException:
-        # A task raised: drop the chunks that have not started so the
+        # A task raised: drop the tasks that have not started so the
         # live pool does not run them for nobody.
         for future in futures:
             future.cancel()
         raise
-    # Chunks never submitted because the pool broke mid-submission.
-    broken.extend(range(len(futures), len(chunks)))
-    for ci in broken:
-        base = ci * config.chunksize
+    # Tasks never submitted because the pool broke mid-submission.
+    broken.extend(range(len(futures), len(items)))
+    for i in broken:
         logger.warning(
-            "worker process died; retrying chunk %d (%d tasks) serially",
-            ci,
-            len(chunks[ci]),
-            extra={"chunk": ci, "tasks": len(chunks[ci]), "workers": workers},
+            "worker process died; retrying task %d serially",
+            i,
+            extra={"task": i, "workers": workers},
         )
-        retried: List[Any] = []
-        for offset, item in enumerate(chunks[ci]):
-            try:
-                retried.append(func(*bound, item))
-            except Exception as exc:
-                raise SimulationError(
-                    f"task {base + offset} failed in a worker process "
-                    f"and again on the serial retry: {exc}"
-                ) from exc
-        chunk_results[ci] = retried
-    return [value for chunk in chunk_results for value in chunk]
+        try:
+            results[i] = func(*bound, items[i])
+        except Exception as exc:
+            raise SimulationError(
+                f"task {i} failed in a worker process "
+                f"and again on the serial retry: {exc}"
+            ) from exc
+    return results
 
 
-def _run_item_chunk(
-    payload: Tuple[Callable[..., Any], List[Any], Optional[Tuple[int, bytes]]],
-) -> List[Any]:
-    """Worker: evaluate one contiguous chunk of task items in order."""
+def _run_item(
+    payload: Tuple[Callable[..., Any], Any, Optional[Tuple[int, bytes]]],
+) -> Any:
+    """Worker: evaluate one task item."""
     global _WORKER_SHARED_STATE
-    func, chunk, shipped = payload
+    func, item, shipped = payload
     if shipped is None:
         _WORKER_SHARED_STATE = None
-        return [func(item) for item in chunk]
+        return func(item)
     token, blob = shipped
     if _WORKER_SHARED_STATE is None or _WORKER_SHARED_STATE[0] != token:
         _WORKER_SHARED_STATE = None  # drop the previous call's state first
         _WORKER_SHARED_STATE = (token, pickle.loads(blob))
-    shared = _WORKER_SHARED_STATE[1]
-    return [func(shared, item) for item in chunk]
+    return func(_WORKER_SHARED_STATE[1], item)
 
 
 def shard_map(
@@ -362,31 +345,28 @@ def shard_map(
     n_items: int,
     shared: Any,
     config: Optional[ParallelConfig] = None,
-    shards: Optional[int] = None,
 ) -> Tuple[List[Any], List[Tuple[int, int]]]:
     """Run ``worker(shared, (lo, hi))`` over contiguous ranges of ``[0, n_items)``.
 
-    The item axis is split into ``min(shards or workers, n_items)``
-    contiguous ranges (at least one, so an empty axis is one empty
-    shard) and fanned through :func:`parallel_map` with ``shared``
-    shipped once per worker.  A single shard runs in-process with no
-    pool, whatever the backend.
+    The item axis is split into ``min(workers, n_items)`` contiguous
+    ranges (at least one, so an empty axis is one empty shard) and
+    fanned through :func:`parallel_map` with ``shared`` shipped once per
+    worker.  A single shard runs in-process with no pool, whatever the
+    backend.
 
     Args:
         worker: Module-level callable taking ``(shared, (lo, hi))``.
         n_items: Length of the item axis to shard.
         shared: Read-only state every shard reads (picklable).
-        config: Execution configuration.
-        shards: Shard count override (default: resolved worker count).
+        config: Execution configuration; its resolved worker count is
+            the shard count.
 
     Returns:
         ``(parts, bounds)``: one worker result per range and the
         ``(lo, hi)`` ranges themselves, both in range order.
     """
-    if shards is not None and shards < 1:
-        raise ConfigurationError("shards must be >= 1 when given")
     config = config or ParallelConfig()
-    n_shards = max(1, min(shards or config.resolved_workers(), n_items))
+    n_shards = max(1, min(config.resolved_workers(), n_items))
     bounds = [
         ((s * n_items) // n_shards, ((s + 1) * n_items) // n_shards)
         for s in range(n_shards)
@@ -411,13 +391,12 @@ def fleet_soa_rounds(
     n_rounds: int,
     policy: Any = None,
     config: Optional[ParallelConfig] = None,
-    shards: Optional[int] = None,
 ) -> Any:
     """Process-parallel struct-of-arrays fleet simulation.
 
     Shards the network axis of a :class:`~repro.sim.fleetsoa.FleetSpec`
-    into contiguous ranges (one per worker by default) with
-    :func:`shard_map`, which ships the read-only spec to each worker once,
+    into contiguous ranges (one per worker) with :func:`shard_map`,
+    which ships the read-only spec to each worker once,
     simulates every range with :func:`~repro.sim.fleetsoa.
     simulate_fleet_soa` and stitches the shards back into fleet order.
 
@@ -431,8 +410,8 @@ def fleet_soa_rounds(
         spec: The fleet layout (:class:`~repro.sim.fleetsoa.FleetSpec`).
         n_rounds: Supervision rounds to simulate.
         policy: Optional :class:`~repro.sim.supervise.HealthPolicy`.
-        config: Execution configuration.
-        shards: Shard count override (default: resolved worker count).
+        config: Execution configuration; its resolved worker count is
+            the shard count.
 
     Returns:
         One stitched :class:`~repro.sim.fleetsoa.FleetResult`.
@@ -442,71 +421,7 @@ def fleet_soa_rounds(
     if n_rounds < 1:
         raise ConfigurationError("n_rounds must be >= 1")
     parts, _ = shard_map(
-        _fleet_soa_shard, spec.n_networks, (spec, n_rounds, policy), config, shards
+        _fleet_soa_shard, spec.n_networks, (spec, n_rounds, policy), config
     )
     return concat_fleet_results(parts)
 
-
-def _subspace_draw_task(shared: Dict[str, Any], task: Tuple[Any, int, int]) -> Any:
-    """Worker: train and score one subspace draw on the shared state."""
-    from repro.ml.subspace import fit_subspace_draw
-
-    subset, member_seed, fold_seed = task
-    return fit_subspace_draw(
-        subset=subset, member_seed=member_seed, fold_seed=fold_seed, **shared
-    )
-
-
-def subspace_draws(
-    X: Any,
-    y: Any,
-    subsets: Sequence[Any],
-    seeds: Sequence[Tuple[int, int]],
-    kernel: Any,
-    C: float,
-    cv_folds: Optional[int],
-    fit_idx: Any,
-    val_idx: Any,
-    config: Optional[ParallelConfig] = None,
-) -> List[Any]:
-    """Process-parallel training of the random-subspace draws.
-
-    Ships ``(X, y, kernel, split indices)`` and the kernel's shared
-    per-column Gram precompute to each worker once (``shared=`` of
-    :func:`parallel_map`), then fans one
-    :func:`~repro.ml.subspace.fit_subspace_draw` task per draw.  Every
-    draw carries its own ``(member_seed, fold_seed)`` pair and never
-    touches shared RNG state, so the member list is **bit-identical** to
-    the serial path — results come back in draw order, never completion
-    order.
-
-    Args:
-        X: Full ``(n, d)`` normalised feature matrix.
-        y: Binary {0, 1} labels.
-        subsets: Pre-drawn feature-index tuples, one per draw.
-        seeds: Per-draw ``(member_seed, fold_seed)`` pairs.
-        kernel: Kernel instance shared by every draw (picklable).
-        C: Soft-margin penalty.
-        cv_folds: ``None`` for the holdout protocol, else the CV fold count.
-        fit_idx: Holdout training rows.
-        val_idx: Holdout validation rows.
-        config: Execution configuration.
-
-    Returns:
-        One :class:`~repro.ml.subspace.SubspaceMember` (or ``None`` for an
-        untrainable draw) per subset, in draw order.
-    """
-    if len(subsets) != len(seeds):
-        raise ConfigurationError("subsets and seeds must pair up one per draw")
-    shared = {
-        "X": X,
-        "y": y,
-        "kernel": kernel,
-        "C": C,
-        "cv_folds": cv_folds,
-        "fit_idx": fit_idx,
-        "val_idx": val_idx,
-        "pre": kernel.gram_precompute(X),
-    }
-    tasks = [(subset, ms, fs) for subset, (ms, fs) in zip(subsets, seeds)]
-    return parallel_map(_subspace_draw_task, tasks, config, shared=shared)

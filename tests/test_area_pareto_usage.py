@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.generator import AutomaticXProGenerator
 from repro.errors import ConfigurationError
-from repro.eval.feature_usage import domain_usage, statistic_usage, usage_rows
+from repro.eval.feature_usage import domain_usage, usage_rows
 from repro.eval.pareto import pareto_frontier
 from repro.hw.area import (
     UM2_PER_GE,
@@ -91,7 +91,6 @@ class TestFeatureUsage:
         ensemble = tiny_engine.ensemble
         expected = sum(len(m.feature_indices) for m in ensemble.members)
         assert sum(domain_usage(ensemble, layout).values()) == expected
-        assert sum(statistic_usage(ensemble, layout).values()) == expected
 
     def test_usage_rows_shares_sum_to_100(self, tiny_engine):
         rows = usage_rows(tiny_engine.ensemble, tiny_engine.layout, "C1")

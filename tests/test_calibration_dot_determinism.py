@@ -1,4 +1,4 @@
-"""Tests: Platt calibration, DOT export, end-to-end determinism."""
+"""Tests: Platt calibration, the s-t graph golden, end-to-end determinism."""
 
 import hashlib
 
@@ -8,33 +8,49 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, TrainingError
-from repro.graph.stgraph import build_st_graph
-from repro.graph.visualize import st_graph_to_dot, topology_to_dot
+from repro.graph.maxflow import INFINITY
+from repro.graph.stgraph import BACK, FRONT, build_st_graph
+from repro.hw.aggregator import AggregatorCPU
 from repro.hw.energy import EnergyLibrary
 from repro.hw.wireless import WirelessLink
 from repro.ml.calibration import PlattScaler, brier_score
 
 from tests.test_stgraph_properties import _random_topology
 
-#: sha256 of ``st_graph_to_dot`` per graph, captured once; a change to the
-#: s-t construction or the exporter must leave them unchanged.
-DOT_DIGESTS = {
-    "C1/model2": "37a069205b4a7a666487a3662c7e582a463d8c31e7d72826235b24561cd1f8f1",
-    "random5x6/model3": "538de1ca1f6511ff34da38508ea824ba38c4c305a324688e3c9d8cb1a7b7b474",
-    "random17x12/model3": "9a46f8c619b8ea402f5faf4ef648452dd74182b951f2cb9a8dc5c013b933fa81",
+#: sha256 of ``_graph_text`` per graph: every edge with its exact
+#: capacity, every delay coefficient and the cell names.  A change to the
+#: s-t construction must leave them unchanged.
+GRAPH_DIGESTS = {
+    "C1/model2": "d6efeb28307f9539c19e68d190db1f2152dde212e1cb7a24042e40dd74a64064",
+    "C1/model2+cpu": "eda8f9c4c1c96af9ac2ed247926c15adb08a154093d4c926e3fb006bafb0e1ee",
+    "random5x6/model3": "fa895fa46504bfe272cd4d7f0cb9a0bff989114d5d699b715446e34042361db8",
+    "random17x12/model3": "04e65fb66b6f89c69432f900511f06ba089d26e3c6247ec3426d99c91de08a4e",
 }
 
 
-def _dot_graphs(tiny_topology):
-    """The pinned graphs: the tiny C1 paper case and two random DAGs."""
+def _pinned_graphs(tiny_topology):
+    """The pinned graphs: the tiny C1 paper case (energy-only and priced
+    by an aggregator CPU, so its delay coefficients are non-zero) and two
+    random DAGs."""
     lib = EnergyLibrary("90nm")
-    graphs = {"C1/model2": build_st_graph(tiny_topology, lib, WirelessLink("model2"))}
+    link = WirelessLink("model2")
+    graphs = {
+        "C1/model2": build_st_graph(tiny_topology, lib, link),
+        "C1/model2+cpu": build_st_graph(tiny_topology, lib, link, AggregatorCPU()),
+    }
     for seed, n_cells in ((5, 6), (17, 12)):
         topology = _random_topology(np.random.default_rng(seed), n_cells)
         graphs[f"random{seed}x{n_cells}/model3"] = build_st_graph(
             topology, lib, WirelessLink("model3")
         )
     return graphs
+
+
+def _graph_text(graph):
+    """Exact text of a graph: float reprs round-trip, so nothing is lost."""
+    return repr(
+        (graph.network.edge_list(), graph.delay_coefficients, sorted(graph.cell_names))
+    )
 
 
 def _sha(text):
@@ -107,42 +123,30 @@ class TestPlattScaler:
         assert np.isfinite(scaler.predict_proba(scores)).all()
 
 
-class TestDotExport:
-    def test_topology_dot_structure(self, tiny_topology):
-        dot = topology_to_dot(tiny_topology)
-        assert dot.startswith("digraph topology {")
-        assert dot.rstrip().endswith("}")
-        for name in tiny_topology.cells:
-            assert f'"{name}"' in dot
-
-    def test_partition_colouring(self, tiny_topology):
-        some = frozenset(list(tiny_topology.cells)[:3])
-        dot = topology_to_dot(tiny_topology, in_sensor=some)
-        assert "lightblue" in dot and "lightgray" in dot
-
-    def test_st_graph_dot(self, tiny_topology, energy_lib_90, link_model2):
+class TestStGraphGolden:
+    def test_st_graph_structure(self, tiny_topology, energy_lib_90, link_model2):
         graph = build_st_graph(tiny_topology, energy_lib_90, link_model2)
-        dot = st_graph_to_dot(graph)
-        assert '"F"' in dot and '"B"' in dot
-        assert "inf" in dot  # the grouped-data infinite edges
-        assert dot.count("->") > len(tiny_topology)
+        edges = graph.network.edge_list()
+        nodes = {u for u, _, _ in edges} | {v for _, v, _ in edges}
+        assert {FRONT, BACK} <= nodes
+        assert graph.cell_names == frozenset(tiny_topology.cells)
+        # The grouped-data infinite edges.
+        assert any(cap == INFINITY for _, _, cap in edges)
+        assert len(edges) > len(tiny_topology)
 
-    def test_st_graph_dot_golden(self, tiny_topology):
+    def test_st_graph_golden(self, tiny_topology):
         digests = {
-            key: _sha(st_graph_to_dot(graph))
-            for key, graph in _dot_graphs(tiny_topology).items()
+            key: _sha(_graph_text(graph))
+            for key, graph in _pinned_graphs(tiny_topology).items()
         }
-        assert digests == DOT_DIGESTS
+        assert digests == GRAPH_DIGESTS
 
-    def test_st_graph_dot_unchanged_by_solve(self, tiny_topology):
-        for key, graph in _dot_graphs(tiny_topology).items():
-            before = st_graph_to_dot(graph)
+    def test_st_graph_unchanged_by_solve(self, tiny_topology):
+        for key, graph in _pinned_graphs(tiny_topology).items():
+            before = _graph_text(graph)
             graph.solve()
-            assert st_graph_to_dot(graph) == before, key
-
-    def test_dot_is_balanced(self, tiny_topology):
-        dot = topology_to_dot(tiny_topology)
-        assert dot.count("{") == dot.count("}")
+            graph.solve(1e-3)
+            assert _graph_text(graph) == before, key
 
 
 class TestEndToEndDeterminism:

@@ -7,9 +7,26 @@ from repro.errors import ConfigurationError
 from repro.sim.channel import (
     GilbertElliottChannel,
     GilbertElliottParams,
-    burst_lengths,
     ge_outcome_block,
 )
+
+
+def burst_lengths(outcomes):
+    """Lengths of consecutive-loss runs in an outcome sequence."""
+    arr = np.asarray(outcomes, dtype=bool)
+    if arr.ndim != 1:
+        raise ConfigurationError("outcomes must be one-dimensional")
+    lengths = []
+    run = 0
+    for lost in arr:
+        if lost:
+            run += 1
+        elif run:
+            lengths.append(run)
+            run = 0
+    if run:
+        lengths.append(run)
+    return np.asarray(lengths, dtype=int)
 
 
 class TestParams:

@@ -297,11 +297,17 @@ class TestAtomicWrites:
 
 
 class TestLayering:
-    """The format module stays below the loops that use it."""
+    """The format module stays below the loops that use it, and the
+    signal, DSP, graph, hardware and ML layers stay below the simulation."""
 
     @staticmethod
     def imported_modules(module):
-        src = Path(repro.__file__).parent / "sim" / f"{module}.py"
+        return TestLayering.file_imports(
+            Path(repro.__file__).parent / "sim" / f"{module}.py"
+        )
+
+    @staticmethod
+    def file_imports(src):
         tree = ast.parse(src.read_text())
         return {
             node.module
@@ -324,3 +330,14 @@ class TestLayering:
     def test_parallel_imports_neither_faults_nor_checkpoint(self):
         imported = self.imported_modules("parallel")
         assert not imported & {"repro.sim.faults", "repro.sim.checkpoint"}
+
+    @pytest.mark.parametrize("package", ["ml", "dsp", "graph", "hw", "signals"])
+    def test_lower_layer_never_imports_sim(self, package):
+        root = Path(repro.__file__).parent / package
+        offenders = {
+            f"{src.relative_to(root.parent)}: {name}"
+            for src in sorted(root.rglob("*.py"))
+            for name in self.file_imports(src)
+            if name == "repro.sim" or name.startswith("repro.sim.")
+        }
+        assert not offenders, sorted(offenders)

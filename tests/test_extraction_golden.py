@@ -8,7 +8,7 @@ decision.  Two guards hold the front end to its values:
   segments (C1's 82-sample rows are zero-padded to the 128-sample DWT
   alignment) and of one ``db2`` layout;
 - a property test against the per-band computation that
-  ``batch_extract_matrix`` used to run, one ``batch_feature_matrix`` call
+  ``batch_extract_matrix`` used to run, one single-band feature call
   per band, copied below as the oracle.  The rows cross the kernel's row
   blocks, and include flat bands (``m2 <= 1e-12``) and detail bands that
   open with exact zeros after centring, where the Czero sign carry must
@@ -27,7 +27,6 @@ from repro.dsp.batch import batch_extract_matrix, batch_haar_multilevel
 from repro.dsp.features import (
     FEATURE_NAMES,
     ROW_BLOCK,
-    batch_feature_matrix,
     multiband_feature_matrix,
 )
 from repro.dsp.wavelet import dwt_multilevel_batch
@@ -76,7 +75,7 @@ def test_db2_feature_matrix_is_pinned():
     assert _digest(batch_extract_matrix(data.segments, layout)) == GOLDEN_DB2
 
 
-# -- oracle: the per-band body batch_feature_matrix had before fusion --------
+# -- oracle: the per-band body of the single-band call before fusion --------
 
 
 def _propagate_signs(signs):
@@ -212,7 +211,7 @@ def test_one_band_matches_per_band_oracle(data):
     names = data.draw(st.permutations(FEATURE_NAMES))
     names = names[: data.draw(st.integers(1, len(FEATURE_NAMES)))]
     X = data.draw(_rows(data.draw(st.integers(1, 70))))
-    assert _same_bits(batch_feature_matrix(X, names), _per_band(X, names))
+    assert _same_bits(multiband_feature_matrix([X], names), _per_band(X, names))
 
 
 def test_dipole_rows_open_d1_with_centred_zeros():

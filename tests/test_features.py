@@ -8,7 +8,6 @@ from hypothesis.extra.numpy import arrays
 
 from repro.dsp.features import (
     FEATURE_NAMES,
-    batch_feature_matrix,
     compute_feature,
     crossing_count,
     feature_vector,
@@ -16,6 +15,7 @@ from repro.dsp.features import (
     maximum,
     mean,
     minimum,
+    multiband_feature_matrix,
     operation_counts,
     skewness,
     standard_deviation,
@@ -210,7 +210,7 @@ class TestBatchFeatureMatrix:
 
     def test_czero_constant_segment_is_zero(self):
         batch = np.full((5, 64), 3.25)
-        col = batch_feature_matrix(batch, names=["czero"])
+        col = multiband_feature_matrix([batch], ["czero"])
         assert np.array_equal(col, np.zeros((5, 1)))
 
     @given(st.integers(0, 10_000))
@@ -218,14 +218,14 @@ class TestBatchFeatureMatrix:
     def test_matrix_rows_match_feature_vectors(self, seed):
         rng = np.random.default_rng(seed)
         batch = rng.normal(size=(6, 48)) * rng.uniform(0.1, 10)
-        out = batch_feature_matrix(batch)
+        out = multiband_feature_matrix([batch])
         assert out.shape == (6, 8)
         for i in range(6):
             assert np.allclose(out[i], feature_vector(batch[i]), atol=1e-9)
 
     def test_subset_and_order_of_names(self):
         batch = np.random.default_rng(3).normal(size=(4, 32))
-        out = batch_feature_matrix(batch, names=["kurt", "max", "czero"])
+        out = multiband_feature_matrix([batch], ["kurt", "max", "czero"])
         assert out.shape == (4, 3)
         for i in range(4):
             assert np.allclose(
@@ -235,8 +235,8 @@ class TestBatchFeatureMatrix:
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            batch_feature_matrix(np.zeros(8))
+            multiband_feature_matrix([np.zeros(8)])
         with pytest.raises(ConfigurationError):
-            batch_feature_matrix(np.zeros((0, 8)))
+            multiband_feature_matrix([np.zeros((2, 0))])
         with pytest.raises(ConfigurationError):
-            batch_feature_matrix(np.zeros((2, 8)), names=["max", "bogus"])
+            multiband_feature_matrix([np.zeros((2, 8))], ["max", "bogus"])

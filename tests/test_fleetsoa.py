@@ -26,7 +26,7 @@ from repro.sim.fleetsoa import (
     simulate_fleet_soa,
 )
 from repro.sim.multinode import BSNNode, MultiNodeBSN
-from repro.sim.parallel import SERIAL, fleet_soa_rounds
+from repro.sim.parallel import ParallelConfig, fleet_soa_rounds
 from repro.sim.supervise import HealthPolicy
 
 
@@ -359,7 +359,7 @@ class TestSupervisedPins:
         [
             lambda spec: simulate_fleet_soa(spec, 10, policy=HealthPolicy()),
             lambda spec: fleet_soa_rounds(
-                spec, 10, HealthPolicy(), SERIAL, shards=3
+                spec, 10, HealthPolicy(), ParallelConfig("serial", max_workers=3)
             ),
         ],
         ids=["soa", "sharded"],

@@ -177,7 +177,7 @@ class TestWireless:
         link = WirelessLink("model3")
         assert link.tx_energy_bits(1000) == pytest.approx(420e-9)
         with pytest.raises(ConfigurationError):
-            link.rx_energy_bits(-1)
+            link.tx_energy_bits(-1)
 
     def test_unknown_model(self):
         with pytest.raises(ConfigurationError):

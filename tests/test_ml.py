@@ -9,7 +9,7 @@ from repro.core.pipeline import TrainingConfig
 from repro.errors import ConfigurationError, TrainingError
 from repro.ml.fusion import WeightedVotingFusion
 from repro.ml.kernels import LinearKernel, RBFKernel
-from repro.ml.metrics import accuracy, confusion_matrix, sensitivity, specificity
+from repro.ml.metrics import accuracy, confusion_matrix, sensitivity
 from repro.ml.svm import SVMClassifier
 from repro.ml.validation import kfold_indices, stratified_train_test_split
 
@@ -243,15 +243,13 @@ class TestMetrics:
         cm = confusion_matrix(np.array([1, 1, 0, 0]), np.array([1, 0, 0, 1]))
         assert cm == {"tp": 1, "tn": 1, "fp": 1, "fn": 1}
 
-    def test_sensitivity_specificity(self):
+    def test_sensitivity(self):
         y = np.array([1, 1, 0, 0])
         p = np.array([1, 0, 0, 0])
         assert sensitivity(y, p) == 0.5
-        assert specificity(y, p) == 1.0
 
     def test_degenerate_classes(self):
         assert sensitivity(np.array([0, 0]), np.array([0, 0])) == 0.0
-        assert specificity(np.array([1, 1]), np.array([1, 1])) == 0.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ConfigurationError):

@@ -41,6 +41,11 @@ from repro.sim.simulator import CrossEndSimulator
 PROCESS = ParallelConfig(backend="process", max_workers=2)
 
 
+def _serial_shards(k):
+    """In-process reference that still splits the item axis into ``k`` shards."""
+    return ParallelConfig(backend="serial", max_workers=k)
+
+
 @pytest.fixture(scope="module")
 def metrics_pair(request):
     """Cross-end (generated) and in-sensor partition metrics for C1."""
@@ -116,8 +121,6 @@ class TestConfig:
             ParallelConfig(backend="threads")
         with pytest.raises(ConfigurationError):
             ParallelConfig(max_workers=0)
-        with pytest.raises(ConfigurationError):
-            ParallelConfig(chunksize=0)
 
     def test_resolved_workers(self):
         assert ParallelConfig(max_workers=3).resolved_workers() == 3
@@ -211,11 +214,10 @@ class TestWorkerDeathRecovery:
             assert parallel_map(_die_in_worker, items, PROCESS) == [
                 10, 20, 30, 40, 50,
             ]
-        # Every task kills its worker, so every chunk is retried, and
-        # each retry is logged with its chunk, task count and pool size.
+        # Every task kills its worker, so every task is retried, and
+        # each retry is logged with its task index and pool size.
         records = _retry_records(caplog)
-        assert sorted(r.chunk for r in records) == list(range(len(items)))
-        assert all(r.tasks == 1 for r in records)
+        assert sorted(r.task for r in records) == list(range(len(items)))
         assert all(r.workers == PROCESS.max_workers for r in records)
 
     def test_double_failure_names_the_task_index(self, caplog):
@@ -227,7 +229,7 @@ class TestWorkerDeathRecovery:
             ):
                 parallel_map(_die_everywhere, [7], PROCESS)
         [record] = _retry_records(caplog)
-        assert (record.chunk, record.tasks, record.workers) == (0, 1, 1)
+        assert (record.task, record.workers) == (0, 1)
 
     def test_ordinary_worker_exception_propagates_unchanged(self, caplog):
         """A healthy worker raising is the caller's bug, not pool damage:
@@ -315,7 +317,9 @@ class TestSharedState:
     def test_shard_bounds_are_contiguous_and_cover(self):
         for n in range(1, 10):
             for shards in range(1, n + 4):
-                parts, bounds = shard_map(_shard_bounds, n, None, SERIAL, shards)
+                parts, bounds = shard_map(
+                    _shard_bounds, n, None, _serial_shards(shards)
+                )
                 assert parts == bounds
                 assert len(bounds) == min(shards, n)
                 assert bounds[0][0] == 0 and bounds[-1][1] == n
@@ -323,7 +327,8 @@ class TestSharedState:
                 assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
 
     def test_single_shard_starts_no_pool(self):
-        parts, bounds = shard_map(_shard_pid, 5, None, PROCESS, shards=1)
+        one_worker = ParallelConfig(backend="process", max_workers=1)
+        parts, bounds = shard_map(_shard_pid, 5, None, one_worker)
         assert parts == [os.getpid()]
         assert bounds == [(0, 5)]
 
@@ -516,17 +521,17 @@ class TestFleetSoaRounds:
         from repro.sim.fleetsoa import fleet_results_identical, simulate_fleet_soa
 
         direct = simulate_fleet_soa(soa_spec, 4)
-        serial = fleet_soa_rounds(soa_spec, 4, config=SERIAL, shards=3)
-        process = fleet_soa_rounds(soa_spec, 4, config=PROCESS, shards=3)
+        serial = fleet_soa_rounds(soa_spec, 4, config=_serial_shards(3))
+        process = fleet_soa_rounds(soa_spec, 4, config=PROCESS)
         assert fleet_results_identical(direct, serial)
         assert fleet_results_identical(direct, process)
 
     def test_shard_count_does_not_change_the_result(self, soa_spec):
         from repro.sim.fleetsoa import fleet_results_identical
 
-        one = fleet_soa_rounds(soa_spec, 3, config=SERIAL, shards=1)
-        many = fleet_soa_rounds(soa_spec, 3, config=SERIAL, shards=6)
-        oversubscribed = fleet_soa_rounds(soa_spec, 3, config=SERIAL, shards=50)
+        one = fleet_soa_rounds(soa_spec, 3, config=_serial_shards(1))
+        many = fleet_soa_rounds(soa_spec, 3, config=_serial_shards(6))
+        oversubscribed = fleet_soa_rounds(soa_spec, 3, config=_serial_shards(50))
         assert fleet_results_identical(one, many)
         assert fleet_results_identical(one, oversubscribed)
 
@@ -540,9 +545,7 @@ class TestFleetSoaRounds:
             quarantine_rounds=2,
         )
         direct = simulate_fleet_soa(soa_spec, 6, policy=policy)
-        sharded = fleet_soa_rounds(
-            soa_spec, 6, policy=policy, config=PROCESS, shards=3
-        )
+        sharded = fleet_soa_rounds(soa_spec, 6, policy=policy, config=PROCESS)
         assert fleet_results_identical(direct, sharded)
         assert direct.health is not None
 
@@ -555,8 +558,6 @@ class TestFleetSoaRounds:
     def test_validation(self, soa_spec):
         with pytest.raises(ConfigurationError):
             fleet_soa_rounds(soa_spec, 0, config=SERIAL)
-        with pytest.raises(ConfigurationError):
-            fleet_soa_rounds(soa_spec, 2, config=SERIAL, shards=0)
 
 
 class TestCampaigns:

@@ -10,12 +10,11 @@ from repro.signals.datasets import (
     CASE_ORDER,
     TABLE1_CASES,
     BiosignalDataset,
-    load_all_cases,
     load_case,
     table1,
 )
 from repro.signals.noise import baseline_wander, pink_noise, powerline_hum, white_noise
-from repro.signals.segmentation import segment_stream, sliding_windows
+from repro.signals.segmentation import segment_stream
 from repro.signals.waveforms import ECGGenerator, EEGGenerator, EMGGenerator
 
 
@@ -142,10 +141,6 @@ class TestDatasets:
         with pytest.raises(ConfigurationError):
             load_case("C1", 0)
 
-    def test_load_all_cases(self):
-        cases = load_all_cases(10)
-        assert list(cases) == list(CASE_ORDER)
-
     def test_dataset_validation(self):
         with pytest.raises(ConfigurationError):
             BiosignalDataset(
@@ -156,29 +151,20 @@ class TestDatasets:
 
 
 class TestSegmentation:
-    def test_non_overlapping_windows(self):
-        wins = sliding_windows(np.arange(10.0), 3)
-        assert wins.shape == (3, 3)
-        assert np.allclose(wins[0], [0, 1, 2])
-
-    def test_overlapping_windows(self):
-        wins = sliding_windows(np.arange(6.0), 4, stride=1)
-        assert wins.shape == (3, 4)
-
-    def test_short_input_empty(self):
-        assert sliding_windows(np.arange(2.0), 5).shape == (0, 5)
-
-    def test_invalid_args(self):
-        with pytest.raises(ConfigurationError):
-            sliding_windows(np.arange(4.0), 0)
-        with pytest.raises(ConfigurationError):
-            sliding_windows(np.arange(4.0), 2, stride=0)
-
     def test_stream_reassembly(self):
         chunks = [np.arange(3.0), np.arange(3.0, 8.0), np.arange(8.0, 9.0)]
         windows = list(segment_stream(chunks, 4))
         assert len(windows) == 2
         assert np.allclose(np.concatenate(windows), np.arange(8.0))
+
+    def test_short_input_empty(self):
+        assert list(segment_stream([np.arange(2.0)], 5)) == []
+
+    def test_invalid_args(self):
+        with pytest.raises(ConfigurationError):
+            list(segment_stream([np.arange(4.0)], 0))
+        with pytest.raises(ConfigurationError):
+            list(segment_stream([np.zeros((2, 2))], 2))
 
     @given(
         st.lists(st.integers(0, 7), min_size=1, max_size=20),

@@ -27,8 +27,16 @@ CPU = AggregatorCPU()
 LIB = EnergyLibrary("90nm")
 
 
-def _random_topology(rng: np.random.Generator, n_cells: int) -> CellTopology:
-    """A random single-sink DAG of cells over a random-length source."""
+def _random_topology(
+    rng: np.random.Generator, n_cells: int, op_scale: int = 1
+) -> CellTopology:
+    """A random single-sink DAG of cells over a random-length source.
+
+    ``op_scale`` multiplies every drawn op count (the draws themselves do
+    not change): at 1, almost every min cut keeps all cells on the sensor;
+    at 10, cells cost about as much as shipping their inputs, so true
+    cross-end cuts occur.
+    """
     segment_length = int(rng.integers(4, 64))
     cells = []
     ports = [PortRef(SOURCE_CELL, "out")]
@@ -46,6 +54,7 @@ def _random_topology(rng: np.random.Generator, n_cells: int) -> CellTopology:
         }
         if sum(ops.values()) == 0:
             ops = {"add": 1}
+        ops = {op: op_scale * n for op, n in ops.items()}
         name = f"c{i}"
         cells.append(
             FunctionalCell(
@@ -82,18 +91,47 @@ def _random_topology(rng: np.random.Generator, n_cells: int) -> CellTopology:
 @given(st.integers(0, 10_000), st.integers(2, 6), st.sampled_from(["model1", "model2", "model3"]))
 @settings(max_examples=40, deadline=None)
 def test_min_cut_equals_exhaustive_minimum(seed, n_cells, model):
+    _assert_min_cut_is_exhaustive_minimum(seed, n_cells, model)
+
+
+#: Past the hypothesis range above: 7-11 random cells plus the sink (up to
+#: 2**12 partitions each) on every radio, with op counts scaled by
+#: ``LARGE_OP_SCALE``.  Each seed is the first one whose optimum splits the
+#: cells between the two ends, so the check is not met by a single-end cut.
+LARGE_OP_SCALE = 10
+LARGE_CASES = [
+    (29, 7, "model1"), (19, 7, "model2"), (0, 7, "model3"),
+    (29, 8, "model1"), (15, 8, "model2"), (0, 8, "model3"),
+    (14, 9, "model1"), (17, 9, "model2"), (0, 9, "model3"),
+    (14, 10, "model1"), (9, 10, "model2"), (3, 10, "model3"),
+    (14, 11, "model1"), (7, 11, "model2"), (3, 11, "model3"),
+]
+
+
+@pytest.mark.parametrize("seed,n_cells,model", LARGE_CASES)
+def test_min_cut_equals_exhaustive_minimum_large(seed, n_cells, model):
+    in_sensor, topo = _assert_min_cut_is_exhaustive_minimum(
+        seed, n_cells, model, LARGE_OP_SCALE
+    )
+    assert 0 < len(in_sensor) < len(topo.cells)
+
+
+def _assert_min_cut_is_exhaustive_minimum(seed, n_cells, model, op_scale=1):
+    """Min cut vs every partition; returns the cut and the topology."""
     rng = np.random.default_rng(seed)
-    topo = _random_topology(rng, n_cells)
+    topo = _random_topology(rng, n_cells, op_scale)
     link = WirelessLink(model)
     in_sensor, capacity = build_st_graph(topo, LIB, link).solve()
     energies = {
         p: evaluate_partition(topo, p, LIB, link, CPU).sensor_total_j
         for p in enumerate_partitions(topo)
     }
+    assert len(energies) == 2 ** len(topo.cells)
     best = min(energies.values())
     assert capacity == pytest.approx(best, rel=1e-9)
     # And the returned partition realises that capacity.
     assert energies[in_sensor] == pytest.approx(capacity, rel=1e-9)
+    return in_sensor, topo
 
 
 @given(st.integers(0, 10_000), st.integers(2, 7))

@@ -3,7 +3,7 @@
 The fast training engine (fold-sliced shared Grams + the cached-error
 screened SMO) promises *bitwise* identity to the pinned reference
 protocol.  These tests pin that contract at every layer: single-SVM
-fast-vs-reference identity, Gram slice stability, serial-vs-parallel
+fast-vs-reference identity, Gram slice stability, fast-vs-reference
 ensemble identity on all six Table-1 cases, per-draw seed derivation, the
 repeat-and-keep-best loop and the degenerate edges of the fast path.
 """
@@ -20,7 +20,6 @@ from repro.errors import ConfigurationError, TrainingError
 from repro.ml.kernels import LinearKernel, RBFKernel
 from repro.ml.subspace import RandomSubspaceClassifier
 from repro.ml.svm import SVMClassifier
-from repro.sim.parallel import ParallelConfig
 from repro.signals.datasets import CASE_ORDER, load_case
 
 
@@ -213,28 +212,6 @@ class TestEnsembleIdentity:
         assert _ensembles_identical(ref, fast)
         assert np.array_equal(ref.predict(X), fast.predict(X))
 
-    @pytest.mark.parametrize("symbol", CASE_ORDER)
-    def test_serial_matches_parallel_all_cases(self, case_features, symbol):
-        """Process fan-out of the draws is bit-identical to serial."""
-        X, y = case_features[symbol]
-
-        def make():
-            return RandomSubspaceClassifier(
-                n_features=X.shape[1],
-                subspace_dim=8,
-                n_draws=4,
-                keep_fraction=0.5,
-                seed=23,
-                cv_folds=3,
-            )
-
-        serial = make().fit(X, y)
-        parallel = make().fit(
-            X, y, parallel=ParallelConfig(max_workers=2, chunksize=2)
-        )
-        assert _ensembles_identical(serial, parallel)
-        assert np.array_equal(serial.predict(X), parallel.predict(X))
-
     def test_holdout_protocol_identity(self, case_features):
         """The non-CV (single holdout split) protocol is twinned too."""
         X, y = case_features["C1"]
@@ -249,12 +226,6 @@ class TestEnsembleIdentity:
             )
 
         assert _ensembles_identical(make().fit(X, y, fast=False), make().fit(X, y))
-
-    def test_parallel_requires_fast_path(self, case_features):
-        X, y = case_features["C1"]
-        clf = RandomSubspaceClassifier(n_features=X.shape[1], n_draws=2)
-        with pytest.raises(ConfigurationError):
-            clf.fit(X, y, parallel=ParallelConfig(), fast=False)
 
 
 class TestSeedModes:

@@ -35,7 +35,6 @@ from repro.hw.framing import (
     quantize_raw,
     unpack_byte_rows,
 )
-from repro.hw.wireless import WirelessLink
 from repro.sim.channel import GilbertElliottChannel, GilbertElliottParams
 from repro.sim.chaos import report_digest
 from repro.sim.evaluate import PartitionMetrics
@@ -746,27 +745,3 @@ class TestRetryLoopMatchesARQ:
                 20, arq=None,
             )
         assert str(campaign.value) == str(reference.value)
-
-
-class TestPayloadBitsBatch:
-    @pytest.mark.parametrize("framing", [
-        None,
-        FramingConfig(crc=True),
-        FramingConfig(max_payload_bytes=16, crc=False),
-    ])
-    def test_matches_scalar(self, framing):
-        link = WirelessLink("model2", framing=framing)
-        sizes = np.array([0, 1, 7, 8, 24, 100, 1000])
-        batch = link.payload_bits_batch(sizes, 32)
-        assert batch.tolist() == [
-            link.payload_bits(int(n), 32) for n in sizes
-        ]
-
-    def test_validation(self):
-        link = WirelessLink("model2")
-        with pytest.raises(ConfigurationError):
-            link.payload_bits_batch(np.array([[1, 2]]), 32)
-        with pytest.raises(ConfigurationError):
-            link.payload_bits_batch(np.array([-1]), 32)
-        with pytest.raises(ConfigurationError):
-            link.payload_bits_batch(np.array([1]), 0)
