@@ -85,9 +85,10 @@ class OutputPort:
 
 ComputeFn = Callable[[Sequence[np.ndarray]], Dict[str, np.ndarray]]
 
-#: A fused step over a group of sibling cells: maps the arrays of the refs
-#: it reads to one output array per ``(cell, port)`` of the group, in order.
-GroupFn = Callable[[Sequence[np.ndarray]], Sequence[np.ndarray]]
+#: A fused step over a group of sibling cells: maps the values of the refs
+#: it reads, concatenated in order into one flat float64 array, to every
+#: output value of the group, concatenated in ``(cell, port)`` order.
+GroupFn = Callable[[np.ndarray], Sequence[float]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,26 +97,28 @@ class CellFamily:
 
     The paper's functional cells of one module run side by side and share
     work (design rule 3: Std reuses Var).  A cell that records its family
-    lets an executor run a whole group of siblings as one step (see
-    :class:`~repro.core.engine.CrossEndEngine`); the cell's own
-    ``compute`` is the same group kernel over a group of one.
+    lets an executor run all the cells of that family on one end as one
+    step (see :class:`~repro.core.engine.CrossEndEngine`); the cell's own
+    ``compute`` is the same kernel over the cell alone.
 
     Attributes:
-        key: Cells of one family (one ``build``) with equal keys may run as
-            one step on one end.  ``None`` means the cell joins the step of
-            the cell producing its single input, when that cell is of the
-            same family and on the same end (Std joining its Var), and runs
-            alone otherwise.
+        key: Which cells of the family share one kernel inside the step:
+            feature cells of one band share a band, SVM members of one
+            kernel signature and dimension share a stacked scorer.
+            ``None`` means the cell has no kernel of its own and the step
+            computes it from the value it reads (Std from its Var).
         constants: This cell's constants, as ``build`` reads them.
-        build: The family's group kernel: for an ordered group of its
-            cells, returns the refs the fused step reads and the
+        build: The family's step builder: for an ordered group of its
+            cells on one end and a function giving a port's value count,
+            returns the refs the fused step reads and the
             :data:`GroupFn` computing every group output from them.
     """
 
     key: Optional[Hashable]
     constants: Any
     build: Callable[
-        [Sequence["FunctionalCell"]], Tuple[Tuple[PortRef, ...], GroupFn]
+        [Sequence["FunctionalCell"], Callable[[PortRef], int]],
+        Tuple[Tuple[PortRef, ...], GroupFn],
     ]
 
 

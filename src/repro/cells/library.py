@@ -31,7 +31,7 @@ implementation would fuse a constant affine into the kernel datapath.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -107,26 +107,59 @@ def _std_of(variance: float) -> float:
 
 
 def _feature_step(
-    cells: Sequence[FunctionalCell],
+    cells: Sequence[FunctionalCell], size: Callable[[PortRef], int]
 ) -> Tuple[Tuple[PortRef, ...], GroupFn]:
-    """Fused step of the feature cells over one band: one band-kernel pass,
-    and each Std (keyless, so it joined the group of the cell it reads,
-    its Var) from that cell's value, as its own ``compute`` takes it."""
+    """Fused step of the feature cells on one end: one
+    :func:`repro.dsp.features.multiband_kernel` pass over their bands laid
+    side by side, and each Std (keyless) as the square root of the value
+    it reads, as its own ``compute`` takes it: a group member's value, or
+    the first value of a port read after the bands."""
     position = {PortRef(cell.name, "out"): i for i, cell in enumerate(cells)}
-    reads = [position[c.inputs[0]] if c.family.key is None else None for c in cells]
-    kernel = feat.band_kernel(
-        tuple(c.family.constants for c, r in zip(cells, reads) if r is None)
+    names: Dict[PortRef, List[str]] = {}  # band -> its features, in group order
+    outside: Dict[PortRef, int] = {}  # port a Std reads -> its offset past the bands
+    for cell in cells:
+        ref = cell.inputs[0]
+        if cell.family.key is not None:
+            names.setdefault(ref, []).append(cell.family.constants)
+        elif ref not in position and ref not in outside:
+            outside[ref] = sum(size(r) for r in outside)
+    bands = tuple(names)
+    width = sum(size(ref) for ref in bands)
+    kernel = (
+        feat.multiband_kernel(
+            tuple(size(ref) for ref in bands), tuple(tuple(names[ref]) for ref in bands)
+        )
+        if bands
+        else None
     )
-    band = next(c.inputs[0] for c, r in zip(cells, reads) if r is None)
-    stds = [(i, r) for i, r in enumerate(reads) if r is not None]
+    # Each cell's index in the kernel's values (a Std's is a placeholder),
+    # and each Std's source: a group member's value or a value read after
+    # the bands.
+    start = dict(zip(bands, np.cumsum([0] + [len(names[ref]) for ref in bands]).tolist()))
+    take: List[int] = []
+    stds: List[Tuple[int, bool, int]] = []
+    for i, cell in enumerate(cells):
+        ref = cell.inputs[0]
+        if cell.family.key is not None:
+            take.append(start[ref])
+            start[ref] += 1
+        else:
+            take.append(0)
+            inside = ref in position
+            stds.append((i, inside, position[ref] if inside else outside[ref]))
 
-    def run(inputs: Sequence[np.ndarray]) -> List[np.ndarray]:
-        values = kernel(inputs[0])
-        for i, r in stds:  # in group order, so values[r] is already final
-            values.insert(i, _std_of(values[r]))
-        return [np.array([value]) for value in values]
+    def run(x: np.ndarray) -> List[float]:
+        if kernel is None:
+            out = [0.0] * len(take)
+        else:
+            values = kernel(x[:width])
+            out = [values[j] for j in take]
+        extra = x[width:].tolist()
+        for i, inside, r in stds:  # in group order, so out[r] is already final
+            out[i] = _std_of(out[r] if inside else extra[r])
+        return out
 
-    return (band,), run
+    return bands + tuple(outside), run
 
 
 def make_feature_cell(
@@ -142,11 +175,11 @@ def make_feature_cell(
     input (cell-level reuse, Fig. 5) — pass the Var cell's port as
     ``segment_ref`` and the original segment length for the op model.
 
-    The cell's family groups it with the other feature cells of its band;
-    its ``compute`` runs :func:`repro.dsp.features.band_kernel` over
-    itself alone.  Std has no key: it joins the group of the cell it reads
-    when that is on its end, and takes the square root of that cell's
-    value either way.
+    The cell's family runs it in one step with the other feature cells on
+    its end, keyed on its band; its ``compute`` runs
+    :func:`repro.dsp.features.band_kernel` over itself alone.  Std has no
+    key: the step, like its ``compute``, takes the square root of the
+    value it reads.
     """
     if feature_name not in feat.FEATURE_NAMES:
         raise ConfigurationError(f"unknown feature {feature_name!r}")
@@ -237,11 +270,12 @@ def make_dwt_cell(
     mode, chosen = choose_alu_mode(by_mode, energy_lib, parallel_width=width)
     half = input_length // 2
 
+    if align_to is not None:
+        from repro.core.layout import align_segment  # repro.core imports this module
+
     def compute(inputs: Sequence[np.ndarray]) -> Dict[str, np.ndarray]:
         data = np.asarray(inputs[0], dtype=np.float64)
         if align_to is not None:
-            from repro.core.layout import align_segment
-
             data = align_segment(data, align_to)
         approx, detail = dwt_single_level(data, wavelet)
         return {"approx": approx, "detail": detail}
@@ -280,30 +314,52 @@ class _Member(NamedTuple):
     ranges: np.ndarray
 
 
-def _svm_kernel(members: Sequence[_Member]) -> GroupFn:
-    """Scores of SVM members from their concatenated inputs (member by
-    member, each in its classifier's feature order): one normalisation of
-    the ``(k, d)`` queries and one :class:`~repro.ml.svm.StackedScorer`
+def _svm_kernel(members: Sequence[_Member]) -> Callable[[np.ndarray], List[float]]:
+    """Scores of SVM members from their flat inputs (member by member,
+    each in its classifier's feature order): one normalisation of the
+    ``(k, d)`` queries and one :class:`~repro.ml.svm.StackedScorer`
     pass."""
     mins = np.stack([m.mins for m in members])
     ranges = np.stack([m.ranges for m in members])
     scorer = StackedScorer([m.classifier for m in members])
     shape = mins.shape
 
-    def run(inputs: Sequence[np.ndarray]) -> List[np.ndarray]:
-        raw = np.concatenate(inputs)
-        if raw.size != mins.size:
-            raise TopologyError("SVM member inputs must be one value each")
-        queries = np.clip((raw.reshape(shape) - mins) / ranges, 0.0, 1.0)
-        return [np.array([score]) for score in scorer.scores(queries)]
+    def run(raw: np.ndarray) -> List[float]:
+        return scorer.scores(np.clip((raw.reshape(shape) - mins) / ranges, 0.0, 1.0))
 
     return run
 
 
-def _svm_step(cells: Sequence[FunctionalCell]) -> Tuple[Tuple[PortRef, ...], GroupFn]:
-    """Fused step of SVM member cells (see :func:`_svm_kernel`)."""
+def _svm_step(
+    cells: Sequence[FunctionalCell], size: Callable[[PortRef], int]
+) -> Tuple[Tuple[PortRef, ...], GroupFn]:
+    """Fused step of SVM member cells: one :func:`_svm_kernel` per family
+    key, so members of different kernels never share a scorer."""
     refs = tuple(ref for cell in cells for ref in cell.inputs)
-    return refs, _svm_kernel([cell.family.constants for cell in cells])
+    if any(size(ref) != 1 for ref in refs):
+        raise TopologyError("SVM member inputs must be one value each")
+    by_key: Dict[Hashable, List[int]] = {}
+    for i, cell in enumerate(cells):
+        by_key.setdefault(cell.family.key, []).append(i)
+    if len(by_key) == 1:
+        return refs, _svm_kernel([cell.family.constants for cell in cells])
+    starts = np.cumsum([0] + [len(cell.inputs) for cell in cells]).tolist()
+    parts = [
+        (
+            np.concatenate([np.arange(starts[i], starts[i + 1]) for i in members]),
+            members,
+            _svm_kernel([cells[i].family.constants for i in members]),
+        )
+        for members in by_key.values()
+    ]
+
+    def run(x: np.ndarray) -> np.ndarray:
+        scores = np.empty(len(cells))
+        for take, members, kernel in parts:
+            scores[members] = kernel(x[take])
+        return scores
+
+    return refs, run
 
 
 def make_svm_cell(
@@ -317,9 +373,9 @@ def make_svm_cell(
 ) -> FunctionalCell:
     """Build one SVM member cell over its subspace's feature ports.
 
-    The cell's family groups it with the other members of its kernel and
-    dimension; its ``compute`` runs the same stacked scorer over itself
-    alone.
+    The cell's family runs it in one step with the other members on its
+    end, sharing a stacked scorer with those of its kernel and dimension;
+    its ``compute`` runs the same scorer over itself alone.
 
     Args:
         member_index: Position of this member in the ensemble.
@@ -347,13 +403,16 @@ def make_svm_cell(
         _uniform_modes(counts), energy_lib, parallel_width=min(64, classifier.dimension)
     )
     member = _Member(classifier, mins, ranges)
-    kernel: Optional[GroupFn] = None
+    kernel: Optional[Callable[[np.ndarray], List[float]]] = None
 
     def compute(inputs: Sequence[np.ndarray]) -> Dict[str, np.ndarray]:
         nonlocal kernel
+        raw = np.concatenate(inputs)
+        if raw.size != mins.size:
+            raise TopologyError("SVM member inputs must be one value each")
         if kernel is None:  # built on first use: most topologies never run it
             kernel = _svm_kernel([member])
-        return {"out": kernel(inputs)[0]}
+        return {"out": np.array(kernel(raw))}
 
     return FunctionalCell(
         name=name or f"svm_m{member_index}",

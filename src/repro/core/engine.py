@@ -10,17 +10,18 @@ suite — while the traffic accounting reports exactly what crossed the air.
 
 Which ports cross the cut depends only on the topology and the partition,
 so the engine compiles both into a static plan when it is constructed: a
-flat list of ``(run, input slots, output slots)`` steps in topological
-order, plus the uplink/downlink port lists and value counts.  Marshalling
-hands a value across unchanged, so one slot per port serves both ends and
-classifying a segment is a single loop over the plan.
+flat list of ``(run, reads, writes)`` steps in topological order, plus the
+uplink/downlink port lists and value counts.  Marshalling hands a value
+across unchanged, so one range of one flat float64 buffer per port serves
+both ends, and classifying a segment is a single loop over the plan.
 
-Sibling cells of one module family on one end run as one step, the way
-the paper's cells of one module run side by side on the sensor: the
-feature cells of one band share their mean, centred band and second
-moment, and the SVM members of one kernel score against one stacked
-support block (see :class:`~repro.cells.cell.CellFamily`).  The groups are
-contracted and topologically sorted again; a group whose contraction
+The cells of one module family on one end run as one step, the way the
+paper's cells of one module run side by side on the sensor: the feature
+cells of every band as one multi-band kernel pass, and the SVM members
+as one step that scores each kernel's members against one stacked
+support block (see :class:`~repro.cells.cell.CellFamily`).  Such a step
+is ``buf[writes] = run(buf[reads])`` with precomputed indices.  The groups
+are contracted and topologically sorted again; a group whose contraction
 would close a cycle runs unfused.  Port accounting stays per cell.
 """
 
@@ -28,49 +29,34 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, List, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Set, Tuple
 
 import numpy as np
 
-from repro.cells.cell import SOURCE_CELL, PortRef
+from repro.cells.cell import SOURCE_CELL, FunctionalCell, PortRef
 from repro.cells.topology import CellTopology
 from repro.core.partition import Partition
 from repro.errors import ConfigurationError
 
-#: One compiled step: its function, the slots it reads in input order, and
-#: ``(output key, slot)`` for each output it writes.  A lone cell's step is
-#: its ``execute`` keyed by port name; a fused group's step returns a list
-#: keyed by position.
-_Step = Tuple[
-    Callable[[Sequence[np.ndarray]], Any],
-    Tuple[int, ...],
-    Tuple[Tuple[Any, int], ...],
-]
+#: One compiled step: ``(run, reads, writes)``.  A fused group's step has
+#: buffer indices as ``reads`` and one slice as ``writes``, and runs
+#: ``buf[writes] = run(buf[reads])``.  A lone cell's step is its
+#: ``execute`` with one slice per input as ``reads`` and ``(port name,
+#: slice)`` per output as ``writes``.
+_Step = Tuple[Callable[..., Any], Any, Any]
 
 
 def _groups(topology: CellTopology, in_sensor: frozenset) -> List[List[str]]:
     """Cells grouped for fusion, each group in topological order and the
     groups in the order of their first cells.
 
-    Cells of one family (one ``build``) with equal keys on one end share a
-    group; a keyless family cell joins its producer's group when that is
-    of its family and on its end.  Every other cell is alone.
+    The cells of one family (one ``build``) on one end share a group,
+    whatever their keys; every other cell is alone.
     """
-    keys: Dict[str, Hashable] = {}
     groups: Dict[Hashable, List[str]] = {}
     for name in topology.cell_names:
-        cell = topology.cell(name)
-        family = cell.family
-        key: Hashable = name
-        if family is not None:
-            here = name in in_sensor
-            if family.key is not None:
-                key = (here, family.build, family.key)
-            elif len(cell.inputs) == 1:
-                joined = keys.get(cell.inputs[0].cell)
-                if isinstance(joined, tuple) and joined[:2] == (here, family.build):
-                    key = joined
-        keys[name] = key
+        family = topology.cell(name).family
+        key = name if family is None else (name in in_sensor, family.build)
         groups.setdefault(key, []).append(name)
     return list(groups.values())
 
@@ -186,7 +172,6 @@ class CrossEndEngine:
         def on_sensor(ref: PortRef) -> bool:
             return ref.cell == SOURCE_CELL or ref.cell in in_sensor
 
-        slots: Dict[PortRef, int] = {PortRef(SOURCE_CELL, "out"): 0}
         uplinked: List[PortRef] = []
         sent_up: Set[PortRef] = set()
         downlinked: List[Tuple[PortRef, str]] = []
@@ -204,36 +189,51 @@ class CrossEndEngine:
                 elif not here and on_sensor(ref) and ref not in sent_up:
                     sent_up.add(ref)
                     uplinked.append(ref)
-            for port in cell.outputs:
-                slots[PortRef(name, port.name)] = len(slots)
         # The classification result must reach the aggregator.
         result_ref = topology.result
         if on_sensor(result_ref) and result_ref not in sent_up:
             uplinked.append(result_ref)
 
+        # Each port owns one range of the buffer, laid out in plan order.
+        ranges: Dict[PortRef, slice] = {
+            PortRef(SOURCE_CELL, "out"): slice(0, topology.segment_length)
+        }
+        end = topology.segment_length
+
+        def allocate(cell: FunctionalCell) -> Tuple[Tuple[str, slice], ...]:
+            nonlocal end
+            writes = []
+            for port in cell.outputs:
+                span = ranges[PortRef(cell.name, port.name)] = slice(end, end + port.n_values)
+                writes.append((port.name, span))
+                end = span.stop
+            return tuple(writes)
+
+        def n_values(ref: PortRef) -> int:
+            return topology.port_of(ref).n_values
+
         plan: List[_Step] = []
         for names in _contract(topology, _groups(topology, in_sensor)):
             cells = [topology.cell(name) for name in names]
-            if len(cells) == 1:
-                cell = cells[0]
-                run: Callable[[Sequence[np.ndarray]], Any] = cell.execute
-                refs = cell.inputs
-                keys: List[Any] = [port.name for port in cell.outputs]
-            else:
-                refs, run = cells[0].family.build(cells)
-                keys = list(range(sum(len(cell.outputs) for cell in cells)))
-            out_refs = [PortRef(c.name, port.name) for c in cells for port in c.outputs]
-            plan.append(
-                (
-                    run,
-                    tuple(slots[ref] for ref in refs),
-                    tuple((key, slots[ref]) for key, ref in zip(keys, out_refs)),
-                )
-            )
+            if len(cells) > 1:
+                refs, run = cells[0].family.build(cells, n_values)
+                # A group that reads one of its own outputs runs unfused.
+                if all(ref in ranges for ref in refs):
+                    reads = np.concatenate(
+                        [np.arange(ranges[ref].start, ranges[ref].stop) for ref in refs]
+                    )
+                    start = end
+                    for cell in cells:
+                        allocate(cell)
+                    plan.append((run, reads, slice(start, end)))
+                    continue
+            for cell in cells:
+                reads = tuple(ranges[ref] for ref in cell.inputs)
+                plan.append((cell.execute, reads, allocate(cell)))
 
         self._plan: Tuple[_Step, ...] = tuple(plan)
-        self._n_slots = len(slots)
-        self._result_slot = slots[result_ref]
+        self._size = end
+        self._result = ranges[result_ref].start
         self.uplink_ports: Tuple[PortRef, ...] = tuple(uplinked)
         self.downlink_ports: Tuple[Tuple[PortRef, str], ...] = tuple(downlinked)
         self.uplink_values = sum(topology.port_of(ref).n_values for ref in uplinked)
@@ -248,13 +248,16 @@ class CrossEndEngine:
 
     def _score(self, segment: np.ndarray) -> float:
         """Run the plan on one validated float64 segment."""
-        values: List[Any] = [None] * self._n_slots
-        values[0] = segment
-        for run, in_slots, out_slots in self._plan:
-            outputs = run([values[i] for i in in_slots])
-            for key, slot in out_slots:
-                values[slot] = outputs[key]
-        return float(values[self._result_slot][0])
+        buf = np.empty(self._size)
+        buf[: len(segment)] = segment
+        for run, reads, writes in self._plan:
+            if type(writes) is slice:
+                buf[writes] = run(buf[reads])
+            else:
+                outputs = run([buf[span] for span in reads])
+                for port, span in writes:
+                    buf[span] = outputs[port].reshape(-1)
+        return float(buf[self._result])
 
     def classify(self, segment: np.ndarray) -> CrossEndResult:
         """Classify one raw segment through the partitioned pipeline."""

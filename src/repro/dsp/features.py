@@ -153,15 +153,15 @@ def kurtosis(segment: Sequence[float]) -> float:
 def band_kernel(names: Tuple[str, ...]) -> Callable[[np.ndarray], List[float]]:
     """One pass computing the named features of one band, in ``names`` order.
 
-    The fused counterpart of the per-feature functions above, for sibling
-    feature cells that read the same band: ``_mean``, the centred band and
-    ``m2`` are computed once and shared, and ``std`` is the square root of
-    the ``var`` computed here (the Fig. 5 reuse).  Every value is bitwise
-    the one the matching function above returns, which the test suite
-    checks; those functions stay the reference.
+    The one-band case of :func:`multiband_kernel`, for a band of any
+    length: ``_mean``, the centred band and ``m2`` are computed once and
+    shared, and ``std`` is the square root of the ``var`` computed here
+    (the Fig. 5 reuse).  Every value is bitwise the one the matching
+    function above returns, which the test suite checks; those functions
+    stay the reference.
 
     A kernel is a pure function of ``names``, so one kernel per tuple is
-    kept and shared by every cell and fused step that asks for it.
+    kept and shared by every cell that asks for it.
 
     Args:
         names: Features to compute (each of :data:`FEATURE_NAMES`).
@@ -169,44 +169,149 @@ def band_kernel(names: Tuple[str, ...]) -> Callable[[np.ndarray], List[float]]:
     Returns:
         A function from a non-empty 1-D band to its feature values.
     """
-    unknown = [n for n in names if n not in _FEATURE_FUNCS]
-    if unknown:
-        raise ConfigurationError(f"unknown features: {unknown}")
-    need = frozenset(names)
-    moments = bool(need - {"max", "min"})
-    second = bool(need & {"var", "std"})
-    centred = bool(need & {"czero", "skew", "kurt"})
-    shape = bool(need & {"skew", "kurt"})
+    _check_names(names)
 
     def run(band: np.ndarray) -> List[float]:
         arr = _as_segment(band)
-        v: Dict[str, float] = {}
-        if "max" in need:
-            v["max"] = float(arr.max())
-        if "min" in need:
-            v["min"] = float(arr.min())
-        if moments:
-            mu = _mean(arr)
-            v["mean"] = float(mu)
+        return multiband_kernel((arr.size,), (names,))(arr)
+
+    return run
+
+
+def _check_names(names: Sequence[str]) -> None:
+    unknown = [n for n in names if n not in _FEATURE_FUNCS]
+    if unknown:
+        raise ConfigurationError(f"unknown features: {unknown}")
+
+
+@functools.lru_cache(maxsize=256)
+def multiband_kernel(
+    lengths: Tuple[int, ...], names: Tuple[Tuple[str, ...], ...]
+) -> Callable[[np.ndarray], List[float]]:
+    """One pass computing named features of several bands of one segment.
+
+    The bands lie side by side in one 1-D array (band ``k`` holds
+    ``lengths[k]`` samples), and band ``k`` asks for the features
+    ``names[k]``.  Every step runs once over all bands: max and min are
+    one ``reduceat`` each; the squares, the centring by each band's mean,
+    the signs and the libm powers ``c**3``/``c**4`` (only where a band
+    asks for skew or kurt) are one elementwise pass each; Czero takes the
+    sign carry only when some sample sits exactly on its band mean,
+    restarting it at every band start, and counts the sign changes in one
+    integer ``add.reduceat`` with the pairs that straddle two bands
+    masked.  Every sum is one pairwise ``add.reduce`` per band slice
+    divided by the band length, and the per-band arithmetic after it is
+    the scalar arithmetic of the functions above (skew and kurt take
+    ``m2**1.5`` and ``m2**2``), so every value is bitwise the one the
+    matching function gives on that band alone; the test suite pins that.
+
+    A kernel is a pure function of its arguments, so one is kept per
+    ``(lengths, names)`` and shared by every step that asks for it.
+
+    Args:
+        lengths: Samples per band, each at least one.
+        names: Per band, the features to compute (each of
+            :data:`FEATURE_NAMES`, repeats allowed).
+
+    Returns:
+        A function from the ``sum(lengths)`` concatenated samples to the
+        values of every band in order, each band's in its ``names``
+        order.
+    """
+    if not lengths or len(names) != len(lengths) or min(lengths) < 1:
+        raise ConfigurationError("need one names tuple per non-empty band")
+    for band_names in names:
+        _check_names(band_names)
+    n, starts, slices, band_start, positions, straddle = _band_plan(lengths)
+    bands = len(lengths)
+    width = sum(lengths)
+    band_of = np.repeat(np.arange(bands), n)
+    need = [frozenset(band_names) for band_names in names]
+    union = frozenset().union(*need)
+    row = {name: i * bands for i, name in enumerate(FEATURE_NAMES)}
+    gather = [row[name] + k for k, band_names in enumerate(names) for name in band_names]
+    second = bool(union & {"var", "std"})
+    centred = bool(union & {"czero", "skew", "kurt"})
+    moment_bands = [(k, slices[k], lengths[k]) for k, f in enumerate(need) if f - {"max", "min"}]
+    shape_bands = [
+        (k, slices[k], lengths[k], "skew" in f, "kurt" in f)
+        for k, f in enumerate(need)
+        if f & {"skew", "kurt"}
+    ]
+
+    def where(features) -> np.ndarray | bool:
+        """The samples of the bands asking for any of ``features``."""
+        mask = np.repeat([bool(f & features) for f in need], n)
+        return True if mask.all() else mask
+
+    # Rows of the centred-moment stack: c**2, then c**3 and c**4 as asked.
+    squared = where({"skew", "kurt"})
+    powers = [(p, where({name})) for p, name in ((3, "skew"), (4, "kurt")) if name in union]
+    # Rows left out by a mask are summed too, so they must hold zeros.
+    masked = any(mask is not True for mask in [squared] + [m for _, m in powers])
+    blank = np.zeros if masked else np.empty
+
+    def run(x: np.ndarray) -> List[float]:
+        table = [0.0] * (len(FEATURE_NAMES) * bands)
+        if "max" in union:
+            table[row["max"] : row["max"] + bands] = np.maximum.reduceat(x, starts).tolist()
+        if "min" in union:
+            table[row["min"] : row["min"] + bands] = np.minimum.reduceat(x, starts).tolist()
+        if not moment_bands:
+            return [table[i] for i in gather]
+        if second:
+            stack = np.empty((2, width))
+            stack[0] = x
+            np.multiply(x, x, out=stack[1])
+        mu = [0.0] * bands
+        for k, sl, size in moment_bands:
             if second:
-                var = float(_mean(arr * arr) - mu * mu)
-                v["var"] = var
-                v["std"] = math.sqrt(max(var, 0.0))
-            if centred:
-                centered = arr - mu
-                if "czero" in need:
-                    signs = _propagate_signs(np.sign(centered))
-                    v["czero"] = float(np.count_nonzero(signs[1:] != signs[:-1]))
-                if shape:
-                    m2 = float(_mean(centered**2))
-                    if m2 <= 1e-12:
-                        v["skew"] = v["kurt"] = 0.0
-                    else:
-                        if "skew" in need:
-                            v["skew"] = float(_mean(centered**3)) / (m2**1.5)
-                        if "kurt" in need:
-                            v["kurt"] = float(_mean(centered**4)) / (m2**2)
-        return [v[n] for n in names]
+                total, squares = np.add.reduce(stack[:, sl], axis=1).tolist()
+            else:
+                total = float(np.add.reduce(x[sl]))
+            mu[k] = m = total / size
+            table[row["mean"] + k] = m
+            if second:
+                var = squares / size - m * m
+                table[row["var"] + k] = var
+                table[row["std"] + k] = math.sqrt(max(var, 0.0))
+        if not centred:
+            return [table[i] for i in gather]
+        centered = x - (mu[0] if bands == 1 else np.array(mu)[band_of])
+        if "czero" in union:
+            signs = np.sign(centered)
+            if np.count_nonzero(signs) < width:
+                # Carry the last non-zero sign through the samples on their
+                # mean, from the band start at the earliest (+1 before a
+                # band's first non-zero sign).
+                last = np.where(signs != 0, positions, band_start)
+                np.maximum.accumulate(last, out=last)
+                signs = signs[last]
+                signs[signs == 0] = 1.0
+            change = np.empty(width, dtype=bool)
+            change[-1] = False
+            np.not_equal(signs[1:], signs[:-1], out=change[:-1])
+            change[straddle] = False
+            counts = np.add.reduceat(change, starts, dtype=np.int64)
+            table[row["czero"] : row["czero"] + bands] = counts.astype(np.float64).tolist()
+        if shape_bands:
+            moments = blank((1 + len(powers), width))
+            np.square(centered, out=moments[0], where=squared)
+            for i, (p, mask) in enumerate(powers, 1):
+                # libm pow, as ``centered**p`` on one band: products such
+                # as c*c*c round differently.
+                np.power(centered, p, out=moments[i], where=mask)
+            for k, sl, size, skew, kurt in shape_bands:
+                sums = np.add.reduce(moments[:, sl], axis=1).tolist()
+                m2 = sums[0] / size
+                if m2 <= 1e-12:
+                    table[row["skew"] + k] = table[row["kurt"] + k] = 0.0
+                    continue
+                if skew:
+                    table[row["skew"] + k] = (sums[1] / size) / (m2**1.5)
+                if kurt:
+                    table[row["kurt"] + k] = (sums[-1] / size) / (m2**2)
+        return [table[i] for i in gather]
 
     return run
 
@@ -360,9 +465,7 @@ def multiband_feature_matrix(
         ``k * len(names) ...`` are band ``k``'s features in ``names``
         order.  Zero rows give a ``(0, ...)`` matrix.
     """
-    unknown = [n for n in names if n not in _FEATURE_FUNCS]
-    if unknown:
-        raise ConfigurationError(f"unknown features: {unknown}")
+    _check_names(names)
     arrays = [np.asarray(b, dtype=np.float64) for b in bands]
     if not arrays or any(a.ndim != 2 for a in arrays):
         raise ConfigurationError("bands must be a non-empty list of 2-D batches")

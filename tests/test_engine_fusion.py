@@ -1,11 +1,12 @@
 """Fused same-end steps of the cross-end engine, bit for bit.
 
-The engine runs the feature cells of one band as one band kernel and the
-SVM members of one kernel on one end as one stacked-support step.  The
-independent references are the per-feature functions of
-:mod:`repro.dsp.features` and :meth:`SVMClassifier.decision_function`;
-the engine as a whole is checked against ``CellTopology.execute`` on the
-partitions that exercise the plan's corner cases.
+The engine runs the feature cells of every band on one end as one
+multi-band kernel pass and the SVM members on one end as one step, with
+one stacked-support scorer per kernel.  The independent references are
+the per-feature functions of :mod:`repro.dsp.features` and
+:meth:`SVMClassifier.decision_function`; the engine as a whole is checked
+against ``CellTopology.execute`` on the partitions that exercise the
+plan's corner cases.
 """
 
 import itertools
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cells import library
 from repro.cells.cell import SOURCE_CELL, FunctionalCell, OutputPort, PortRef
 from repro.cells.library import make_feature_cell, make_fusion_cell, make_svm_cell
 from repro.cells.topology import CellTopology
@@ -77,15 +79,24 @@ def test_band_kernel_every_subset(band):
 
 
 @st.composite
-def _bands(draw):
-    n = draw(st.integers(1, 70))
+def _bands(draw, max_size=70):
+    n = draw(st.integers(1, max_size))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = 10.0 ** draw(st.floats(-3.0, 3.0))
-    kind = draw(st.sampled_from(["normal", "constant", "zeros", "signed"]))
+    kind = draw(st.sampled_from(["normal", "constant", "zeros", "signed", "on_mean"]))
     if kind == "constant":
         return np.full(n, rng.normal() * scale)
     if kind == "zeros":
         return np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    if kind == "on_mean":
+        # Small integers around an integer level, in +/- pairs: every sum
+        # is exact, the mean is the level, and the zero offsets sit
+        # exactly on it (the first sample, often).
+        half = rng.integers(-3, 4, size=n // 2)
+        offsets = rng.permutation(np.concatenate([half, -half, np.zeros(n % 2, int)]))
+        if rng.random() < 0.5:
+            offsets = np.roll(offsets, -int(np.argmin(np.abs(offsets))))
+        return float(rng.integers(-5, 6)) + offsets.astype(np.float64)
     band = rng.normal(size=n) * scale
     if kind == "signed":
         band[rng.random(n) < 0.3] = -0.0
@@ -110,6 +121,57 @@ def test_band_kernel_validates():
         kernel(np.zeros(0))
     with pytest.raises(ConfigurationError):
         kernel(np.zeros((2, 3)))
+
+
+# -- multi-band kernel --------------------------------------------------------
+
+
+@st.composite
+def _band_sets(draw):
+    bands = draw(st.lists(_bands(max_size=140), min_size=1, max_size=7))
+    names = [
+        tuple(draw(st.lists(st.sampled_from(feat.FEATURE_NAMES), min_size=1, max_size=10)))
+        for _ in bands
+    ]
+    return bands, names
+
+
+@given(case=_band_sets())
+@settings(max_examples=300, deadline=None)
+def test_multiband_kernel_matches_each_band_alone(case):
+    """Every value is bitwise the band's own: the sign carry restarts at
+    each band start and no sign change straddles two bands."""
+    bands, names = case
+    kernel = feat.multiband_kernel(tuple(len(b) for b in bands), tuple(names))
+    values = kernel(np.concatenate(bands))
+    assert all(type(value) is float for value in values)
+    per_band = [v for band, ns in zip(bands, names) for v in feat.band_kernel(ns)(band)]
+    assert _bits(values) == _bits(per_band)
+    reference = [feat.compute_feature(n, band) for band, ns in zip(bands, names) for n in ns]
+    assert _bits(values) == _bits(reference)
+
+
+def test_multiband_czero_restarts_at_band_starts():
+    """A band that opens on its mean counts from +1, whatever sign the
+    band before it ended on; a sign change across the boundary is not
+    counted."""
+    first = np.array([1.0, -1.0])  # ends below its mean
+    second = np.array([0.0, 0.0, -1.0, 1.0])  # opens on its mean
+    kernel = feat.multiband_kernel((2, 4), (("czero",), ("czero",)))
+    assert kernel(np.concatenate([first, second])) == [1.0, 2.0]
+    pair = feat.multiband_kernel((2, 2), (("czero",), ("czero",)))
+    assert pair(np.array([1.0, -1.0, 1.0, -1.0])) == [1.0, 1.0]
+
+
+def test_multiband_kernel_validates():
+    for lengths, names in (
+        ((), ()),
+        ((3,), ()),
+        ((3, 0), (("max",), ("max",))),
+        ((3,), (("median",),)),
+    ):
+        with pytest.raises(ConfigurationError):
+            feat.multiband_kernel(lengths, names)
 
 
 # -- stacked SVM scorer -------------------------------------------------------
@@ -285,11 +347,25 @@ def _names(topology, module):
 
 
 def test_single_end_plans_fuse(case):
+    """A deterministic ceiling on the plan: five lone DWT levels, then per
+    end one feature step (every band) and one SVM step, and the fusion
+    cell.  Splitting the feature step per band again would add steps."""
     _, topology, segments = case
     assert 65 <= len(topology) <= 70
-    for cut in (sensor_cut(topology), aggregator_cut(topology)):
+    assert len(_names(topology, "dwt")) == 5
+    stds = set(_names(topology, "std"))
+    cuts = {
+        "sensor": (sensor_cut(topology), 8),
+        "aggregator": (aggregator_cut(topology), 8),
+        # Std on the aggregator reading its Var from the sensor: the Stds
+        # share one aggregator step, the rest fuses on the sensor.
+        "std split": (set(topology.cell_names) - stds, 9),
+    }
+    for label, (cut, steps) in cuts.items():
         engine = _assert_matches_execute(topology, cut, segments)
-        assert len(engine._plan) <= 20
+        assert len(engine._plan) == steps, label
+        lone = [run.__self__.module for run, _, _ in engine._plan if hasattr(run, "__self__")]
+        assert sorted(lone) == ["dwt"] * 5 + ["fusion"], label
 
 
 def test_var_and_std_on_different_ends(case):
@@ -368,7 +444,7 @@ def _tiny_svm_cell(index, kernel, ref, seed):
     return make_svm_cell(index, svm, [ref], np.zeros(1), np.ones(1), LIB)
 
 
-def test_mixed_kernels_run_as_separate_steps():
+def test_mixed_kernels_never_share_a_scorer(monkeypatch):
     rng = np.random.default_rng(2)
     source = PortRef(SOURCE_CELL)
     names = ("mean", "var", "skew")
@@ -381,9 +457,21 @@ def test_mixed_kernels_run_as_separate_steps():
     cells += members + [make_fusion_cell(fusion, [PortRef(m.name) for m in members], LIB)]
     topology = CellTopology(40, cells, PortRef("fusion"))
     segments = rng.normal(size=(5, 40))
-    engine = _assert_matches_execute(topology, set(), segments)
-    # One band step, one step per kernel, the fusion cell.
-    assert len(engine._plan) == 5
+    built = []
+
+    class Recording(StackedScorer):
+        def __init__(self, classifiers):
+            super().__init__(classifiers)
+            built.append({svm.kernel.signature for svm in classifiers})
+
+    with monkeypatch.context() as patch:
+        patch.setattr(library, "StackedScorer", Recording)
+        engine = CrossEndEngine(topology, Partition(in_sensor=frozenset()))
+    # One feature step, one SVM step with one scorer per kernel, the fusion.
+    assert len(engine._plan) == 3
+    assert sorted(len(kernels) for kernels in built) == [1, 1, 1]
+    assert len({frozenset(k) for k in built}) == 3
+    _assert_matches_execute(topology, set(), segments)
     for seg in segments:
         values = topology.execute(seg)
         for cell in members:
@@ -418,6 +506,27 @@ def test_contraction_cycle_leaves_group_unfused():
     runs = [step[0] for step in engine._plan]
     assert a.execute in runs and b.execute in runs
     assert len(engine._plan) == len(cells)
+
+
+def test_group_reading_its_own_output_runs_unfused():
+    """A feature over another feature's value (hand-made) would make the
+    feature step read its own output: its cells run alone instead."""
+    source = PortRef(SOURCE_CELL)
+    cells = [
+        make_feature_cell("mean", source, 16, LIB, name="mean_src"),
+        make_feature_cell("var", source, 16, LIB, name="var_src"),
+        make_feature_cell("max", PortRef("mean_src"), 1, LIB, name="max_of_mean"),
+    ]
+    members = [_tiny_svm_cell(i, KERNELS[1], PortRef(c.name), 30 + i) for i, c in enumerate(cells)]
+    rng = np.random.default_rng(3)
+    fusion = WeightedVotingFusion().fit(rng.normal(size=(20, 3)), rng.integers(0, 2, 20))
+    cells += members + [make_fusion_cell(fusion, [PortRef(m.name) for m in members], LIB)]
+    topology = CellTopology(16, cells, PortRef("fusion"))
+    engine = _assert_matches_execute(topology, set(), rng.normal(size=(4, 16)))
+    runs = [step[0] for step in engine._plan]
+    for name in ("mean_src", "var_src", "max_of_mean"):
+        assert topology.cell(name).execute in runs
+    assert len(engine._plan) == 5  # three features, the SVM step, fusion
 
 
 @pytest.fixture(scope="module")
