@@ -46,7 +46,7 @@ from repro.cells.cell import (
     PortRef,
 )
 from repro.dsp import features as feat
-from repro.dsp.wavelet import WaveletFilter, dwt_single_level
+from repro.dsp.wavelet import dwt_single_level
 from repro.errors import ConfigurationError, TopologyError
 from repro.hw.energy import ALUMode, EnergyLibrary
 from repro.ml.fusion import WeightedVotingFusion
@@ -218,11 +218,11 @@ def make_feature_cell(
 # -- DWT cells -------------------------------------------------------------------
 
 
-def dwt_op_counts(input_length: int, taps: int, mode: ALUMode) -> Dict[str, int]:
-    """Op counts of one DWT level in the given mode's realisation.
+def dwt_op_counts(input_length: int, mode: ALUMode) -> Dict[str, int]:
+    """Op counts of one Haar DWT level in the given mode's realisation.
 
-    Pipeline realises the level as a polyphase filter bank (``taps``
-    multiplies per output sample); serial and parallel realise it as the
+    Pipeline realises the level as a polyphase filter bank (two Haar taps,
+    so two multiplies per output sample); serial and parallel realise it as the
     dense transform-matrix multiplication the paper describes ("the DWT is a
     matrix multiplication"), which is what makes those modes so expensive.
     """
@@ -230,7 +230,7 @@ def dwt_op_counts(input_length: int, taps: int, mode: ALUMode) -> Dict[str, int]
     if m < 2 or m % 2:
         raise ConfigurationError("DWT input length must be even and >= 2")
     if mode is ALUMode.PIPELINE:
-        return {"mul": m * taps, "add": m * max(taps - 1, 1)}
+        return {"mul": m * 2, "add": m}
     return {"mul": m * m, "add": m * (m - 1)}
 
 
@@ -239,10 +239,9 @@ def make_dwt_cell(
     input_ref: PortRef,
     input_length: int,
     energy_lib: EnergyLibrary,
-    wavelet: WaveletFilter | str = "haar",
     align_to: Optional[int] = None,
 ) -> FunctionalCell:
-    """Build the DWT cell for one decomposition level.
+    """Build the Haar DWT cell for one decomposition level.
 
     Outputs two ports, ``approx`` and ``detail``, each of half the input
     length — they are distinct data items for the partitioner, because a
@@ -254,18 +253,13 @@ def make_dwt_cell(
         input_length: Length of the band *as processed* (i.e. after
             alignment for level 1).
         energy_lib: Energy model for mode selection.
-        wavelet: Filter family.
         align_to: If given (level 1 only), the compute function first
             truncates/zero-pads its input to this length — the fixed
             128-sample alignment of Section 4.4.
     """
-    if isinstance(wavelet, str):
-        wavelet = WaveletFilter.by_name(wavelet)
     if align_to is not None and align_to != input_length:
         raise ConfigurationError("align_to must equal input_length when set")
-    by_mode = {
-        mode: dwt_op_counts(input_length, wavelet.length, mode) for mode in ALUMode
-    }
+    by_mode = {mode: dwt_op_counts(input_length, mode) for mode in ALUMode}
     width = min(64, input_length)
     mode, chosen = choose_alu_mode(by_mode, energy_lib, parallel_width=width)
     half = input_length // 2
@@ -277,7 +271,7 @@ def make_dwt_cell(
         data = np.asarray(inputs[0], dtype=np.float64)
         if align_to is not None:
             data = align_segment(data, align_to)
-        approx, detail = dwt_single_level(data, wavelet)
+        approx, detail = dwt_single_level(data)
         return {"approx": approx, "detail": detail}
 
     return FunctionalCell(
@@ -492,7 +486,7 @@ FIG4_MODULES: Dict[str, Tuple[Dict[ALUMode, Mapping[str, int]], int]] = {
         name: (_uniform_modes(feat.operation_counts(name, 128)), 64)
         for name in feat.FEATURE_NAMES
     },
-    "dwt": ({mode: dwt_op_counts(128, 2, mode) for mode in ALUMode}, 64),
+    "dwt": ({mode: dwt_op_counts(128, mode) for mode in ALUMode}, 64),
     "svm": (_uniform_modes(_representative_svm_counts()), 12),
     "fusion": (_uniform_modes({"mul": 10, "add": 10, "cmp": 1}), 10),
 }

@@ -115,7 +115,6 @@ def _feature_front(
             prev_ref,
             length,
             energy_lib,
-            wavelet=layout.wavelet,
             align_to=layout.dwt_aligned_length if level == 1 else None,
         )
         cells.append(cell)

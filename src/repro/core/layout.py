@@ -54,14 +54,12 @@ class FeatureLayout:
         segment_length: Native segment length (Table 1 value).
         dwt_aligned_length: Length the segment is aligned to before the DWT.
         dwt_levels: Number of DWT decomposition levels.
-        wavelet: Wavelet family used for the DWT domains.
         feature_names: Per-domain statistical feature order.
     """
 
     segment_length: int
     dwt_aligned_length: int = 128
     dwt_levels: int = 5
-    wavelet: str = "haar"
     feature_names: Tuple[str, ...] = FEATURE_NAMES
 
     def __post_init__(self) -> None:
@@ -132,7 +130,7 @@ class FeatureLayout:
                 f"expected segment of length {self.segment_length}, got {len(arr)}"
             )
         aligned = align_segment(arr, self.dwt_aligned_length)
-        bands = dwt_multilevel(aligned, self.dwt_levels, self.wavelet)
+        bands = dwt_multilevel(aligned, self.dwt_levels)
         return [arr] + bands
 
     def extract(self, segment: Sequence[float]) -> np.ndarray:

@@ -5,7 +5,7 @@ computes on a signal segment before it reaches the classifier:
 
 - :mod:`repro.dsp.fixedpoint` -- the Q16.16 32-bit fixed-point number system
   used by the in-sensor functional cells (Section 4.4 of the paper).
-- :mod:`repro.dsp.wavelet` -- multi-level discrete wavelet transform.
+- :mod:`repro.dsp.wavelet` -- multi-level Haar discrete wavelet transform.
 - :mod:`repro.dsp.features` -- the eight hardware-friendly statistical
   features (Max, Min, Mean, Var, Std, Czero, Skew, Kurt).
 - :mod:`repro.dsp.normalize` -- the [0, 1] feature normalisation applied
@@ -28,13 +28,7 @@ from repro.dsp.features import (
 from repro.dsp.fixedpoint import FixedPoint, FixedPointFormat, Q16_16
 from repro.dsp.normalize import MinMaxNormalizer
 from repro.dsp.streaming import CrossingCounter, StreamingMoments
-from repro.dsp.wavelet import (
-    WaveletFilter,
-    dwt_multilevel,
-    dwt_multilevel_batch,
-    dwt_single_level,
-    dwt_single_level_batch,
-)
+from repro.dsp.wavelet import dwt_multilevel, dwt_single_level
 
 __all__ = [
     "CrossingCounter",
@@ -44,12 +38,9 @@ __all__ = [
     "FixedPointFormat",
     "MinMaxNormalizer",
     "Q16_16",
-    "WaveletFilter",
     "crossing_count",
     "dwt_multilevel",
-    "dwt_multilevel_batch",
     "dwt_single_level",
-    "dwt_single_level_batch",
     "feature_vector",
     "kurtosis",
     "maximum",

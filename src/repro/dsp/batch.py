@@ -9,11 +9,9 @@ rounding, not bit for bit: the Haar pair arithmetic and the array powers
 of the moment features round differently from the reference (at most
 1.7e-12 relative on the Table-1 cases; zero-crossing counts are exact).
 
-The Haar wavelet (the hardware default throughout the paper reproduction)
-gets a dedicated pair-arithmetic DWT path; every other family runs through
-the general batched filter bank of
-:func:`repro.dsp.wavelet.dwt_multilevel_batch`, so the whole front end is
-vectorised for any layout.
+The DWT (Haar, the only wavelet of the reproduction) runs as pair
+arithmetic over the whole batch, so no layout falls back to per-row
+extraction.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ import numpy as np
 
 from repro.core.layout import FeatureLayout
 from repro.dsp.features import multiband_feature_matrix
-from repro.dsp.wavelet import dwt_multilevel_batch
 from repro.errors import ConfigurationError
 
 _SQRT2 = np.sqrt(2.0)
@@ -68,12 +65,7 @@ def batch_haar_multilevel(batch: np.ndarray, levels: int) -> List[np.ndarray]:
 def batch_extract_matrix(
     segments: np.ndarray, layout: FeatureLayout
 ) -> np.ndarray:
-    """Vectorised drop-in for :meth:`FeatureLayout.extract_matrix`.
-
-    Haar layouts use the dedicated pair-arithmetic DWT; every other wavelet
-    family runs through the general batched filter bank, so no layout falls
-    back to per-row extraction.
-    """
+    """Vectorised drop-in for :meth:`FeatureLayout.extract_matrix`."""
     X = np.asarray(segments, dtype=np.float64)
     if X.ndim != 2:
         raise ConfigurationError("segments must be a 2-D batch")
@@ -90,9 +82,5 @@ def batch_extract_matrix(
         aligned = np.zeros((X.shape[0], target))
         aligned[:, : X.shape[1]] = X
 
-    if layout.wavelet == "haar":
-        bands = batch_haar_multilevel(aligned, layout.dwt_levels)
-    else:
-        bands = dwt_multilevel_batch(aligned, layout.dwt_levels, layout.wavelet)
-
+    bands = batch_haar_multilevel(aligned, layout.dwt_levels)
     return multiband_feature_matrix([X, *bands], layout.feature_names)

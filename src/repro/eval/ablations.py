@@ -28,7 +28,6 @@ from repro.core.generator import AutomaticXProGenerator
 from repro.core.layout import FeatureLayout
 from repro.dsp.features import operation_counts
 from repro.dsp.normalize import MinMaxNormalizer
-from repro.dsp.wavelet import WaveletFilter
 from repro.errors import ConfigurationError
 from repro.hw.aggregator import AggregatorCPU
 from repro.hw.energy import ALUMode, EnergyLibrary
@@ -46,11 +45,8 @@ def _cell_mode_energy(cell, lib: EnergyLibrary, mode: ALUMode) -> float:
     mode-dependent realisation)."""
     counts = cell.op_counts
     if cell.module == "dwt":
-        # Recover the processed band length from the pipeline realisation
-        # (mul = length * taps for the Haar filter bank).
-        taps = WaveletFilter.by_name("haar").length
         length = cell.port("approx").n_values * 2
-        counts = dwt_op_counts(length, taps, mode)
+        counts = dwt_op_counts(length, mode)
     return lib.cell_cost(counts, mode, cell.parallel_width).energy_j
 
 

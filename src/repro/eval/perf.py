@@ -5,9 +5,10 @@ scalar reference and the fast path — on the same inputs:
 
 - **extraction**: :meth:`FeatureLayout.extract_matrix` (per-row Python
   loop) vs :func:`repro.dsp.batch.batch_extract_matrix`, 256 segments;
-- **dwt**: per-row :func:`~repro.dsp.wavelet.dwt_multilevel` vs the
-  batched pyramid :func:`~repro.dsp.wavelet.dwt_multilevel_batch`, 512
-  rows of db2 (the general filter-bank path, not the Haar shortcut);
+- **dwt**: per-row :func:`~repro.dsp.wavelet.dwt_multilevel` (the
+  engine's Haar reference) vs the batched Haar pyramid
+  :func:`~repro.dsp.batch.batch_haar_multilevel` that training and the
+  gateway run, 512 rows;
 - **inference**: per-event ensemble prediction (one tiny Gram matrix per
   member per event) vs one
   :meth:`~repro.ml.subspace.RandomSubspaceClassifier.predict` call on the
@@ -75,8 +76,8 @@ import numpy as np
 
 from repro.core.layout import FeatureLayout
 from repro.core.pipeline import TrainingConfig, train_analytic_engine
-from repro.dsp.batch import batch_extract_matrix
-from repro.dsp.wavelet import dwt_multilevel, dwt_multilevel_batch
+from repro.dsp.batch import batch_extract_matrix, batch_haar_multilevel
+from repro.dsp.wavelet import dwt_multilevel
 from repro.errors import ConfigurationError, PerfRegressionError
 from repro.eval.jsonio import read_json_document, write_json_document
 from repro.signals.datasets import load_case
@@ -93,6 +94,10 @@ _BENCH_TRAINING = TrainingConfig(
 
 #: Seed of every row's random inputs (the training row uses its own).
 _SEED = 2025
+
+#: Equivalence bound of the rows whose fast path rounds differently from
+#: the reference (extraction, dwt); the test suite's batch bound.
+_TOLERANCE = dict(rtol=1e-11, atol=1e-12)
 
 
 @dataclass(frozen=True)
@@ -225,7 +230,7 @@ def _extraction(fast: bool) -> Work:
         256,
         lambda: layout.extract_matrix(X),
         lambda: batch_extract_matrix(X, layout),
-        lambda ref, out: bool(np.allclose(out, ref, atol=1e-9)),
+        lambda ref, out: bool(np.allclose(out, ref, **_TOLERANCE)),
     )
 
 
@@ -233,10 +238,10 @@ def _dwt(fast: bool) -> Work:
     X = _random_rows(512)
     return Work(
         512,
-        lambda: [dwt_multilevel(row, 5, "db2") for row in X],
-        lambda: dwt_multilevel_batch(X, 5, "db2"),
+        lambda: [dwt_multilevel(row, 5) for row in X],
+        lambda: batch_haar_multilevel(X, 5),
         lambda ref, out: all(
-            np.allclose(out[band][i], ref[i][band], atol=1e-9)
+            np.allclose(out[band][i], ref[i][band], **_TOLERANCE)
             for i in range(len(ref))
             for band in range(len(out))
         ),

@@ -19,7 +19,7 @@ from repro.dsp.batch import (
     batch_haar_level,
     batch_haar_multilevel,
 )
-from repro.dsp.wavelet import WaveletFilter, dwt_multilevel, dwt_single_level
+from repro.dsp.wavelet import dwt_multilevel, dwt_single_level
 from repro.errors import ConfigurationError
 from repro.ml.multiclass import OneVsRestSubspaceClassifier
 from repro.signals.datasets import CASE_ORDER, load_case
@@ -32,9 +32,8 @@ class TestBatchHaar:
     def test_single_level_matches_reference(self, rng):
         X = rng.normal(size=(7, 32))
         a_b, d_b = batch_haar_level(X)
-        haar = WaveletFilter.by_name("haar")
         for i in range(7):
-            a, d = dwt_single_level(X[i], haar)
+            a, d = dwt_single_level(X[i])
             assert np.allclose(a_b[i], a)
             assert np.allclose(d_b[i], d)
 
@@ -42,9 +41,20 @@ class TestBatchHaar:
         X = rng.normal(size=(5, 128))
         batched = batch_haar_multilevel(X, 5)
         for i in range(5):
-            reference = dwt_multilevel(X[i], 5, "haar")
+            reference = dwt_multilevel(X[i], 5)
             for b_band, r_band in zip(batched, reference):
                 assert np.allclose(b_band[i], r_band)
+
+    @given(st.integers(0, 10_000), st.integers(1, 5))
+    @settings(max_examples=25, deadline=None)
+    def test_multilevel_matches_reference_at_every_depth(self, seed, levels):
+        X = np.random.default_rng(seed).normal(size=(3, 128))
+        batched = batch_haar_multilevel(X, levels)
+        for i in range(3):
+            reference = dwt_multilevel(X[i], levels)
+            assert len(batched) == len(reference) == levels + 1
+            for b_band, r_band in zip(batched, reference):
+                assert np.allclose(b_band[i], r_band, **TOLERANCE)
 
     def test_validation(self, rng):
         with pytest.raises(ConfigurationError):
@@ -93,13 +103,6 @@ class TestBatchExtract:
         out = batch_extract_matrix(X, layout)
         slow = layout.extract_matrix(X)
         assert np.allclose(out, slow, **TOLERANCE)
-
-    def test_non_haar_uses_batched_filter_bank(self, rng):
-        layout = FeatureLayout(segment_length=128, wavelet="db2")
-        X = rng.normal(size=(3, 128))
-        assert np.allclose(
-            batch_extract_matrix(X, layout), layout.extract_matrix(X)
-        )
 
     def test_validation(self, rng):
         layout = FeatureLayout(segment_length=128)

@@ -20,7 +20,7 @@ from repro.cells.library import (
 )
 from repro.cells.topology import CellTopology
 from repro.dsp.features import skewness, variance
-from repro.dsp.wavelet import WaveletFilter, dwt_single_level
+from repro.dsp.wavelet import dwt_single_level
 from repro.errors import ConfigurationError, TopologyError
 from repro.hw.energy import ALUMode
 from repro.ml.fusion import WeightedVotingFusion
@@ -134,7 +134,7 @@ class TestLibraryCells:
         cell = make_dwt_cell(1, PortRef(SOURCE_CELL), 32, energy_lib_90)
         seg = rng.normal(size=32)
         out = cell.execute([seg])
-        a, d = dwt_single_level(seg, WaveletFilter.by_name("haar"))
+        a, d = dwt_single_level(seg)
         assert np.allclose(out["approx"], a)
         assert np.allclose(out["detail"], d)
 
@@ -147,8 +147,8 @@ class TestLibraryCells:
         assert len(out["approx"]) == 64
 
     def test_dwt_mode_dependent_op_counts(self):
-        pipe = dwt_op_counts(128, 2, ALUMode.PIPELINE)
-        serial = dwt_op_counts(128, 2, ALUMode.SERIAL)
+        pipe = dwt_op_counts(128, ALUMode.PIPELINE)
+        serial = dwt_op_counts(128, ALUMode.SERIAL)
         assert pipe["mul"] == 256
         assert serial["mul"] == 128 * 128
 

@@ -6,7 +6,7 @@ decision.  Two guards hold the front end to its values:
 
 - sha256 pins of the feature matrices of the six Table-1 datasets at 360
   segments (C1's 82-sample rows are zero-padded to the 128-sample DWT
-  alignment) and of one ``db2`` layout;
+  alignment);
 - a property test against the per-band computation that
   ``batch_extract_matrix`` used to run, one single-band feature call
   per band, copied below as the oracle.  The rows cross the kernel's row
@@ -29,7 +29,6 @@ from repro.dsp.features import (
     ROW_BLOCK,
     multiband_feature_matrix,
 )
-from repro.dsp.wavelet import dwt_multilevel_batch
 from repro.signals.datasets import CASE_ORDER, load_case
 
 #: sha256 of ``batch_extract_matrix(load_case(case, 360).segments, layout)``
@@ -48,11 +47,6 @@ GOLDEN = {
     "M2": "baf800e509b00adbe00104855d4302e8"
     "6c2f9e5c980e49e047e273779b398444",
 }
-#: The same for C2's segments under a 4-level ``db2`` layout.
-GOLDEN_DB2 = (
-    "93fec52457ab18fb354f7150813ae3a3"
-    "ee024ce03d0aa732a073b50c0ff3e87e"
-)
 
 
 def _digest(matrix: np.ndarray) -> str:
@@ -65,14 +59,6 @@ def test_table1_feature_matrices_are_pinned(case):
     data = load_case(case, n_segments=360)
     layout = FeatureLayout(segment_length=data.segment_length)
     assert _digest(batch_extract_matrix(data.segments, layout)) == GOLDEN[case]
-
-
-def test_db2_feature_matrix_is_pinned():
-    data = load_case("C2", n_segments=360)
-    layout = FeatureLayout(
-        segment_length=data.segment_length, dwt_levels=4, wavelet="db2"
-    )
-    assert _digest(batch_extract_matrix(data.segments, layout)) == GOLDEN_DB2
 
 
 # -- oracle: the per-band body of the single-band call before fusion --------
@@ -128,10 +114,7 @@ def _extract_oracle(X, layout):
     else:
         aligned = np.zeros((X.shape[0], target))
         aligned[:, : X.shape[1]] = X
-    if layout.wavelet == "haar":
-        bands = batch_haar_multilevel(aligned, layout.dwt_levels)
-    else:
-        bands = dwt_multilevel_batch(aligned, layout.dwt_levels, layout.wavelet)
+    bands = batch_haar_multilevel(aligned, layout.dwt_levels)
     parts = [_per_band(X, layout.feature_names)]
     parts.extend(_per_band(band, layout.feature_names) for band in bands)
     return np.concatenate(parts, axis=1)
@@ -192,7 +175,6 @@ def _layouts(draw):
     return FeatureLayout(
         segment_length=draw(st.sampled_from([40, 82, 128, 136])),
         dwt_levels=levels,
-        wavelet=draw(st.sampled_from(["haar", "haar", "db2"])),
         feature_names=tuple(names[:k]) if draw(st.booleans()) else FEATURE_NAMES,
     )
 
@@ -276,6 +258,6 @@ def test_zero_led_band_carries_no_sign_across_bands():
 def test_empty_batches():
     layout = FeatureLayout(segment_length=82)
     assert batch_extract_matrix(np.zeros((0, 82)), layout).shape == (0, 56)
-    db2 = FeatureLayout(segment_length=64, dwt_levels=3, wavelet="db2")
-    assert batch_extract_matrix(np.zeros((0, 64)), db2).shape == (0, 40)
+    shallow = FeatureLayout(segment_length=64, dwt_levels=3)
+    assert batch_extract_matrix(np.zeros((0, 64)), shallow).shape == (0, 40)
     assert multiband_feature_matrix([np.zeros((0, 3))], ["max"]).shape == (0, 1)

@@ -5,12 +5,15 @@ Checks that hold the library to release discipline:
 - every name in every ``__all__`` actually resolves;
 - every public module, class and function carries a docstring;
 - the package version is coherent;
-- no module in the public surface fails to import in isolation.
+- no module in the public surface fails to import in isolation;
+- every backticked ``repro.…`` name in the prose docs still resolves.
 """
 
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +48,31 @@ def _walk_modules():
 
 ALL_MODULES = _walk_modules()
 
+ROOT = Path(__file__).resolve().parent.parent
+DOC_FILES = sorted((ROOT / "docs").glob("*.md")) + [
+    ROOT / "README.md",
+    ROOT / "DESIGN.md",
+]
+#: A backticked dotted name, e.g. `repro.dsp.batch` or the
+#: `repro.eval.perf.check_report` of `repro.eval.perf.check_report(report)`.
+DOTTED_NAME = re.compile(r"`(repro(?:\.\w+)+)")
+
+
+def _resolves(dotted: str) -> bool:
+    """Import the longest module prefix, then walk the rest as attributes."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:split]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[split:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
 
 class TestExports:
     @pytest.mark.parametrize("package_name", PACKAGES)
@@ -62,6 +90,18 @@ class TestExports:
 
     def test_version(self):
         assert repro.__version__.count(".") == 2
+
+
+class TestDocsNames:
+    def test_backticked_names_resolve(self):
+        names = {
+            name
+            for path in DOC_FILES
+            for name in DOTTED_NAME.findall(path.read_text(encoding="utf-8"))
+        }
+        assert names
+        stale = sorted(name for name in names if not _resolves(name))
+        assert not stale, f"docs name what the code no longer has: {stale}"
 
 
 class TestDocstrings:

@@ -1,4 +1,4 @@
-"""Unit and property tests for the discrete wavelet transform."""
+"""Unit and property tests for the Haar discrete wavelet transform."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.dsp.wavelet import (
-    WaveletFilter,
-    dwt_band_lengths,
-    dwt_multilevel,
-    dwt_multilevel_batch,
-    dwt_single_level,
-    dwt_single_level_batch,
-)
+from repro.dsp.wavelet import dwt_band_lengths, dwt_multilevel, dwt_single_level
 from repro.errors import ConfigurationError
 
 SIGNALS = arrays(
@@ -23,14 +16,17 @@ SIGNALS = arrays(
 )
 
 
-def reconstruct_single_level(approx, detail, wavelet="haar"):
+HAAR_LOWPASS = np.array([2**-0.5, 2**-0.5])
+HAAR_HIGHPASS = np.array([2**-0.5, -(2**-0.5)])
+
+
+def reconstruct_single_level(approx, detail):
     """Inverse of :func:`dwt_single_level`, the invertibility oracle.
 
     Upsamples both bands by two, filters with the time-reversed analysis
-    filters (orthogonal wavelets are self-dual up to reversal) and sums.
+    filters (the Haar wavelet is orthogonal, so self-dual up to reversal)
+    and sums.
     """
-    if isinstance(wavelet, str):
-        wavelet = WaveletFilter.by_name(wavelet)
     if len(approx) != len(detail):
         raise ConfigurationError("approximation/detail lengths differ")
     n = 2 * len(approx)
@@ -43,112 +39,49 @@ def reconstruct_single_level(approx, detail, wavelet="haar"):
         extended = np.concatenate([upsampled[-(len(taps) - 1):], upsampled])
         return np.convolve(extended, taps, mode="valid")[:n]
 
-    return _synthesis(up_a, wavelet.lowpass) + _synthesis(up_d, wavelet.highpass)
+    return _synthesis(up_a, HAAR_LOWPASS) + _synthesis(up_d, HAAR_HIGHPASS)
 
 
 class TestFilters:
     def test_haar_taps(self):
-        haar = WaveletFilter.by_name("haar")
-        assert haar.length == 2
-        assert np.allclose(haar.lowpass, [2**-0.5, 2**-0.5])
-
-    def test_db2_orthonormality(self):
-        db2 = WaveletFilter.by_name("db2")
-        assert np.isclose((db2.lowpass**2).sum(), 1.0)
-        assert np.isclose((db2.highpass**2).sum(), 1.0)
-        assert np.isclose(db2.lowpass @ db2.highpass, 0.0)
-
-    def test_unknown_wavelet_rejected(self):
-        with pytest.raises(ConfigurationError):
-            WaveletFilter.by_name("sym9")
-
-
-class TestDaubechiesConstruction:
-    def test_db2_matches_closed_form(self):
-        from repro.dsp.wavelet import daubechies_lowpass
-
-        assert np.allclose(
-            daubechies_lowpass(2), WaveletFilter.by_name("db2").lowpass
-        )
-
-    def test_db1_is_haar(self):
-        from repro.dsp.wavelet import daubechies_lowpass
-
-        assert np.allclose(
-            daubechies_lowpass(1), WaveletFilter.by_name("haar").lowpass
-        )
-
-    @pytest.mark.parametrize("order", range(1, 9))
-    def test_orthonormality(self, order):
-        h = WaveletFilter.by_name(f"db{order}").lowpass
-        assert len(h) == 2 * order
-        assert np.isclose(h.sum(), np.sqrt(2))
-        assert np.isclose((h**2).sum(), 1.0)
-        for k in range(1, order):
-            shifted = np.zeros_like(h)
-            shifted[2 * k :] = h[: len(h) - 2 * k]
-            assert abs(h @ shifted) < 1e-8
-
-    @pytest.mark.parametrize("order", range(2, 9))
-    def test_vanishing_moments(self, order):
-        g = WaveletFilter.by_name(f"db{order}").highpass
-        for moment in range(order):
-            assert abs(sum((k**moment) * g[k] for k in range(len(g)))) < 1e-6
-
-    @pytest.mark.parametrize("order", [3, 5, 8])
-    def test_perfect_reconstruction(self, order, rng):
-        w = WaveletFilter.by_name(f"db{order}")
-        x = rng.normal(size=64)
-        a, d = dwt_single_level(x, w)
-        assert np.allclose(reconstruct_single_level(a, d, w), x, atol=1e-8)
-
-    def test_order_bounds(self):
-        from repro.dsp.wavelet import daubechies_lowpass
-
-        with pytest.raises(ConfigurationError):
-            daubechies_lowpass(0)
-        with pytest.raises(ConfigurationError):
-            daubechies_lowpass(9)
-
-    def test_quadrature_mirror_orthogonal_to_lowpass(self):
-        from repro.dsp.wavelet import quadrature_mirror
-
-        h = WaveletFilter.by_name("db4").lowpass
-        g = quadrature_mirror(h)
-        assert np.isclose(h @ g, 0.0, atol=1e-12)
+        # The impulse responses of one level are the analysis taps.
+        a0, d0 = dwt_single_level([1.0, 0.0])
+        a1, d1 = dwt_single_level([0.0, 1.0])
+        assert np.allclose([a0[0], a1[0]], HAAR_LOWPASS)
+        assert np.allclose([d0[0], d1[0]], HAAR_HIGHPASS)
 
 
 class TestSingleLevel:
     def test_output_lengths(self):
-        a, d = dwt_single_level(np.arange(16.0), WaveletFilter.by_name("haar"))
+        a, d = dwt_single_level(np.arange(16.0))
         assert len(a) == 8 and len(d) == 8
 
     def test_haar_constant_signal(self):
-        a, d = dwt_single_level(np.ones(8), WaveletFilter.by_name("haar"))
+        a, d = dwt_single_level(np.ones(8))
         assert np.allclose(a, np.sqrt(2))
         assert np.allclose(d, 0.0)
 
     def test_odd_length_rejected(self):
         with pytest.raises(ConfigurationError):
-            dwt_single_level(np.arange(7.0), WaveletFilter.by_name("haar"))
+            dwt_single_level(np.arange(7.0))
 
     def test_2d_rejected(self):
         with pytest.raises(ConfigurationError):
-            dwt_single_level(np.zeros((4, 4)), WaveletFilter.by_name("haar"))
+            dwt_single_level(np.zeros((4, 4)))
 
-    @given(SIGNALS, st.sampled_from(["haar", "db2"]))
+    @given(SIGNALS)
     @settings(max_examples=60)
-    def test_energy_preserved(self, signal, name):
-        a, d = dwt_single_level(signal, WaveletFilter.by_name(name))
+    def test_energy_preserved(self, signal):
+        a, d = dwt_single_level(signal)
         assert np.isclose(
             (a**2).sum() + (d**2).sum(), (signal**2).sum(), rtol=1e-9, atol=1e-9
         )
 
-    @given(SIGNALS, st.sampled_from(["haar", "db2"]))
+    @given(SIGNALS)
     @settings(max_examples=60)
-    def test_perfect_reconstruction(self, signal, name):
-        a, d = dwt_single_level(signal, WaveletFilter.by_name(name))
-        restored = reconstruct_single_level(a, d, name)
+    def test_perfect_reconstruction(self, signal):
+        a, d = dwt_single_level(signal)
+        restored = reconstruct_single_level(a, d)
         assert np.allclose(restored, signal, atol=1e-9)
 
     def test_reconstruct_length_mismatch_rejected(self):
@@ -158,9 +91,8 @@ class TestSingleLevel:
     @given(SIGNALS)
     @settings(max_examples=40)
     def test_linearity(self, signal):
-        haar = WaveletFilter.by_name("haar")
-        a1, d1 = dwt_single_level(signal, haar)
-        a2, d2 = dwt_single_level(3.0 * signal, haar)
+        a1, d1 = dwt_single_level(signal)
+        a2, d2 = dwt_single_level(3.0 * signal)
         assert np.allclose(a2, 3.0 * a1)
         assert np.allclose(d2, 3.0 * d1)
 
@@ -198,50 +130,9 @@ class TestMultilevel:
     def test_matches_iterated_single_level(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=32)
-        haar = WaveletFilter.by_name("haar")
-        bands = dwt_multilevel(x, 2, haar)
-        a1, d1 = dwt_single_level(x, haar)
-        a2, d2 = dwt_single_level(a1, haar)
+        bands = dwt_multilevel(x, 2)
+        a1, d1 = dwt_single_level(x)
+        a2, d2 = dwt_single_level(a1)
         assert np.allclose(bands[0], d1)
         assert np.allclose(bands[1], a2)
         assert np.allclose(bands[2], d2)
-
-
-class TestBatchedDWT:
-    @pytest.mark.parametrize("name", ["haar", "db2", "db3"])
-    def test_single_level_matches_scalar(self, name, rng):
-        batch = rng.normal(size=(6, 64))
-        a_b, d_b = dwt_single_level_batch(batch, name)
-        for i in range(6):
-            a, d = dwt_single_level(batch[i], WaveletFilter.by_name(name))
-            assert np.allclose(a_b[i], a, atol=1e-12)
-            assert np.allclose(d_b[i], d, atol=1e-12)
-
-    @pytest.mark.parametrize("name", ["haar", "db2", "db3"])
-    @pytest.mark.parametrize("levels", [1, 3, 5])
-    def test_multilevel_matches_scalar(self, name, levels, rng):
-        batch = rng.normal(size=(4, 128))
-        bands_b = dwt_multilevel_batch(batch, levels, name)
-        for i in range(4):
-            bands = dwt_multilevel(batch[i], levels, name)
-            assert len(bands_b) == len(bands)
-            for bb, rb in zip(bands_b, bands):
-                assert np.allclose(bb[i], rb, atol=1e-12)
-
-    @given(SIGNALS)
-    @settings(max_examples=25, deadline=None)
-    def test_property_batch_of_one_row(self, signal):
-        a_b, d_b = dwt_single_level_batch(signal[None, :], "db2")
-        a, d = dwt_single_level(signal, WaveletFilter.by_name("db2"))
-        assert np.allclose(a_b[0], a, atol=1e-9)
-        assert np.allclose(d_b[0], d, atol=1e-9)
-
-    def test_validation(self, rng):
-        with pytest.raises(ConfigurationError):
-            dwt_single_level_batch(rng.normal(size=16))
-        with pytest.raises(ConfigurationError):
-            dwt_single_level_batch(rng.normal(size=(3, 7)))
-        with pytest.raises(ConfigurationError):
-            dwt_multilevel_batch(rng.normal(size=(3, 20)), 3)
-        with pytest.raises(ConfigurationError):
-            dwt_multilevel_batch(rng.normal(size=(3, 16)), 0)
