@@ -148,13 +148,11 @@ def _feature_step(
             inside = ref in position
             stds.append((i, inside, position[ref] if inside else outside[ref]))
 
-    def run(x: np.ndarray) -> List[float]:
-        if kernel is None:
-            out = [0.0] * len(take)
-        else:
-            values = kernel(x[:width])
-            out = [values[j] for j in take]
-        extra = x[width:].tolist()
+    index = np.array(take, dtype=np.intp)
+
+    def run(x: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(take)) if kernel is None else kernel(x[:width])[index]
+        extra = x[width:]
         for i, inside, r in stds:  # in group order, so out[r] is already final
             out[i] = _std_of(out[r] if inside else extra[r])
         return out

@@ -120,10 +120,10 @@ class TrainedAnalyticEngine:
         one normaliser transform, and one Gram-matrix call per base
         classifier instead of per-event kernel evaluations.
 
-        Scores are not bitwise :meth:`predict_segment`'s.  Batch
-        extraction rounds differently from ``FeatureLayout.extract``, and
+        Scores are not bitwise :meth:`predict_segment`'s.  The features
+        are (batch extraction is bitwise ``FeatureLayout.extract``), but
         with two or more rows each Gram's cross term is one BLAS product.
-        Together they move a fused score by about 4e-15 on the Table-1
+        That moves a fused score by at most about 3.4e-15 on the Table-1
         cases, far inside the smallest decision margin measured there
         (1.5e-4 at the training scale of ``tests/test_decision_margin.py``),
         which is what keeps the decisions identical.
@@ -190,10 +190,8 @@ def train_analytic_engine(
     """
     config = config or TrainingConfig()
     layout = layout or FeatureLayout(segment_length=dataset.segment_length)
-    # Vectorised extraction.  It is not bitwise the per-row
-    # FeatureLayout.extract path: Haar pair arithmetic and array powers
-    # round differently, by at most 8.9e-15 absolute / 1.7e-12 relative on
-    # the Table-1 cases (bound pinned in tests/test_batch_extraction.py).
+    # Vectorised extraction, bitwise the per-row FeatureLayout.extract
+    # path and the engine's cells (tests/test_front_end_identity.py).
     # Imported lazily to keep the dsp <-> core layering acyclic.
     from repro.dsp.batch import batch_extract_matrix
 

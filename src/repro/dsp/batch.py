@@ -1,65 +1,28 @@
-"""Vectorised batch feature extraction.
+"""Whole-batch feature extraction: the front end of training and the gateway.
 
-Training extracts the 56-dimensional feature vector for every segment; the
-reference path (:meth:`repro.core.layout.FeatureLayout.extract`) does it
-row by row with per-feature Python calls.  This module computes the same
-values for a whole ``(n_segments, segment_length)`` batch with numpy array
-operations, roughly an order of magnitude faster.  The values agree to
-rounding, not bit for bit: the Haar pair arithmetic and the array powers
-of the moment features round differently from the reference (at most
-1.7e-12 relative on the Table-1 cases; zero-crossing counts are exact).
-
-The DWT (Haar, the only wavelet of the reproduction) runs as pair
-arithmetic over the whole batch, so no layout falls back to per-row
-extraction.
+Training extracts the 56-dimensional feature vector for every segment,
+and the gateway does it for every window it scores.  This module runs a
+whole ``(n_segments, segment_length)`` batch through the same two steps
+the engine's cells run on one segment -- the Haar pyramid of
+:func:`repro.dsp.wavelet.dwt_multilevel` on the last axis, then one
+:func:`repro.dsp.features.multiband_kernel` pass per row block -- so its
+values are bitwise those of the per-row reference
+:meth:`repro.core.layout.FeatureLayout.extract` and of the engine, at
+about an order of magnitude less time than the per-row loop.
 """
 
 from __future__ import annotations
-
-from typing import List
 
 import numpy as np
 
 from repro.core.layout import FeatureLayout
 from repro.dsp.features import multiband_feature_matrix
+from repro.dsp.wavelet import dwt_multilevel
 from repro.errors import ConfigurationError
 
-_SQRT2 = np.sqrt(2.0)
-
-
-def batch_haar_level(batch: np.ndarray) -> tuple:
-    """One Haar DWT level over a (rows, n) batch -> (approx, detail)."""
-    if batch.ndim != 2 or batch.shape[1] % 2:
-        raise ConfigurationError("batch must be 2-D with even row length")
-    pairs = batch.reshape(batch.shape[0], batch.shape[1] // 2, 2)
-    approx = (pairs[:, :, 0] + pairs[:, :, 1]) / _SQRT2
-    # Sign convention matches the reference convolution path of
-    # repro.dsp.wavelet: detail[k] = (x[2k] - x[2k+1]) / sqrt(2).
-    detail = (pairs[:, :, 0] - pairs[:, :, 1]) / _SQRT2
-    return approx, detail
-
-
-def batch_haar_multilevel(batch: np.ndarray, levels: int) -> List[np.ndarray]:
-    """Batched equivalent of :func:`repro.dsp.wavelet.dwt_multilevel` (Haar).
-
-    Returns the sub-band batches in the same order: D1..D(L-1), A(L), D(L).
-    """
-    if levels < 1:
-        raise ConfigurationError("levels must be >= 1")
-    if batch.shape[1] % (1 << levels):
-        raise ConfigurationError(
-            f"row length {batch.shape[1]} not divisible by 2**{levels}"
-        )
-    bands: List[np.ndarray] = []
-    approx = np.asarray(batch, dtype=np.float64)
-    for level in range(1, levels + 1):
-        approx, detail = batch_haar_level(approx)
-        if level < levels:
-            bands.append(detail)
-        else:
-            bands.append(approx)
-            bands.append(detail)
-    return bands
+#: The Haar pyramid of a ``(rows, n)`` batch: :func:`dwt_multilevel` itself,
+#: which runs on the last axis.
+batch_haar_multilevel = dwt_multilevel
 
 
 def batch_extract_matrix(
@@ -82,5 +45,5 @@ def batch_extract_matrix(
         aligned = np.zeros((X.shape[0], target))
         aligned[:, : X.shape[1]] = X
 
-    bands = batch_haar_multilevel(aligned, layout.dwt_levels)
+    bands = dwt_multilevel(aligned, layout.dwt_levels)
     return multiband_feature_matrix([X, *bands], layout.feature_names)

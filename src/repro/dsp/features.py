@@ -7,21 +7,28 @@ deviation (Std), zero-crossing count (Czero), skewness (Skew) and kurtosis
 
 Each feature has:
 
-- a batch reference implementation operating on a whole segment (used by the
-  classifier training pipeline and the aggregator-side software cells), and
+- a reference function over one segment (:func:`skewness`, ...), which
+  :meth:`repro.core.layout.FeatureLayout.extract` calls per band, and
 - an operation-count model (:func:`operation_counts`) describing what the
   in-sensor S-ALU executes, which drives the energy/delay characterisation
   of the corresponding functional cell (Figure 4).
 
+:func:`multiband_kernel` is the one fast form of all eight: the engine's
+feature cells, training and the gateway (through
+:func:`multiband_feature_matrix`) all run it, and it is bitwise the
+reference functions.
+
 The statistical definitions follow the population (biased) moment
 conventions, which is what a single-pass hardware datapath computes:
-``var = E[x^2] - E[x]^2``, ``skew = m3 / m2^{3/2}``, ``kurt = m4 / m2^2``.
+``var = E[x^2] - E[x]^2``, ``skew = m3 / np.power(m2, 1.5)``,
+``kurt = m4 / (m2 * m2)``.  Those exact expressions, the array ``pow``
+and an exact square, are what every path computes, so they agree to the
+bit.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -128,25 +135,34 @@ def zero_crossings(segment: Sequence[float]) -> float:
 
 
 def skewness(segment: Sequence[float]) -> float:
-    """Population skewness ``m3 / m2^{3/2}`` (0 for constant segments)."""
+    """Population skewness ``m3 / m2^{3/2}`` (0 for constant segments).
+
+    ``m2^{3/2}`` is ``np.power(m2, 1.5)``, NumPy's array ``pow``, as in
+    :func:`multiband_kernel`; Python's ``m2**1.5`` rounds differently on
+    some values.
+    """
     arr = _as_segment(segment)
     centered = arr - _mean(arr)
     m2 = float(_mean(centered**2))
     if m2 <= 1e-12:
         return 0.0
     m3 = float(_mean(centered**3))
-    return m3 / (m2**1.5)
+    return float(m3 / np.power(m2, 1.5))
 
 
 def kurtosis(segment: Sequence[float]) -> float:
-    """Population kurtosis ``m4 / m2^2`` (non-excess; 0 for constants)."""
+    """Population kurtosis ``m4 / m2^2`` (non-excess; 0 for constants).
+
+    ``m2^2`` is the exact square ``m2 * m2`` (what an array ``**2`` gives;
+    Python's ``m2**2`` goes through ``pow``).
+    """
     arr = _as_segment(segment)
     centered = arr - _mean(arr)
     m2 = float(_mean(centered**2))
     if m2 <= 1e-12:
         return 0.0
     m4 = float(_mean(centered**4))
-    return m4 / (m2**2)
+    return m4 / (m2 * m2)
 
 
 @functools.lru_cache(maxsize=256)
@@ -157,8 +173,7 @@ def band_kernel(names: Tuple[str, ...]) -> Callable[[np.ndarray], List[float]]:
     length: ``_mean``, the centred band and ``m2`` are computed once and
     shared, and ``std`` is the square root of the ``var`` computed here
     (the Fig. 5 reuse).  Every value is bitwise the one the matching
-    function above returns, which the test suite checks; those functions
-    stay the reference.
+    function above returns, which the test suite checks.
 
     A kernel is a pure function of ``names``, so one kernel per tuple is
     kept and shared by every cell that asks for it.
@@ -173,7 +188,7 @@ def band_kernel(names: Tuple[str, ...]) -> Callable[[np.ndarray], List[float]]:
 
     def run(band: np.ndarray) -> List[float]:
         arr = _as_segment(band)
-        return multiband_kernel((arr.size,), (names,))(arr)
+        return multiband_kernel((arr.size,), (names,))(arr).tolist()
 
     return run
 
@@ -187,23 +202,31 @@ def _check_names(names: Sequence[str]) -> None:
 @functools.lru_cache(maxsize=256)
 def multiband_kernel(
     lengths: Tuple[int, ...], names: Tuple[Tuple[str, ...], ...]
-) -> Callable[[np.ndarray], List[float]]:
-    """One pass computing named features of several bands of one segment.
+) -> Callable[[np.ndarray], np.ndarray]:
+    """One pass computing named features of several bands, row by row.
 
-    The bands lie side by side in one 1-D array (band ``k`` holds
-    ``lengths[k]`` samples), and band ``k`` asks for the features
-    ``names[k]``.  Every step runs once over all bands: max and min are
-    one ``reduceat`` each; the squares, the centring by each band's mean,
-    the signs and the libm powers ``c**3``/``c**4`` (only where a band
-    asks for skew or kurt) are one elementwise pass each; Czero takes the
-    sign carry only when some sample sits exactly on its band mean,
-    restarting it at every band start, and counts the sign changes in one
-    integer ``add.reduceat`` with the pairs that straddle two bands
-    masked.  Every sum is one pairwise ``add.reduce`` per band slice
-    divided by the band length, and the per-band arithmetic after it is
-    the scalar arithmetic of the functions above (skew and kurt take
-    ``m2**1.5`` and ``m2**2``), so every value is bitwise the one the
-    matching function gives on that band alone; the test suite pins that.
+    This is the one feature front end: the engine's feature step runs it
+    on one segment, :func:`multiband_feature_matrix` on row blocks of a
+    batch and :func:`band_kernel` on one band.  The bands lie side by
+    side on the last axis (band ``k`` holds ``lengths[k]`` samples) of a
+    ``(..., sum(lengths))`` array, one row per segment, and band ``k``
+    asks for the features ``names[k]``.  Every step runs once over all
+    bands and rows: max and min are one ``reduceat`` each; the squares,
+    the centring by each band's mean, the signs and the libm powers
+    ``c**3``/``c**4`` (only where a band asks for skew or kurt) are one
+    elementwise pass each; Czero takes the sign carry only when some
+    sample sits exactly on its band mean, restarting it at every band
+    start, and counts the sign changes in one ``add.reduceat`` with the
+    pairs that straddle two bands masked.  Every sum is one pairwise
+    ``add.reduce`` per band slice (bands that ask for no moment are
+    skipped) divided by the band length, so it is bitwise the per-band
+    ``X.mean(axis=-1)``; then ``var = E[x^2] - mean^2``,
+    ``skew = m3 / np.power(m2, 1.5)`` and ``kurt = m4 / (m2 * m2)``, with
+    skew and kurt 0 where ``m2 <= 1e-12``: the expressions of the
+    functions above.  There is no per-row or per-band Python arithmetic,
+    so one segment and a block of rows take the same path.  The test
+    suite pins every value against the functions above and against a
+    per-band batch oracle.
 
     A kernel is a pure function of its arguments, so one is kept per
     ``(lengths, names)`` and shared by every step that asks for it.
@@ -214,107 +237,115 @@ def multiband_kernel(
             :data:`FEATURE_NAMES`, repeats allowed).
 
     Returns:
-        A function from the ``sum(lengths)`` concatenated samples to the
-        values of every band in order, each band's in its ``names``
-        order.
+        A function from a ``(..., sum(lengths))`` float64 array to the
+        ``(..., n_values)`` values of every band in order, each band's in
+        its ``names`` order.
     """
     if not lengths or len(names) != len(lengths) or min(lengths) < 1:
         raise ConfigurationError("need one names tuple per non-empty band")
     for band_names in names:
         _check_names(band_names)
-    n, starts, slices, band_start, positions, straddle = _band_plan(lengths)
+    n = np.asarray(lengths, dtype=np.int64)
+    starts = np.cumsum(n) - n
+    slices = [slice(int(a), int(a + b)) for a, b in zip(starts, n)]
     bands = len(lengths)
-    width = sum(lengths)
     band_of = np.repeat(np.arange(bands), n)
+    band_start = starts[band_of]
+    positions = np.arange(int(n.sum()))
+    inside = positions != band_start  # not the first sample of its band
     need = [frozenset(band_names) for band_names in names]
     union = frozenset().union(*need)
-    row = {name: i * bands for i, name in enumerate(FEATURE_NAMES)}
-    gather = [row[name] + k for k, band_names in enumerate(names) for name in band_names]
+    # The table holds every feature of every band, feature by feature;
+    # the kernel returns the asked ones, band by band.
+    row = {name: i for i, name in enumerate(FEATURE_NAMES)}
+    gather = np.array(
+        [row[name] * bands + k for k, band_names in enumerate(names) for name in band_names],
+        dtype=np.intp,
+    )
     second = bool(union & {"var", "std"})
-    centred = bool(union & {"czero", "skew", "kurt"})
-    moment_bands = [(k, slices[k], lengths[k]) for k, f in enumerate(need) if f - {"max", "min"}]
-    shape_bands = [
-        (k, slices[k], lengths[k], "skew" in f, "kurt" in f)
-        for k, f in enumerate(need)
-        if f & {"skew", "kurt"}
-    ]
+    moment_slices = [(k, slices[k]) for k, f in enumerate(need) if f - {"max", "min"}]
+    shape_slices = [(k, slices[k]) for k, f in enumerate(need) if f & {"skew", "kurt"}]
 
-    def where(features) -> np.ndarray | bool:
-        """The samples of the bands asking for any of ``features``."""
+    def where(features) -> dict:
+        """``where=`` of the samples of the bands asking for any of
+        ``features``, as keywords (none when every band asks)."""
         mask = np.repeat([bool(f & features) for f in need], n)
-        return True if mask.all() else mask
+        return {} if mask.all() else {"where": mask}
 
-    # Rows of the centred-moment stack: c**2, then c**3 and c**4 as asked.
-    squared = where({"skew", "kurt"})
-    powers = [(p, where({name})) for p, name in ((3, "skew"), (4, "kurt")) if name in union]
-    # Rows left out by a mask are summed too, so they must hold zeros.
-    masked = any(mask is not True for mask in [squared] + [m for _, m in powers])
-    blank = np.zeros if masked else np.empty
+    # Rows of the centred-moment stack: the exact square, then libm pow
+    # for c**3 and c**4 as asked, as ``centered**p`` (products such as
+    # c*c*c round differently).
+    powers = [(np.square, (), where({"skew", "kurt"}))] + [
+        (np.power, (p,), where({name}))
+        for p, name in ((3, "skew"), (4, "kurt"))
+        if name in union
+    ]
+    # Samples a mask leaves out are summed too, so they must hold zeros.
+    blank = np.zeros if any(kw for _, _, kw in powers) else np.empty
+    # A flat band's moments become (1, 0, 0): skew and kurt come out 0.
+    flat_fill = np.array([1.0] + [0.0] * (len(powers) - 1))[:, None]
 
-    def run(x: np.ndarray) -> List[float]:
-        table = [0.0] * (len(FEATURE_NAMES) * bands)
+    def band_means(stack: np.ndarray, asking, out: np.ndarray) -> np.ndarray:
+        """Band means of a ``(..., k, width)`` stack into ``(..., k,
+        bands)``: one pairwise ``add.reduce`` per asking band."""
+        for k, sl in asking:
+            np.add.reduce(stack[..., sl], axis=-1, out=out[..., k])
+        return np.divide(out, n, out=out)
+
+    def run(X: np.ndarray) -> np.ndarray:
+        lead = X.shape[:-1]
+        # Zeros, so a band that asks for no moment reads as flat.
+        table = np.zeros(lead + (len(FEATURE_NAMES), bands))
         if "max" in union:
-            table[row["max"] : row["max"] + bands] = np.maximum.reduceat(x, starts).tolist()
+            np.maximum.reduceat(X, starts, axis=-1, out=table[..., row["max"], :])
         if "min" in union:
-            table[row["min"] : row["min"] + bands] = np.minimum.reduceat(x, starts).tolist()
-        if not moment_bands:
-            return [table[i] for i in gather]
-        if second:
-            stack = np.empty((2, width))
-            stack[0] = x
-            np.multiply(x, x, out=stack[1])
-        mu = [0.0] * bands
-        for k, sl, size in moment_bands:
+            np.minimum.reduceat(X, starts, axis=-1, out=table[..., row["min"], :])
+        if moment_slices:
+            # sum(x) and sum(x*x) land in the mean and var rows.
+            stack = np.empty(lead + (1 + second, X.shape[-1]))
+            stack[..., 0, :] = X
             if second:
-                total, squares = np.add.reduce(stack[:, sl], axis=1).tolist()
-            else:
-                total = float(np.add.reduce(x[sl]))
-            mu[k] = m = total / size
-            table[row["mean"] + k] = m
+                np.multiply(X, X, out=stack[..., 1, :])
+            mean = row["mean"]
+            band_means(stack, moment_slices, table[..., mean : mean + 1 + second, :])
+            mu = table[..., mean, :]
             if second:
-                var = squares / size - m * m
-                table[row["var"] + k] = var
-                table[row["std"] + k] = math.sqrt(max(var, 0.0))
-        if not centred:
-            return [table[i] for i in gather]
-        centered = x - (mu[0] if bands == 1 else np.array(mu)[band_of])
+                var = table[..., row["var"], :]
+                np.subtract(var, mu * mu, out=var)
+                np.sqrt(np.maximum(var, 0.0), out=table[..., row["std"], :])
+            if union & {"czero", "skew", "kurt"}:
+                centered = X - mu.take(band_of, axis=-1)
         if "czero" in union:
             signs = np.sign(centered)
-            if np.count_nonzero(signs) < width:
+            if np.count_nonzero(signs) < signs.size:
                 # Carry the last non-zero sign through the samples on their
                 # mean, from the band start at the earliest (+1 before a
                 # band's first non-zero sign).
                 last = np.where(signs != 0, positions, band_start)
-                np.maximum.accumulate(last, out=last)
-                signs = signs[last]
+                np.maximum.accumulate(last, axis=-1, out=last)
+                signs = np.take_along_axis(signs, last, axis=-1)
                 signs[signs == 0] = 1.0
-            change = np.empty(width, dtype=bool)
-            change[-1] = False
-            np.not_equal(signs[1:], signs[:-1], out=change[:-1])
-            change[straddle] = False
-            counts = np.add.reduceat(change, starts, dtype=np.int64)
-            table[row["czero"] : row["czero"] + bands] = counts.astype(np.float64).tolist()
-        if shape_bands:
-            moments = blank((1 + len(powers), width))
-            np.square(centered, out=moments[0], where=squared)
-            for i, (p, mask) in enumerate(powers, 1):
-                # libm pow, as ``centered**p`` on one band: products such
-                # as c*c*c round differently.
-                np.power(centered, p, out=moments[i], where=mask)
-            for k, sl, size, skew, kurt in shape_bands:
-                sums = np.add.reduce(moments[:, sl], axis=1).tolist()
-                m2 = sums[0] / size
-                if m2 <= 1e-12:
-                    table[row["skew"] + k] = table[row["kurt"] + k] = 0.0
-                    continue
-                if skew:
-                    table[row["skew"] + k] = (sums[1] / size) / (m2**1.5)
-                if kurt:
-                    table[row["kurt"] + k] = (sums[-1] / size) / (m2**2)
-        return [table[i] for i in gather]
+            # A change at a band start straddles two bands: it is masked.
+            change = np.empty(signs.shape, dtype=bool)
+            np.not_equal(signs[..., 1:], signs[..., :-1], out=change[..., 1:])
+            np.logical_and(change, inside, out=change)
+            np.add.reduceat(
+                change, starts, axis=-1, dtype=np.float64, out=table[..., row["czero"], :]
+            )
+        if shape_slices:
+            moments = blank(lead + (len(powers), X.shape[-1]))
+            for i, (ufunc, args, kw) in enumerate(powers):
+                ufunc(centered, *args, out=moments[..., i, :], **kw)
+            m = band_means(moments, shape_slices, np.zeros(lead + (len(powers), bands)))
+            np.copyto(m, flat_fill, where=m[..., :1, :] <= 1e-12)
+            m2 = m[..., 0, :]
+            if "skew" in union:
+                np.divide(m[..., 1, :], np.power(m2, 1.5), out=table[..., row["skew"], :])
+            if "kurt" in union:
+                np.divide(m[..., -1, :], m2 * m2, out=table[..., row["kurt"], :])
+        return table.reshape(lead + (-1,)).take(gather, axis=-1)
 
     return run
-
 
 #: name -> batch implementation
 _FEATURE_FUNCS: Dict[str, Callable[[Sequence[float]], float]] = {
@@ -354,106 +385,21 @@ def feature_vector(
 ROW_BLOCK = 32
 
 
-@functools.lru_cache(maxsize=64)
-def _band_plan(lengths: Tuple[int, ...]):
-    """Index tables of bands laid side by side: starts, slices, the band
-    start of every position, and the pairs that straddle two bands."""
-    n = np.asarray(lengths, dtype=np.int64)
-    starts = np.cumsum(n) - n
-    slices = tuple(slice(int(a), int(a + b)) for a, b in zip(starts, n))
-    band_start = np.repeat(starts, n)
-    positions = np.arange(int(n.sum()), dtype=np.int64)
-    straddle = starts[1:] - 1
-    for arr in (n, starts, band_start, positions, straddle):
-        arr.setflags(write=False)
-    return n, starts, slices, band_start, positions, straddle
-
-
-def _band_sums(stack: np.ndarray, slices) -> np.ndarray:
-    """``(k, rows, n_bands)`` per-band sums of a ``(k, rows, width)`` stack.
-
-    One ``add.reduce`` per band slice: each row of each band is summed on
-    its own, with the pairwise summation of a per-band ``sum(axis=1)``,
-    so every sum is bitwise the per-band one.  (``add.reduceat`` sums
-    sequentially and would not be.)
-    """
-    return np.stack([np.add.reduce(stack[..., sl], axis=-1) for sl in slices], -1)
-
-
-def _multiband_block(block, plan, need, names) -> np.ndarray:
-    """Features of one row block of side-by-side bands, band-major."""
-    n, starts, slices, band_start, positions, straddle = plan
-    rows = block.shape[1]
-    columns: Dict[str, np.ndarray] = {}
-    X = block[0]  # block[1], when present, receives X * X
-    if "max" in need:
-        columns["max"] = np.maximum.reduceat(X, starts, axis=1)
-    if "min" in need:
-        columns["min"] = np.minimum.reduceat(X, starts, axis=1)
-    if need - {"max", "min"}:
-        if len(block) == 2:
-            np.multiply(X, X, out=block[1])
-        sums = _band_sums(block, slices)
-        mu = sums[0] / n
-        columns["mean"] = mu
-        if need & {"var", "std"}:
-            var = sums[1] / n - mu * mu
-            columns["var"] = var
-            columns["std"] = np.sqrt(np.maximum(var, 0.0))
-        if need & {"czero", "skew", "kurt"}:
-            centered = X - np.repeat(mu, n, axis=1)
-            if "czero" in need:
-                # The carried sign restarts at every band start: a position
-                # before its band's first non-zero sign points at the band
-                # start itself, and reads +1 there when that is zero too.
-                signs = np.sign(centered)
-                last = np.where(signs != 0, positions, band_start)
-                np.maximum.accumulate(last, axis=1, out=last)
-                filled = np.take_along_axis(signs, last, axis=1)
-                filled[filled == 0] = 1.0
-                change = np.zeros(filled.shape, dtype=bool)
-                np.not_equal(filled[:, 1:], filled[:, :-1], out=change[:, :-1])
-                change[:, straddle] = False
-                columns["czero"] = np.add.reduceat(
-                    change, starts, axis=1, dtype=np.int64
-                ).astype(np.float64)
-            powers = [p for p, f in ((3, "skew"), (4, "kurt")) if f in need]
-            if powers:
-                moments = np.empty((1 + len(powers),) + centered.shape)
-                np.square(centered, out=moments[0])
-                for row, p in enumerate(powers, 1):
-                    # libm pow, as ``centered**p`` on one band: products
-                    # such as c*c*c round differently.
-                    np.power(centered, p, out=moments[row])
-                m = _band_sums(moments, slices) / n
-                degenerate = m[0] <= 1e-12
-                safe_m2 = np.where(degenerate, 1.0, m[0])
-                if "skew" in need:
-                    columns["skew"] = np.where(degenerate, 0.0, m[1] / safe_m2**1.5)
-                if "kurt" in need:
-                    columns["kurt"] = np.where(
-                        degenerate, 0.0, m[-1] / safe_m2**2
-                    )
-    return np.stack([columns[name] for name in names], axis=2).reshape(rows, -1)
-
-
 def multiband_feature_matrix(
     bands: Sequence[np.ndarray], names: Sequence[str] = FEATURE_NAMES
 ) -> np.ndarray:
     """The named features of every band of one batch, in one pass.
 
     ``bands`` are ``(rows, n_k)`` arrays with one row per segment (the
-    time-domain segment and its DWT sub-bands, say).  They are laid side
-    by side in one ``(rows, sum(n_k))`` matrix, and every step runs once
-    over all of them: max and min are one exact ``reduceat`` each, the
-    squares, centring, signs and powers are one elementwise pass, the
-    Czero sign carry restarts at every band start, and every moment is
-    one pairwise ``add.reduce`` per band over a stacked array.  Rows go
-    through in blocks of :data:`ROW_BLOCK`.
+    time-domain segment and its DWT sub-bands, say).  Each block of
+    :data:`ROW_BLOCK` rows is laid side by side in one
+    ``(rows, sum(n_k))`` matrix and goes through one
+    :func:`multiband_kernel` pass that asks every band for ``names``.
 
     Every value is bitwise the one a separate per-band computation
-    (``X.mean(axis=1)``, ``(centered**3).mean(axis=1)``, ...) gives; the
-    test suite pins that against the per-band oracle.
+    (``X.mean(axis=1)``, ``(centered**3).mean(axis=1)``, ...) gives, and
+    the one the functions above give on each row's band; the test suite
+    pins both.
 
     Args:
         bands: Band batches, all with the same number of rows; every band
@@ -474,18 +420,14 @@ def multiband_feature_matrix(
         raise ConfigurationError("every band must have the same number of rows")
     if any(a.shape[1] == 0 for a in arrays):
         raise ConfigurationError("every band must hold at least one sample")
-    need = frozenset(names)
-    plan = _band_plan(tuple(a.shape[1] for a in arrays))
-    width = int(plan[0].sum())
-    depth = 2 if need & {"var", "std"} else 1
+    kernel = multiband_kernel(
+        tuple(a.shape[1] for a in arrays), (tuple(names),) * len(arrays)
+    )
     out = np.empty((rows, len(arrays) * len(names)))
     for lo in range(0, rows, ROW_BLOCK):
         hi = min(lo + ROW_BLOCK, rows)
-        block = np.empty((depth, hi - lo, width))
-        np.concatenate([a[lo:hi] for a in arrays], axis=1, out=block[0])
-        out[lo:hi] = _multiband_block(block, plan, need, names)
+        out[lo:hi] = kernel(np.concatenate([a[lo:hi] for a in arrays], axis=1))
     return out
-
 
 def operation_counts(name: str, segment_length: int) -> Mapping[str, int]:
     """S-ALU operation counts for one feature cell over an N-sample segment.

@@ -9,10 +9,13 @@ Section 4.4).
 
 This module implements the Haar DWT from scratch (no pywt available
 offline); Haar is the only wavelet, because the in-sensor DWT cell is a
-shift-add datapath:
+shift-add datapath.  Both functions run on the last axis, so one segment
+and a ``(rows, n)`` batch go through the same arithmetic: the engine's DWT
+cells, training and the gateway all compute the same bits.
 
-- :func:`dwt_single_level` -- one analysis step (Haar low-pass/high-pass
-  filter + downsample by 2) with periodic boundary extension.
+- :func:`dwt_single_level` -- one analysis step: the pair sums and
+  differences ``(x[2k] +- x[2k+1]) / sqrt(2)``, i.e. the Haar low-pass and
+  high-pass filters with periodic extension, downsampled by two.
 - :func:`dwt_multilevel` -- the full pyramid, returning the sub-band segments
   in the order the functional-cell topology consumes them.
 """
@@ -28,41 +31,28 @@ from repro.errors import ConfigurationError
 
 _SQRT2 = math.sqrt(2.0)
 
-#: Haar analysis filters: low-pass (approximation) and high-pass (detail).
-_HAAR_LOWPASS = np.array([1.0 / _SQRT2, 1.0 / _SQRT2])
-_HAAR_HIGHPASS = np.array([1.0 / _SQRT2, -1.0 / _SQRT2])
-
-
-def _analysis_step(
-    segment: np.ndarray, taps: np.ndarray
-) -> np.ndarray:
-    """Filter with periodic extension, then downsample by two."""
-    n = len(segment)
-    extended = np.concatenate([segment, segment[: len(taps) - 1]])
-    filtered = np.convolve(extended, taps[::-1], mode="valid")
-    return filtered[:n][::2]
-
 
 def dwt_single_level(segment: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
-    """One Haar DWT analysis level.
+    """One Haar DWT analysis level over the last axis.
 
     Args:
-        segment: Input samples; the length must be even (the hardware DWT
-            cell processes power-of-two segments).
+        segment: Input samples, one segment or a batch of rows; the last
+            axis must have even length (the hardware DWT cell processes
+            power-of-two segments).
 
     Returns:
-        ``(approximation, detail)`` arrays, each of half the input length.
+        ``(approximation, detail)`` arrays, each of half the input length
+        on the last axis: ``(x[2k] + x[2k+1]) / sqrt(2)`` and
+        ``(x[2k] - x[2k+1]) / sqrt(2)``.
     """
     arr = np.asarray(segment, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ConfigurationError("DWT input must be one-dimensional")
-    if len(arr) < 2 or len(arr) % 2 != 0:
-        raise ConfigurationError(
-            f"DWT input length must be even and >= 2, got {len(arr)}"
-        )
-    approx = _analysis_step(arr, _HAAR_LOWPASS)
-    detail = _analysis_step(arr, _HAAR_HIGHPASS)
-    return approx, detail
+    if arr.ndim == 0:
+        raise ConfigurationError("DWT input must have at least one dimension")
+    n = arr.shape[-1]
+    if n < 2 or n % 2 != 0:
+        raise ConfigurationError(f"DWT input length must be even and >= 2, got {n}")
+    even, odd = arr[..., 0::2], arr[..., 1::2]
+    return (even + odd) / _SQRT2, (even - odd) / _SQRT2
 
 
 def dwt_multilevel(segment: Sequence[float], levels: int) -> List[np.ndarray]:
@@ -80,22 +70,23 @@ def dwt_multilevel(segment: Sequence[float], levels: int) -> List[np.ndarray]:
     domain segment" on which the statistical feature cells operate.
 
     Args:
-        segment: Input samples; length must be divisible by ``2**levels``.
+        segment: Input samples, one segment or a batch of rows; the last
+            axis must be divisible by ``2**levels``.
         levels: Number of decomposition levels (>= 1).
 
     Returns:
-        List of sub-band arrays ordered shallow-to-deep.
+        List of sub-band arrays ordered shallow-to-deep, each with the
+        input's leading axes.
     """
     if levels < 1:
         raise ConfigurationError("levels must be >= 1")
-    arr = np.asarray(segment, dtype=np.float64)
-    if len(arr) % (1 << levels) != 0:
+    approx = np.atleast_1d(np.asarray(segment, dtype=np.float64))
+    if approx.shape[-1] % (1 << levels) != 0:
         raise ConfigurationError(
-            f"segment length {len(arr)} not divisible by 2**{levels}"
+            f"segment length {approx.shape[-1]} not divisible by 2**{levels}"
         )
 
     bands: List[np.ndarray] = []
-    approx = arr
     for level in range(1, levels + 1):
         approx, detail = dwt_single_level(approx)
         if level < levels:

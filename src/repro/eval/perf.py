@@ -4,11 +4,12 @@ Each row of :data:`STAGES` times one layer of the pipeline two ways — the
 scalar reference and the fast path — on the same inputs:
 
 - **extraction**: :meth:`FeatureLayout.extract_matrix` (per-row Python
-  loop) vs :func:`repro.dsp.batch.batch_extract_matrix`, 256 segments;
-- **dwt**: per-row :func:`~repro.dsp.wavelet.dwt_multilevel` (the
-  engine's Haar reference) vs the batched Haar pyramid
-  :func:`~repro.dsp.batch.batch_haar_multilevel` that training and the
-  gateway run, 512 rows;
+  loop) vs :func:`repro.dsp.batch.batch_extract_matrix`, 256 segments,
+  bit-identical;
+- **dwt**: :func:`~repro.dsp.wavelet.dwt_multilevel` row by row (as the
+  engine's DWT cells run it) vs the same function over the whole
+  ``(rows, n)`` batch (as training and the gateway run it), 512 rows,
+  bit-identical;
 - **inference**: per-event ensemble prediction (one tiny Gram matrix per
   member per event) vs one
   :meth:`~repro.ml.subspace.RandomSubspaceClassifier.predict` call on the
@@ -76,7 +77,7 @@ import numpy as np
 
 from repro.core.layout import FeatureLayout
 from repro.core.pipeline import TrainingConfig, train_analytic_engine
-from repro.dsp.batch import batch_extract_matrix, batch_haar_multilevel
+from repro.dsp.batch import batch_extract_matrix
 from repro.dsp.wavelet import dwt_multilevel
 from repro.errors import ConfigurationError, PerfRegressionError
 from repro.eval.jsonio import read_json_document, write_json_document
@@ -94,11 +95,6 @@ _BENCH_TRAINING = TrainingConfig(
 
 #: Seed of every row's random inputs (the training row uses its own).
 _SEED = 2025
-
-#: Equivalence bound of the rows whose fast path rounds differently from
-#: the reference (extraction, dwt); the test suite's batch bound.
-_TOLERANCE = dict(rtol=1e-11, atol=1e-12)
-
 
 @dataclass(frozen=True)
 class PerfCase:
@@ -230,7 +226,7 @@ def _extraction(fast: bool) -> Work:
         256,
         lambda: layout.extract_matrix(X),
         lambda: batch_extract_matrix(X, layout),
-        lambda ref, out: bool(np.allclose(out, ref, **_TOLERANCE)),
+        _arrays_equal,
     )
 
 
@@ -239,9 +235,9 @@ def _dwt(fast: bool) -> Work:
     return Work(
         512,
         lambda: [dwt_multilevel(row, 5) for row in X],
-        lambda: batch_haar_multilevel(X, 5),
+        lambda: dwt_multilevel(X, 5),
         lambda ref, out: all(
-            np.allclose(out[band][i], ref[i][band], **_TOLERANCE)
+            np.array_equal(out[band][i], ref[i][band])
             for i in range(len(ref))
             for band in range(len(out))
         ),

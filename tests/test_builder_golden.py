@@ -120,7 +120,7 @@ class TestBinaryBuilderGolden:
 
     def test_execution(self, tiny_topology, tiny_dataset):
         assert _execute_digest(tiny_topology, tiny_dataset.segments[:6]) == (
-            "e2ef3cdf798236e000de5641bb1c938bbe7006aba001440183c6319921aeaa74"
+            "628f0f193237dd54bfb825223d59e20be2acfea0675828083f42a66a25c5df15"
         )
 
     def test_generator(self, tiny_topology, energy_lib_90):
@@ -132,7 +132,7 @@ class TestBinaryBuilderGolden:
 class TestMulticlassBuilderGolden:
     def test_cells(self, multiclass):
         assert _cells_digest(multiclass[1]) == (
-            "4ef5a6d814e5e2c32ef3f79198977a6a576379045fb4e1c669de3e7778ae6d3e"
+            "a32aaf442f8439e91e8e167d9ee501fe4affa3cdf2f852d551ac9dbb7f5da353"
         )
 
     def test_execution(self, multiclass):
@@ -144,5 +144,5 @@ class TestMulticlassBuilderGolden:
     def test_generator(self, multiclass):
         _, topology, lib = multiclass
         assert _generator_digest(topology, lib) == (
-            "a9d4a907f1519488056850b283e8b19be18b6229b6e90b0164bebc8d1c85ea02"
+            "69b7ff562560caba289f69ddaf97371643825015b27b4c7d13eb481ff79ac75f"
         )

@@ -143,8 +143,10 @@ def test_multiband_kernel_matches_each_band_alone(case):
     each band start and no sign change straddles two bands."""
     bands, names = case
     kernel = feat.multiband_kernel(tuple(len(b) for b in bands), tuple(names))
-    values = kernel(np.concatenate(bands))
-    assert all(type(value) is float for value in values)
+    row = np.concatenate(bands)
+    values = kernel(row)
+    assert values.dtype == np.float64 and values.shape == (sum(map(len, names)),)
+    assert _bits(kernel(np.stack([row, row]))) == _bits([values, values])
     per_band = [v for band, ns in zip(bands, names) for v in feat.band_kernel(ns)(band)]
     assert _bits(values) == _bits(per_band)
     reference = [feat.compute_feature(n, band) for band, ns in zip(bands, names) for n in ns]
@@ -158,9 +160,9 @@ def test_multiband_czero_restarts_at_band_starts():
     first = np.array([1.0, -1.0])  # ends below its mean
     second = np.array([0.0, 0.0, -1.0, 1.0])  # opens on its mean
     kernel = feat.multiband_kernel((2, 4), (("czero",), ("czero",)))
-    assert kernel(np.concatenate([first, second])) == [1.0, 2.0]
+    assert kernel(np.concatenate([first, second])).tolist() == [1.0, 2.0]
     pair = feat.multiband_kernel((2, 2), (("czero",), ("czero",)))
-    assert pair(np.array([1.0, -1.0, 1.0, -1.0])) == [1.0, 1.0]
+    assert pair(np.array([1.0, -1.0, 1.0, -1.0])).tolist() == [1.0, 1.0]
 
 
 def test_multiband_kernel_validates():

@@ -167,7 +167,7 @@ def _ref_skewness(a):
     m2 = float(np.mean(centered**2))
     if m2 <= 1e-12:
         return 0.0
-    return float(np.mean(centered**3)) / (m2**1.5)
+    return float(float(np.mean(centered**3)) / np.power(m2, 1.5))
 
 
 def _ref_kurtosis(a):
@@ -175,7 +175,7 @@ def _ref_kurtosis(a):
     m2 = float(np.mean(centered**2))
     if m2 <= 1e-12:
         return 0.0
-    return float(np.mean(centered**4)) / (m2**2)
+    return float(np.mean(centered**4)) / (m2 * m2)
 
 
 def _ref_zero_crossings(a):

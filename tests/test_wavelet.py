@@ -65,9 +65,16 @@ class TestSingleLevel:
         with pytest.raises(ConfigurationError):
             dwt_single_level(np.arange(7.0))
 
-    def test_2d_rejected(self):
+    def test_batch_is_row_by_row(self):
+        # The last axis is the segment: a batch gives each row's bands.
+        X = np.random.default_rng(5).normal(size=(3, 8))
+        a, d = dwt_single_level(X)
+        for i in range(3):
+            a_row, d_row = dwt_single_level(X[i])
+            assert a[i].tobytes() == a_row.tobytes()
+            assert d[i].tobytes() == d_row.tobytes()
         with pytest.raises(ConfigurationError):
-            dwt_single_level(np.zeros((4, 4)))
+            dwt_single_level(np.float64(1.0))
 
     @given(SIGNALS)
     @settings(max_examples=60)
